@@ -33,6 +33,7 @@ from .env import (
     rollout_group,
     rollout_trajectory,
     sample_task,
+    sample_trajectories,
     verify_reward,
     write_rollout_log,
 )

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .policy import PolicySnapshot, TabularPolicy, _SoftmaxTable
+from .policy import PolicySnapshot, _SoftmaxTable
 
 
 @dataclass(frozen=True)
@@ -151,35 +151,52 @@ def verify_reward(trajectory: Trajectory) -> int:
     return int(int(trajectory.actions.sum()) % task.modulus == task.target)
 
 
-def rollout_trajectory(policy: _SoftmaxTable, task: ModSumTask,
-                       rng: np.random.Generator) -> Trajectory:
-    """Sample one episode from the given (usually snapshot) policy."""
+def sample_trajectories(policy: _SoftmaxTable, task: ModSumTask, n: int,
+                        rng: np.random.Generator) -> list[Trajectory]:
+    """Sample n episodes of one task in lockstep from the given (usually snapshot) policy.
+
+    The stream advances by exactly n * seq_len uniform draws, taken
+    trajectory by trajectory, and each token is the inverse-CDF pick
+    sample_action would make from the same draw, so the episodes equal n
+    sequential single-token rollouts bit for bit, log-probs included.
+    """
     if policy.num_states != task.num_states or policy.num_actions != task.vocab_size:
         raise ValueError(
             f"policy table ({policy.num_states} states, {policy.num_actions} actions) does not "
             f"match task state space ({task.num_states} states, {task.vocab_size} actions)")
-    actions = np.empty(task.seq_len, dtype=np.int64)
-    logprobs = np.empty(task.seq_len, dtype=np.float64)
-    states = np.empty(task.seq_len, dtype=np.int64)
-    residue = 0
-    for t in range(task.seq_len):
-        state = task.state_id(t, residue)
-        action, lp = policy.sample_action(state, rng)
-        actions[t], logprobs[t], states[t] = action, lp, state
-        residue = (residue + action) % task.modulus
-    traj = Trajectory(task, actions, logprobs, states, reward=0)
-    traj.reward = verify_reward(traj)
-    return traj
+    probs = policy.probability_matrix()
+    cdf = np.cumsum(probs, axis=1)
+    seq_len, modulus = task.seq_len, task.modulus
+    draws = rng.random((n, seq_len))
+    states = np.empty((n, seq_len), dtype=np.int64)
+    actions = np.empty((n, seq_len), dtype=np.int64)
+    state = np.zeros(n, dtype=np.int64)  # position 0, residue 0
+    for t in range(seq_len):
+        states[:, t] = state
+        # count of cdf entries <= u, i.e. searchsorted(cdf, u, side="right")
+        picks = (cdf[state] <= draws[:, t, None]).sum(axis=1)
+        actions[:, t] = np.minimum(picks, task.vocab_size - 1)
+        state = (t + 1) * modulus + (state + actions[:, t]) % modulus
+    with np.errstate(divide="ignore"):
+        logprobs = np.log(probs[states, actions])
+    rewards = actions.sum(axis=1) % modulus == task.target
+    return [Trajectory(task, actions[i], logprobs[i], states[i], int(rewards[i]))
+            for i in range(n)]
 
 
-def rollout_group(policy: TabularPolicy, task: ModSumTask, group_size: int,
+def rollout_trajectory(policy: _SoftmaxTable, task: ModSumTask,
+                       rng: np.random.Generator) -> Trajectory:
+    """Sample one episode from the given (usually snapshot) policy."""
+    return sample_trajectories(policy, task, 1, rng)[0]
+
+
+def rollout_group(policy: _SoftmaxTable, task: ModSumTask, group_size: int,
                   rng: np.random.Generator) -> RolloutGroup:
     """Snapshot the policy, then sample a group of episodes from the snapshot."""
     if group_size < 2:
         raise ValueError(f"group_size must be >= 2, got {group_size}")
     snapshot = policy.snapshot()
-    trajectories = [rollout_trajectory(snapshot, task, rng) for _ in range(group_size)]
-    return RolloutGroup(task, trajectories, snapshot)
+    return RolloutGroup(task, sample_trajectories(snapshot, task, group_size, rng), snapshot)
 
 
 def write_rollout_log(path: str | Path, groups: list[RolloutGroup],

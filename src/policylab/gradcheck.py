@@ -37,6 +37,7 @@ from .objectives import (
     aggregate_objective,
     batch_token_terms,
     entropy_bonus,
+    new_logprob_lookup,
     token_weights,
 )
 from .policy import TabularPolicy
@@ -130,10 +131,7 @@ def frozen_surrogate_evaluator(spec: ObjectiveSpec, batch: TokenBatch,
 
     def evaluate(logits: np.ndarray) -> float:
         live = TabularPolicy(logits)
-        new_lp = np.empty(batch.n_tokens)
-        for s in np.unique(batch.states):
-            mask = batch.states == s
-            new_lp[mask] = live.log_probabilities(int(s))[batch.actions[mask]]
+        new_lp = new_logprob_lookup(live, batch.states, batch.actions)
         deltas = np.exp(new_lp - batch.old_logprobs)
         token_values = frozen_scale * deltas * batch.advantages + frozen_offset
         value = float(weights @ token_values)

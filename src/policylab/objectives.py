@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .env import Trajectory
-from .policy import _SoftmaxTable, entropy_logit_gradient
+from .policy import _SoftmaxTable, entropy_gradient_rows, entropy_rows
 
 ALGORITHMS = ("ppo", "grpo", "dapo", "cispo", "gspo", "ce_gppo")
 AGGREGATIONS = ("sequence_mean", "token_mean")
@@ -225,7 +226,7 @@ def token_term(spec: ObjectiveSpec, delta: float, adv: float) -> TokenTerm:
     raise ValueError(f"{spec.algorithm} has no per-token scalar form")
 
 
-def entropy_bonus(policy: _SoftmaxTable, visited_states: Sequence[int],
+def entropy_bonus(policy: _SoftmaxTable, visited_states: Sequence[int] | np.ndarray,
                   alpha: float) -> tuple[float, np.ndarray]:
     """Entropy regularizer alpha * mean_s H(pi|s) over the visited states.
 
@@ -235,13 +236,13 @@ def entropy_bonus(policy: _SoftmaxTable, visited_states: Sequence[int],
     if alpha < 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     grad = np.zeros((policy.num_states, policy.num_actions))
-    states = sorted(set(int(s) for s in visited_states))
-    if alpha == 0.0 or not states:
+    states = np.unique(np.asarray(visited_states, dtype=np.int64))
+    if alpha == 0.0 or states.size == 0:
         return 0.0, grad
-    value = 0.0
-    for s in states:
-        value += policy.exact_entropy(s)
-        grad[s] = entropy_logit_gradient(policy, s)
+    probs = policy.probability_matrix()[policy._check_states(states)]
+    # a running sum in state order, as a scalar loop over the states would add
+    value = float(np.add.accumulate(entropy_rows(probs))[-1])
+    grad[states] = entropy_gradient_rows(probs)
     n = len(states)
     return alpha * value / n, (alpha / n) * grad
 
@@ -276,17 +277,11 @@ class TokenBatch:
                           traj_advantages: Sequence[float]) -> "TokenBatch":
         if len(trajectories) != len(traj_advantages):
             raise ValueError("one advantage per trajectory required")
-        states, actions, old_lp, advs, slices = [], [], [], [], []
-        offset = 0
-        for traj, adv in zip(trajectories, traj_advantages):
-            states.append(traj.states)
-            actions.append(traj.actions)
-            old_lp.append(traj.old_logprobs)
-            advs.append(np.full(len(traj), float(adv)))
-            slices.append(slice(offset, offset + len(traj)))
-            offset += len(traj)
-        return cls(np.concatenate(states), np.concatenate(actions),
-                   np.concatenate(old_lp), np.concatenate(advs), slices)
+        lengths = [len(traj) for traj in trajectories]
+        join = lambda name: np.concatenate([getattr(traj, name) for traj in trajectories])
+        return cls(join("states"), join("actions"), join("old_logprobs"),
+                   np.repeat(np.asarray(traj_advantages, dtype=np.float64), lengths),
+                   _back_to_back(lengths))
 
     @property
     def n_tokens(self) -> int:
@@ -298,14 +293,15 @@ class TokenBatch:
 
     def subset(self, traj_indices: Sequence[int]) -> "TokenBatch":
         idx = [self.traj_slices[i] for i in traj_indices]
-        parts = lambda arr: np.concatenate([arr[sl] for sl in idx])
-        slices, offset = [], 0
-        for sl in idx:
-            n = sl.stop - sl.start
-            slices.append(slice(offset, offset + n))
-            offset += n
-        return TokenBatch(parts(self.states), parts(self.actions),
-                          parts(self.old_logprobs), parts(self.advantages), slices)
+        take = np.concatenate([np.arange(sl.start, sl.stop) for sl in idx])
+        return TokenBatch(self.states[take], self.actions[take],
+                          self.old_logprobs[take], self.advantages[take],
+                          _back_to_back([sl.stop - sl.start for sl in idx]))
+
+
+def _back_to_back(lengths: Sequence[int]) -> list[slice]:
+    """Slices of the given lengths laid end to end from 0."""
+    return [slice(end - n, end) for n, end in zip(lengths, itertools.accumulate(lengths))]
 
 
 @dataclass(eq=False)
@@ -334,14 +330,33 @@ def new_logprob_lookup(policy: _SoftmaxTable, states: np.ndarray,
                        actions: np.ndarray) -> np.ndarray:
     """Per-token log pi(a|s) under the live policy.
 
-    Computed row-by-row through the same code path sampling uses, so a
-    policy identical to the snapshot yields ratios of exactly 1.
+    Gathered from the same probability matrix sampling uses, so a policy
+    identical to the snapshot yields ratios of exactly 1. Probabilities
+    that underflowed to 0 map to -inf.
     """
-    out = np.empty(len(states))
-    for s in np.unique(states):
-        mask = states == s
-        out[mask] = policy.log_probabilities(int(s))[actions[mask]]
-    return out
+    probs = policy.probability_matrix()[policy._check_states(states), actions]
+    with np.errstate(divide="ignore"):
+        return np.log(probs)
+
+
+def _sequence_tokens(batch: TokenBatch, token_values: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-token (mean of its sequence's token_values, sequence advantage, sequence length).
+
+    Sequences of one length are stacked into a (count, length) matrix and
+    reduced along rows, which adds in the same order as a per-sequence
+    mean; the sequence advantage is the one on its first token.
+    """
+    starts = np.array([sl.start for sl in batch.traj_slices])
+    lengths = np.array([sl.stop - sl.start for sl in batch.traj_slices])
+    means, advs, lens = (np.empty(batch.n_tokens) for _ in range(3))
+    for length in np.unique(lengths):
+        first = starts[lengths == length]
+        idx = first[:, None] + np.arange(length)
+        means[idx] = token_values[idx].mean(axis=1, keepdims=True)
+        advs[idx] = batch.advantages[first, None]
+        lens[idx] = length
+    return means, advs, lens
 
 
 def _ppo_like_arrays(deltas, advs, lo, hi):
@@ -385,15 +400,11 @@ def batch_token_terms(spec: ObjectiveSpec, batch: TokenBatch,
     elif spec.algorithm == "cispo":
         values, weights, codes = _cispo_arrays(deltas, advs, lo, hi)
     elif spec.algorithm == "gspo":
-        values = np.empty_like(deltas)
-        weights = np.empty_like(deltas)
-        codes = np.empty(len(deltas), dtype=np.int64)
-        for sl in batch.traj_slices:
-            terms = gspo_sequence_terms(deltas[sl], float(advs[sl.start]), spec.eps_low,
-                                        spec.eps_high)
-            values[sl] = [t.value for t in terms]
-            weights[sl] = [t.grad_weight for t in terms]
-            codes[sl] = _CODE_TO_BRANCH.index(terms[0].branch)
+        # the gspo_sequence_terms rule: the sequence ratio is clipped PPO-style
+        # and each token carries a 1/|y| share of the sequence's value and weight
+        mean_log, seq_advs, seq_lens = _sequence_tokens(batch, np.log(deltas))
+        values, weights, codes = _ppo_like_arrays(np.exp(mean_log), seq_advs, lo, hi)
+        values, weights = values / seq_lens, weights / seq_lens
     else:  # pragma: no cover - ObjectiveSpec already validates
         raise ValueError(f"unknown algorithm {spec.algorithm!r}")
     return BatchTerms(values, weights, codes.astype(np.int64), deltas, new_lp)

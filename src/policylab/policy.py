@@ -49,6 +49,11 @@ class _SoftmaxTable:
             raise ValueError(f"state {state} out of range [0, {self.num_states})")
         return state
 
+    def _check_states(self, states: np.ndarray) -> np.ndarray:
+        if states.size and (states.min() < 0 or states.max() >= self.num_states):
+            raise ValueError(f"states outside [0, {self.num_states})")
+        return states
+
     def action_probabilities(self, state: int) -> np.ndarray:
         """Softmax over the state's logit row; sums to 1 within 1e-12."""
         row = self.logits[self._check_state(state)]
@@ -66,16 +71,25 @@ class _SoftmaxTable:
             return np.log(probs)
 
     def probability_matrix(self) -> np.ndarray:
-        """All rows' probabilities as a (num_states, num_actions) matrix."""
+        """All rows' probabilities as a read-only (num_states, num_actions) matrix.
+
+        Row s equals action_probabilities(s) bit for bit. The matrix is
+        computed once per logits array: logits are read-only and a policy
+        changes only by rebinding them, so the cached matrix cannot go stale.
+        """
+        cached = self.__dict__.get("_probs")
+        if cached is not None and cached[0] is self.logits:
+            return cached[1]
         shifted = self.logits - self.logits.max(axis=1, keepdims=True)
         e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        probs = e / e.sum(axis=1, keepdims=True)
+        probs.setflags(write=False)
+        self.__dict__["_probs"] = (self.logits, probs)  # also on frozen snapshots
+        return probs
 
     def exact_entropy(self, state: int) -> float:
         """Shannon entropy -sum pi log pi in nats, with 0*log(0) = 0."""
-        probs = self.action_probabilities(state)
-        nz = probs > 0.0
-        return float(-(probs[nz] * np.log(probs[nz])).sum())
+        return float(entropy_rows(self.action_probabilities(state)[None])[0])
 
     def sample_action(self, state: int, rng: np.random.Generator) -> tuple[int, float]:
         """Draw an action from the state's softmax row.
@@ -108,20 +122,25 @@ class PolicySnapshot(_SoftmaxTable):
         logits.setflags(write=False)
         object.__setattr__(self, "logits", logits)
 
+    def snapshot(self) -> "PolicySnapshot":
+        """An immutable table is its own snapshot."""
+        return self
+
 
 @dataclass(eq=False)
 class TabularPolicy(_SoftmaxTable):
     """Mutable tabular softmax policy over (state, action) logits.
 
-    Read operations (probabilities, entropy, sampling with a caller-owned
-    stream) are safe to run concurrently; apply_gradient assumes exclusive
-    access (single writer, no concurrent reads during the write).
+    The logits array is read-only: apply_gradient rebinds ``logits`` to a
+    new array rather than writing in place, which is what keeps the cached
+    probability matrix tied to one policy version.
     """
 
     logits: np.ndarray = field()
 
     def __post_init__(self):
         self.logits = _validate_logits(self.logits).copy()
+        self.logits.setflags(write=False)
 
     @classmethod
     def uniform(cls, num_states: int, num_actions: int) -> "TabularPolicy":
@@ -159,6 +178,7 @@ class TabularPolicy(_SoftmaxTable):
             bad = np.argwhere(~np.isfinite(updated))[0]
             raise ValueError(
                 f"update rejected: logit overflow at (state={bad[0]}, action={bad[1]})")
+        updated.setflags(write=False)
         self.logits = updated
         return self
 
@@ -189,6 +209,41 @@ class TabularPolicy(_SoftmaxTable):
         return cls(flat.reshape(shape)), doc.get("rng_lineage", {})
 
 
+def _log_or_zero(probs: np.ndarray) -> np.ndarray:
+    """Elementwise log, with 0 where a probability underflowed to 0."""
+    with np.errstate(divide="ignore"):
+        return np.where(probs > 0.0, np.log(probs), 0.0)
+
+
+# The row functions below take (n, num_actions) probability rows, e.g.
+# probability_matrix()[states]; the per-state functions are their 1-row cases.
+
+
+def entropy_rows(probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy of each row in nats, with 0*log(0) = 0."""
+    return -(probs * _log_or_zero(probs)).sum(axis=1)
+
+
+def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL(p || q) of each row pair in nats; +inf where q misses p's support."""
+    support = p > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a supported action with q = 0 gives an +inf term, which the row
+        # sum keeps; unsupported actions are masked before they can give NaN
+        terms = np.where(support, p * (_log_or_zero(p) - np.log(q)), 0.0)
+    return terms.sum(axis=1)
+
+
+def entropy_gradient_rows(probs: np.ndarray) -> np.ndarray:
+    """Exact dH/dz of each row: -pi_a * (log pi_a - E_pi[log pi]).
+
+    Zero-probability actions contribute zero.
+    """
+    logp = _log_or_zero(probs)
+    mean_logp = (probs * logp).sum(axis=1, keepdims=True)
+    return -probs * (logp - mean_logp)
+
+
 def exact_kl(p: _SoftmaxTable, q: _SoftmaxTable, state: int) -> float:
     """KL(p || q) at a state, in nats.
 
@@ -199,23 +254,10 @@ def exact_kl(p: _SoftmaxTable, q: _SoftmaxTable, state: int) -> float:
     if (p.num_states, p.num_actions) != (q.num_states, q.num_actions):
         raise ValueError(
             f"policy shapes differ: {(p.num_states, p.num_actions)} vs {(q.num_states, q.num_actions)}")
-    pp = p.action_probabilities(state)
-    qp = q.action_probabilities(state)
-    support = pp > 0.0
-    if np.any(qp[support] == 0.0):
-        return float("inf")
-    return float((pp[support] * (np.log(pp[support]) - np.log(qp[support]))).sum())
+    return float(kl_rows(p.action_probabilities(state)[None],
+                         q.action_probabilities(state)[None])[0])
 
 
 def entropy_logit_gradient(policy: _SoftmaxTable, state: int) -> np.ndarray:
-    """Exact dH/dz for one state's logit row.
-
-    For the tabular softmax, dH/dz_a = -pi_a * (log pi_a - E_pi[log pi]).
-    Zero-probability actions contribute zero.
-    """
-    probs = policy.action_probabilities(state)
-    with np.errstate(divide="ignore"):
-        logp = np.log(probs)
-    logp = np.where(probs > 0.0, logp, 0.0)
-    mean_logp = float((probs * logp).sum())
-    return -probs * (logp - mean_logp)
+    """Exact dH/dz for one state's logit row (see entropy_gradient_rows)."""
+    return entropy_gradient_rows(policy.action_probabilities(state)[None])[0]

@@ -5,7 +5,9 @@ and then runs several minibatched gradient passes in which importance
 ratios are recomputed against the live policy, so clipping genuinely
 activates from the second pass on. Every random draw comes from a stream
 named by (seed, purpose, step, ...); identical configs produce
-byte-identical metrics CSVs regardless of rollout parallelism.
+byte-identical metrics CSVs. Each policy version's softmax is computed
+once: rollouts and evaluation sample whole groups in lockstep from it, and
+ratios, entropies and KLs are gathered from it as arrays.
 
 Metric conventions (each a deliberate choice, fixed here):
   - entropy_exact / entropy_sampled describe the snapshot policy at
@@ -27,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,8 +42,8 @@ from .env import (
     ModSumTask,
     RolloutGroup,
     rollout_group,
-    rollout_trajectory,
     sample_task,
+    sample_trajectories,
     write_rollout_log,
 )
 from .objectives import (
@@ -52,7 +53,7 @@ from .objectives import (
     batch_token_terms,
     entropy_bonus,
 )
-from .policy import TabularPolicy, exact_kl
+from .policy import PolicySnapshot, TabularPolicy, entropy_rows, kl_rows
 from .seeding import named_stream
 
 CONFIG_SCHEMA_VERSION = 1
@@ -117,7 +118,6 @@ class RunConfig:
     kl_ceiling: float = 1.0
     eval_samples: int = 32
     entropy_weighting: str = "visits"
-    rollout_workers: int = 1
     max_filter_retries: int = 5
     init_logit_scale: float = 0.0
     init_checkpoint: str | None = None
@@ -143,8 +143,6 @@ class RunConfig:
         if self.entropy_weighting not in ("visits", "uniform"):
             raise ConfigError(f"entropy_weighting must be visits|uniform, "
                               f"got {self.entropy_weighting!r}")
-        if self.rollout_workers < 1:
-            raise ConfigError(f"rollout_workers must be >= 1, got {self.rollout_workers}")
         if self.max_filter_retries < 1:
             raise ConfigError(f"max_filter_retries must be >= 1, got {self.max_filter_retries}")
         if self.init_logit_scale < 0.0 or not np.isfinite(self.init_logit_scale):
@@ -321,31 +319,26 @@ def evaluate(policy: TabularPolicy, tasks: list[ModSumTask], samples_per_prompt:
         raise ValueError("empty evaluation task set")
     total = 0
     for task in tasks:
-        for _ in range(samples_per_prompt):
-            total += rollout_trajectory(policy, task, rng).reward
+        total += sum(t.reward for t in sample_trajectories(policy, task, samples_per_prompt, rng))
     return total / (len(tasks) * samples_per_prompt)
 
 
-def _rollout_batch(policy: TabularPolicy, tasks: list[ModSumTask], config: RunConfig,
+def _rollout_batch(snapshot: PolicySnapshot, tasks: list[ModSumTask], config: RunConfig,
                    step: int, attempt: int) -> list[RolloutGroup]:
-    def roll(indexed_task):
-        g, task = indexed_task
-        rng = named_stream(config.seed, "rollout", step, attempt, g)
-        return rollout_group(policy, task, config.group_size, rng)
-
-    jobs = list(enumerate(tasks))
-    if config.rollout_workers > 1:
-        with ThreadPoolExecutor(max_workers=config.rollout_workers) as pool:
-            return list(pool.map(roll, jobs))
-    return [roll(job) for job in jobs]
+    return [rollout_group(snapshot, task, config.group_size,
+                          named_stream(config.seed, "rollout", step, attempt, g))
+            for g, task in enumerate(tasks)]
 
 
-def _weighted_state_mean(values: dict[int, float], counts: dict[int, int],
-                         weighting: str) -> float:
+def _weighted_state_mean(values: np.ndarray, counts: np.ndarray, weighting: str) -> float:
+    """Mean of per-state values, visit-count weighted or plain.
+
+    Sums run sequentially in state order (np.add.accumulate), the order a
+    scalar loop over the states adds in.
+    """
     if weighting == "visits":
-        total = sum(counts.values())
-        return sum(values[s] * counts[s] for s in values) / total
-    return sum(values.values()) / len(values)
+        return float(np.add.accumulate(values * counts)[-1] / counts.sum())
+    return float(np.add.accumulate(values)[-1] / len(values))
 
 
 class _StepAccumulator:
@@ -440,7 +433,7 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
                 task_rng = named_stream(config.seed, "tasks", step, attempt)
                 tasks = [sample_task(env_cfg, task_rng)
                          for _ in range(config.prompts_per_batch)]
-                groups = _rollout_batch(policy, tasks, config, step, attempt)
+                groups = _rollout_batch(snapshot, tasks, config, step, attempt)
                 all_groups.extend(groups)
                 if not config.dynamic_sampling:
                     retained = groups
@@ -460,14 +453,13 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
 
             all_trajs = [t for g in all_groups for t in g.trajectories]
             mean_reward = float(np.mean([t.reward for t in all_trajs]))
-            entropy_sampled = float(np.mean(
-                [-t.old_logprobs.mean() for t in all_trajs]))
-            visit_states = np.concatenate([t.states for t in all_trajs])
-            uniq, counts = np.unique(visit_states, return_counts=True)
-            visit_counts = {int(s): int(c) for s, c in zip(uniq, counts)}
+            old_logprobs = np.stack([t.old_logprobs for t in all_trajs])
+            entropy_sampled = float(np.mean(-old_logprobs.mean(axis=1)))
+            visited, visit_counts = np.unique(
+                np.concatenate([t.states for t in all_trajs]), return_counts=True)
+            snapshot_rows = snapshot.probability_matrix()[visited]
             entropy_exact = _weighted_state_mean(
-                {s: snapshot.exact_entropy(s) for s in visit_counts}, visit_counts,
-                config.entropy_weighting)
+                entropy_rows(snapshot_rows), visit_counts, config.entropy_weighting)
 
             degenerate_policy = "filter" if config.dynamic_sampling else "zero"
             trajectories, advantages = [], []
@@ -498,7 +490,7 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
                                 grad_norm, late_pass=epoch >= 1)
                         policy.apply_gradient(grad, config.learning_rate)
                 kl = _weighted_state_mean(
-                    {s: exact_kl(snapshot, policy, s) for s in visit_counts},
+                    kl_rows(snapshot_rows, policy.probability_matrix()[visited]),
                     visit_counts, config.entropy_weighting)
             except ValueError as exc:
                 raise StabilityAlarm(str(exc), step, metrics) from exc

@@ -1,0 +1,83 @@
+"""Golden outputs: short reference runs must reproduce recorded sha256 values.
+
+A change that alters any sampled token, update or reported metric moves
+at least one of these hashes; a pure speed-up or refactor moves none.
+The final logits are hashed rather than ``policy.json``, because the
+checkpoint embeds the config hash, which changes whenever a config key
+is added or removed without any effect on training.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from policylab.trainer import suite_configs, train
+
+GOLDEN_STEPS = 10
+
+
+def golden_configs() -> dict:
+    """The baseline_zoo configs, plus one alpha > 0 entropy_reg config on a wide table."""
+    configs = {f"baseline_zoo/{name}": dataclasses.replace(cfg, log_rollouts=True)
+               for name, cfg in suite_configs("baseline_zoo", seed=0,
+                                              total_steps=GOLDEN_STEPS).items()}
+    wide = suite_configs("entropy_reg", seed=0, total_steps=GOLDEN_STEPS)["grpo_alpha_0.003"]
+    configs["entropy_reg/grpo_alpha_0.003_V32_T12_M16"] = dataclasses.replace(
+        wide, vocab_size=32, seq_len=12, modulus=16, log_rollouts=True)
+    return configs
+
+
+def output_digests(config, out_dir) -> dict[str, str]:
+    result = train(config, out_dir=out_dir)
+    sha = lambda data: hashlib.sha256(data).hexdigest()
+    return {
+        "metrics.csv": sha((out_dir / "metrics.csv").read_bytes()),
+        "rollouts.jsonl": sha((out_dir / "rollouts.jsonl").read_bytes()),
+        "logits": sha(result.policy.logits.tobytes()),
+    }
+
+
+GOLDEN = {
+    "baseline_zoo/grpo": {
+        "metrics.csv": "076f1f3bf20b9ff12efed089979f6d2cdd2afe121d2a287edbbdc45316a4294c",
+        "rollouts.jsonl": "5a190b1a746a2748fcc90ecaee20d30c1cc7574c7fe7f161f51c4695277302e0",
+        "logits": "b7c5b512c7b1544242f6ffe49d599f1dcfad49528cddd0c404780fa5cc1b3147",
+    },
+    "baseline_zoo/dapo": {
+        "metrics.csv": "a6f87e8ebce7d01481f73e2101abafe8b5ab04e14ad5d9711cd82755991c39d5",
+        "rollouts.jsonl": "59a3ae6eabe2f3bb85c48077dd04d901d80a424eecaf52e4e49349eb130c5bff",
+        "logits": "c81966f819586db919cf13c43cf73d5b263e93bbd973c63b249fd4daee5b1acd",
+    },
+    "baseline_zoo/cispo": {
+        "metrics.csv": "7bc048c95c8cd6ceb4970f45bd6a3b1b77a0e0d732d2d31c8f3200a36e09ae61",
+        "rollouts.jsonl": "d77e5d92201d00690ce07d7dc24c3871f80858a4d16ff4c8542dfebc5f5e5e1a",
+        "logits": "bbcbdd366aaee2bcf6295d2d430b215d704a9fc40bb24830241ba7ad0b0e6179",
+    },
+    "baseline_zoo/gspo": {
+        "metrics.csv": "a3fcf7498f0585c0bbb7e99f933835c9a89499465e2adebaab3cc07ff2ab5bc5",
+        "rollouts.jsonl": "4b5a581f9e5953c07fdf56054597208af31e014d201cf4d62e33258e83df6f68",
+        "logits": "9759c128d7ce4c6d01661762ceedc8ac8aed0212022b661e8d0228dbf825dd4d",
+    },
+    "baseline_zoo/ce_gppo": {
+        "metrics.csv": "1af98064e777606f2ca4f65508aedb0a370aef8156a6e42e27854f890a79ad53",
+        "rollouts.jsonl": "b3e850edc161af5fb549897ad30bca52b529448ff262847ea7977c0190b1307e",
+        "logits": "18a13512be416a93e710f3da881f26d71f506ae365682b10a906e76fea86bea4",
+    },
+    "entropy_reg/grpo_alpha_0.003_V32_T12_M16": {
+        "metrics.csv": "3a21c60c70905a28e166abe18ce7e9a8126f9d85534ea7d145b377e9ae908e55",
+        "rollouts.jsonl": "6aad96553890fa2a5b33f657fc291d4eff67d8c910e7f740b2e3462baeb8abfc",
+        "logits": "c8a23811f70b8db06376342e4582bbfd967d84b0f3d0409d19d9f2d002d1a9c6",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_outputs(name, tmp_path):
+    assert output_digests(golden_configs()[name], tmp_path) == GOLDEN[name]
+
+
+def test_golden_table_covers_every_config():
+    assert sorted(GOLDEN) == sorted(golden_configs())

@@ -16,6 +16,7 @@ from policylab import (
     suite_configs,
     train,
 )
+from policylab.cli import main
 from policylab.trainer import CSV_COLUMNS, run_experiment_suite, write_metrics_csv
 
 
@@ -144,17 +145,17 @@ def test_determinism_byte_identical_csv(tmp_path):
     assert (tmp_path / "a/metrics.csv").read_bytes() == (tmp_path / "b/metrics.csv").read_bytes()
 
 
-def test_determinism_across_rollout_parallelism(tmp_path):
-    serial = _tiny(total_steps=4, rollout_workers=1)
-    doc = serial.to_dict()
-    doc["rollout_workers"] = 4
-    parallel = RunConfig.from_dict(doc)
-    a = train(serial)
-    b = train(parallel)
-    rows_a = [m.csv_row() for m in a.metrics]
-    rows_b = [m.csv_row() for m in b.metrics]
-    assert rows_a == rows_b
-    assert np.array_equal(a.policy.logits, b.policy.logits)
+def test_retired_rollout_workers_key_rejected(tmp_path):
+    # the key selected a thread pool that has been removed; old configs must
+    # fail loudly (CLI exit 2), not run with the key silently ignored
+    doc = _tiny(total_steps=4).to_dict()
+    assert "rollout_workers" not in doc
+    doc["rollout_workers"] = 1
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['rollout_workers'\]"):
+        RunConfig.from_dict(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(path)]) == 2
 
 
 def test_metrics_csv_format(tmp_path):
