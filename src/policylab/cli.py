@@ -23,7 +23,7 @@ from .entropy_dynamics import (
 )
 from .env import ModSumTask, read_rollout_log
 from .gradcheck import build_gradcheck_batch, check_objective_gradient
-from .objectives import ALGORITHMS, ObjectiveSpec
+from .objectives import ALGORITHMS, ObjectiveSpec, TokenBatch, new_logprob_lookup
 from .policy import TabularPolicy
 from .seeding import named_stream
 from .trainer import (
@@ -126,33 +126,25 @@ def _cmd_analyze(args) -> int:
         for traj, adv in zip(trajs, batch.advantages):
             traj_adv[id(traj)] = float(adv)
 
-    deltas, advs, probs = [], [], []
-    state_adv_sum: dict[int, np.ndarray] = {}
-    state_adv_count: dict[int, np.ndarray] = {}
-    state_visits: dict[int, int] = {}
-    for rec in records:
-        traj = rec["trajectory"]
-        adv = traj_adv[id(traj)]
-        for state, action, old_lp in zip(traj.states, traj.actions, traj.old_logprobs):
-            state, action = int(state), int(action)
-            new_lp = float(policy.log_probabilities(state)[action])
-            deltas.append(np.exp(new_lp - old_lp))
-            advs.append(adv)
-            probs.append(np.exp(old_lp))
-            if state not in state_adv_sum:
-                state_adv_sum[state] = np.zeros(policy.num_actions)
-                state_adv_count[state] = np.zeros(policy.num_actions)
-            state_adv_sum[state][action] += adv
-            state_adv_count[state][action] += 1
-            state_visits[state] = state_visits.get(state, 0) + 1
-
-    stats = quadrant_stats_arrays(np.array(deltas), np.array(advs), np.array(probs),
+    trajectories = [rec["trajectory"] for rec in records]
+    tokens = TokenBatch.from_trajectories(trajectories, [traj_adv[id(t)] for t in trajectories])
+    states, actions, advs = tokens.states, tokens.actions, tokens.advantages
+    new_lp = new_logprob_lookup(policy, states, actions)
+    deltas = np.exp(new_lp - tokens.old_logprobs)
+    stats = quadrant_stats_arrays(deltas, advs, np.exp(tokens.old_logprobs),
                                   args.eps_low, args.eps_high, threshold)
 
+    # per-(state, action) advantage sums, added in record order
+    adv_sum = np.zeros((policy.num_states, policy.num_actions))
+    adv_count = np.zeros_like(adv_sum)
+    np.add.at(adv_sum, (states, actions), advs)
+    np.add.at(adv_count, (states, actions), 1.0)
+    state_visits = np.bincount(states, minlength=policy.num_states)
+
     predictions = []
-    for state in sorted(state_adv_sum):
-        counts = state_adv_count[state]
-        mean_adv = np.divide(state_adv_sum[state], counts,
+    for state in np.unique(states).tolist():
+        counts = adv_count[state]
+        mean_adv = np.divide(adv_sum[state], counts,
                              out=np.zeros_like(counts), where=counts > 0)
         centered = center_advantages(policy, state, mean_adv)
         predictions.append(predict_entropy_change(policy, state, centered, args.eta))

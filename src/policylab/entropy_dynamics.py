@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .objectives import ObjectiveSpec
-from .policy import _SoftmaxTable, entropy_logit_gradient
+from .policy import _SoftmaxTable, entropy_logit_gradient, softmax_rows
 
 CENTERING_TOLERANCE = 1e-9
 DEGENERATE_ENTROPY = 1e-6
@@ -141,9 +141,7 @@ class EntropyPrediction:
 
 
 def _entropy_of_logit_row(row: np.ndarray) -> float:
-    shifted = row - row.max()
-    e = np.exp(shifted)
-    p = e / e.sum()
+    p = softmax_rows(row[None])[0]
     nz = p > 0.0
     return float(-(p[nz] * np.log(p[nz])).sum())
 

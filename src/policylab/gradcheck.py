@@ -16,6 +16,14 @@ objectives this is exactly the true objective in a neighborhood away
 from the clip kinks; for the stop-gradient objectives it is the surrogate
 the gradient is defined through.
 
+Moving logit z[s, a] changes softmax row s and nothing else, so the
+objective is evaluated one state row at a time: numeric_gradient hands a
+row evaluator the 2V perturbed copies of row s, and the evaluator
+recomputes only the tokens taken in state s (and, with an entropy bonus,
+the entropy of row s) on top of cached unperturbed values. Each J is
+still summed over the whole batch in the order of a full recompute, so
+the numbers are bit for bit those of rebuilding the policy per coordinate.
+
 Because the objectives are piecewise, a check is only meaningful when the
 batch actually exercises every branch and no sample point sits within
 10*h of a clip boundary (central differences straddling a kink measure
@@ -34,13 +42,13 @@ from .env import EnvConfig, rollout_group, sample_task
 from .objectives import (
     ObjectiveSpec,
     TokenBatch,
+    _sequence_tokens,
     aggregate_objective,
     batch_token_terms,
     entropy_bonus,
-    new_logprob_lookup,
     token_weights,
 )
-from .policy import TabularPolicy
+from .policy import TabularPolicy, entropy_rows, softmax_rows
 from .seeding import named_stream
 
 DEFAULT_STEP = 1e-5
@@ -87,57 +95,88 @@ class GradCheckReport:
         }
 
 
-def numeric_gradient(objective_evaluator: Callable[[np.ndarray], float],
-                     policy: TabularPolicy, h: float,
+RowEvaluator = Callable[[int, np.ndarray], np.ndarray]
+
+
+def numeric_gradient(row_evaluator: RowEvaluator, policy: TabularPolicy, h: float,
                      ) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Central differences (J(z + h e) - J(z - h e)) / 2h per logit coordinate.
 
-    The evaluator must be a deterministic function of the logits (frozen
+    Moving z[s, a] changes softmax row s only, so the objective is asked
+    for one state at a time: ``row_evaluator(s, rows)`` gets the 2V
+    perturbed copies of row s, ``base[s] + h*I`` then ``base[s] - h*I``,
+    and returns J for each, with every other row held at the policy's
+    logits. It must be a deterministic function of its arguments (frozen
     batch, frozen snapshot). Coordinates where either perturbed objective
     is non-finite are skipped (gradient entry left at 0) and flagged.
     """
     if not h > 0.0:
         raise ValueError(f"step h must be > 0, got {h}")
     base = policy.logits.copy()
+    num_states, num_actions = base.shape
+    step = h * np.eye(num_actions)
     grad = np.zeros_like(base)
     flagged: list[tuple[int, int]] = []
-    work = base.copy()
-    for s in range(base.shape[0]):
-        for a in range(base.shape[1]):
-            work[s, a] = base[s, a] + h
-            plus = objective_evaluator(work)
-            work[s, a] = base[s, a] - h
-            minus = objective_evaluator(work)
-            work[s, a] = base[s, a]
-            if not (np.isfinite(plus) and np.isfinite(minus)):
-                flagged.append((s, a))
-                continue
-            grad[s, a] = (plus - minus) / (2.0 * h)
+    for s in range(num_states):
+        values = np.asarray(row_evaluator(s, np.concatenate([base[s] + step, base[s] - step])),
+                            dtype=np.float64)
+        plus, minus = values[:num_actions], values[num_actions:]
+        finite = np.isfinite(plus) & np.isfinite(minus)
+        grad[s, finite] = (plus[finite] - minus[finite]) / (2.0 * h)
+        flagged.extend((s, int(a)) for a in np.flatnonzero(~finite))
     return grad, flagged
 
 
 def frozen_surrogate_evaluator(spec: ObjectiveSpec, batch: TokenBatch,
-                               policy: TabularPolicy) -> Callable[[np.ndarray], float]:
+                               policy: TabularPolicy) -> RowEvaluator:
     """Close over the stop-gradient state captured at the current policy.
 
-    Returns logits -> J where only the live ratio occurrences (and the
-    entropy bonus, which has no frozen part) respond to the perturbation.
+    Returns the row evaluator (state, rows) -> J per row that
+    numeric_gradient expects: J at the policy's logits with row ``state``
+    replaced by each of ``rows``. Only the live ratio occurrences (and
+    the entropy bonus, which has no frozen part) respond. The token values
+    and visited-state entropies at the policy are cached; a row recomputes
+    the tokens and the entropy of its own state, and each J is summed over
+    the whole token vector in the same order as a full recompute.
     """
     terms = batch_token_terms(spec, batch, policy)
     frozen_scale = terms.grad_weights / terms.deltas
     frozen_offset = terms.values - terms.grad_weights * batch.advantages
+    base_values = frozen_scale * terms.deltas * batch.advantages + frozen_offset
     weights = token_weights(batch, spec.aggregation)
-    visited = np.unique(batch.states)
+    visited, counts = np.unique(batch.states, return_counts=True)
+    slot = {s: k for k, s in enumerate(visited.tolist())}
+    order = np.argsort(batch.states, kind="stable")
+    state_tokens = np.split(order, np.cumsum(counts)[:-1])  # by slot
+    base_entropies = entropy_rows(policy.probability_matrix()[visited])
 
-    def evaluate(logits: np.ndarray) -> float:
-        live = TabularPolicy(logits)
-        new_lp = new_logprob_lookup(live, batch.states, batch.actions)
-        deltas = np.exp(new_lp - batch.old_logprobs)
-        token_values = frozen_scale * deltas * batch.advantages + frozen_offset
-        value = float(weights @ token_values)
+    def entropy_term(entropies: np.ndarray) -> np.ndarray:
+        # entropy_bonus's value: a running sum over the states in order
+        return spec.alpha * np.add.accumulate(entropies, axis=-1)[..., -1] / len(visited)
+
+    base_value = float(weights @ base_values)
+    if spec.alpha > 0.0:
+        base_value += entropy_term(base_entropies)
+
+    def evaluate(state: int, rows: np.ndarray) -> np.ndarray:
+        k = slot.get(state)
+        if k is None:  # unvisited: nothing in J depends on this row
+            return np.full(len(rows), base_value)
+        tokens = state_tokens[k]
+        probs = softmax_rows(rows)
+        with np.errstate(divide="ignore"):
+            new_lp = np.log(probs[:, batch.actions[tokens]])
+        deltas = np.exp(new_lp - batch.old_logprobs[tokens])
+        token_values = np.tile(base_values, (len(rows), 1))
+        token_values[:, tokens] = (frozen_scale[tokens] * deltas * batch.advantages[tokens]
+                                   + frozen_offset[tokens])
+        # one dot per row: a single matrix-vector product rounds differently
+        values = np.array([float(weights @ v) for v in token_values])
         if spec.alpha > 0.0:
-            value += entropy_bonus(live, visited, spec.alpha)[0]
-        return value
+            entropies = np.tile(base_entropies, (len(rows), 1))
+            entropies[:, k] = entropy_rows(probs)
+            values += entropy_term(entropies)
+        return values
 
     return evaluate
 
@@ -207,20 +246,18 @@ def check_objective_gradient(spec: ObjectiveSpec, batch: TokenBatch, policy: Tab
 def _boundary_safe_trajectories(spec: ObjectiveSpec, batch: TokenBatch,
                                 policy: TabularPolicy, h: float) -> list[int]:
     """Indices of trajectories with no sample point near a clip kink."""
-    terms = batch_token_terms(spec, batch, policy)
+    deltas = batch_token_terms(spec, batch, policy).deltas
     lo, hi = spec.clip_bounds()
     band = BOUNDARY_EXCLUSION_STEPS * h
-    keep = []
-    for i, sl in enumerate(batch.traj_slices):
-        deltas = terms.deltas[sl]
-        near = (np.abs(deltas - lo) < band) | (np.abs(deltas - hi) < band)
-        if spec.algorithm == "gspo":
-            seq_ratio = float(np.exp(np.log(deltas).mean()))
-            if min(abs(seq_ratio - lo), abs(seq_ratio - hi)) < band:
-                continue
-        if not near.any():
-            keep.append(i)
-    return keep
+    near = (np.abs(deltas - lo) < band) | (np.abs(deltas - hi) < band)
+    if spec.algorithm == "gspo":
+        # each token carries its sequence's ratio, the point gspo clips
+        seq_ratio = np.exp(_sequence_tokens(batch, np.log(deltas))[0])
+        near |= np.minimum(np.abs(seq_ratio - lo), np.abs(seq_ratio - hi)) < band
+    lengths = [sl.stop - sl.start for sl in batch.traj_slices]
+    owner = np.repeat(np.arange(batch.n_trajectories), lengths)
+    near_any = np.bincount(owner, weights=near, minlength=batch.n_trajectories) > 0
+    return np.flatnonzero(~near_any).tolist()
 
 
 def build_gradcheck_batch(spec: ObjectiveSpec, seed: int, n_trajectories: int = 64,

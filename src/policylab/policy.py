@@ -30,6 +30,17 @@ def _validate_logits(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Softmax of each row of an (n, num_actions) logit matrix, max-shifted.
+
+    The one softmax rule of the package: a row's probabilities depend on
+    that row alone and come out bit for bit the same in any batch of rows.
+    """
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 class _SoftmaxTable:
     """Read-side operations shared by the live policy and its snapshots."""
 
@@ -55,11 +66,11 @@ class _SoftmaxTable:
         return states
 
     def action_probabilities(self, state: int) -> np.ndarray:
-        """Softmax over the state's logit row; sums to 1 within 1e-12."""
-        row = self.logits[self._check_state(state)]
-        shifted = row - row.max()
-        e = np.exp(shifted)
-        return e / e.sum()
+        """Softmax over the state's logit row; sums to 1 within 1e-12.
+
+        A read-only row of probability_matrix().
+        """
+        return self.probability_matrix()[self._check_state(state)]
 
     def log_probabilities(self, state: int) -> np.ndarray:
         """Elementwise log of action_probabilities (so the two agree exactly).
@@ -73,16 +84,14 @@ class _SoftmaxTable:
     def probability_matrix(self) -> np.ndarray:
         """All rows' probabilities as a read-only (num_states, num_actions) matrix.
 
-        Row s equals action_probabilities(s) bit for bit. The matrix is
-        computed once per logits array: logits are read-only and a policy
-        changes only by rebinding them, so the cached matrix cannot go stale.
+        The matrix is computed once per logits array: logits are read-only
+        and a policy changes only by rebinding them, so the cached matrix
+        cannot go stale.
         """
         cached = self.__dict__.get("_probs")
         if cached is not None and cached[0] is self.logits:
             return cached[1]
-        shifted = self.logits - self.logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        probs = e / e.sum(axis=1, keepdims=True)
+        probs = softmax_rows(self.logits)
         probs.setflags(write=False)
         self.__dict__["_probs"] = (self.logits, probs)  # also on frozen snapshots
         return probs

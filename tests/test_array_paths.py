@@ -32,6 +32,7 @@ from policylab.policy import (
     entropy_rows,
     exact_kl,
     kl_rows,
+    softmax_rows,
 )
 
 MODULUS = 5
@@ -135,8 +136,12 @@ def test_probability_matrix_rows_match_row_forms(vocab):
         with np.errstate(divide="ignore"):
             logs = np.log(probs)
         for s in range(policy.num_states):
-            row = policy.action_probabilities(s)
+            # the one-row softmax, written out as a reference
+            shifted = policy.logits[s] - policy.logits[s].max()
+            row = np.exp(shifted) / np.exp(shifted).sum()
             assert np.array_equal(probs[s], row)
+            assert np.array_equal(softmax_rows(policy.logits[s][None])[0], row)
+            assert np.array_equal(policy.action_probabilities(s), row)
             assert np.array_equal(cdf[s], np.cumsum(row))
             assert np.array_equal(logs[s], policy.log_probabilities(s))
 

@@ -14,6 +14,7 @@ import hashlib
 
 import pytest
 
+from policylab.cli import main
 from policylab.trainer import suite_configs, train
 
 GOLDEN_STEPS = 10
@@ -81,3 +82,20 @@ def test_golden_outputs(name, tmp_path):
 
 def test_golden_table_covers_every_config():
     assert sorted(GOLDEN) == sorted(golden_configs())
+
+
+# sha256 of the `policylab analyze` JSON for the wide run's log and final checkpoint
+ANALYZE_GOLDEN = {
+    "entropy_reg/grpo_alpha_0.003_V32_T12_M16":
+        "e9ce8b82c81ad1b4c00e45f1d13b836a0d934155ca2bc6b098af13840cbb8408",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_GOLDEN))
+def test_golden_analyze(name, tmp_path):
+    train(golden_configs()[name], out_dir=tmp_path)
+    report = tmp_path / "analyze.json"
+    code = main(["analyze", "--log", str(tmp_path / "rollouts.jsonl"),
+                 "--checkpoint", str(tmp_path / "policy.json"), "--json", str(report)])
+    assert code == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == ANALYZE_GOLDEN[name]
