@@ -32,6 +32,7 @@ from .env import (
     read_rollout_log,
     rollout_group,
     rollout_trajectory,
+    sample_episodes,
     sample_task,
     sample_trajectories,
     verify_reward,

@@ -127,7 +127,11 @@ def _cmd_analyze(args) -> int:
             traj_adv[id(traj)] = float(adv)
 
     trajectories = [rec["trajectory"] for rec in records]
-    tokens = TokenBatch.from_trajectories(trajectories, [traj_adv[id(t)] for t in trajectories])
+    try:
+        tokens = TokenBatch.from_trajectories(trajectories,
+                                              [traj_adv[id(t)] for t in trajectories])
+    except ValueError as exc:
+        raise ConfigError(f"rollout log {args.log}: {exc}") from exc
     states, actions, advs = tokens.states, tokens.actions, tokens.advantages
     new_lp = new_logprob_lookup(policy, states, actions)
     deltas = np.exp(new_lp - tokens.old_logprobs)

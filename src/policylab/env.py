@@ -6,12 +6,19 @@ mod M. The state is the exact pair (position, running residue), encoded
 as state_id = position * M + residue, plus one terminal state, so a
 tabular policy over T*M + 1 states sees the full environment state and
 every policy-side quantity stays exact.
+
+Every episode has exactly T tokens, so n episodes are a rectangle: the
+sampler returns C-contiguous (n, T) arrays of states, actions and
+log-probs plus an (n,) reward array, and a RolloutGroup holds its G
+episodes in that form. Trajectory objects are the per-episode view of
+those rows, built only where a caller wants one episode at a time.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -116,23 +123,36 @@ class Trajectory:
 
 @dataclass(eq=False)
 class RolloutGroup:
-    """G trajectories for one task, all sampled from the same snapshot."""
+    """G episodes of one task, all sampled from the same snapshot.
+
+    The episodes are rows of C-contiguous (G, T) arrays ``states``,
+    ``actions`` and ``old_logprobs``; ``rewards`` holds the G rewards as
+    float64. Row order is sampling order.
+    """
 
     task: ModSumTask
-    trajectories: list[Trajectory]
+    states: np.ndarray        # int64 (G, T): state where each action was taken
+    actions: np.ndarray       # int64 (G, T)
+    old_logprobs: np.ndarray  # float64 (G, T): log-probs under the snapshot
+    rewards: np.ndarray       # float64 (G,)
     snapshot: PolicySnapshot
 
     def __post_init__(self):
-        if len(self.trajectories) < 2:
+        size = len(self.rewards)
+        if size < 2:
             raise ValueError(
-                f"group size must be >= 2 (got {len(self.trajectories)}); "
+                f"group size must be >= 2 (got {size}); "
                 "group-relative normalization is undefined for a single sample")
-        if any(t.task != self.task for t in self.trajectories):
-            raise ValueError("all trajectories in a group must share the group's task")
+        shape = (size, self.task.seq_len)
+        if not self.states.shape == self.actions.shape == self.old_logprobs.shape == shape:
+            raise ValueError(f"episode arrays must all have shape {shape}")
 
-    @property
-    def rewards(self) -> np.ndarray:
-        return np.array([t.reward for t in self.trajectories], dtype=np.float64)
+    @cached_property
+    def trajectories(self) -> list[Trajectory]:
+        """The episodes as Trajectory objects over the rows, built on first access."""
+        return [Trajectory(self.task, actions, logprobs, states, int(reward))
+                for states, actions, logprobs, reward
+                in zip(self.states, self.actions, self.old_logprobs, self.rewards)]
 
 
 def sample_task(config: EnvConfig, rng: np.random.Generator) -> ModSumTask:
@@ -151,35 +171,46 @@ def verify_reward(trajectory: Trajectory) -> int:
     return int(int(trajectory.actions.sum()) % task.modulus == task.target)
 
 
-def sample_trajectories(policy: _SoftmaxTable, task: ModSumTask, n: int,
-                        rng: np.random.Generator) -> list[Trajectory]:
+def sample_episodes(policy: _SoftmaxTable, task: ModSumTask, n: int,
+                    rng: np.random.Generator
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sample n episodes of one task in lockstep from the given (usually snapshot) policy.
 
-    The stream advances by exactly n * seq_len uniform draws, taken
-    trajectory by trajectory, and each token is the inverse-CDF pick
-    sample_action would make from the same draw, so the episodes equal n
-    sequential single-token rollouts bit for bit, log-probs included.
+    Returns C-contiguous (n, T) states, actions and log-probs and the (n,)
+    float64 rewards. The stream advances by exactly n * seq_len uniform
+    draws, taken episode by episode, and each token is the inverse-CDF
+    pick sample_action would make from the same draw, so the episodes
+    equal n sequential single-token rollouts bit for bit, log-probs
+    included.
     """
     if policy.num_states != task.num_states or policy.num_actions != task.vocab_size:
         raise ValueError(
             f"policy table ({policy.num_states} states, {policy.num_actions} actions) does not "
             f"match task state space ({task.num_states} states, {task.vocab_size} actions)")
-    probs = policy.probability_matrix()
-    cdf = np.cumsum(probs, axis=1)
+    cdf = policy.sampling_cdf()
     seq_len, modulus = task.seq_len, task.modulus
     draws = rng.random((n, seq_len))
-    states = np.empty((n, seq_len), dtype=np.int64)
+    residues = np.empty((n, seq_len), dtype=np.int64)
     actions = np.empty((n, seq_len), dtype=np.int64)
-    state = np.zeros(n, dtype=np.int64)  # position 0, residue 0
+    residue = np.zeros(n, dtype=np.int64)
     for t in range(seq_len):
-        states[:, t] = state
+        residues[:, t] = residue
         # count of cdf entries <= u, i.e. searchsorted(cdf, u, side="right")
-        picks = (cdf[state] <= draws[:, t, None]).sum(axis=1)
-        actions[:, t] = np.minimum(picks, task.vocab_size - 1)
-        state = (t + 1) * modulus + (state + actions[:, t]) % modulus
+        # over the first V-1 columns, which is at most V-1
+        picks = (cdf[t * modulus + residue] <= draws[:, t, None]).sum(axis=1)
+        actions[:, t] = picks
+        residue = (residue + picks) % modulus
+    states = residues + np.arange(seq_len) * modulus
     with np.errstate(divide="ignore"):
-        logprobs = np.log(probs[states, actions])
-    rewards = actions.sum(axis=1) % modulus == task.target
+        logprobs = np.log(policy.probability_matrix()[states, actions])
+    rewards = (actions.sum(axis=1) % modulus == task.target).astype(np.float64)
+    return states, actions, logprobs, rewards
+
+
+def sample_trajectories(policy: _SoftmaxTable, task: ModSumTask, n: int,
+                        rng: np.random.Generator) -> list[Trajectory]:
+    """sample_episodes as n Trajectory objects."""
+    states, actions, logprobs, rewards = sample_episodes(policy, task, n, rng)
     return [Trajectory(task, actions[i], logprobs[i], states[i], int(rewards[i]))
             for i in range(n)]
 
@@ -196,7 +227,7 @@ def rollout_group(policy: _SoftmaxTable, task: ModSumTask, group_size: int,
     if group_size < 2:
         raise ValueError(f"group_size must be >= 2, got {group_size}")
     snapshot = policy.snapshot()
-    return RolloutGroup(task, sample_trajectories(snapshot, task, group_size, rng), snapshot)
+    return RolloutGroup(task, *sample_episodes(snapshot, task, group_size, rng), snapshot)
 
 
 def write_rollout_log(path: str | Path, groups: list[RolloutGroup],

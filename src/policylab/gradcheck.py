@@ -40,9 +40,10 @@ import numpy as np
 from .advantage import group_advantages
 from .env import EnvConfig, rollout_group, sample_task
 from .objectives import (
+    BatchTerms,
     ObjectiveSpec,
     TokenBatch,
-    _sequence_tokens,
+    _sequence_means,
     aggregate_objective,
     batch_token_terms,
     entropy_bonus,
@@ -128,7 +129,8 @@ def numeric_gradient(row_evaluator: RowEvaluator, policy: TabularPolicy, h: floa
 
 
 def frozen_surrogate_evaluator(spec: ObjectiveSpec, batch: TokenBatch,
-                               policy: TabularPolicy) -> RowEvaluator:
+                               policy: TabularPolicy,
+                               terms: BatchTerms | None = None) -> RowEvaluator:
     """Close over the stop-gradient state captured at the current policy.
 
     Returns the row evaluator (state, rows) -> J per row that
@@ -138,8 +140,11 @@ def frozen_surrogate_evaluator(spec: ObjectiveSpec, batch: TokenBatch,
     and visited-state entropies at the policy are cached; a row recomputes
     the tokens and the entropy of its own state, and each J is summed over
     the whole token vector in the same order as a full recompute.
+    ``terms`` are batch_token_terms(spec, batch, policy) when the caller
+    already has them.
     """
-    terms = batch_token_terms(spec, batch, policy)
+    if terms is None:
+        terms = batch_token_terms(spec, batch, policy)
     frozen_scale = terms.grad_weights / terms.deltas
     frozen_offset = terms.values - terms.grad_weights * batch.advantages
     base_values = frozen_scale * terms.deltas * batch.advantages + frozen_offset
@@ -182,9 +187,15 @@ def frozen_surrogate_evaluator(spec: ObjectiveSpec, batch: TokenBatch,
 
 
 def analytic_objective_gradient(spec: ObjectiveSpec, batch: TokenBatch,
-                                policy: TabularPolicy) -> tuple[float, np.ndarray]:
-    """Objective value and closed-form gradient, entropy bonus included."""
-    terms = batch_token_terms(spec, batch, policy)
+                                policy: TabularPolicy,
+                                terms: BatchTerms | None = None) -> tuple[float, np.ndarray]:
+    """Objective value and closed-form gradient, entropy bonus included.
+
+    ``terms`` are batch_token_terms(spec, batch, policy) when the caller
+    already has them.
+    """
+    if terms is None:
+        terms = batch_token_terms(spec, batch, policy)
     value, grad = aggregate_objective(terms, batch, policy, spec.aggregation)
     if spec.alpha > 0.0:
         bonus_value, bonus_grad = entropy_bonus(policy, np.unique(batch.states), spec.alpha)
@@ -217,8 +228,8 @@ def check_objective_gradient(spec: ObjectiveSpec, batch: TokenBatch, policy: Tab
             branch_counts=counts, n_tokens=batch.n_tokens,
             h=h, rel_tol=rel_tol, abs_tol=abs_tol)
 
-    _, analytic = analytic_objective_gradient(spec, batch, policy)
-    evaluator = frozen_surrogate_evaluator(spec, batch, policy)
+    _, analytic = analytic_objective_gradient(spec, batch, policy, terms)
+    evaluator = frozen_surrogate_evaluator(spec, batch, policy, terms)
     numeric, flagged = numeric_gradient(evaluator, policy, h)
 
     err = np.abs(analytic - numeric)
@@ -250,13 +261,11 @@ def _boundary_safe_trajectories(spec: ObjectiveSpec, batch: TokenBatch,
     lo, hi = spec.clip_bounds()
     band = BOUNDARY_EXCLUSION_STEPS * h
     near = (np.abs(deltas - lo) < band) | (np.abs(deltas - hi) < band)
+    near_any = near.reshape(-1, batch.seq_len).any(axis=1)
     if spec.algorithm == "gspo":
-        # each token carries its sequence's ratio, the point gspo clips
-        seq_ratio = np.exp(_sequence_tokens(batch, np.log(deltas))[0])
-        near |= np.minimum(np.abs(seq_ratio - lo), np.abs(seq_ratio - hi)) < band
-    lengths = [sl.stop - sl.start for sl in batch.traj_slices]
-    owner = np.repeat(np.arange(batch.n_trajectories), lengths)
-    near_any = np.bincount(owner, weights=near, minlength=batch.n_trajectories) > 0
+        # the sequence ratio is the point gspo clips
+        seq_ratio = np.exp(_sequence_means(batch, np.log(deltas)))
+        near_any |= np.minimum(np.abs(seq_ratio - lo), np.abs(seq_ratio - hi)) < band
     return np.flatnonzero(~near_any).tolist()
 
 

@@ -16,13 +16,17 @@ check it (see gradcheck).
 Branch conditions use strict inequalities; a ratio sitting exactly on a
 clip bound belongs to the interior branch (the two branch formulas agree
 there in both value and weight, so only the label is affected).
+
+Batches are evaluated as arrays. A TokenBatch lays n trajectories of one
+length T end to end, so per-trajectory work is a reshape to (n, T): a
+subset is one index computation, gspo's sequence ratio is a row mean,
+and the sequence_mean weight 1 / (n * T) is the token_mean weight.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -254,13 +258,19 @@ def entropy_bonus(policy: _SoftmaxTable, visited_states: Sequence[int] | np.ndar
 
 @dataclass(eq=False)
 class TokenBatch:
-    """Flattened per-token view of a rollout batch with broadcast advantages."""
+    """Per-token arrays of n equal-length trajectories laid end to end.
+
+    Trajectory i owns tokens [i * seq_len, (i + 1) * seq_len), so every
+    per-token array reshapes to an (n, seq_len) C-contiguous view with one
+    trajectory per row. Each trajectory's scalar advantage is broadcast to
+    all of its tokens.
+    """
 
     states: np.ndarray
     actions: np.ndarray
     old_logprobs: np.ndarray
     advantages: np.ndarray
-    traj_slices: list[slice]
+    seq_len: int
 
     def __post_init__(self):
         n = len(self.states)
@@ -268,20 +278,26 @@ class TokenBatch:
             raise ValueError("token arrays must share a length")
         if n == 0:
             raise ValueError("token batch is empty")
-        covered = sum(sl.stop - sl.start for sl in self.traj_slices)
-        if covered != n:
-            raise ValueError("trajectory slices do not cover the token arrays")
+        if self.seq_len < 1 or n % self.seq_len:
+            raise ValueError(
+                f"{n} tokens are not a whole number of trajectories of length {self.seq_len}")
 
     @classmethod
     def from_trajectories(cls, trajectories: Sequence[Trajectory],
                           traj_advantages: Sequence[float]) -> "TokenBatch":
+        """Concatenate equal-length trajectories; mixed lengths raise ValueError."""
         if len(trajectories) != len(traj_advantages):
             raise ValueError("one advantage per trajectory required")
-        lengths = [len(traj) for traj in trajectories]
+        if not trajectories:
+            raise ValueError("token batch is empty")
+        lengths = {len(traj) for traj in trajectories}
+        if len(lengths) > 1:
+            raise ValueError(f"trajectories of mixed lengths {sorted(lengths)}")
+        seq_len = lengths.pop()
         join = lambda name: np.concatenate([getattr(traj, name) for traj in trajectories])
         return cls(join("states"), join("actions"), join("old_logprobs"),
-                   np.repeat(np.asarray(traj_advantages, dtype=np.float64), lengths),
-                   _back_to_back(lengths))
+                   np.repeat(np.asarray(traj_advantages, dtype=np.float64), seq_len),
+                   seq_len)
 
     @property
     def n_tokens(self) -> int:
@@ -289,19 +305,14 @@ class TokenBatch:
 
     @property
     def n_trajectories(self) -> int:
-        return len(self.traj_slices)
+        return len(self.states) // self.seq_len
 
     def subset(self, traj_indices: Sequence[int]) -> "TokenBatch":
-        idx = [self.traj_slices[i] for i in traj_indices]
-        take = np.concatenate([np.arange(sl.start, sl.stop) for sl in idx])
+        """The listed trajectories, in the given order (repeats allowed)."""
+        take = (np.asarray(traj_indices, dtype=np.int64)[:, None] * self.seq_len
+                + np.arange(self.seq_len)).ravel()
         return TokenBatch(self.states[take], self.actions[take],
-                          self.old_logprobs[take], self.advantages[take],
-                          _back_to_back([sl.stop - sl.start for sl in idx]))
-
-
-def _back_to_back(lengths: Sequence[int]) -> list[slice]:
-    """Slices of the given lengths laid end to end from 0."""
-    return [slice(end - n, end) for n, end in zip(lengths, itertools.accumulate(lengths))]
+                          self.old_logprobs[take], self.advantages[take], self.seq_len)
 
 
 @dataclass(eq=False)
@@ -339,24 +350,13 @@ def new_logprob_lookup(policy: _SoftmaxTable, states: np.ndarray,
         return np.log(probs)
 
 
-def _sequence_tokens(batch: TokenBatch, token_values: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-token (mean of its sequence's token_values, sequence advantage, sequence length).
+def _sequence_means(batch: TokenBatch, token_values: np.ndarray) -> np.ndarray:
+    """Mean of each trajectory's token_values: a row mean of the (n, seq_len) view.
 
-    Sequences of one length are stacked into a (count, length) matrix and
-    reduced along rows, which adds in the same order as a per-sequence
-    mean; the sequence advantage is the one on its first token.
+    The view is C-contiguous, so each row adds in the order of a
+    per-sequence mean.
     """
-    starts = np.array([sl.start for sl in batch.traj_slices])
-    lengths = np.array([sl.stop - sl.start for sl in batch.traj_slices])
-    means, advs, lens = (np.empty(batch.n_tokens) for _ in range(3))
-    for length in np.unique(lengths):
-        first = starts[lengths == length]
-        idx = first[:, None] + np.arange(length)
-        means[idx] = token_values[idx].mean(axis=1, keepdims=True)
-        advs[idx] = batch.advantages[first, None]
-        lens[idx] = length
-    return means, advs, lens
+    return token_values.reshape(-1, batch.seq_len).mean(axis=1)
 
 
 def _ppo_like_arrays(deltas, advs, lo, hi):
@@ -402,9 +402,12 @@ def batch_token_terms(spec: ObjectiveSpec, batch: TokenBatch,
     elif spec.algorithm == "gspo":
         # the gspo_sequence_terms rule: the sequence ratio is clipped PPO-style
         # and each token carries a 1/|y| share of the sequence's value and weight
-        mean_log, seq_advs, seq_lens = _sequence_tokens(batch, np.log(deltas))
-        values, weights, codes = _ppo_like_arrays(np.exp(mean_log), seq_advs, lo, hi)
-        values, weights = values / seq_lens, weights / seq_lens
+        # (the sequence advantage is the one on its first token)
+        seq_len = batch.seq_len
+        seq_ratios = np.exp(_sequence_means(batch, np.log(deltas)))
+        values, weights, codes = _ppo_like_arrays(seq_ratios, advs[::seq_len], lo, hi)
+        values, weights, codes = (np.repeat(x, seq_len)
+                                  for x in (values / seq_len, weights / seq_len, codes))
     else:  # pragma: no cover - ObjectiveSpec already validates
         raise ValueError(f"unknown algorithm {spec.algorithm!r}")
     return BatchTerms(values, weights, codes.astype(np.int64), deltas, new_lp)
@@ -414,19 +417,13 @@ def token_weights(batch: TokenBatch, mode: str) -> np.ndarray:
     """Per-token aggregation weights.
 
     sequence_mean: each trajectory contributes its token mean, then
-    trajectories are averaged (weight 1 / (n_traj * len_i)).
+    trajectories are averaged (weight 1 / (n_traj * seq_len)).
     token_mean: one flat mean over all tokens (weight 1 / total_tokens).
+    With equal-length trajectories the two weights are the same number.
     """
     if mode not in AGGREGATIONS:
         raise ValueError(f"unknown aggregation {mode!r}")
-    w = np.empty(batch.n_tokens)
-    if mode == "token_mean":
-        w[:] = 1.0 / batch.n_tokens
-    else:
-        n = batch.n_trajectories
-        for sl in batch.traj_slices:
-            w[sl] = 1.0 / (n * (sl.stop - sl.start))
-    return w
+    return np.full(batch.n_tokens, 1.0 / batch.n_tokens)
 
 
 def aggregate_objective(terms: BatchTerms | Sequence[TokenTerm], batch: TokenBatch,
@@ -447,8 +444,12 @@ def aggregate_objective(terms: BatchTerms | Sequence[TokenTerm], batch: TokenBat
     w = token_weights(batch, mode)
     value = float(w @ values)
     coeff = w * weights * batch.advantages
-    grad = np.zeros((policy.num_states, policy.num_actions))
-    np.add.at(grad, (batch.states, batch.actions), coeff)
-    state_coeff = np.bincount(batch.states, weights=coeff, minlength=policy.num_states)
+    num_states, num_actions = policy.num_states, policy.num_actions
+    if batch.actions.min() < 0 or batch.actions.max() >= num_actions:
+        raise ValueError(f"actions outside [0, {num_actions})")
+    # one scatter-add over flat (state, action) cells, in token order
+    grad = np.bincount(batch.states * num_actions + batch.actions, weights=coeff,
+                       minlength=num_states * num_actions).reshape(num_states, num_actions)
+    state_coeff = np.bincount(batch.states, weights=coeff, minlength=num_states)
     grad -= state_coeff[:, None] * policy.probability_matrix()
     return value, grad

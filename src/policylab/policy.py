@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -81,20 +82,37 @@ class _SoftmaxTable:
         with np.errstate(divide="ignore"):
             return np.log(probs)
 
+    def _per_version(self, key: str, compute: Callable[[], np.ndarray]) -> np.ndarray:
+        """compute() made read-only and cached for the current logits array.
+
+        Logits are read-only and a policy changes only by rebinding them,
+        so a value cached against the logits object cannot go stale.
+        """
+        cached = self.__dict__.get(key)
+        if cached is not None and cached[0] is self.logits:
+            return cached[1]
+        value = compute()
+        value.setflags(write=False)
+        self.__dict__[key] = (self.logits, value)  # also on frozen snapshots
+        return value
+
     def probability_matrix(self) -> np.ndarray:
         """All rows' probabilities as a read-only (num_states, num_actions) matrix.
 
-        The matrix is computed once per logits array: logits are read-only
-        and a policy changes only by rebinding them, so the cached matrix
-        cannot go stale.
+        Computed once per logits array.
         """
-        cached = self.__dict__.get("_probs")
-        if cached is not None and cached[0] is self.logits:
-            return cached[1]
-        probs = softmax_rows(self.logits)
-        probs.setflags(write=False)
-        self.__dict__["_probs"] = (self.logits, probs)  # also on frozen snapshots
-        return probs
+        return self._per_version("_probs", lambda: softmax_rows(self.logits))
+
+    def sampling_cdf(self) -> np.ndarray:
+        """Row cumulative sums of probability_matrix() without the last column.
+
+        Read-only, C-contiguous and computed once per logits array. The
+        cumsum is non-decreasing, so the number of its first V-1 entries
+        <= u is the inverse-CDF pick for a uniform draw u, already clamped
+        to the last action.
+        """
+        return self._per_version("_cdf", lambda: np.ascontiguousarray(
+            np.cumsum(self.probability_matrix(), axis=1)[:, :-1]))
 
     def exact_entropy(self, state: int) -> float:
         """Shannon entropy -sum pi log pi in nats, with 0*log(0) = 0."""

@@ -7,7 +7,9 @@ activates from the second pass on. Every random draw comes from a stream
 named by (seed, purpose, step, ...); identical configs produce
 byte-identical metrics CSVs. Each policy version's softmax is computed
 once: rollouts and evaluation sample whole groups in lockstep from it, and
-ratios, entropies and KLs are gathered from it as arrays.
+ratios, entropies and KLs are gathered from it as arrays. A rollout group
+is a set of (G, T) arrays, and the step's reward, sampled entropy and
+visited states are reduced from those blocks.
 
 Metric conventions (each a deliberate choice, fixed here):
   - entropy_exact / entropy_sampled describe the snapshot policy at
@@ -42,8 +44,8 @@ from .env import (
     ModSumTask,
     RolloutGroup,
     rollout_group,
+    sample_episodes,
     sample_task,
-    sample_trajectories,
     write_rollout_log,
 )
 from .objectives import (
@@ -319,7 +321,8 @@ def evaluate(policy: TabularPolicy, tasks: list[ModSumTask], samples_per_prompt:
         raise ValueError("empty evaluation task set")
     total = 0
     for task in tasks:
-        total += sum(t.reward for t in sample_trajectories(policy, task, samples_per_prompt, rng))
+        rewards = sample_episodes(policy, task, samples_per_prompt, rng)[3]
+        total += int(np.count_nonzero(rewards))
     return total / (len(tasks) * samples_per_prompt)
 
 
@@ -451,12 +454,11 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
             if config.log_rollouts:
                 logged_groups.extend(all_groups)
 
-            all_trajs = [t for g in all_groups for t in g.trajectories]
-            mean_reward = float(np.mean([t.reward for t in all_trajs]))
-            old_logprobs = np.stack([t.old_logprobs for t in all_trajs])
+            mean_reward = float(np.concatenate([g.rewards for g in all_groups]).mean())
+            old_logprobs = np.concatenate([g.old_logprobs for g in all_groups])
             entropy_sampled = float(np.mean(-old_logprobs.mean(axis=1)))
             visited, visit_counts = np.unique(
-                np.concatenate([t.states for t in all_trajs]), return_counts=True)
+                np.concatenate([g.states for g in all_groups]), return_counts=True)
             snapshot_rows = snapshot.probability_matrix()[visited]
             entropy_exact = _weighted_state_mean(
                 entropy_rows(snapshot_rows), visit_counts, config.entropy_weighting)

@@ -92,8 +92,9 @@ def test_broadcast_to_tokens():
     group = next(g for g in _groups(20, seed=3) if 0 < g.rewards.sum() < 8)
     batch = group_advantages(group, "zero")
     tokens = TokenBatch.from_trajectories(group.trajectories, batch.advantages)
-    for sl, adv in zip(tokens.traj_slices, batch.advantages):
-        assert np.all(tokens.advantages[sl] == adv)
+    T = tokens.seq_len
+    for i, adv in enumerate(batch.advantages):
+        assert np.all(tokens.advantages[i * T:(i + 1) * T] == adv)
 
 
 def test_dynamic_sampling_filter_removes_uniform_groups():

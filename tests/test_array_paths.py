@@ -14,18 +14,21 @@ import numpy as np
 import pytest
 
 from policylab import (
+    Branch,
     ModSumTask,
     ObjectiveSpec,
     TabularPolicy,
     TokenBatch,
+    TokenTerm,
+    aggregate_objective,
     batch_token_terms,
     entropy_bonus,
     gspo_sequence_terms,
     named_stream,
     verify_reward,
 )
-from policylab.env import Trajectory, rollout_trajectory, sample_trajectories
-from policylab.objectives import new_logprob_lookup
+from policylab.env import Trajectory, rollout_group, rollout_trajectory, sample_trajectories
+from policylab.objectives import new_logprob_lookup, token_weights
 from policylab.policy import (
     entropy_gradient_rows,
     entropy_logit_gradient,
@@ -260,7 +263,7 @@ def test_vectorized_gspo_matches_sequence_terms(seq_len):
     old_logprobs = new_logprob_lookup(live, states, actions) + rng.normal(0.0, 0.1, size=n)
     advantages = np.repeat(rng.normal(0.0, 1.0, size=n_traj), seq_len)
     slices = [slice(i * seq_len, (i + 1) * seq_len) for i in range(n_traj)]
-    batch = TokenBatch(states, actions, old_logprobs, advantages, slices)
+    batch = TokenBatch(states, actions, old_logprobs, advantages, seq_len=seq_len)
     terms = batch_token_terms(spec, batch, live)
     codes = set()
     for sl in slices:
@@ -273,20 +276,106 @@ def test_vectorized_gspo_matches_sequence_terms(seq_len):
     assert codes == {0, 1, 2}
 
 
-def test_vectorized_gspo_handles_ragged_sequences():
-    spec = ObjectiveSpec.for_algorithm("gspo", eps_low=0.05, eps_high=0.05)
-    rng = named_stream(0, "ragged")
-    slices = [slice(0, 2), slice(2, 8), slice(8, 10), slice(10, 13)]
-    n = 13
-    states, actions = rng.integers(4, size=n), rng.integers(3, size=n)
-    live = TabularPolicy(rng.normal(0.0, 1.0, size=(4, 3)))
-    old_logprobs = new_logprob_lookup(live, states, actions) + rng.normal(0.0, 0.2, size=n)
-    advantages = np.concatenate([np.full(sl.stop - sl.start, a)
-                                 for sl, a in zip(slices, (1.0, -0.5, 0.7, -1.2))])
-    batch = TokenBatch(states, actions, old_logprobs, advantages, slices)
-    terms = batch_token_terms(spec, batch, live)
-    for sl in slices:
-        expected = gspo_sequence_terms(terms.deltas[sl], float(advantages[sl.start]),
-                                       spec.eps_low, spec.eps_high)
-        assert terms.values[sl].tolist() == [t.value for t in expected]
-        assert terms.grad_weights[sl].tolist() == [t.grad_weight for t in expected]
+# -- the (n, T) layout of rollout groups and token batches ----------------------
+
+
+def test_rollout_group_rows_match_sample_trajectories():
+    for vocab, seq_len in ((8, 6), (32, 12)):
+        task = ModSumTask(vocab, seq_len, MODULUS, 2)
+        for seed in range(10):
+            policy = _table(task.num_states, vocab, seed)
+            group = rollout_group(policy, task, 8, named_stream(seed, "group"))
+            expected = sample_trajectories(policy.snapshot(), task, 8,
+                                           named_stream(seed, "group"))
+            _assert_same_trajectories(group.trajectories, expected)
+            assert all(t.task == task for t in group.trajectories)
+            assert group.rewards.dtype == np.float64
+            assert group.rewards.tolist() == [t.reward for t in expected]
+            for name in ("states", "actions", "old_logprobs"):
+                block = getattr(group, name)
+                assert block.shape == (8, seq_len)
+                assert block.flags.c_contiguous
+
+
+def test_entropy_sampled_from_blocks_matches_stacked_rows():
+    # the trainer reduces concatenated group blocks; the stack of
+    # trajectory rows it replaced is the reference
+    task = ModSumTask(32, 12, 16, 5)
+    for seed in range(10):
+        policy = TabularPolicy.random(task.num_states, 32, 0.8, named_stream(seed, "ent"))
+        rng = named_stream(seed, "ent-rollout")
+        groups = [rollout_group(policy, task, 8, rng) for _ in range(4)]
+        blocks = np.concatenate([g.old_logprobs for g in groups])
+        stacked = np.stack([t.old_logprobs for g in groups for t in g.trajectories])
+        got = float(np.mean(-blocks.mean(axis=1)))
+        assert got == float(np.mean(-stacked.mean(axis=1)))
+
+
+def test_sampling_cdf_is_the_cumsum_without_its_last_column():
+    policy = _table(3 * MODULUS + 1, 9, 4)
+    cdf = policy.sampling_cdf()
+    assert np.array_equal(cdf, np.cumsum(policy.probability_matrix(), axis=1)[:, :-1])
+    assert cdf.flags.c_contiguous and not cdf.flags.writeable
+    assert policy.sampling_cdf() is cdf
+    policy.apply_gradient(np.ones_like(policy.logits), 0.1)
+    assert policy.sampling_cdf() is not cdf
+
+
+def _slice_gather_subset(batch, traj_indices):
+    """The slice-list subset the fixed-length index computation replaced."""
+    T = batch.seq_len
+    slices = [slice(i * T, (i + 1) * T) for i in range(batch.n_trajectories)]
+    take = np.concatenate([np.arange(slices[i].start, slices[i].stop) for i in traj_indices])
+    return [getattr(batch, name)[take]
+            for name in ("states", "actions", "old_logprobs", "advantages")]
+
+
+def test_subset_matches_slice_gather():
+    for seed in range(25):
+        rng = named_stream(seed, "subset")
+        n_traj, seq_len = int(rng.integers(1, 20)), int(rng.integers(1, 13))
+        n = n_traj * seq_len
+        batch = TokenBatch(rng.integers(10, size=n), rng.integers(6, size=n),
+                           rng.normal(size=n),
+                           np.repeat(rng.normal(size=n_traj), seq_len), seq_len=seq_len)
+        picks = rng.integers(n_traj, size=int(rng.integers(1, 2 * n_traj + 1)))
+        sub = batch.subset(picks)  # repeats included
+        expected = _slice_gather_subset(batch, picks)
+        assert sub.seq_len == seq_len and sub.n_trajectories == len(picks)
+        for got, ref in zip((sub.states, sub.actions, sub.old_logprobs, sub.advantages),
+                            expected):
+            assert np.array_equal(got, ref)
+        # an ndarray slice, as the trainer passes, and a plain list agree
+        assert np.array_equal(batch.subset(picks.tolist()).states, sub.states)
+
+
+def test_bincount_scatter_matches_add_at_with_repeated_pairs():
+    spec = ObjectiveSpec.for_algorithm("ce_gppo")
+    for seed in range(20):
+        rng = named_stream(seed, "scatter")
+        # few states and actions, so (state, action) pairs repeat many times
+        n = 6 * 16
+        states, actions = rng.integers(3, size=n), rng.integers(4, size=n)
+        live = TabularPolicy(rng.normal(0.0, 1.0, size=(3, 4)))
+        old_logprobs = new_logprob_lookup(live, states, actions) + rng.normal(0.0, 0.3, size=n)
+        batch = TokenBatch(states, actions, old_logprobs,
+                           np.repeat(rng.normal(size=16), 6), seq_len=6)
+        terms = batch_token_terms(spec, batch, live)
+        _, grad = aggregate_objective(terms, batch, live, spec.aggregation)
+        coeff = token_weights(batch, spec.aggregation) * terms.grad_weights * batch.advantages
+        expected = np.zeros((3, 4))
+        np.add.at(expected, (states, actions), coeff)
+        state_coeff = np.bincount(states, weights=coeff, minlength=3)
+        expected -= state_coeff[:, None] * live.probability_matrix()
+        assert np.array_equal(grad, expected)
+
+
+def test_aggregate_rejects_out_of_range_actions():
+    # a flat state * V + action index would alias such a token to another cell
+    policy = TabularPolicy.uniform(3, 4)
+    for bad in (-1, 4):
+        batch = TokenBatch(np.array([0, 1]), np.array([0, bad]), np.zeros(2), np.ones(2),
+                           seq_len=2)
+        terms = [TokenTerm(1.0, 1.0, Branch.INTERIOR)] * 2
+        with pytest.raises(ValueError, match="actions outside"):
+            aggregate_objective(terms, batch, policy, "token_mean")

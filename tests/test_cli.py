@@ -92,6 +92,25 @@ def test_analyze_pipeline(tmp_path, capsys):
     assert "visitation_weighted_mean" in doc
 
 
+def test_analyze_mixed_lengths_exit_2(tmp_path, capsys):
+    # a log whose two groups have different seq_len cannot form a token batch
+    lines = []
+    for group, seq_len in ((0, 3), (1, 4)):
+        for reward in (0, 1):
+            lines.append(json.dumps({
+                "vocab_size": 8, "seq_len": seq_len, "modulus": 5, "target": 0,
+                "group": group, "actions": [1] * seq_len,
+                "old_logprobs": [-2.0794415416798357] * seq_len, "reward": reward}))
+    log = tmp_path / "mixed.jsonl"
+    log.write_text("\n".join(lines) + "\n")
+    TabularPolicy.uniform(3 * 5 + 1, 8).save(tmp_path / "policy.json")
+    rc = main(["analyze", "--log", str(log), "--checkpoint", str(tmp_path / "policy.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "mixed lengths" in err
+    assert "Traceback" not in err
+
+
 def test_suite_smoke(tmp_path, capsys):
     rc = main(["suite", "schedule_switch", "--steps", "3", "--out", str(tmp_path / "suite")])
     assert rc == 0

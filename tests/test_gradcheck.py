@@ -133,8 +133,9 @@ def reference_boundary_safe(spec, batch, policy, h):
     lo, hi = spec.clip_bounds()
     band = 10.0 * h
     keep = []
-    for i, sl in enumerate(batch.traj_slices):
-        deltas = deltas_all[sl]
+    T = batch.seq_len
+    for i in range(batch.n_trajectories):
+        deltas = deltas_all[i * T:(i + 1) * T]
         near = (np.abs(deltas - lo) < band) | (np.abs(deltas - hi) < band)
         if spec.algorithm == "gspo":
             seq_ratio = float(np.exp(np.log(deltas).mean()))
@@ -229,7 +230,7 @@ def test_single_token_interior_closed_form():
     policy = TabularPolicy.random(3, 5, 0.7, named_stream(0, "single"))
     batch = TokenBatch(states=np.array([1]), actions=np.array([2]),
                        old_logprobs=np.array([-1.3]), advantages=np.array([0.8]),
-                       traj_slices=[slice(0, 1)])
+                       seq_len=1)
     spec = ObjectiveSpec.for_algorithm("ppo")
     evaluator = frozen_surrogate_evaluator(spec, batch, policy)
     numeric, flagged = numeric_gradient(evaluator, policy, 1e-5)
@@ -245,7 +246,7 @@ def test_central_difference_error_quadratic_in_h():
     policy = TabularPolicy.random(3, 5, 0.7, named_stream(1, "hconv"))
     batch = TokenBatch(states=np.array([0]), actions=np.array([1]),
                        old_logprobs=np.array([-1.0]), advantages=np.array([1.0]),
-                       traj_slices=[slice(0, 1)])
+                       seq_len=1)
     spec = ObjectiveSpec.for_algorithm("ppo")
     _, analytic = analytic_objective_gradient(spec, batch, policy)
     evaluator = frozen_surrogate_evaluator(spec, batch, policy)

@@ -6,10 +6,12 @@ import pytest
 from policylab import (
     Branch,
     EnvConfig,
+    ModSumTask,
     ObjectiveSpec,
     TabularPolicy,
     TokenBatch,
     TokenTerm,
+    Trajectory,
     aggregate_objective,
     batch_token_terms,
     ce_gppo_token_term,
@@ -359,7 +361,7 @@ def test_batch_terms_gspo_match_sequence_path():
     batch, policy = _random_batch(seed=6)
     spec = ObjectiveSpec.for_algorithm("gspo")
     terms = batch_token_terms(spec, batch, policy)
-    sl = batch.traj_slices[3]
+    sl = slice(3 * batch.seq_len, 4 * batch.seq_len)
     expected = gspo_sequence_terms(terms.deltas[sl], float(batch.advantages[sl.start]),
                                    spec.eps_low, spec.eps_high)
     assert np.allclose(terms.values[sl], [t.value for t in expected])
@@ -377,18 +379,38 @@ def test_on_policy_ratios_are_exactly_one():
 
 def test_aggregation_normalizer_examples():
     policy = TabularPolicy.uniform(3, 4)
-    # two trajectories of lengths 2 and 6
+    # two trajectories of length 4
     batch = TokenBatch(
         states=np.zeros(8, dtype=np.int64), actions=np.zeros(8, dtype=np.int64),
-        old_logprobs=np.zeros(8), advantages=np.ones(8),
-        traj_slices=[slice(0, 2), slice(2, 8)])
+        old_logprobs=np.zeros(8), advantages=np.ones(8), seq_len=4)
     all_ones = [TokenTerm(1.0, 0.0, Branch.INTERIOR)] * 8
     assert aggregate_objective(all_ones, batch, policy, "sequence_mean")[0] == pytest.approx(1.0)
     assert aggregate_objective(all_ones, batch, policy, "token_mean")[0] == pytest.approx(1.0)
-    short_only = ([TokenTerm(1.0, 0.0, Branch.INTERIOR)] * 2
-                  + [TokenTerm(0.0, 0.0, Branch.INTERIOR)] * 6)
-    assert aggregate_objective(short_only, batch, policy, "sequence_mean")[0] == pytest.approx(0.5)
-    assert aggregate_objective(short_only, batch, policy, "token_mean")[0] == pytest.approx(0.25)
+    # value 1 on three tokens of the first trajectory: (3/4 + 0/4) / 2 per
+    # sequence, 3/8 per token; equal lengths make the two normalizers agree
+    first_only = ([TokenTerm(1.0, 0.0, Branch.INTERIOR)] * 3
+                  + [TokenTerm(0.0, 0.0, Branch.INTERIOR)] * 5)
+    assert aggregate_objective(first_only, batch, policy, "sequence_mean")[0] == pytest.approx(0.375)
+    assert aggregate_objective(first_only, batch, policy, "token_mean")[0] == pytest.approx(0.375)
+    assert np.array_equal(token_weights(batch, "sequence_mean"), np.full(8, 1.0 / 8))
+
+
+def test_token_batch_rejects_partial_trajectories():
+    with pytest.raises(ValueError, match="whole number"):
+        TokenBatch(np.zeros(7, dtype=np.int64), np.zeros(7, dtype=np.int64),
+                   np.zeros(7), np.zeros(7), seq_len=4)
+    with pytest.raises(ValueError, match="whole number"):
+        TokenBatch(np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64),
+                   np.zeros(4), np.zeros(4), seq_len=0)
+
+
+def test_from_trajectories_rejects_mixed_lengths():
+    short = Trajectory(ModSumTask(8, 2, 5, 0), [1, 2], [-1.0, -1.0], [0, 1], 0)
+    long = Trajectory(ModSumTask(8, 3, 5, 0), [1, 2, 2], [-1.0] * 3, [0, 1, 8], 1)
+    with pytest.raises(ValueError, match="mixed lengths"):
+        TokenBatch.from_trajectories([short, long], [1.0, -1.0])
+    batch = TokenBatch.from_trajectories([long, long], [1.0, -1.0])
+    assert batch.seq_len == 3 and batch.n_trajectories == 2
 
 
 def test_aggregate_zero_weights_zero_gradient():
@@ -411,7 +433,7 @@ def test_aggregate_gradient_structure_single_token():
     policy = TabularPolicy.random(4, 5, 0.8, named_stream(11, "single"))
     batch = TokenBatch(states=np.array([2]), actions=np.array([3]),
                        old_logprobs=np.array([-1.0]), advantages=np.array([1.5]),
-                       traj_slices=[slice(0, 1)])
+                       seq_len=1)
     terms = batch_token_terms(ObjectiveSpec.for_algorithm("ppo"), batch, policy)
     value, grad = aggregate_objective(terms, batch, policy, "token_mean")
     delta = float(terms.deltas[0])
