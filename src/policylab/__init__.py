@@ -10,15 +10,11 @@ from .advantage import (
     group_advantages,
 )
 from .entropy_dynamics import (
-    ClipSide,
     ConvergenceReport,
     EntropyPrediction,
     Quadrant,
     QuadrantStats,
-    TokenRecord,
-    batch_quadrant_stats,
     center_advantages,
-    classify_token,
     entropy_covariance,
     predict_entropy_change,
     predict_entropy_change_for_update,
@@ -49,16 +45,10 @@ from .objectives import (
     Branch,
     ObjectiveSpec,
     TokenBatch,
-    TokenTerm,
     aggregate_objective,
     batch_token_terms,
-    ce_gppo_token_term,
-    cispo_token_term,
-    dapo_token_term,
+    clip_terms,
     entropy_bonus,
-    gspo_sequence_terms,
-    ppo_token_term,
-    token_term,
 )
 from .policy import (
     PolicySnapshot,

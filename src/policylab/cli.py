@@ -23,7 +23,7 @@ from .entropy_dynamics import (
 )
 from .env import ModSumTask, read_rollout_log
 from .gradcheck import build_gradcheck_batch, check_objective_gradient
-from .objectives import ALGORITHMS, ObjectiveSpec, TokenBatch, new_logprob_lookup
+from .objectives import ALGORITHMS, ObjectiveSpec, TokenBatch, clip_terms, new_logprob_lookup
 from .policy import TabularPolicy
 from .seeding import named_stream
 from .trainer import (
@@ -69,7 +69,10 @@ def _cmd_gradcheck(args) -> int:
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
-    spec = ObjectiveSpec.for_algorithm(args.objective, **overrides)
+    try:
+        spec = ObjectiveSpec.for_algorithm(args.objective, **overrides)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     batch, policy = build_gradcheck_batch(
         spec, seed=args.seed, n_trajectories=args.trajectories,
         min_branch_count=args.min_branch_count, h=args.h)
@@ -101,6 +104,12 @@ def _cmd_entropy_predict(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    try:
+        # the PPO clip rule with the two bounds the flags give
+        clip_spec = ObjectiveSpec(algorithm="dapo", eps_low=args.eps_low,
+                                  eps_high=args.eps_high)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     records = read_rollout_log(args.log)
     if not records:
         raise ConfigError(f"rollout log {args.log} is empty")
@@ -135,8 +144,8 @@ def _cmd_analyze(args) -> int:
     states, actions, advs = tokens.states, tokens.actions, tokens.advantages
     new_lp = new_logprob_lookup(policy, states, actions)
     deltas = np.exp(new_lp - tokens.old_logprobs)
-    stats = quadrant_stats_arrays(deltas, advs, np.exp(tokens.old_logprobs),
-                                  args.eps_low, args.eps_high, threshold)
+    codes = clip_terms(clip_spec, deltas, advs, tokens.seq_len)[2]
+    stats = quadrant_stats_arrays(deltas, advs, np.exp(tokens.old_logprobs), codes, threshold)
 
     # per-(state, action) advantage sums, added in record order
     adv_sum = np.zeros((policy.num_states, policy.num_actions))

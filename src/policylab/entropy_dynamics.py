@@ -14,18 +14,19 @@ a scratch copy, so the approximation quality itself is measurable.
 Tokens are classified by advantage sign x probability level into
 PA&HP / NA&LP / PA&LP / NA&HP. The high/low probability split has no
 canonical threshold; callers typically pass the uniform probability 1/V.
+Which tokens were clipped is the objective's own verdict: the branch
+codes of objectives.clip_terms.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .objectives import ObjectiveSpec
+from .objectives import CODE_LEFT, CODE_RIGHT
 from .policy import _SoftmaxTable, entropy_logit_gradient, softmax_rows
 
 CENTERING_TOLERANCE = 1e-9
@@ -42,55 +43,6 @@ class Quadrant(str, enum.Enum):
     NA_LP = "na_lp"
     PA_LP = "pa_lp"
     NA_HP = "na_hp"
-    NEUTRAL = "neutral"
-
-
-class ClipSide(str, enum.Enum):
-    NONE = "none"
-    LEFT = "left"
-    RIGHT = "right"
-
-
-@dataclass(frozen=True)
-class TokenRecord:
-    """One generated token with everything the taxonomy needs."""
-
-    state: int
-    action: int
-    old_logprob: float
-    new_logprob: float
-    advantage: float
-
-    @property
-    def ratio(self) -> float:
-        return math.exp(self.new_logprob - self.old_logprob)
-
-    @property
-    def old_prob(self) -> float:
-        return math.exp(self.old_logprob)
-
-
-def classify_token(delta: float, adv: float, prob: float, eps_low: float,
-                   eps_high: float, prob_threshold: float) -> tuple[Quadrant, ClipSide]:
-    """Quadrant from sign(A) x (prob >= threshold); clip flag from the
-    standard branch conditions (ratio beyond a bound with matching
-    advantage sign). Zero-advantage tokens are tagged neutral and excluded
-    from quadrant fractions downstream.
-    """
-    if not delta > 0.0:
-        raise ValueError(f"importance ratio must be > 0, got {delta}")
-    if not 0.0 < prob <= 1.0:
-        raise ValueError(f"token probability must be in (0, 1], got {prob}")
-    if adv == 0.0:
-        return Quadrant.NEUTRAL, ClipSide.NONE
-    high = prob >= prob_threshold
-    if adv > 0.0:
-        quadrant = Quadrant.PA_HP if high else Quadrant.PA_LP
-        clip = ClipSide.RIGHT if delta > 1.0 + eps_high else ClipSide.NONE
-    else:
-        quadrant = Quadrant.NA_HP if high else Quadrant.NA_LP
-        clip = ClipSide.LEFT if delta < 1.0 - eps_low else ClipSide.NONE
-    return quadrant, clip
 
 
 def center_advantages(policy: _SoftmaxTable, state: int,
@@ -292,13 +244,14 @@ class QuadrantStats:
 
 
 def quadrant_stats_arrays(deltas: np.ndarray, advantages: np.ndarray,
-                          probs: np.ndarray, eps_low: float, eps_high: float,
+                          probs: np.ndarray, branch_codes: np.ndarray,
                           prob_threshold: float) -> QuadrantStats:
     """Vectorized taxonomy over parallel arrays.
 
     Quadrant fractions are over tokens with A != 0 (they sum to 1 there);
-    clip fractions are over all tokens. The histogram uses the fixed
-    log-spaced edges so runs are comparable.
+    clip fractions are the shares of all tokens whose branch code (from
+    objectives.clip_terms) is left- or right-clipped. The histogram uses
+    the fixed log-spaced edges so runs are comparable.
     """
     deltas = np.asarray(deltas, dtype=np.float64)
     advantages = np.asarray(advantages, dtype=np.float64)
@@ -306,6 +259,8 @@ def quadrant_stats_arrays(deltas: np.ndarray, advantages: np.ndarray,
     n = len(deltas)
     if n == 0:
         raise ValueError("empty token batch")
+    if len(branch_codes) != n:
+        raise ValueError(f"{len(branch_codes)} branch codes for {n} tokens")
     pos = advantages > 0.0
     neg = advantages < 0.0
     high = probs >= prob_threshold
@@ -317,29 +272,14 @@ def quadrant_stats_arrays(deltas: np.ndarray, advantages: np.ndarray,
     }
     n_signed = int(pos.sum() + neg.sum())
     fractions = {k: (c / n_signed if n_signed else 0.0) for k, c in counts.items()}
-    left = neg & (deltas < 1.0 - eps_low)
-    right = pos & (deltas > 1.0 + eps_high)
+    code_counts = np.bincount(branch_codes, minlength=3)
     inner = np.histogram(deltas, bins=HISTOGRAM_EDGES)[0]
     hist = [int((deltas < HISTOGRAM_EDGES[0]).sum()), *inner.tolist(),
             int((deltas >= HISTOGRAM_EDGES[-1]).sum())]
     return QuadrantStats(
         counts=counts, fractions=fractions,
-        left_clip_fraction=float(left.sum() / n),
-        right_clip_fraction=float(right.sum() / n),
+        left_clip_fraction=float(code_counts[CODE_LEFT] / n),
+        right_clip_fraction=float(code_counts[CODE_RIGHT] / n),
         n_tokens=n, n_neutral=int(n - n_signed),
         histogram_counts=hist, histogram_edges=HISTOGRAM_EDGES.tolist())
 
-
-def batch_quadrant_stats(records: Sequence[TokenRecord], spec: ObjectiveSpec,
-                         prob_threshold: float) -> QuadrantStats:
-    """Taxonomy of a TokenRecord batch under an objective's clip bounds.
-
-    Probabilities are the rollout-time (old) probabilities: the taxonomy
-    describes the distribution the tokens were drawn from.
-    """
-    eps_low = 1.0 - spec.clip_bounds()[0]
-    eps_high = spec.clip_bounds()[1] - 1.0
-    deltas = np.array([r.ratio for r in records])
-    advs = np.array([r.advantage for r in records])
-    probs = np.array([r.old_prob for r in records])
-    return quadrant_stats_arrays(deltas, advs, probs, eps_low, eps_high, prob_threshold)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .policy import PolicySnapshot, _SoftmaxTable
+from .policy import _SoftmaxTable
 
 
 @dataclass(frozen=True)
@@ -123,19 +123,20 @@ class Trajectory:
 
 @dataclass(eq=False)
 class RolloutGroup:
-    """G episodes of one task, all sampled from the same snapshot.
+    """G episodes of one task, all sampled from the same policy version.
 
     The episodes are rows of C-contiguous (G, T) arrays ``states``,
     ``actions`` and ``old_logprobs``; ``rewards`` holds the G rewards as
-    float64. Row order is sampling order.
+    float64. Row order is sampling order. The log-probs are all a later
+    importance ratio needs of the sampling policy, so the group keeps no
+    reference to it.
     """
 
     task: ModSumTask
     states: np.ndarray        # int64 (G, T): state where each action was taken
     actions: np.ndarray       # int64 (G, T)
-    old_logprobs: np.ndarray  # float64 (G, T): log-probs under the snapshot
+    old_logprobs: np.ndarray  # float64 (G, T): log-probs under the sampling policy
     rewards: np.ndarray       # float64 (G,)
-    snapshot: PolicySnapshot
 
     def __post_init__(self):
         size = len(self.rewards)
@@ -223,11 +224,14 @@ def rollout_trajectory(policy: _SoftmaxTable, task: ModSumTask,
 
 def rollout_group(policy: _SoftmaxTable, task: ModSumTask, group_size: int,
                   rng: np.random.Generator) -> RolloutGroup:
-    """Snapshot the policy, then sample a group of episodes from the snapshot."""
+    """Sample a group of episodes from the policy as it is now.
+
+    Logits are read-only, so the group is what a snapshot taken now would
+    sample; later updates to a live policy cannot reach it.
+    """
     if group_size < 2:
         raise ValueError(f"group_size must be >= 2, got {group_size}")
-    snapshot = policy.snapshot()
-    return RolloutGroup(task, *sample_episodes(snapshot, task, group_size, rng), snapshot)
+    return RolloutGroup(task, *sample_episodes(policy, task, group_size, rng))
 
 
 def write_rollout_log(path: str | Path, groups: list[RolloutGroup],

@@ -43,7 +43,7 @@ from .objectives import (
     BatchTerms,
     ObjectiveSpec,
     TokenBatch,
-    _sequence_means,
+    _sequence_ratios,
     aggregate_objective,
     batch_token_terms,
     entropy_bonus,
@@ -148,7 +148,7 @@ def frozen_surrogate_evaluator(spec: ObjectiveSpec, batch: TokenBatch,
     frozen_scale = terms.grad_weights / terms.deltas
     frozen_offset = terms.values - terms.grad_weights * batch.advantages
     base_values = frozen_scale * terms.deltas * batch.advantages + frozen_offset
-    weights = token_weights(batch, spec.aggregation)
+    weights = token_weights(batch)
     visited, counts = np.unique(batch.states, return_counts=True)
     slot = {s: k for k, s in enumerate(visited.tolist())}
     order = np.argsort(batch.states, kind="stable")
@@ -196,7 +196,7 @@ def analytic_objective_gradient(spec: ObjectiveSpec, batch: TokenBatch,
     """
     if terms is None:
         terms = batch_token_terms(spec, batch, policy)
-    value, grad = aggregate_objective(terms, batch, policy, spec.aggregation)
+    value, grad = aggregate_objective(terms, batch, policy)
     if spec.alpha > 0.0:
         bonus_value, bonus_grad = entropy_bonus(policy, np.unique(batch.states), spec.alpha)
         value += bonus_value
@@ -264,7 +264,7 @@ def _boundary_safe_trajectories(spec: ObjectiveSpec, batch: TokenBatch,
     near_any = near.reshape(-1, batch.seq_len).any(axis=1)
     if spec.algorithm == "gspo":
         # the sequence ratio is the point gspo clips
-        seq_ratio = np.exp(_sequence_means(batch, np.log(deltas)))
+        seq_ratio = _sequence_ratios(deltas, batch.seq_len)
         near_any |= np.minimum(np.abs(seq_ratio - lo), np.abs(seq_ratio - hi)) < band
     return np.flatnonzero(~near_any).tolist()
 

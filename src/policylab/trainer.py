@@ -23,7 +23,10 @@ Metric conventions (each a deliberate choice, fixed here):
   - mean_reward covers all sampled trajectories, before any filtering.
   - clip/quadrant fractions aggregate over every minibatch evaluation of
     the step, with token probabilities taken at rollout time and the
-    high/low probability threshold at the uniform level 1/V.
+    high/low probability threshold at the uniform level 1/V. clip_left /
+    clip_right are the shares of those token evaluations on the
+    objective's own clipped branches (objectives.clip_terms), so gspo
+    counts whole clipped sequences and cispo clips on either sign.
 """
 
 from __future__ import annotations
@@ -49,6 +52,8 @@ from .env import (
     write_rollout_log,
 )
 from .objectives import (
+    CODE_INTERIOR,
+    BatchTerms,
     ObjectiveSpec,
     TokenBatch,
     aggregate_objective,
@@ -117,7 +122,6 @@ class RunConfig:
     objective: ObjectiveSpec = field(default_factory=lambda: ObjectiveSpec.for_algorithm("ce_gppo"))
     dynamic_sampling: bool = False
     beta_schedule: tuple[tuple[int, float, float], ...] = ()
-    kl_ceiling: float = 1.0
     eval_samples: int = 32
     entropy_weighting: str = "visits"
     max_filter_retries: int = 5
@@ -150,8 +154,6 @@ class RunConfig:
         if self.init_logit_scale < 0.0 or not np.isfinite(self.init_logit_scale):
             raise ConfigError(f"init_logit_scale must be finite and >= 0, "
                               f"got {self.init_logit_scale}")
-        if not self.kl_ceiling > 0.0:
-            raise ConfigError(f"kl_ceiling must be > 0, got {self.kl_ceiling}")
         schedule = tuple((int(s), float(b1), float(b2)) for s, b1, b2 in self.beta_schedule)
         steps = [s for s, _, _ in schedule]
         if steps != sorted(set(steps)):
@@ -347,33 +349,33 @@ def _weighted_state_mean(values: np.ndarray, counts: np.ndarray, weighting: str)
 class _StepAccumulator:
     """Clip/quadrant/off-policy statistics over one step's minibatch passes."""
 
-    def __init__(self, prob_threshold: float, bounds: tuple[float, float]):
+    def __init__(self, prob_threshold: float):
         self.prob_threshold = prob_threshold
-        self.lo, self.hi = bounds
         self.grad_norms: list[float] = []
         self.deltas: list[np.ndarray] = []
         self.advs: list[np.ndarray] = []
         self.probs: list[np.ndarray] = []
+        self.codes: list[np.ndarray] = []
         self.offpolicy_tokens = 0
         self.late_pass_tokens = 0
 
-    def add(self, deltas: np.ndarray, advs: np.ndarray, old_probs: np.ndarray,
+    def add(self, terms: BatchTerms, advs: np.ndarray, old_probs: np.ndarray,
             grad_norm: float, late_pass: bool) -> None:
-        self.deltas.append(deltas)
+        self.deltas.append(terms.deltas)
         self.advs.append(advs)
         self.probs.append(old_probs)
+        self.codes.append(terms.branch_codes)
         self.grad_norms.append(grad_norm)
         if late_pass:
-            self.offpolicy_tokens += int((deltas != 1.0).sum())
-            self.late_pass_tokens += len(deltas)
+            self.offpolicy_tokens += int((terms.deltas != 1.0).sum())
+            self.late_pass_tokens += len(terms.deltas)
 
     def summarize(self) -> dict:
-        deltas = np.concatenate(self.deltas)
-        advs = np.concatenate(self.advs)
         probs = np.concatenate(self.probs)
-        stats = quadrant_stats_arrays(deltas, advs, probs, 1.0 - self.lo, self.hi - 1.0,
-                                      self.prob_threshold)
-        clipped = ((advs < 0) & (deltas < self.lo)) | ((advs > 0) & (deltas > self.hi))
+        codes = np.concatenate(self.codes)
+        stats = quadrant_stats_arrays(np.concatenate(self.deltas), np.concatenate(self.advs),
+                                      probs, codes, self.prob_threshold)
+        clipped = codes != CODE_INTERIOR
         return {
             "grad_norm": float(np.mean(self.grad_norms)),
             "clip_left": stats.left_clip_fraction,
@@ -473,7 +475,7 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
                 advantages.extend(adv.advantages.tolist())
             batch = TokenBatch.from_trajectories(trajectories, advantages)
 
-            acc = _StepAccumulator(prob_threshold, spec.clip_bounds())
+            acc = _StepAccumulator(prob_threshold)
             update_rng = named_stream(config.seed, "update", step)
             n_traj = batch.n_trajectories
             chunk = max(1, round(config.minibatch_fraction * n_traj))
@@ -483,12 +485,12 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
                     for start in range(0, n_traj, chunk):
                         sub = batch.subset(perm[start:start + chunk])
                         terms = batch_token_terms(spec, sub, policy)
-                        _, grad = aggregate_objective(terms, sub, policy, spec.aggregation)
+                        _, grad = aggregate_objective(terms, sub, policy)
                         if spec.alpha > 0.0:
                             grad = grad + entropy_bonus(policy, np.unique(sub.states),
                                                         spec.alpha)[1]
                         grad_norm = float(np.linalg.norm(grad))
-                        acc.add(terms.deltas, sub.advantages, np.exp(sub.old_logprobs),
+                        acc.add(terms, sub.advantages, np.exp(sub.old_logprobs),
                                 grad_norm, late_pass=epoch >= 1)
                         policy.apply_gradient(grad, config.learning_rate)
                 kl = _weighted_state_mean(

@@ -14,21 +14,19 @@ import numpy as np
 import pytest
 
 from policylab import (
-    Branch,
     ModSumTask,
     ObjectiveSpec,
     TabularPolicy,
     TokenBatch,
-    TokenTerm,
     aggregate_objective,
     batch_token_terms,
+    clip_terms,
     entropy_bonus,
-    gspo_sequence_terms,
     named_stream,
     verify_reward,
 )
 from policylab.env import Trajectory, rollout_group, rollout_trajectory, sample_trajectories
-from policylab.objectives import new_logprob_lookup, token_weights
+from policylab.objectives import BatchTerms, new_logprob_lookup, token_weights
 from policylab.policy import (
     entropy_gradient_rows,
     entropy_logit_gradient,
@@ -267,12 +265,12 @@ def test_vectorized_gspo_matches_sequence_terms(seq_len):
     terms = batch_token_terms(spec, batch, live)
     codes = set()
     for sl in slices:
-        expected = gspo_sequence_terms(terms.deltas[sl], float(advantages[sl.start]),
-                                       spec.eps_low, spec.eps_high)
-        assert terms.values[sl].tolist() == [t.value for t in expected]
-        assert terms.grad_weights[sl].tolist() == [t.grad_weight for t in expected]
-        assert terms.branches()[sl] == [t.branch for t in expected]
-        codes.update(terms.branch_codes[sl].tolist())
+        # one sequence at a time: the (n, T) row mean and repeat must not mix rows
+        values, weights, seq_codes = clip_terms(spec, terms.deltas[sl], advantages[sl], seq_len)
+        assert terms.values[sl].tolist() == values.tolist()
+        assert terms.grad_weights[sl].tolist() == weights.tolist()
+        assert terms.branch_codes[sl].tolist() == seq_codes.tolist()
+        codes.update(seq_codes.tolist())
     assert codes == {0, 1, 2}
 
 
@@ -361,8 +359,8 @@ def test_bincount_scatter_matches_add_at_with_repeated_pairs():
         batch = TokenBatch(states, actions, old_logprobs,
                            np.repeat(rng.normal(size=16), 6), seq_len=6)
         terms = batch_token_terms(spec, batch, live)
-        _, grad = aggregate_objective(terms, batch, live, spec.aggregation)
-        coeff = token_weights(batch, spec.aggregation) * terms.grad_weights * batch.advantages
+        _, grad = aggregate_objective(terms, batch, live)
+        coeff = token_weights(batch) * terms.grad_weights * batch.advantages
         expected = np.zeros((3, 4))
         np.add.at(expected, (states, actions), coeff)
         state_coeff = np.bincount(states, weights=coeff, minlength=3)
@@ -376,6 +374,7 @@ def test_aggregate_rejects_out_of_range_actions():
     for bad in (-1, 4):
         batch = TokenBatch(np.array([0, 1]), np.array([0, bad]), np.zeros(2), np.ones(2),
                            seq_len=2)
-        terms = [TokenTerm(1.0, 1.0, Branch.INTERIOR)] * 2
+        terms = BatchTerms(np.ones(2), np.ones(2), np.zeros(2, dtype=np.int64), np.ones(2),
+                           np.zeros(2))
         with pytest.raises(ValueError, match="actions outside"):
-            aggregate_objective(terms, batch, policy, "token_mean")
+            aggregate_objective(terms, batch, policy)

@@ -65,6 +65,18 @@ def test_gradcheck_json_report(tmp_path, capsys):
     assert min(doc["branch_counts"].values()) >= 4
 
 
+@pytest.mark.parametrize("flags", [["--eps", "1.5"], ["--beta1", "-1"],
+                                   ["--objective", "dapo", "--eps-high", "0"]],
+                         ids=["eps", "beta1", "eps_high"])
+def test_gradcheck_out_of_range_flags_exit_2(flags, capsys):
+    # a spec the objective rejects is a usage error, not a failed check (exit 1)
+    rc = main(["gradcheck", *flags, "--trajectories", "8"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_entropy_predict(capsys):
     rc = main(["entropy-predict", "--instances", "2", "--num-states", "4"])
     assert rc == 0
@@ -108,6 +120,20 @@ def test_analyze_mixed_lengths_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "mixed lengths" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--eps-low", "1.5"], ["--eps-high", "-0.1"]],
+                         ids=["eps_low", "eps_high"])
+def test_analyze_out_of_range_flags_exit_2(flags, tmp_path, capsys):
+    config = _write_config(tmp_path, log_rollouts=True, total_steps=1)
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    rc = main(["analyze", "--log", str(tmp_path / "run" / "rollouts.jsonl"),
+               "--checkpoint", str(tmp_path / "run" / "policy.json"), *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

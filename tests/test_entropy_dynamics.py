@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from policylab import (
-    ClipSide,
     ObjectiveSpec,
-    Quadrant,
     TabularPolicy,
-    TokenRecord,
-    batch_quadrant_stats,
     center_advantages,
-    classify_token,
+    clip_terms,
     entropy_covariance,
     named_stream,
     predict_entropy_change,
@@ -20,9 +16,29 @@ from policylab import (
 )
 from policylab.entropy_dynamics import HISTOGRAM_EDGES, quadrant_stats_arrays
 
+# the PPO clip rule with bounds (0.8, 1.2)
+PPO_RULE = ObjectiveSpec(algorithm="dapo", eps_low=0.2, eps_high=0.2)
+
 
 def _policy_from_probs(probs):
     return TabularPolicy(np.log(np.array([probs])))
+
+
+def _stats(deltas, advs, probs, prob_threshold, spec=PPO_RULE):
+    """quadrant_stats_arrays with the branch codes of spec's clip rule."""
+    deltas, advs = np.asarray(deltas, dtype=np.float64), np.asarray(advs, dtype=np.float64)
+    codes = clip_terms(spec, deltas, advs, 1)[2]
+    return quadrant_stats_arrays(deltas, advs, probs, codes, prob_threshold)
+
+
+def _classify(delta, adv, prob, prob_threshold=0.5):
+    """(quadrant, clip side) of one token, read off its batch statistics."""
+    stats = _stats([delta], [adv], [prob], prob_threshold)
+    quadrant = "neutral" if stats.n_neutral else next(
+        k for k, c in stats.counts.items() if c)
+    clip = ("left" if stats.left_clip_fraction else
+            "right" if stats.right_clip_fraction else "none")
+    return quadrant, clip
 
 
 # ---------------------------------------------------------------------------
@@ -30,26 +46,17 @@ def _policy_from_probs(probs):
 # ---------------------------------------------------------------------------
 
 def test_classify_examples():
-    assert classify_token(1.0, 1.0, 0.9, 0.2, 0.2, 0.5) == (Quadrant.PA_HP, ClipSide.NONE)
-    assert classify_token(1.5, 1.0, 0.05, 0.2, 0.2, 0.5) == (Quadrant.PA_LP, ClipSide.RIGHT)
-    assert classify_token(0.5, -1.0, 0.05, 0.2, 0.2, 0.5) == (Quadrant.NA_LP, ClipSide.LEFT)
-    assert classify_token(0.5, -1.0, 0.9, 0.2, 0.2, 0.5) == (Quadrant.NA_HP, ClipSide.LEFT)
-    assert classify_token(1.0, 0.0, 0.5, 0.2, 0.2, 0.5) == (Quadrant.NEUTRAL, ClipSide.NONE)
+    assert _classify(1.0, 1.0, 0.9) == ("pa_hp", "none")
+    assert _classify(1.5, 1.0, 0.05) == ("pa_lp", "right")
+    assert _classify(0.5, -1.0, 0.05) == ("na_lp", "left")
+    assert _classify(0.5, -1.0, 0.9) == ("na_hp", "left")
+    assert _classify(1.0, 0.0, 0.5) == ("neutral", "none")
 
 
 def test_classify_clip_needs_matching_advantage_sign():
     # ratio beyond a bound with the wrong advantage sign is not clipped
-    assert classify_token(0.5, 1.0, 0.05, 0.2, 0.2, 0.5)[1] is ClipSide.NONE
-    assert classify_token(1.5, -1.0, 0.05, 0.2, 0.2, 0.5)[1] is ClipSide.NONE
-
-
-def test_classify_validation():
-    with pytest.raises(ValueError):
-        classify_token(0.0, 1.0, 0.5, 0.2, 0.2, 0.5)
-    with pytest.raises(ValueError):
-        classify_token(1.0, 1.0, 0.0, 0.2, 0.2, 0.5)
-    with pytest.raises(ValueError):
-        classify_token(1.0, 1.0, 1.5, 0.2, 0.2, 0.5)
+    assert _classify(0.5, 1.0, 0.05)[1] == "none"
+    assert _classify(1.5, -1.0, 0.05)[1] == "none"
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +217,7 @@ def test_convergence_failure_reports_measured_sequence():
 # ---------------------------------------------------------------------------
 
 def test_quadrant_stats_all_unit_ratios():
-    stats = quadrant_stats_arrays(np.ones(100), np.r_[np.ones(50), -np.ones(50)],
-                                  np.full(100, 0.2), 0.2, 0.2, 0.125)
+    stats = _stats(np.ones(100), np.r_[np.ones(50), -np.ones(50)], np.full(100, 0.2), 0.125)
     assert stats.left_clip_fraction == 0.0
     assert stats.right_clip_fraction == 0.0
 
@@ -221,7 +227,7 @@ def test_quadrant_stats_constructed_right_clip_fraction():
     deltas = np.ones(100)
     deltas[:10] = 1.5
     advs = np.ones(100)
-    stats = quadrant_stats_arrays(deltas, advs, np.full(100, 0.3), 0.2, 0.2, 0.125)
+    stats = _stats(deltas, advs, np.full(100, 0.3), 0.125)
     assert stats.right_clip_fraction == pytest.approx(0.10)
     assert stats.left_clip_fraction == 0.0
 
@@ -231,7 +237,7 @@ def test_quadrant_fractions_sum_to_one_over_signed_tokens():
     deltas = rng.uniform(0.3, 2.0, 500)
     advs = np.where(rng.random(500) < 0.2, 0.0, rng.normal(size=500))
     probs = rng.uniform(0.01, 1.0, 500)
-    stats = quadrant_stats_arrays(deltas, advs, probs, 0.2, 0.2, 0.125)
+    stats = _stats(deltas, advs, probs, 0.125)
     assert sum(stats.fractions.values()) == pytest.approx(1.0)
     assert stats.n_neutral == int((advs == 0).sum())
     assert sum(stats.counts.values()) + stats.n_neutral == 500
@@ -242,7 +248,7 @@ def test_histogram_fixed_edges_and_overflow():
     assert HISTOGRAM_EDGES[0] == pytest.approx(math.exp(-3))
     assert HISTOGRAM_EDGES[-1] == pytest.approx(math.exp(3))
     deltas = np.array([1e-3, 1.0, 1e3])
-    stats = quadrant_stats_arrays(deltas, np.ones(3), np.full(3, 0.5), 0.2, 0.2, 0.5)
+    stats = _stats(deltas, np.ones(3), np.full(3, 0.5), 0.5)
     assert len(stats.histogram_counts) == 42
     assert stats.histogram_counts[0] == 1    # underflow
     assert stats.histogram_counts[-1] == 1   # overflow
@@ -250,19 +256,37 @@ def test_histogram_fixed_edges_and_overflow():
 
 
 def test_batch_quadrant_stats_from_records():
-    records = [
-        TokenRecord(0, 1, math.log(0.05), math.log(0.09), 1.0),   # ratio 1.8, PA&LP
-        TokenRecord(0, 2, math.log(0.5), math.log(0.5), -1.0),    # ratio 1.0, NA&HP
-        TokenRecord(1, 0, math.log(0.04), math.log(0.01), -1.0),  # ratio .25, NA&LP left
-        TokenRecord(1, 3, math.log(0.3), math.log(0.3), 0.0),     # neutral
-    ]
-    spec = ObjectiveSpec.for_algorithm("ppo")
-    stats = batch_quadrant_stats(records, spec, prob_threshold=0.125)
+    # (old prob, new prob, advantage) per token
+    records = np.array([
+        [0.05, 0.09, 1.0],    # ratio 1.8, PA&LP right
+        [0.5, 0.5, -1.0],     # ratio 1.0, NA&HP
+        [0.04, 0.01, -1.0],   # ratio .25, NA&LP left
+        [0.3, 0.3, 0.0],      # neutral
+    ])
+    old_probs, advs = records[:, 0], records[:, 2]
+    deltas = np.exp(np.log(records[:, 1]) - np.log(old_probs))
+    stats = _stats(deltas, advs, old_probs, 0.125, spec=ObjectiveSpec.for_algorithm("ppo"))
     assert stats.counts["pa_lp"] == 1
     assert stats.counts["na_hp"] == 1
     assert stats.counts["na_lp"] == 1
     assert stats.n_neutral == 1
     assert stats.right_clip_fraction == pytest.approx(0.25)
     assert stats.left_clip_fraction == pytest.approx(0.25)
-    assert records[0].ratio == pytest.approx(1.8)
-    assert records[0].old_prob == pytest.approx(0.05)
+    assert deltas[0] == pytest.approx(1.8)
+
+
+def test_clip_fractions_count_the_branch_codes():
+    # the clip fractions are the objective's verdict: cispo clips on either
+    # sign, gspo whole sequences, and nothing is re-derived from the ratios
+    deltas = np.array([0.5, 0.5, 1.5, 1.5, 1.0, 1.0])
+    advs = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    probs = np.full(6, 0.3)
+    cispo = _stats(deltas, advs, probs, 0.125, spec=ObjectiveSpec.for_algorithm("cispo"))
+    assert (cispo.left_clip_fraction, cispo.right_clip_fraction) == (2 / 6, 2 / 6)
+    ppo = _stats(deltas, advs, probs, 0.125)
+    assert (ppo.left_clip_fraction, ppo.right_clip_fraction) == (1 / 6, 1 / 6)
+    codes = np.array([0, 1, 1, 2, 2, 2])
+    stats = quadrant_stats_arrays(np.ones(6), advs, probs, codes, 0.125)
+    assert (stats.left_clip_fraction, stats.right_clip_fraction) == (2 / 6, 3 / 6)
+    with pytest.raises(ValueError, match="branch codes"):
+        quadrant_stats_arrays(np.ones(6), advs, probs, codes[:5], 0.125)

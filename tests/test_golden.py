@@ -53,12 +53,12 @@ GOLDEN = {
         "logits": "c81966f819586db919cf13c43cf73d5b263e93bbd973c63b249fd4daee5b1acd",
     },
     "baseline_zoo/cispo": {
-        "metrics.csv": "7bc048c95c8cd6ceb4970f45bd6a3b1b77a0e0d732d2d31c8f3200a36e09ae61",
+        "metrics.csv": "55e1e83932a04891ddb6f08feeaf3f0f3203c0b99f462bdcc58926a513bcd04d",
         "rollouts.jsonl": "d77e5d92201d00690ce07d7dc24c3871f80858a4d16ff4c8542dfebc5f5e5e1a",
         "logits": "bbcbdd366aaee2bcf6295d2d430b215d704a9fc40bb24830241ba7ad0b0e6179",
     },
     "baseline_zoo/gspo": {
-        "metrics.csv": "a3fcf7498f0585c0bbb7e99f933835c9a89499465e2adebaab3cc07ff2ab5bc5",
+        "metrics.csv": "4dae5c66b0215a146b04ce4c258c93b05cec9701159218ee9bd575f2f6d2af8d",
         "rollouts.jsonl": "4b5a581f9e5953c07fdf56054597208af31e014d201cf4d62e33258e83df6f68",
         "logits": "9759c128d7ce4c6d01661762ceedc8ac8aed0212022b661e8d0228dbf825dd4d",
     },

@@ -48,7 +48,7 @@ def reference_evaluator(spec, batch, policy):
     terms = batch_token_terms(spec, batch, policy)
     frozen_scale = terms.grad_weights / terms.deltas
     frozen_offset = terms.values - terms.grad_weights * batch.advantages
-    weights = token_weights(batch, spec.aggregation)
+    weights = token_weights(batch)
     visited = np.unique(batch.states)
 
     def evaluate(logits):
@@ -279,8 +279,7 @@ def test_check_includes_entropy_bonus():
 
 
 def test_zero_beta_gradient_bit_identical_to_ppo():
-    ce = ObjectiveSpec.for_algorithm("ce_gppo", beta1=0.0, beta2=0.0,
-                                     aggregation="sequence_mean")
+    ce = ObjectiveSpec.for_algorithm("ce_gppo", beta1=0.0, beta2=0.0)
     ppo = ObjectiveSpec.for_algorithm("ppo")
     batch, policy = build_gradcheck_batch(ppo, seed=13, n_trajectories=32,
                                           min_branch_count=4)

@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -10,21 +11,101 @@ from policylab import (
     ObjectiveSpec,
     TabularPolicy,
     TokenBatch,
-    TokenTerm,
     Trajectory,
     aggregate_objective,
     batch_token_terms,
-    ce_gppo_token_term,
-    cispo_token_term,
-    dapo_token_term,
+    clip_terms,
     entropy_bonus,
-    gspo_sequence_terms,
     named_stream,
-    ppo_token_term,
-    token_term,
 )
-from policylab.objectives import new_logprob_lookup, token_weights
+from policylab.objectives import (
+    ALGORITHMS,
+    CODE_INTERIOR,
+    CODE_LEFT,
+    CODE_RIGHT,
+    BatchTerms,
+    new_logprob_lookup,
+    token_weights,
+)
 from policylab.policy import entropy_logit_gradient
+
+Term = namedtuple("Term", "value grad_weight branch")
+BRANCH_OF_CODE = {CODE_INTERIOR: Branch.INTERIOR, CODE_LEFT: Branch.LEFT_CLIPPED,
+                  CODE_RIGHT: Branch.RIGHT_CLIPPED}
+
+PPO = ObjectiveSpec(algorithm="ppo", eps=0.2)
+DAPO = ObjectiveSpec(algorithm="dapo", eps_low=0.2, eps_high=0.28)
+CISPO = ObjectiveSpec(algorithm="cispo", eps_low=0.2, eps_high=0.2)
+
+
+def ce_gppo(beta1, beta2, eps=0.2):
+    return ObjectiveSpec(algorithm="ce_gppo", eps=eps, beta1=beta1, beta2=beta2)
+
+
+def gspo_spec(eps_low=3e-4, eps_high=4e-4):
+    return ObjectiveSpec(algorithm="gspo", eps_low=eps_low, eps_high=eps_high)
+
+
+# ---------------------------------------------------------------------------
+# scalar reference: the per-token branch functions clip_terms replaced,
+# kept as the oracle it must match bit for bit
+# ---------------------------------------------------------------------------
+
+def reference_token_term(spec, delta, adv):
+    """(value, grad_weight, branch) of one token of a token-level algorithm."""
+    lo, hi = spec.clip_bounds()
+    if spec.algorithm == "cispo":
+        # frozen clipped weight on either advantage sign; value = weight * A
+        if delta < lo:
+            return Term(lo * adv, lo, Branch.LEFT_CLIPPED)
+        if delta > hi:
+            return Term(hi * adv, hi, Branch.RIGHT_CLIPPED)
+        return Term(delta * adv, delta, Branch.INTERIOR)
+    if spec.algorithm == "ce_gppo":
+        # clipped tokens keep a gradient of weight beta * bound
+        if delta < lo and adv < 0.0:
+            return Term(spec.beta1 * lo * adv, spec.beta1 * lo, Branch.LEFT_CLIPPED)
+        if delta > hi and adv > 0.0:
+            return Term(spec.beta2 * hi * adv, spec.beta2 * hi, Branch.RIGHT_CLIPPED)
+        return Term(delta * adv, delta, Branch.INTERIOR)
+    assert spec.algorithm in ("ppo", "grpo", "dapo")
+    # min(delta * A, clip(delta) * A): the pessimistic quadrants keep delta
+    if delta < lo and adv < 0.0:
+        return Term(lo * adv, 0.0, Branch.LEFT_CLIPPED)
+    if delta > hi and adv > 0.0:
+        return Term(hi * adv, 0.0, Branch.RIGHT_CLIPPED)
+    return Term(delta * adv, delta, Branch.INTERIOR)
+
+
+def reference_gspo_sequence_terms(token_ratios, adv, eps_low, eps_high):
+    """Per-token terms of one gspo sequence: the ppo rule on the geometric-mean
+    ratio s, each token carrying a 1/|y| share of value and weight."""
+    ratios = np.asarray(token_ratios, dtype=np.float64)
+    n = ratios.size
+    seq_ratio = float(np.exp(np.log(ratios).mean()))
+    lo, hi = 1.0 - eps_low, 1.0 + eps_high
+    if seq_ratio < lo and adv < 0.0:
+        return [Term(lo * adv / n, 0.0, Branch.LEFT_CLIPPED)] * n
+    if seq_ratio > hi and adv > 0.0:
+        return [Term(hi * adv / n, 0.0, Branch.RIGHT_CLIPPED)] * n
+    return [Term(seq_ratio * adv / n, seq_ratio / n, Branch.INTERIOR)] * n
+
+
+def as_terms(values, weights, codes):
+    return [Term(v, w, BRANCH_OF_CODE[c])
+            for v, w, c in zip(values.tolist(), weights.tolist(), codes.tolist())]
+
+
+def one_token(spec, delta, adv):
+    """clip_terms of a single token."""
+    return as_terms(*clip_terms(spec, np.array([delta]), np.array([adv]), 1))[0]
+
+
+def gspo_sequence(ratios, adv, eps_low=3e-4, eps_high=4e-4):
+    """clip_terms of one gspo sequence."""
+    ratios = np.asarray(ratios, dtype=np.float64)
+    return as_terms(*clip_terms(gspo_spec(eps_low, eps_high), ratios,
+                                np.full(ratios.size, adv), ratios.size))
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +127,8 @@ def test_spec_validation():
         ObjectiveSpec(beta1=-0.1)
     with pytest.raises(ValueError):
         ObjectiveSpec(alpha=float("nan"))
-    with pytest.raises(ValueError):
-        ObjectiveSpec(aggregation="mean")
+    with pytest.raises(TypeError):  # a retired key, not a setting
+        ObjectiveSpec(aggregation="token_mean")
 
 
 def test_for_algorithm_defaults():
@@ -55,11 +136,71 @@ def test_for_algorithm_defaults():
     assert ObjectiveSpec.for_algorithm("dapo").clip_bounds() == (0.8, 1.28)
     assert ObjectiveSpec.for_algorithm("gspo").clip_bounds() == (1 - 3e-4, 1 + 4e-4)
     assert ObjectiveSpec.for_algorithm("cispo").clip_bounds() == (0.8, 1.2)
-    assert ObjectiveSpec.for_algorithm("grpo").aggregation == "sequence_mean"
     ce = ObjectiveSpec.for_algorithm("ce_gppo")
     assert (ce.beta1, ce.beta2) == (0.5, 1.0)
-    assert ce.aggregation == "token_mean"
     assert ce.with_betas(0.0, 1.0).beta1 == 0.0
+
+
+# ---------------------------------------------------------------------------
+# clip_terms against the scalar reference
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_clip_terms_match_reference_on_random_grids(algorithm):
+    spec = ObjectiveSpec.for_algorithm(algorithm)
+    if algorithm == "ce_gppo":
+        spec = spec.with_betas(0.3, 1.1)
+    rng = named_stream(20, "grid", algorithm)
+    if algorithm == "gspo":
+        spec = gspo_spec(0.05, 0.05)  # bounds the random sequences land on both sides of
+        for seq_len in (1, 3, 12):
+            n_seq = 300
+            deltas = np.exp(rng.normal(0.0, 0.15, n_seq * seq_len))
+            seq_advs = np.where(rng.random(n_seq) < 0.1, 0.0, rng.normal(size=n_seq))
+            got = as_terms(*clip_terms(spec, deltas, np.repeat(seq_advs, seq_len), seq_len))
+            expected = []
+            for i, adv in enumerate(seq_advs.tolist()):
+                expected += reference_gspo_sequence_terms(
+                    deltas[i * seq_len:(i + 1) * seq_len], adv, spec.eps_low, spec.eps_high)
+            assert got == expected
+            assert {t.branch for t in got} == set(Branch)
+        return
+    deltas = np.exp(rng.uniform(-3.0, 3.0, 4000))
+    advs = np.where(rng.random(4000) < 0.1, 0.0, rng.normal(size=4000))
+    got = as_terms(*clip_terms(spec, deltas, advs, 1))
+    assert got == [reference_token_term(spec, d, a)
+                   for d, a in zip(deltas.tolist(), advs.tolist())]
+    assert {t.branch for t in got} == set(Branch)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_clip_terms_bounds_are_interior(algorithm):
+    # a ratio exactly on a clip bound takes the interior branch, for either sign
+    spec = ObjectiveSpec.for_algorithm(algorithm)
+    advs = np.array([-1.5, 1.5, -1.5, 1.5])
+    if algorithm == "gspo":
+        # sequences whose geometric-mean ratio is exactly a bound: for s in
+        # [0.5, 2], 1 - (1 - s) and 1 + (s - 1) are exact
+        below, above = np.array([0.9, 0.95, 0.97]), np.array([1.02, 1.1, 1.01])
+        s_lo = float(np.exp(np.log(below).mean()))
+        s_hi = float(np.exp(np.log(above).mean()))
+        spec = gspo_spec(1.0 - s_lo, s_hi - 1.0)
+        assert spec.clip_bounds() == (s_lo, s_hi)
+        deltas = np.concatenate([below, below, above, above])
+        got = as_terms(*clip_terms(spec, deltas, np.repeat(advs, 3), 3))
+        assert {t.branch for t in got} == {Branch.INTERIOR}
+        expected = []
+        for i, adv in enumerate(advs.tolist()):
+            expected += reference_gspo_sequence_terms(deltas[3 * i:3 * i + 3], adv,
+                                                      spec.eps_low, spec.eps_high)
+        assert got == expected
+        return
+    lo, hi = spec.clip_bounds()
+    deltas = np.array([lo, lo, hi, hi])
+    got = as_terms(*clip_terms(spec, deltas, advs, 1))
+    assert {t.branch for t in got} == {Branch.INTERIOR}
+    assert got == [reference_token_term(spec, d, a)
+                   for d, a in zip(deltas.tolist(), advs.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -67,14 +208,14 @@ def test_for_algorithm_defaults():
 # ---------------------------------------------------------------------------
 
 def test_ppo_identity_ratio():
-    term = ppo_token_term(1.0, 0.7, 0.2)
+    term = one_token(PPO, 1.0, 0.7)
     assert term.value == pytest.approx(0.7)
     assert term.grad_weight == 1.0
     assert term.branch is Branch.INTERIOR
 
 
 def test_ppo_right_clipped():
-    term = ppo_token_term(1.5, 1.0, 0.2)
+    term = one_token(PPO, 1.5, 1.0)
     # oracle: min(1.5*1, clip(1.5, .8, 1.2)*1) = 1.2
     assert term.value == pytest.approx(min(1.5, 1.2))
     assert term.grad_weight == 0.0
@@ -82,7 +223,7 @@ def test_ppo_right_clipped():
 
 
 def test_ppo_pessimistic_keeps_ratio():
-    term = ppo_token_term(0.5, 1.0, 0.2)
+    term = one_token(PPO, 0.5, 1.0)
     # oracle: min(0.5, 0.8) = 0.5; the unclipped branch stays active
     assert term.value == pytest.approx(0.5)
     assert term.grad_weight == pytest.approx(0.5)
@@ -91,23 +232,22 @@ def test_ppo_pessimistic_keeps_ratio():
 
 def test_ppo_matches_min_clip_oracle_everywhere():
     rng = named_stream(0, "ppo-oracle")
-    for _ in range(2000):
-        delta = float(rng.uniform(0.05, 3.0))
-        adv = float(rng.normal())
-        term = ppo_token_term(delta, adv, 0.2)
-        oracle = min(delta * adv, np.clip(delta, 0.8, 1.2) * adv)
-        assert term.value == pytest.approx(oracle, abs=1e-12)
+    deltas = rng.uniform(0.05, 3.0, 2000)
+    advs = rng.normal(size=2000)
+    values = clip_terms(PPO, deltas, advs, 1)[0]
+    oracle = np.minimum(deltas * advs, np.clip(deltas, 0.8, 1.2) * advs)
+    assert np.allclose(values, oracle, rtol=0.0, atol=1e-12)
 
 
 def test_ce_gppo_left_clipped_closed_form():
-    term = ce_gppo_token_term(0.5, -2.0, 0.2, 0.5, 1.0)
+    term = one_token(ce_gppo(0.5, 1.0), 0.5, -2.0)
     assert term.value == pytest.approx(-0.8)          # 0.5 * (1-0.2) * (-2)
     assert term.grad_weight == pytest.approx(0.4)     # 0.5 * (1-0.2)
     assert term.branch is Branch.LEFT_CLIPPED
 
 
 def test_ce_gppo_right_clipped_closed_form():
-    term = ce_gppo_token_term(1.5, 1.0, 0.2, 0.5, 1.0)
+    term = one_token(ce_gppo(0.5, 1.0), 1.5, 1.0)
     assert term.value == pytest.approx(1.2)           # 1.0 * (1+0.2) * 1
     assert term.grad_weight == pytest.approx(1.2)
     assert term.branch is Branch.RIGHT_CLIPPED
@@ -115,31 +255,30 @@ def test_ce_gppo_right_clipped_closed_form():
 
 def test_ce_gppo_zero_betas_zero_clipped_gradient():
     for delta, adv in ((0.3, -1.0), (2.5, 1.0)):
-        term = ce_gppo_token_term(delta, adv, 0.2, 0.0, 0.0)
+        term = one_token(ce_gppo(0.0, 0.0), delta, adv)
         assert term.grad_weight == 0.0
-        assert term.grad_weight == ppo_token_term(delta, adv, 0.2).grad_weight
+        assert term.grad_weight == one_token(PPO, delta, adv).grad_weight
 
 
 def test_branch_partition_and_strict_boundaries():
     eps = 0.2
+    spec = ce_gppo(0.7, 0.9, eps)
     # exactly on the bound -> otherwise branch; value and weight coincide anyway
     for adv in (-1.0, 1.0):
-        lo = ce_gppo_token_term(1.0 - eps, adv, eps, 0.7, 0.9)
-        hi = ce_gppo_token_term(1.0 + eps, adv, eps, 0.7, 0.9)
+        lo = one_token(spec, 1.0 - eps, adv)
+        hi = one_token(spec, 1.0 + eps, adv)
         assert lo.branch is Branch.INTERIOR
         assert hi.branch is Branch.INTERIOR
         assert lo.value == pytest.approx((1 - eps) * adv)
         assert hi.value == pytest.approx((1 + eps) * adv)
     rng = named_stream(1, "partition")
-    for _ in range(2000):
-        delta = float(rng.uniform(0.01, 3.0))
-        adv = float(rng.normal())
-        term = ce_gppo_token_term(delta, adv, eps, 0.7, 0.9)
-        left = delta < 1 - eps and adv < 0
-        right = delta > 1 + eps and adv > 0
-        expected = (Branch.LEFT_CLIPPED if left
-                    else Branch.RIGHT_CLIPPED if right else Branch.INTERIOR)
-        assert term.branch is expected
+    deltas = rng.uniform(0.01, 3.0, 2000)
+    advs = rng.normal(size=2000)
+    codes = clip_terms(spec, deltas, advs, 1)[2]
+    left = (deltas < 1 - eps) & (advs < 0)
+    right = (deltas > 1 + eps) & (advs > 0)
+    expected = np.where(left, CODE_LEFT, np.where(right, CODE_RIGHT, CODE_INTERIOR))
+    assert np.array_equal(codes, expected)
 
 
 def test_ppo_equivalence_at_gradient_level_bulk():
@@ -147,68 +286,64 @@ def test_ppo_equivalence_at_gradient_level_bulk():
     rng = named_stream(2, "equiv")
     deltas = rng.uniform(0.01, 4.0, 100_000)
     advs = rng.normal(size=100_000)
-    ce = np.array([ce_gppo_token_term(d, a, 0.2, 0.0, 0.0).grad_weight
-                   for d, a in zip(deltas[:2000], advs[:2000])])
-    ppo = np.array([ppo_token_term(d, a, 0.2).grad_weight
-                    for d, a in zip(deltas[:2000], advs[:2000])])
-    assert np.array_equal(ce, ppo)
-    # vectorized path over the full 1e5
-    from policylab.objectives import _ce_gppo_arrays, _ppo_like_arrays
-    _, w_ce, _ = _ce_gppo_arrays(deltas, advs, 0.8, 1.2, 0.0, 0.0)
-    _, w_ppo, _ = _ppo_like_arrays(deltas, advs, 0.8, 1.2)
+    _, w_ce, _ = clip_terms(ce_gppo(0.0, 0.0), deltas, advs, 1)
+    _, w_ppo, _ = clip_terms(PPO, deltas, advs, 1)
     assert np.array_equal(w_ce, w_ppo)
 
 
 def test_boundedness_of_clipped_weights():
     # clipped-branch weight is exactly beta * bound no matter how extreme delta is
+    spec = ce_gppo(0.5, 1.0)
     for delta in (1e-6, 0.01, 0.5):
-        assert ce_gppo_token_term(delta, -3.0, 0.2, 0.5, 1.0).grad_weight == 0.5 * 0.8
+        assert one_token(spec, delta, -3.0).grad_weight == 0.5 * 0.8
     for delta in (1.5, 100.0, 1e6):
-        assert ce_gppo_token_term(delta, 3.0, 0.2, 0.5, 1.0).grad_weight == 1.0 * 1.2
+        assert one_token(spec, delta, 3.0).grad_weight == 1.0 * 1.2
 
 
 def test_beta_monotonicity_linear():
     betas = np.linspace(0.0, 2.0, 9)
-    left = [ce_gppo_token_term(0.4, -1.0, 0.2, b, 1.0).grad_weight for b in betas]
-    right = [ce_gppo_token_term(1.6, 1.0, 0.2, 1.0, b).grad_weight for b in betas]
+    left = [one_token(ce_gppo(b, 1.0), 0.4, -1.0).grad_weight for b in betas]
+    right = [one_token(ce_gppo(1.0, b), 1.6, 1.0).grad_weight for b in betas]
     assert np.allclose(left, betas * 0.8)
     assert np.allclose(right, betas * 1.2)
     assert all(b2 > b1 for b1, b2 in zip(left, left[1:]))
 
 
 def test_dapo_examples():
-    term = dapo_token_term(1.25, 1.0, 0.2, 0.28)
+    term = one_token(DAPO, 1.25, 1.0)
     assert term.value == pytest.approx(1.25)
     assert term.grad_weight == pytest.approx(1.25)
     assert term.branch is Branch.INTERIOR
-    term = dapo_token_term(1.35, 1.0, 0.2, 0.28)
+    term = one_token(DAPO, 1.35, 1.0)
     assert term.value == pytest.approx(1.28)
     assert term.grad_weight == 0.0
 
 
 def test_dapo_reduces_to_ppo_with_symmetric_bounds():
     rng = named_stream(3, "dapo-red")
-    for _ in range(1000):
-        delta = float(rng.uniform(0.05, 3.0))
-        adv = float(rng.normal())
-        assert dapo_token_term(delta, adv, 0.2, 0.2) == ppo_token_term(delta, adv, 0.2)
+    deltas = rng.uniform(0.05, 3.0, 1000)
+    advs = rng.normal(size=1000)
+    symmetric = ObjectiveSpec(algorithm="dapo", eps_low=0.2, eps_high=0.2)
+    for got, expected in zip(clip_terms(symmetric, deltas, advs, 1),
+                             clip_terms(PPO, deltas, advs, 1)):
+        assert np.array_equal(got, expected)
 
 
 def test_cispo_contrasts_with_ce_gppo():
     # mismatch quadrant delta < 1-eps, A > 0: cispo clips the weight up to 1-eps
-    cispo = cispo_token_term(0.5, 1.0, 0.2, 0.2)
-    ce = ce_gppo_token_term(0.5, 1.0, 0.2, 0.5, 1.0)
+    cispo = one_token(CISPO, 0.5, 1.0)
+    ce = one_token(ce_gppo(0.5, 1.0), 0.5, 1.0)
     assert cispo.grad_weight == pytest.approx(0.8)
     assert ce.grad_weight == pytest.approx(0.5)
     # mismatch quadrant delta > 1+eps, A < 0: cispo caps at 1+eps, ce keeps delta
-    cispo = cispo_token_term(1.5, -1.0, 0.2, 0.2)
-    ce = ce_gppo_token_term(1.5, -1.0, 0.2, 0.5, 1.0)
+    cispo = one_token(CISPO, 1.5, -1.0)
+    ce = one_token(ce_gppo(0.5, 1.0), 1.5, -1.0)
     assert cispo.grad_weight == pytest.approx(1.2)
     assert ce.grad_weight == pytest.approx(1.5)
 
 
 def test_cispo_interior_matches_ppo():
-    term = cispo_token_term(1.1, -0.5, 0.2, 0.2)
+    term = one_token(CISPO, 1.1, -0.5)
     assert term.grad_weight == pytest.approx(1.1)
     assert term.value == pytest.approx(1.1 * -0.5)
     assert term.branch is Branch.INTERIOR
@@ -216,22 +351,29 @@ def test_cispo_interior_matches_ppo():
 
 def test_cispo_weight_frozen_in_all_quadrants():
     for delta, adv in ((0.1, 1.0), (0.1, -1.0), (3.0, 1.0), (3.0, -1.0)):
-        term = cispo_token_term(delta, adv, 0.2, 0.2)
+        term = one_token(CISPO, delta, adv)
         assert term.grad_weight == pytest.approx(np.clip(delta, 0.8, 1.2))
         assert term.value == pytest.approx(term.grad_weight * adv)
 
 
 def test_positive_ratio_required_everywhere():
-    for fn in (lambda: ppo_token_term(0.0, 1.0, 0.2),
-               lambda: ppo_token_term(-1.0, 1.0, 0.2),
-               lambda: ce_gppo_token_term(float("nan"), 1.0, 0.2, 0.5, 1.0),
-               lambda: cispo_token_term(0.0, 1.0, 0.2, 0.2),
-               lambda: dapo_token_term(-0.5, 1.0, 0.2, 0.28),
-               lambda: gspo_sequence_terms([1.0, 0.0], 1.0, 3e-4, 4e-4)):
-        with pytest.raises(ValueError):
-            fn()
-    with pytest.raises(ValueError, match="non-empty"):
-        gspo_sequence_terms([], 1.0, 3e-4, 4e-4)
+    # ratios are checked where they are made: a live probability that
+    # underflowed to 0 (logit gap above ~745) or an old log-prob of -inf
+    # has no importance ratio, for every algorithm
+    peaked = np.zeros((2, 4))
+    peaked[0, 1] = -800.0
+    underflow = (TabularPolicy(peaked), np.full(2, math.log(0.25)))
+    minus_inf = (TabularPolicy.uniform(2, 4), np.array([math.log(0.25), -math.inf]))
+    assert new_logprob_lookup(underflow[0], np.array([0]), np.array([1]))[0] == -math.inf
+    for policy, old_logprobs in (underflow, minus_inf):
+        batch = TokenBatch(np.array([0, 0]), np.array([0, 1]), old_logprobs,
+                           np.array([1.0, 1.0]), seq_len=2)
+        for algorithm in ALGORITHMS:
+            with pytest.raises(ValueError, match="ratios must be finite and > 0"):
+                batch_token_terms(ObjectiveSpec.for_algorithm(algorithm), batch, policy)
+    with pytest.raises(ValueError, match="empty"):
+        TokenBatch(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                   np.zeros(0), np.zeros(0), seq_len=1)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +381,7 @@ def test_positive_ratio_required_everywhere():
 # ---------------------------------------------------------------------------
 
 def test_gspo_unit_ratios_interior():
-    terms = gspo_sequence_terms([1.0, 1.0, 1.0], 0.5, 3e-4, 4e-4)
+    terms = gspo_sequence([1.0, 1.0, 1.0], 0.5)
     assert all(t.branch is Branch.INTERIOR for t in terms)
     assert terms[0].grad_weight == pytest.approx(1.0 / 3)
     assert terms[0].value == pytest.approx(0.5 / 3)
@@ -247,7 +389,7 @@ def test_gspo_unit_ratios_interior():
 
 def test_gspo_geometric_mean_clipping():
     # s = 1.2 with tiny bounds: clipped, all token weights zero
-    terms = gspo_sequence_terms([1.2, 1.2, 1.2], 1.0, 3e-4, 4e-4)
+    terms = gspo_sequence([1.2, 1.2, 1.2], 1.0)
     s = math.exp(np.mean(np.log([1.2, 1.2, 1.2])))
     assert s == pytest.approx(1.2)
     assert all(t.branch is Branch.RIGHT_CLIPPED for t in terms)
@@ -257,14 +399,14 @@ def test_gspo_geometric_mean_clipping():
 
 def test_gspo_pessimistic_sequence_stays_live():
     # s below the lower bound with positive advantage: min keeps the live branch
-    terms = gspo_sequence_terms([0.9, 0.9], 1.0, 3e-4, 4e-4)
+    terms = gspo_sequence([0.9, 0.9], 1.0)
     s = math.exp(np.mean(np.log([0.9, 0.9])))
     assert all(t.branch is Branch.INTERIOR for t in terms)
     assert terms[0].grad_weight == pytest.approx(s / 2)
 
 
 def test_gspo_shares_branch_across_sequence():
-    terms = gspo_sequence_terms([0.5, 1.4, 0.8], -1.0, 3e-4, 4e-4)
+    terms = gspo_sequence([0.5, 1.4, 0.8], -1.0)
     assert len({t.branch for t in terms}) == 1
 
 
@@ -316,7 +458,7 @@ def test_numeric_derivative_of_sg_value_equals_grad_weight(algorithm):
         if min(abs(delta - lo), abs(delta - hi)) < 1e-3:
             continue
         adv = float(rng.normal())
-        term = token_term(spec, delta, adv)
+        term = one_token(spec, delta, adv)
         up = _sg_value(spec, delta, adv, delta * math.exp(h))
         down = _sg_value(spec, delta, adv, delta * math.exp(-h))
         # d value / d log(delta_live) = grad_weight * adv
@@ -350,11 +492,9 @@ def test_batch_terms_match_scalar_path():
         if algorithm == "ce_gppo":
             spec = spec.with_betas(0.3, 1.1)
         terms = batch_token_terms(spec, batch, policy)
-        for i in (0, 7, 42, 100, 383):
-            scalar = token_term(spec, float(terms.deltas[i]), float(batch.advantages[i]))
-            assert terms.values[i] == scalar.value
-            assert terms.grad_weights[i] == scalar.grad_weight
-            assert terms.branches()[i] is scalar.branch
+        expected = [reference_token_term(spec, d, a)
+                    for d, a in zip(terms.deltas.tolist(), batch.advantages.tolist())]
+        assert as_terms(terms.values, terms.grad_weights, terms.branch_codes) == expected
 
 
 def test_batch_terms_gspo_match_sequence_path():
@@ -362,8 +502,8 @@ def test_batch_terms_gspo_match_sequence_path():
     spec = ObjectiveSpec.for_algorithm("gspo")
     terms = batch_token_terms(spec, batch, policy)
     sl = slice(3 * batch.seq_len, 4 * batch.seq_len)
-    expected = gspo_sequence_terms(terms.deltas[sl], float(batch.advantages[sl.start]),
-                                   spec.eps_low, spec.eps_high)
+    expected = reference_gspo_sequence_terms(terms.deltas[sl], float(batch.advantages[sl.start]),
+                                             spec.eps_low, spec.eps_high)
     assert np.allclose(terms.values[sl], [t.value for t in expected])
     assert np.allclose(terms.grad_weights[sl], [t.grad_weight for t in expected])
 
@@ -377,22 +517,27 @@ def test_on_policy_ratios_are_exactly_one():
     assert np.all(terms.deltas == 1.0)
 
 
+def _terms(values, grad_weights):
+    """BatchTerms carrying the given values and weights, all interior."""
+    values = np.asarray(values, dtype=np.float64)
+    n = len(values)
+    return BatchTerms(values, np.asarray(grad_weights, dtype=np.float64),
+                      np.full(n, CODE_INTERIOR), np.ones(n), np.zeros(n))
+
+
 def test_aggregation_normalizer_examples():
     policy = TabularPolicy.uniform(3, 4)
     # two trajectories of length 4
     batch = TokenBatch(
         states=np.zeros(8, dtype=np.int64), actions=np.zeros(8, dtype=np.int64),
         old_logprobs=np.zeros(8), advantages=np.ones(8), seq_len=4)
-    all_ones = [TokenTerm(1.0, 0.0, Branch.INTERIOR)] * 8
-    assert aggregate_objective(all_ones, batch, policy, "sequence_mean")[0] == pytest.approx(1.0)
-    assert aggregate_objective(all_ones, batch, policy, "token_mean")[0] == pytest.approx(1.0)
+    all_ones = _terms(np.ones(8), np.zeros(8))
+    assert aggregate_objective(all_ones, batch, policy)[0] == pytest.approx(1.0)
     # value 1 on three tokens of the first trajectory: (3/4 + 0/4) / 2 per
     # sequence, 3/8 per token; equal lengths make the two normalizers agree
-    first_only = ([TokenTerm(1.0, 0.0, Branch.INTERIOR)] * 3
-                  + [TokenTerm(0.0, 0.0, Branch.INTERIOR)] * 5)
-    assert aggregate_objective(first_only, batch, policy, "sequence_mean")[0] == pytest.approx(0.375)
-    assert aggregate_objective(first_only, batch, policy, "token_mean")[0] == pytest.approx(0.375)
-    assert np.array_equal(token_weights(batch, "sequence_mean"), np.full(8, 1.0 / 8))
+    first_only = _terms([1.0] * 3 + [0.0] * 5, np.zeros(8))
+    assert aggregate_objective(first_only, batch, policy)[0] == pytest.approx(0.375)
+    assert np.array_equal(token_weights(batch), np.full(8, 1.0 / 8))
 
 
 def test_token_batch_rejects_partial_trajectories():
@@ -415,17 +560,15 @@ def test_from_trajectories_rejects_mixed_lengths():
 
 def test_aggregate_zero_weights_zero_gradient():
     batch, policy = _random_batch(seed=9)
-    terms = [TokenTerm(1.0, 0.0, Branch.INTERIOR)] * batch.n_tokens
-    _, grad = aggregate_objective(terms, batch, policy, "token_mean")
+    terms = _terms(np.ones(batch.n_tokens), np.zeros(batch.n_tokens))
+    _, grad = aggregate_objective(terms, batch, policy)
     assert np.array_equal(grad, np.zeros_like(grad))
 
 
 def test_aggregate_shape_mismatch():
     batch, policy = _random_batch(seed=10)
     with pytest.raises(ValueError):
-        aggregate_objective([TokenTerm(1.0, 1.0, Branch.INTERIOR)], batch, policy, "token_mean")
-    with pytest.raises(ValueError):
-        token_weights(batch, "trajectory_mean")
+        aggregate_objective(_terms([1.0], [1.0]), batch, policy)
 
 
 def test_aggregate_gradient_structure_single_token():
@@ -435,7 +578,7 @@ def test_aggregate_gradient_structure_single_token():
                        old_logprobs=np.array([-1.0]), advantages=np.array([1.5]),
                        seq_len=1)
     terms = batch_token_terms(ObjectiveSpec.for_algorithm("ppo"), batch, policy)
-    value, grad = aggregate_objective(terms, batch, policy, "token_mean")
+    value, grad = aggregate_objective(terms, batch, policy)
     delta = float(terms.deltas[0])
     probs = policy.action_probabilities(2)
     indicator = np.eye(5)[3]

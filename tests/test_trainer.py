@@ -16,7 +16,9 @@ from policylab import (
     suite_configs,
     train,
 )
+from policylab import trainer
 from policylab.cli import main
+from policylab.objectives import ALGORITHMS, CODE_LEFT, CODE_RIGHT
 from policylab.trainer import CSV_COLUMNS, run_experiment_suite, write_metrics_csv
 
 
@@ -117,12 +119,11 @@ def test_beta_schedule_switching():
 
 def test_fully_on_policy_single_pass_degeneracy():
     # single pass over the whole batch: every ratio is exactly 1, nothing clips,
-    # and ce_gppo / ppo / grpo produce identical updates under a shared aggregation
+    # and ce_gppo / ppo / grpo produce identical updates
     finals = {}
     for algorithm in ("ce_gppo", "ppo", "grpo"):
         config = _tiny(mini_epochs=1, minibatch_fraction=1.0, total_steps=3,
-                       objective=ObjectiveSpec.for_algorithm(
-                           algorithm, aggregation="token_mean"))
+                       objective=ObjectiveSpec.for_algorithm(algorithm))
         result = train(config)
         finals[algorithm] = result.policy.logits
         for m in result.metrics:
@@ -156,6 +157,55 @@ def test_retired_rollout_workers_key_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     assert main(["train", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("key", ["kl_ceiling", "aggregation"])
+def test_retired_knob_rejected(key, tmp_path, capsys):
+    # neither key acted on a run (kl_ceiling was never read; with fixed-length
+    # episodes both aggregations weighed every token 1/n_tokens), so a
+    # schema-v1 file carrying one fails loudly instead of being ignored
+    doc = _tiny(total_steps=4).to_dict()
+    assert key not in doc and key not in doc["objective"]
+    if key == "kl_ceiling":
+        doc[key], message = 1.0, r"unknown config keys: \['kl_ceiling'\]"
+    else:
+        doc["objective"][key], message = "token_mean", r"unknown objective keys: \['aggregation'\]"
+    with pytest.raises(ConfigError, match=message):
+        RunConfig.from_dict(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_clip_columns_read_the_objective_branch_codes(algorithm, monkeypatch):
+    # clip_left / clip_right are the shares of the step's token evaluations
+    # that the objective itself put on its left / right clipped branch
+    passes, steps = [], []
+    real_terms, real_evaluate = trainer.batch_token_terms, trainer.evaluate
+
+    def recording_terms(spec, batch, policy):
+        terms = real_terms(spec, batch, policy)
+        passes.append(terms.branch_codes)
+        return terms
+
+    def step_boundary(*args):  # evaluate runs once per step, after its passes
+        steps.append(np.concatenate(passes))
+        passes.clear()
+        return real_evaluate(*args)
+
+    monkeypatch.setattr(trainer, "batch_token_terms", recording_terms)
+    monkeypatch.setattr(trainer, "evaluate", step_boundary)
+    config = RunConfig(seed=0, total_steps=3, objective=ObjectiveSpec.for_algorithm(algorithm),
+                       dynamic_sampling=algorithm == "dapo")
+    metrics = train(config).metrics
+    assert len(steps) == len(metrics) == 3
+    for m, codes in zip(metrics, steps):
+        assert m.clip_left == np.count_nonzero(codes == CODE_LEFT) / codes.size
+        assert m.clip_right == np.count_nonzero(codes == CODE_RIGHT) / codes.size
+    assert any(m.clip_left > 0.0 or m.clip_right > 0.0 for m in metrics)
 
 
 def test_metrics_csv_format(tmp_path):
