@@ -17,7 +17,6 @@ from .entropy_dynamics import (
     center_advantages,
     entropy_covariance,
     predict_entropy_change,
-    predict_entropy_change_for_update,
     verify_predictor_convergence,
 )
 from .env import (
@@ -27,10 +26,8 @@ from .env import (
     Trajectory,
     read_rollout_log,
     rollout_group,
-    rollout_trajectory,
     sample_episodes,
     sample_task,
-    sample_trajectories,
     verify_reward,
     write_rollout_log,
 )
@@ -53,7 +50,6 @@ from .objectives import (
 from .policy import (
     PolicySnapshot,
     TabularPolicy,
-    entropy_logit_gradient,
     exact_kl,
 )
 from .seeding import named_stream

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .advantage import advantages_from_rewards
+from .advantage import group_advantages
 from .entropy_dynamics import (
     center_advantages,
     predict_entropy_change,
@@ -43,6 +44,28 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_STABILITY = 3
 EXIT_EMPTY_BATCH = 4
+
+
+def _checked(convert, ok, expected: str):
+    """argparse type: convert(text) if ok() accepts it, else a usage error (exit 2)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+def _int_at_least(minimum: int):
+    return _checked(int, lambda v: v >= minimum, f"an integer >= {minimum}")
+
+
+_seed = _int_at_least(0)
+_positive_int = _int_at_least(1)
+_positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
 
 
 def _emit(doc: dict, json_path: str | None) -> None:
@@ -110,55 +133,46 @@ def _cmd_analyze(args) -> int:
                                   eps_high=args.eps_high)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    records = read_rollout_log(args.log)
-    if not records:
-        raise ConfigError(f"rollout log {args.log} is empty")
-    policy, _ = TabularPolicy.load(args.checkpoint)
-    task = records[0]["task"]
-    if (policy.num_states, policy.num_actions) != (task.num_states, task.vocab_size):
-        raise ConfigError(
-            f"checkpoint is {policy.num_states}x{policy.num_actions}, log tasks need "
-            f"{task.num_states}x{task.vocab_size}")
-    threshold = args.prob_threshold or 1.0 / task.vocab_size
-
-    # group-relative advantages recomputed from the logged rewards
-    groups: dict[int, list] = {}
-    for rec in records:
-        groups.setdefault(rec["group"], []).append(rec["trajectory"])
-    traj_adv = {}
-    for gid, trajs in groups.items():
-        if len(trajs) < 2:
-            raise ConfigError(
-                f"log group {gid} has {len(trajs)} trajectory; group-relative "
-                "advantages need at least 2")
-        batch = advantages_from_rewards(np.array([t.reward for t in trajs]), "zero")
-        for traj, adv in zip(trajs, batch.advantages):
-            traj_adv[id(traj)] = float(adv)
-
-    trajectories = [rec["trajectory"] for rec in records]
     try:
-        tokens = TokenBatch.from_trajectories(trajectories,
-                                              [traj_adv[id(t)] for t in trajectories])
+        groups = read_rollout_log(args.log)
+        # group-relative advantages recomputed from the logged rewards, and
+        # the batch built from the groups as the trainer builds it; an empty
+        # log is an empty batch
+        trajectories, advantages = [], []
+        for group in groups:
+            trajectories.extend(group.trajectories)
+            advantages.extend(group_advantages(group, "zero").advantages.tolist())
+        tokens = TokenBatch.from_trajectories(trajectories, advantages)
     except ValueError as exc:
         raise ConfigError(f"rollout log {args.log}: {exc}") from exc
+    policy, _ = TabularPolicy.load(args.checkpoint)
+    shape = (policy.num_states, policy.num_actions)
+    for task in (group.task for group in groups):
+        if (task.num_states, task.vocab_size) != shape:
+            raise ConfigError(
+                f"checkpoint is {shape[0]}x{shape[1]}, log tasks need "
+                f"{task.num_states}x{task.vocab_size}")
+    threshold = (1.0 / policy.num_actions if args.prob_threshold is None
+                 else args.prob_threshold)
+
     states, actions, advs = tokens.states, tokens.actions, tokens.advantages
     new_lp = new_logprob_lookup(policy, states, actions)
     deltas = np.exp(new_lp - tokens.old_logprobs)
     codes = clip_terms(clip_spec, deltas, advs, tokens.seq_len)[2]
     stats = quadrant_stats_arrays(deltas, advs, np.exp(tokens.old_logprobs), codes, threshold)
 
-    # per-(state, action) advantage sums, added in record order
-    adv_sum = np.zeros((policy.num_states, policy.num_actions))
-    adv_count = np.zeros_like(adv_sum)
-    np.add.at(adv_sum, (states, actions), advs)
-    np.add.at(adv_count, (states, actions), 1.0)
+    # per-(state, action) advantage sums and counts: one scatter over the flat
+    # cell index, added in token order
+    cells = states * policy.num_actions + actions
+    adv_sum = np.bincount(cells, weights=advs, minlength=policy.logits.size).reshape(shape)
+    adv_count = np.bincount(cells, minlength=policy.logits.size).reshape(shape)
     state_visits = np.bincount(states, minlength=policy.num_states)
 
     predictions = []
     for state in np.unique(states).tolist():
         counts = adv_count[state]
         mean_adv = np.divide(adv_sum[state], counts,
-                             out=np.zeros_like(counts), where=counts > 0)
+                             out=np.zeros(policy.num_actions), where=counts > 0)
         centered = center_advantages(policy, state, mean_adv)
         predictions.append(predict_entropy_change(policy, state, centered, args.eta))
     weights = np.array([state_visits[p.state] for p in predictions], dtype=np.float64)
@@ -193,6 +207,9 @@ def _cmd_eval(args) -> int:
             f"checkpoint has {policy.num_states} states, not of the form T*{args.modulus}+1")
     seq_len = (policy.num_states - 1) // args.modulus
     targets = args.targets if args.targets else list(range(args.modulus))
+    outside = [t for t in targets if not 0 <= t < args.modulus]
+    if outside:
+        raise ConfigError(f"targets {outside} outside [0, {args.modulus})")
     tasks = [ModSumTask(policy.num_actions, seq_len, args.modulus, t) for t in targets]
     accuracy = evaluate(policy, tasks, args.samples, named_stream(args.seed, "eval-cli"))
     _emit({"accuracy": accuracy, "targets": targets, "samples_per_prompt": args.samples,
@@ -214,10 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of an objective gradient")
     p.add_argument("--objective", choices=ALGORITHMS, default="ce_gppo")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trajectories", type=int, default=64)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--trajectories", type=_int_at_least(2), default=64)
     p.add_argument("--min-branch-count", type=int, default=16)
-    p.add_argument("--h", type=float, default=1e-5)
+    p.add_argument("--h", type=_positive_float, default=1e-5)
     for name in ("eps", "eps-low", "eps-high", "beta1", "beta2", "alpha"):
         p.add_argument(f"--{name}", type=float, default=None)
     p.add_argument("--json", default=None, help="also write the report to this path")
@@ -225,12 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy-predict",
                        help="covariance predictor vs exact entropy change")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--checkpoint", default=None, help="policy checkpoint (default: random)")
-    p.add_argument("--num-states", type=int, default=31)
-    p.add_argument("--num-actions", type=int, default=8)
-    p.add_argument("--instances", type=int, default=5)
-    p.add_argument("--eta", type=float, default=0.04)
+    p.add_argument("--num-states", type=_positive_int, default=31)
+    p.add_argument("--num-actions", type=_positive_int, default=8)
+    p.add_argument("--instances", type=_positive_int, default=5)
+    p.add_argument("--eta", type=_positive_float, default=0.04)
     p.add_argument("--json", default=None)
     p.set_defaults(fn=_cmd_entropy_predict)
 
@@ -240,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="policy checkpoint providing the live ratios")
     p.add_argument("--eps-low", type=float, default=0.2)
     p.add_argument("--eps-high", type=float, default=0.2)
-    p.add_argument("--eta", type=float, default=0.01)
+    p.add_argument("--eta", type=_positive_float, default=0.01)
     p.add_argument("--prob-threshold", type=float, default=None,
                    help="high/low probability split (default 1/vocab)")
     p.add_argument("--json", default=None)
@@ -249,17 +266,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run a preconfigured experiment suite")
     p.add_argument("name", choices=SUITE_NAMES)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--steps", type=int, default=300)
     p.add_argument("--progress", action="store_true")
     p.set_defaults(fn=_cmd_suite)
 
-    p = sub.add_parser("eval", help="held-out accuracy of a policy checkpoint")
+    p = sub.add_parser("eval", help="avg@k success rate on the given targets")
     p.add_argument("checkpoint")
-    p.add_argument("--modulus", type=int, default=5)
+    p.add_argument("--modulus", type=_int_at_least(2), default=5)
     p.add_argument("--targets", type=int, nargs="*", default=None)
-    p.add_argument("--samples", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_positive_int, default=32)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--json", default=None)
     p.set_defaults(fn=_cmd_eval)
 

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .objectives import CODE_LEFT, CODE_RIGHT
-from .policy import _SoftmaxTable, entropy_logit_gradient, softmax_rows
+from .policy import _SoftmaxTable, entropy_rows, softmax_rows
 
 CENTERING_TOLERANCE = 1e-9
 DEGENERATE_ENTROPY = 1e-6
@@ -80,9 +80,7 @@ class EntropyPrediction:
     predicted_delta_h: float   # always exactly -eta * covariance
     actual_delta_h: float
     abs_error: float
-    # "policy_gradient": the idealized update the derivation covers.
-    # "taylor_extrapolation": an arbitrary supplied update, scored by the
-    # same first-order machinery outside its derivation's validity domain.
+    # always "policy_gradient": the idealized update the derivation covers
     mode: str
 
     def to_dict(self) -> dict:
@@ -90,12 +88,6 @@ class EntropyPrediction:
                 "predicted_delta_h": self.predicted_delta_h,
                 "actual_delta_h": self.actual_delta_h, "abs_error": self.abs_error,
                 "mode": self.mode}
-
-
-def _entropy_of_logit_row(row: np.ndarray) -> float:
-    p = softmax_rows(row[None])[0]
-    nz = p > 0.0
-    return float(-(p[nz] * np.log(p[nz])).sum())
 
 
 def predict_entropy_change(policy: _SoftmaxTable, state: int,
@@ -122,38 +114,10 @@ def predict_entropy_change(policy: _SoftmaxTable, state: int,
     cov = entropy_covariance(policy, state, adv)
     predicted = -eta * cov
     row = policy.logits[int(state)]
-    h_before = _entropy_of_logit_row(row)
-    h_after = _entropy_of_logit_row(row + eta * probs * adv)
-    actual = h_after - h_before
+    h_before, h_after = entropy_rows(softmax_rows(np.stack([row, row + eta * probs * adv])))
+    actual = float(h_after - h_before)
     return EntropyPrediction(int(state), float(eta), cov, predicted, actual,
                              abs(actual - predicted), mode="policy_gradient")
-
-
-def predict_entropy_change_for_update(policy: _SoftmaxTable, state: int,
-                                      update_row: Sequence[float] | np.ndarray,
-                                      eta: float = 1.0) -> EntropyPrediction:
-    """Score an arbitrary logit update with the same first-order predictor.
-
-    predicted dH = <dH/dz, eta * update_row>. The covariance field holds
-    the implied covariance -predicted/eta so the -eta * cov identity still
-    reads true, but the mode is labeled an extrapolation: the derivation
-    only covers the idealized policy-gradient step.
-    """
-    if not eta > 0.0:
-        raise ValueError(f"eta must be > 0, got {eta}")
-    update = np.asarray(update_row, dtype=np.float64)
-    row = policy.logits[int(state)]
-    if update.shape != row.shape:
-        raise ValueError(f"update row shape {update.shape} does not match {row.shape}")
-    # implied covariance first, then predicted = -eta * cov, so the identity
-    # between the stored fields holds bit-exactly in this mode too
-    implied_cov = float(entropy_logit_gradient(policy, state) @ update) / -1.0
-    predicted = -eta * implied_cov
-    h_before = _entropy_of_logit_row(row)
-    h_after = _entropy_of_logit_row(row + eta * update)
-    actual = h_after - h_before
-    return EntropyPrediction(int(state), float(eta), implied_cov, predicted, actual,
-                             abs(actual - predicted), mode="taylor_extrapolation")
 
 
 @dataclass

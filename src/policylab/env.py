@@ -2,10 +2,10 @@
 
 An episode emits T tokens from a vocabulary of size V; the binary reward
 is 1 iff the sum of token ids is congruent to the task's target residue
-mod M. The state is the exact pair (position, running residue), encoded
-as state_id = position * M + residue, plus one terminal state, so a
-tabular policy over T*M + 1 states sees the full environment state and
-every policy-side quantity stays exact.
+mod M. The state is the pair (position, running residue), encoded as
+state_id = position * M + residue, plus one terminal state, so every
+policy-side quantity over the T*M + 1 states stays exact. The state
+holds no target: a tabular policy cannot tell the tasks apart.
 
 Every episode has exactly T tokens, so n episodes are a rectangle: the
 sampler returns C-contiguous (n, T) arrays of states, actions and
@@ -180,9 +180,9 @@ def sample_episodes(policy: _SoftmaxTable, task: ModSumTask, n: int,
     Returns C-contiguous (n, T) states, actions and log-probs and the (n,)
     float64 rewards. The stream advances by exactly n * seq_len uniform
     draws, taken episode by episode, and each token is the inverse-CDF
-    pick sample_action would make from the same draw, so the episodes
-    equal n sequential single-token rollouts bit for bit, log-probs
-    included.
+    pick (searchsorted side="right" on its row's cumulative sum, clamped
+    to the last action) of its draw, so the episodes equal n sequential
+    token-at-a-time rollouts bit for bit, log-probs included.
     """
     if policy.num_states != task.num_states or policy.num_actions != task.vocab_size:
         raise ValueError(
@@ -208,20 +208,6 @@ def sample_episodes(policy: _SoftmaxTable, task: ModSumTask, n: int,
     return states, actions, logprobs, rewards
 
 
-def sample_trajectories(policy: _SoftmaxTable, task: ModSumTask, n: int,
-                        rng: np.random.Generator) -> list[Trajectory]:
-    """sample_episodes as n Trajectory objects."""
-    states, actions, logprobs, rewards = sample_episodes(policy, task, n, rng)
-    return [Trajectory(task, actions[i], logprobs[i], states[i], int(rewards[i]))
-            for i in range(n)]
-
-
-def rollout_trajectory(policy: _SoftmaxTable, task: ModSumTask,
-                       rng: np.random.Generator) -> Trajectory:
-    """Sample one episode from the given (usually snapshot) policy."""
-    return sample_trajectories(policy, task, 1, rng)[0]
-
-
 def rollout_group(policy: _SoftmaxTable, task: ModSumTask, group_size: int,
                   rng: np.random.Generator) -> RolloutGroup:
     """Sample a group of episodes from the policy as it is now.
@@ -234,15 +220,17 @@ def rollout_group(policy: _SoftmaxTable, task: ModSumTask, group_size: int,
     return RolloutGroup(task, *sample_episodes(policy, task, group_size, rng))
 
 
-def write_rollout_log(path: str | Path, groups: list[RolloutGroup],
-                      append: bool = False) -> None:
+_LOG_FIELDS = ("vocab_size", "seq_len", "modulus", "target", "group", "actions",
+              "old_logprobs", "reward")
+
+
+def write_rollout_log(path: str | Path, groups: list[RolloutGroup]) -> None:
     """Dump trajectories as line-delimited JSON for offline analysis.
 
     One line per trajectory: task fields, group index, actions,
     old_logprobs, reward. Floats round-trip exactly (json uses repr).
     """
-    mode = "a" if append else "w"
-    with open(path, mode) as fh:
+    with open(path, "w") as fh:
         for gi, group in enumerate(groups):
             for traj in group.trajectories:
                 fh.write(json.dumps({
@@ -254,23 +242,54 @@ def write_rollout_log(path: str | Path, groups: list[RolloutGroup],
                 }) + "\n")
 
 
-def read_rollout_log(path: str | Path) -> list[dict]:
-    """Parse a rollout log back into dicts (tasks reconstructed)."""
-    records = []
+def read_rollout_log(path: str | Path) -> list[RolloutGroup]:
+    """Parse a rollout log back into its rollout groups.
+
+    One group per distinct group id, in first-seen order, with rows in
+    log order and states rebuilt from the actions. Raises ValueError for
+    a line missing one of the fields the writer writes and, naming the
+    group, for a group with fewer than 2 rows, rows of more than one
+    task, rows whose length is not the task's seq_len, an action outside
+    [0, V) or a reward other than 0 or 1.
+    """
+    rows: dict[int, list[tuple]] = {}
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            task = ModSumTask(doc["vocab_size"], doc["seq_len"], doc["modulus"], doc["target"])
-            actions = np.array(doc["actions"], dtype=np.int64)
-            residues = np.concatenate(([0], np.cumsum(actions) % task.modulus))[:-1]
-            states = np.arange(task.seq_len) * task.modulus + residues
-            records.append({
-                "task": task,
-                "group": doc["group"],
-                "trajectory": Trajectory(task, actions, np.array(doc["old_logprobs"]),
-                                         states, doc["reward"]),
-            })
-    return records
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                doc = json.loads(line)
+                missing = [key for key in _LOG_FIELDS if key not in doc]
+                if missing:
+                    raise ValueError(f"line {number} lacks {missing}")
+                # arrays at once, so no parsed line (lists of Python floats) is
+                # held until the whole log is read
+                rows.setdefault(doc["group"], []).append((
+                    (doc["vocab_size"], doc["seq_len"], doc["modulus"], doc["target"]),
+                    np.array(doc["actions"], dtype=np.int64),
+                    np.array(doc["old_logprobs"], dtype=np.float64), doc["reward"]))
+    groups = []
+    for gid, group_rows in rows.items():
+        try:
+            groups.append(_group_from_rows(group_rows))
+        except ValueError as exc:
+            raise ValueError(f"log group {gid}: {exc}") from exc
+    return groups
+
+
+def _group_from_rows(rows: list[tuple]) -> RolloutGroup:
+    """(task fields, actions, old_logprobs, reward) rows as one RolloutGroup."""
+    task_fields, actions, old_logprobs, rewards = zip(*rows)
+    if len(set(task_fields)) > 1:
+        raise ValueError(f"rows of {len(set(task_fields))} different tasks")
+    task = ModSumTask(*task_fields[0])
+    if any(row.shape != (task.seq_len,) for row in actions + old_logprobs):
+        raise ValueError(f"rows whose length is not seq_len {task.seq_len}")
+    actions = np.stack(actions)
+    if actions.min() < 0 or actions.max() >= task.vocab_size:
+        raise ValueError(f"actions outside [0, {task.vocab_size})")
+    rewards = np.array(rewards, dtype=np.float64)
+    if not np.isin(rewards, (0.0, 1.0)).all():
+        raise ValueError("rewards other than 0 or 1")
+    residues = np.zeros_like(actions)
+    residues[:, 1:] = np.cumsum(actions, axis=1)[:, :-1] % task.modulus
+    states = residues + np.arange(task.seq_len) * task.modulus
+    return RolloutGroup(task, states, actions, np.stack(old_logprobs), rewards)

@@ -284,6 +284,7 @@ def build_gradcheck_batch(spec: ObjectiveSpec, seed: int, n_trajectories: int = 
     """
     config = env_config or EnvConfig()
     n_groups = max(1, -(-n_trajectories // group_size))
+    counts = None  # stays None while no attempt keeps 2 boundary-safe trajectories
     for attempt in range(max_attempts):
         rng = named_stream(seed, "gradcheck", attempt)
         base = TabularPolicy.random(config.num_states, config.vocab_size, policy_scale, rng)
@@ -306,6 +307,8 @@ def build_gradcheck_batch(spec: ObjectiveSpec, seed: int, n_trajectories: int = 
         counts = batch_token_terms(spec, batch, live).branch_counts()
         if all(n >= min_branch_count for n in counts.values()):
             return batch, live
+    last = (f"last counts: {counts}" if counts is not None
+            else "no attempt kept 2 boundary-safe trajectories")
     raise RuntimeError(
         f"could not build a {spec.algorithm} batch hitting every branch >= "
-        f"{min_branch_count} times in {max_attempts} attempts (last counts: {counts})")
+        f"{min_branch_count} times in {max_attempts} attempts ({last})")

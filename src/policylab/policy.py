@@ -73,15 +73,6 @@ class _SoftmaxTable:
         """
         return self.probability_matrix()[self._check_state(state)]
 
-    def log_probabilities(self, state: int) -> np.ndarray:
-        """Elementwise log of action_probabilities (so the two agree exactly).
-
-        Probabilities that underflow to 0 map to -inf.
-        """
-        probs = self.action_probabilities(state)
-        with np.errstate(divide="ignore"):
-            return np.log(probs)
-
     def _per_version(self, key: str, compute: Callable[[], np.ndarray]) -> np.ndarray:
         """compute() made read-only and cached for the current logits array.
 
@@ -117,20 +108,6 @@ class _SoftmaxTable:
     def exact_entropy(self, state: int) -> float:
         """Shannon entropy -sum pi log pi in nats, with 0*log(0) = 0."""
         return float(entropy_rows(self.action_probabilities(state)[None])[0])
-
-    def sample_action(self, state: int, rng: np.random.Generator) -> tuple[int, float]:
-        """Draw an action from the state's softmax row.
-
-        Returns (action, log_probability) where the log-probability equals
-        log(action_probabilities(state)[action]) exactly as computed.
-        Sampling uses inverse-CDF on a single uniform draw, so a stream
-        advances by exactly one draw per call.
-        """
-        probs = self.action_probabilities(state)
-        cdf = np.cumsum(probs)
-        action = int(np.searchsorted(cdf, rng.random(), side="right"))
-        action = min(action, self.num_actions - 1)
-        return action, float(np.log(probs[action]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,7 +261,3 @@ def exact_kl(p: _SoftmaxTable, q: _SoftmaxTable, state: int) -> float:
     return float(kl_rows(p.action_probabilities(state)[None],
                          q.action_probabilities(state)[None])[0])
 
-
-def entropy_logit_gradient(policy: _SoftmaxTable, state: int) -> np.ndarray:
-    """Exact dH/dz for one state's logit row (see entropy_gradient_rows)."""
-    return entropy_gradient_rows(policy.action_probabilities(state)[None])[0]

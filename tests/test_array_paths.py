@@ -25,11 +25,10 @@ from policylab import (
     named_stream,
     verify_reward,
 )
-from policylab.env import Trajectory, rollout_group, rollout_trajectory, sample_trajectories
+from policylab.env import Trajectory, rollout_group, sample_episodes
 from policylab.objectives import BatchTerms, new_logprob_lookup, token_weights
 from policylab.policy import (
     entropy_gradient_rows,
-    entropy_logit_gradient,
     entropy_rows,
     exact_kl,
     kl_rows,
@@ -52,14 +51,23 @@ def _table(num_states: int, num_actions: int, seed: int) -> TabularPolicy:
     return TabularPolicy(logits)
 
 
+def _sample_action(policy, state, rng) -> tuple[int, float]:
+    """The reference draw: inverse CDF on one uniform, clamped to the last action."""
+    probs = policy.action_probabilities(state)
+    cdf = np.cumsum(probs)
+    action = int(np.searchsorted(cdf, rng.random(), side="right"))
+    action = min(action, policy.num_actions - 1)
+    return action, float(np.log(probs[action]))
+
+
 def _token_at_a_time(policy, task, n, rng) -> list[Trajectory]:
-    """The reference sampler: one sample_action call per token."""
+    """The reference sampler: one _sample_action call per token."""
     out = []
     for _ in range(n):
         states, actions, logprobs, residue = [], [], [], 0
         for t in range(task.seq_len):
             state = task.state_id(t, residue)
-            action, lp = policy.sample_action(state, rng)
+            action, lp = _sample_action(policy, state, rng)
             states.append(state)
             actions.append(action)
             logprobs.append(lp)
@@ -68,6 +76,12 @@ def _token_at_a_time(policy, task, n, rng) -> list[Trajectory]:
         traj.reward = verify_reward(traj)
         out.append(traj)
     return out
+
+
+def _as_trajectories(task, episodes) -> list[Trajectory]:
+    """sample_episodes' (states, actions, logprobs, rewards) rows as Trajectory objects."""
+    return [Trajectory(task, actions, logprobs, states, int(reward))
+            for states, actions, logprobs, reward in zip(*episodes)]
 
 
 def _assert_same_trajectories(got, expected):
@@ -89,13 +103,14 @@ def test_lockstep_sampler_matches_token_at_a_time(vocab, seq_len):
             ref_rng = named_stream(seed, "sample", n)
             rng = named_stream(seed, "sample", n)
             expected = _token_at_a_time(policy.snapshot(), task, n, ref_rng)
-            _assert_same_trajectories(sample_trajectories(policy.snapshot(), task, n, rng),
-                                      expected)
+            episodes = sample_episodes(policy.snapshot(), task, n, rng)
+            _assert_same_trajectories(_as_trajectories(task, episodes), expected)
             # both consumed exactly n * seq_len draws
             assert rng.random() == ref_rng.random()
-        one = rollout_trajectory(policy, task, named_stream(seed, "one"))
-        _assert_same_trajectories([one], _token_at_a_time(policy, task, 1,
-                                                          named_stream(seed, "one")))
+        # the live policy samples as its snapshot does
+        one = sample_episodes(policy, task, 1, named_stream(seed, "one"))
+        _assert_same_trajectories(_as_trajectories(task, one),
+                                  _token_at_a_time(policy, task, 1, named_stream(seed, "one")))
 
 
 class _ScriptedDraws:
@@ -123,7 +138,8 @@ def test_lockstep_sampler_boundary_draws():
     draws = [0.0, cdf[0], np.nextafter(cdf[0], 0.0), cdf[1], cdf[2],
              np.nextafter(1.0, 0.0), 0.5]
     expected = _token_at_a_time(policy, task, len(draws), _ScriptedDraws(draws))
-    got = sample_trajectories(policy, task, len(draws), _ScriptedDraws(draws))
+    got = _as_trajectories(task, sample_episodes(policy, task, len(draws),
+                                                 _ScriptedDraws(draws)))
     _assert_same_trajectories(got, expected)
     assert [int(t.actions[0]) for t in got] == [0, 1, 0, 2, 2, 2, 2]
 
@@ -134,8 +150,6 @@ def test_probability_matrix_rows_match_row_forms(vocab):
         policy = _table(3 * MODULUS + 1, vocab, seed)
         probs = policy.probability_matrix()
         cdf = np.cumsum(probs, axis=1)
-        with np.errstate(divide="ignore"):
-            logs = np.log(probs)
         for s in range(policy.num_states):
             # the one-row softmax, written out as a reference
             shifted = policy.logits[s] - policy.logits[s].max()
@@ -144,7 +158,6 @@ def test_probability_matrix_rows_match_row_forms(vocab):
             assert np.array_equal(softmax_rows(policy.logits[s][None])[0], row)
             assert np.array_equal(policy.action_probabilities(s), row)
             assert np.array_equal(cdf[s], np.cumsum(row))
-            assert np.array_equal(logs[s], policy.log_probabilities(s))
 
 
 def test_probability_matrix_cached_per_logits_version():
@@ -168,7 +181,9 @@ def test_new_logprob_lookup_matches_row_lookup():
     states = rng.integers(policy.num_states, size=500)
     actions = rng.integers(8, size=500)
     got = new_logprob_lookup(policy, states, actions)
-    expected = np.array([policy.log_probabilities(int(s))[a] for s, a in zip(states, actions)])
+    with np.errstate(divide="ignore"):
+        expected = np.array([np.log(policy.action_probabilities(s)[a])
+                             for s, a in zip(states, actions)])
     assert np.array_equal(got, expected)
 
 
@@ -212,7 +227,7 @@ def test_entropy_and_kl_rows_match_per_state_forms(vocab):
         for s in states:
             assert ent[s] == p.exact_entropy(s)
             assert kl[s] == exact_kl(p, q, s)
-            assert np.array_equal(grad[s], entropy_logit_gradient(p, s))
+            assert np.array_equal(grad[s], entropy_gradient_rows(pr[s][None])[0])
             # and against the masked row formulas they replaced: bit for bit
             # where no probability underflowed
             if (pr[s] > 0).all():
@@ -242,7 +257,7 @@ def test_entropy_bonus_matches_per_state_loop():
     expected_value, expected_grad = 0.0, np.zeros_like(grad)
     for s in states:
         expected_value += policy.exact_entropy(s)
-        expected_grad[s] = entropy_logit_gradient(policy, s)
+        expected_grad[s] = entropy_gradient_rows(policy.action_probabilities(s)[None])[0]
     assert value == 0.003 * expected_value / len(states)
     assert np.array_equal(grad, (0.003 / len(states)) * expected_grad)
     with pytest.raises(ValueError):
@@ -277,14 +292,14 @@ def test_vectorized_gspo_matches_sequence_terms(seq_len):
 # -- the (n, T) layout of rollout groups and token batches ----------------------
 
 
-def test_rollout_group_rows_match_sample_trajectories():
+def test_rollout_group_rows_match_token_at_a_time():
     for vocab, seq_len in ((8, 6), (32, 12)):
         task = ModSumTask(vocab, seq_len, MODULUS, 2)
         for seed in range(10):
             policy = _table(task.num_states, vocab, seed)
             group = rollout_group(policy, task, 8, named_stream(seed, "group"))
-            expected = sample_trajectories(policy.snapshot(), task, 8,
-                                           named_stream(seed, "group"))
+            expected = _token_at_a_time(policy.snapshot(), task, 8,
+                                        named_stream(seed, "group"))
             _assert_same_trajectories(group.trajectories, expected)
             assert all(t.task == task for t in group.trajectories)
             assert group.rewards.dtype == np.float64

@@ -137,6 +137,79 @@ def test_analyze_out_of_range_flags_exit_2(flags, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _log_line(group, target=0, actions=(1, 2, 3), reward=0):
+    return json.dumps({"vocab_size": 8, "seq_len": 3, "modulus": 5, "target": target,
+                       "group": group, "actions": list(actions),
+                       "old_logprobs": [-2.0794415416798357] * len(actions),
+                       "reward": reward})
+
+
+@pytest.mark.parametrize("lines, message", [
+    ([_log_line(0), _log_line(0, reward=1), _log_line(1)], "log group 1: group size must be >= 2"),
+    ([_log_line(0), _log_line(0, target=2)], "log group 0: rows of 2 different tasks"),
+    ([_log_line(0), _log_line(0, actions=(1, 2))], "log group 0: rows whose length is not seq_len 3"),
+    ([], "token batch is empty"),
+    ([_log_line(0), '{"group": 0}'], "line 2 lacks ['vocab_size'"),
+], ids=["single_row_group", "mixed_tasks", "ragged_rows", "empty_log", "missing_field"])
+def test_analyze_malformed_log_exit_2(lines, message, tmp_path, capsys):
+    log = tmp_path / "rollouts.jsonl"
+    log.write_text("".join(line + "\n" for line in lines))
+    TabularPolicy.uniform(3 * 5 + 1, 8).save(tmp_path / "policy.json")
+    rc = main(["analyze", "--log", str(log), "--checkpoint", str(tmp_path / "policy.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert message in err
+
+
+def test_analyze_prob_threshold_zero_means_zero(tmp_path, capsys):
+    config = _write_config(tmp_path, log_rollouts=True, total_steps=2)
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    report = tmp_path / "analysis.json"
+    rc = main(["analyze", "--log", str(tmp_path / "run" / "rollouts.jsonl"),
+               "--checkpoint", str(tmp_path / "run" / "policy.json"),
+               "--prob-threshold", "0", "--json", str(report)])
+    assert rc == 0
+    doc = json.loads(report.read_text())
+    assert doc["prob_threshold"] == 0.0
+    counts = doc["quadrant_stats"]["counts"]
+    signed = doc["n_tokens"] - doc["quadrant_stats"]["n_neutral"]
+    # every signed token has probability >= 0, so every one is high-probability
+    assert signed > 0
+    assert counts["pa_lp"] == counts["na_lp"] == 0
+    assert counts["pa_hp"] + counts["na_hp"] == signed
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "{checkpoint}", "--targets", "9"],
+    ["eval", "{checkpoint}", "--targets", "2", "-1"],
+    ["eval", "{checkpoint}", "--modulus", "1"],
+    ["eval", "{checkpoint}", "--samples", "0"],
+    ["eval", "{checkpoint}", "--seed", "-1"],
+    ["analyze", "--log", "{checkpoint}", "--checkpoint", "{checkpoint}", "--eta", "0"],
+    ["entropy-predict", "--eta", "0"],
+    ["entropy-predict", "--eta", "nan"],
+    ["entropy-predict", "--num-states", "0"],
+    ["entropy-predict", "--num-actions", "0"],
+    ["entropy-predict", "--instances", "0"],
+    ["gradcheck", "--h", "0"],
+    ["gradcheck", "--trajectories", "1"],
+    ["gradcheck", "--seed", "-1"],
+], ids=lambda argv: " ".join(a for a in argv if a != "{checkpoint}"))
+def test_out_of_range_cli_input_exit_2(argv, tmp_path, capsys):
+    checkpoint = tmp_path / "policy.json"
+    TabularPolicy.uniform(6 * 5 + 1, 8).save(checkpoint)
+    argv = [str(checkpoint) if a == "{checkpoint}" else a for a in argv]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejected the value
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err.startswith(("config error:", "usage:"))
+
+
 def test_suite_smoke(tmp_path, capsys):
     rc = main(["suite", "schedule_switch", "--steps", "3", "--out", str(tmp_path / "suite")])
     assert rc == 0

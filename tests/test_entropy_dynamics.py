@@ -11,10 +11,10 @@ from policylab import (
     entropy_covariance,
     named_stream,
     predict_entropy_change,
-    predict_entropy_change_for_update,
     verify_predictor_convergence,
 )
 from policylab.entropy_dynamics import HISTOGRAM_EDGES, quadrant_stats_arrays
+from policylab.policy import entropy_gradient_rows
 
 # the PPO clip rule with bounds (0.8, 1.2)
 PPO_RULE = ObjectiveSpec(algorithm="dapo", eps_low=0.2, eps_high=0.2)
@@ -133,18 +133,18 @@ def test_prediction_shift_invariance():
     assert a.predicted_delta_h == pytest.approx(b.predicted_delta_h, abs=1e-12)
 
 
-def test_supplied_update_mode_matches_idealized_step():
-    policy = TabularPolicy.random(1, 6, 1.0, named_stream(2, "upd"))
-    adv = center_advantages(policy, 0, np.arange(6.0))
-    ideal = predict_entropy_change(policy, 0, adv, 0.02)
-    update = policy.action_probabilities(0) * adv
-    supplied = predict_entropy_change_for_update(policy, 0, update, eta=0.02)
-    assert supplied.mode == "taylor_extrapolation"
-    assert supplied.predicted_delta_h == pytest.approx(ideal.predicted_delta_h, abs=1e-12)
-    assert supplied.actual_delta_h == pytest.approx(ideal.actual_delta_h, abs=1e-12)
-    # the -eta * covariance identity holds bit-exactly in both modes
-    assert supplied.predicted_delta_h == -0.02 * supplied.covariance
-    assert ideal.predicted_delta_h == -0.02 * ideal.covariance
+def test_entropy_gradient_along_pg_step_is_minus_covariance():
+    # the first-order entropy change of an update u is <dH/dz, u>; along the
+    # idealized step u = pi * A it is the -Cov(log pi, pi * A) the predictor uses
+    for seed in range(20):
+        policy = TabularPolicy.random(1, 6, 1.0, named_stream(seed, "upd"))
+        adv = center_advantages(policy, 0, named_stream(seed, "adv").normal(size=6))
+        probs = policy.probability_matrix()
+        first_order = float(entropy_gradient_rows(probs)[0] @ (probs[0] * adv))
+        assert first_order == pytest.approx(-entropy_covariance(policy, 0, adv), abs=1e-12)
+        prediction = predict_entropy_change(policy, 0, adv, 0.02)
+        assert prediction.predicted_delta_h == -0.02 * prediction.covariance
+        assert prediction.mode == "policy_gradient"
 
 
 def test_sign_semantics_boost_most_and_least_probable():

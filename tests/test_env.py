@@ -1,3 +1,4 @@
+import json
 from itertools import product
 
 import numpy as np
@@ -11,7 +12,7 @@ from policylab import (
     named_stream,
     read_rollout_log,
     rollout_group,
-    rollout_trajectory,
+    sample_episodes,
     sample_task,
     verify_reward,
     write_rollout_log,
@@ -117,8 +118,8 @@ def test_rollout_reward_matches_independent_recomputation():
     rng = named_stream(1, "roll")
     for i in range(50):
         task = sample_task(config, rng)
-        traj = rollout_trajectory(policy.snapshot(), task, rng)
-        assert traj.reward == int(int(traj.actions.sum()) % task.modulus == task.target)
+        for traj in rollout_group(policy.snapshot(), task, 4, rng).trajectories:
+            assert traj.reward == int(int(traj.actions.sum()) % task.modulus == task.target)
 
 
 def test_state_transition_brute_force():
@@ -134,13 +135,12 @@ def test_state_transition_brute_force():
                 assert there == (t + 1) * task.modulus + (r + a) % task.modulus
     # and sampled trajectories actually follow it
     policy = TabularPolicy.uniform(task.num_states, 4)
-    rng = named_stream(8, "trans")
-    for _ in range(300):
-        traj = rollout_trajectory(policy, task, rng)
+    states, actions, _, _ = sample_episodes(policy, task, 300, named_stream(8, "trans"))
+    for row_states, row_actions in zip(states, actions):
         running = 0
         for t in range(3):
-            assert traj.states[t] == t * 3 + running
-            running = (running + int(traj.actions[t])) % 3
+            assert row_states[t] == t * 3 + running
+            running = (running + int(row_actions[t])) % 3
 
 
 def test_rollout_group_snapshot_and_determinism():
@@ -186,8 +186,7 @@ def test_uniform_policy_mean_reward_matches_enumeration_oracle():
     expected = modsum_success_probability(8, 6, 5, 0)
     assert abs(expected - 0.2) < 1e-3
     policy = TabularPolicy.uniform(config.num_states, 8)
-    rng = named_stream(21, "mc")
-    rewards = [rollout_trajectory(policy, task, rng).reward for _ in range(10_000)]
+    rewards = sample_episodes(policy, task, 10_000, named_stream(21, "mc"))[3]
     assert abs(np.mean(rewards) - expected) < 0.02
 
 
@@ -198,14 +197,50 @@ def test_rollout_log_roundtrip(tmp_path):
     groups = [rollout_group(policy, sample_task(config, rng), 4, rng) for _ in range(3)]
     path = tmp_path / "rollouts.jsonl"
     write_rollout_log(path, groups)
-    records = read_rollout_log(path)
-    assert len(records) == 12
-    flat = [t for g in groups for t in g.trajectories]
-    for rec, orig in zip(records, flat):
-        traj = rec["trajectory"]
-        assert rec["task"] == orig.task
-        assert np.array_equal(traj.actions, orig.actions)
-        assert np.array_equal(traj.old_logprobs, orig.old_logprobs)  # bit-exact
-        assert np.array_equal(traj.states, orig.states)
-        assert traj.reward == orig.reward
-    assert [rec["group"] for rec in records] == [0] * 4 + [1] * 4 + [2] * 4
+    read = read_rollout_log(path)
+    assert len(read) == 3
+    for got, orig in zip(read, groups):
+        assert got.task == orig.task
+        for name in ("states", "actions", "old_logprobs", "rewards"):
+            block = getattr(got, name)
+            assert block.dtype == getattr(orig, name).dtype
+            assert np.array_equal(block, getattr(orig, name))  # bit-exact
+            assert block.flags.c_contiguous
+
+
+def _log_line(group=0, target=0, actions=(1, 2, 3), reward=0, **task):
+    doc = {"vocab_size": 8, "seq_len": 3, "modulus": 5, "target": target, **task,
+           "group": group, "actions": list(actions),
+           "old_logprobs": [-2.0794415416798357] * len(actions), "reward": reward}
+    return json.dumps(doc)
+
+
+def test_rollout_log_groups_by_id_in_first_seen_order(tmp_path):
+    # rows join their group wherever they appear; a group keeps its rows in log order
+    lines = [_log_line(7, actions=(0, 1, 2)), _log_line(3, target=4), _log_line(7, reward=1),
+             _log_line(3, target=4, actions=(4, 4, 4))]
+    path = tmp_path / "rollouts.jsonl"
+    path.write_text("\n".join(lines) + "\n\n")
+    first, second = read_rollout_log(path)
+    assert first.task.target == 0 and second.task.target == 4
+    assert first.actions.tolist() == [[0, 1, 2], [1, 2, 3]]
+    assert first.rewards.tolist() == [0.0, 1.0]
+    assert first.states.tolist() == [[0, 5, 11], [0, 6, 13]]
+    assert second.states.tolist() == [[0, 6, 13], [0, 9, 13]]
+
+
+MALFORMED_LOGS = {
+    "single_row": [_log_line(1), _log_line(0), _log_line(1)],
+    "mixed_tasks": [_log_line(0, target=0), _log_line(0, target=1)],
+    "ragged_rows": [_log_line(0), _log_line(0, actions=(1, 2))],
+    "action_out_of_range": [_log_line(0), _log_line(0, actions=(1, 8, 0))],
+    "reward_not_binary": [_log_line(0), _log_line(0, reward=2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_LOGS))
+def test_rollout_log_malformed_groups_raise(name, tmp_path):
+    path = tmp_path / "rollouts.jsonl"
+    path.write_text("\n".join(MALFORMED_LOGS[name]) + "\n")
+    with pytest.raises(ValueError, match="log group 0: "):
+        read_rollout_log(path)

@@ -84,8 +84,11 @@ def test_golden_table_covers_every_config():
     assert sorted(GOLDEN) == sorted(golden_configs())
 
 
-# sha256 of the `policylab analyze` JSON for the wide run's log and final checkpoint
+# sha256 of the `policylab analyze` JSON for a run's log and final checkpoint:
+# the wide run, and dapo, whose log holds only the groups dynamic sampling kept
 ANALYZE_GOLDEN = {
+    "baseline_zoo/dapo":
+        "9f2c509f3a355a409714caf699f3d85ff448da1e16c92e03871ecf89836ad41a",
     "entropy_reg/grpo_alpha_0.003_V32_T12_M16":
         "e9ce8b82c81ad1b4c00e45f1d13b836a0d934155ca2bc6b098af13840cbb8408",
 }

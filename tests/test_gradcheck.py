@@ -299,6 +299,18 @@ def test_branch_coverage_rejection():
     assert report.branch_counts  # diagnostic includes the observed counts
 
 
+def test_builder_failure_when_no_attempt_keeps_two_trajectories():
+    # one trajectory per attempt can never make a 2-trajectory batch
+    with pytest.raises(RuntimeError, match="no attempt kept 2 boundary-safe trajectories"):
+        build_gradcheck_batch(_spec("ce_gppo"), seed=0, n_trajectories=1, max_attempts=2)
+
+
+def test_builder_failure_reports_last_branch_counts():
+    with pytest.raises(RuntimeError, match=r"last counts: \{'interior"):
+        build_gradcheck_batch(_spec("ce_gppo"), seed=0, n_trajectories=8,
+                              min_branch_count=10_000, max_attempts=2)
+
+
 def test_report_json_roundtrip():
     spec = _spec("ppo")
     batch, policy = build_gradcheck_batch(spec, seed=15, n_trajectories=16,

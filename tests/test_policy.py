@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from policylab import (
+    ModSumTask,
     PolicySnapshot,
     TabularPolicy,
-    entropy_logit_gradient,
     exact_kl,
     named_stream,
+    sample_episodes,
 )
+from policylab.policy import entropy_gradient_rows
 
 
 def test_uniform_row_probabilities():
@@ -99,37 +101,44 @@ def test_kl_nonnegative_over_random_pairs():
         assert exact_kl(p, q, 0) >= 0.0
 
 
+def _state_zero_draws(row, n, rng):
+    """n draws from one logit row: sample_episodes on a one-token task, whose
+    episodes all start in state 0, with the row in every state."""
+    row = np.asarray(row, dtype=np.float64)
+    task = ModSumTask(len(row), 1, 2, 0)
+    policy = TabularPolicy(np.tile(row, (task.num_states, 1)))
+    _, actions, logprobs, _ = sample_episodes(policy, task, n, rng)
+    return actions[:, 0], logprobs[:, 0]
+
+
 def test_sample_deterministic_row():
-    policy = TabularPolicy(np.array([[0.0, 0.0, 0.0, 60.0]]))
-    rng = named_stream(0, "sample")
-    for _ in range(20):
-        action, lp = policy.sample_action(0, rng)
-        assert action == 3
-        assert lp == 0.0
+    actions, logprobs = _state_zero_draws([0.0, 0.0, 0.0, 60.0], 20, named_stream(0, "sample"))
+    assert actions.tolist() == [3] * 20
+    assert logprobs.tolist() == [0.0] * 20
 
 
 def test_sample_logprob_matches_probabilities_exactly():
     rng = named_stream(3, "consistency")
     policy = TabularPolicy.random(5, 7, 1.5, rng)
-    for _ in range(200):
-        state = int(rng.integers(5))
-        action, lp = policy.sample_action(state, rng)
-        assert lp == float(np.log(policy.action_probabilities(state)[action]))
+    task = ModSumTask(7, 2, 2, 0)  # 5 states; episodes visit 0, then 2 or 3
+    states, actions, logprobs, _ = sample_episodes(policy, task, 100, rng)
+    assert np.unique(states).tolist() == [0, 2, 3]
+    for s, a, lp in zip(states.ravel(), actions.ravel(), logprobs.ravel()):
+        assert lp == float(np.log(policy.action_probabilities(s)[a]))
 
 
 def test_sample_frequencies_uniform():
-    policy = TabularPolicy.uniform(1, 8)
-    rng = named_stream(11, "freq")
-    draws = np.array([policy.sample_action(0, rng)[0] for _ in range(80_000)])
+    draws, _ = _state_zero_draws(np.zeros(8), 80_000, named_stream(11, "freq"))
     freqs = np.bincount(draws, minlength=8) / len(draws)
     assert np.all(freqs >= 0.115) and np.all(freqs <= 0.135)
 
 
 def test_sample_seed_reproducibility():
-    policy = TabularPolicy.uniform(1, 6)
-    seq1 = [policy.sample_action(0, named_stream(5, "rep", i))[0] for i in range(10)]
-    seq2 = [policy.sample_action(0, named_stream(5, "rep", i))[0] for i in range(10)]
+    row = np.zeros(6)
+    seq1 = [_state_zero_draws(row, 1, named_stream(5, "rep", i))[0][0] for i in range(10)]
+    seq2 = [_state_zero_draws(row, 1, named_stream(5, "rep", i))[0][0] for i in range(10)]
     assert seq1 == seq2
+    assert len(set(seq1)) > 1
 
 
 def test_apply_gradient_zero_is_identity():
@@ -205,13 +214,13 @@ def test_checkpoint_rejects_other_schema(tmp_path):
 
 def test_entropy_logit_gradient_uniform_row_is_zero():
     policy = TabularPolicy.uniform(1, 6)
-    assert np.allclose(entropy_logit_gradient(policy, 0), 0.0, atol=1e-15)
+    assert np.allclose(entropy_gradient_rows(policy.probability_matrix()), 0.0, atol=1e-15)
 
 
 def test_entropy_logit_gradient_matches_finite_differences():
     rng = named_stream(2, "hgrad")
     policy = TabularPolicy.random(1, 5, 1.2, rng)
-    analytic = entropy_logit_gradient(policy, 0)
+    analytic = entropy_gradient_rows(policy.probability_matrix())[0]
     h = 1e-6
     for a in range(5):
         bumped = policy.logits.copy()
