@@ -8,6 +8,7 @@ from .advantage import (
     advantages_from_rewards,
     dynamic_sampling_filter,
     group_advantages,
+    standardize_groups,
 )
 from .entropy_dynamics import (
     ConvergenceReport,

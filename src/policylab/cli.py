@@ -24,7 +24,7 @@ from .entropy_dynamics import (
 )
 from .env import ModSumTask, read_rollout_log
 from .gradcheck import build_gradcheck_batch, check_objective_gradient
-from .objectives import ALGORITHMS, ObjectiveSpec, TokenBatch, clip_terms, new_logprob_lookup
+from .objectives import ALGORITHMS, ObjectiveSpec, TokenBatch, _logprobs_at, clip_terms
 from .policy import TabularPolicy
 from .seeding import named_stream
 from .trainer import (
@@ -68,6 +68,14 @@ _positive_int = _int_at_least(1)
 _positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
 
 
+def _load_checkpoint(path: str) -> TabularPolicy:
+    """The policy of a checkpoint; a missing or malformed one is a usage error."""
+    try:
+        return TabularPolicy.load(path)[0]
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"checkpoint {path}: {exc}") from exc
+
+
 def _emit(doc: dict, json_path: str | None) -> None:
     text = json.dumps(doc, indent=2)
     if json_path:
@@ -96,9 +104,12 @@ def _cmd_gradcheck(args) -> int:
         spec = ObjectiveSpec.for_algorithm(args.objective, **overrides)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    batch, policy = build_gradcheck_batch(
-        spec, seed=args.seed, n_trajectories=args.trajectories,
-        min_branch_count=args.min_branch_count, h=args.h)
+    try:
+        batch, policy = build_gradcheck_batch(
+            spec, seed=args.seed, n_trajectories=args.trajectories,
+            min_branch_count=args.min_branch_count, h=args.h)
+    except RuntimeError as exc:  # no batch exercises every branch often enough
+        raise ConfigError(str(exc)) from exc
     report = check_objective_gradient(spec, batch, policy, h=args.h,
                                       min_branch_count=args.min_branch_count)
     _emit(report.to_dict(), args.json)
@@ -108,7 +119,7 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_entropy_predict(args) -> int:
     rng = named_stream(args.seed, "entropy-predict")
     if args.checkpoint:
-        policy, _ = TabularPolicy.load(args.checkpoint)
+        policy = _load_checkpoint(args.checkpoint)
     else:
         policy = TabularPolicy.random(args.num_states, args.num_actions, 1.0, rng)
     n_states = min(args.instances, policy.num_states)
@@ -138,14 +149,11 @@ def _cmd_analyze(args) -> int:
         # group-relative advantages recomputed from the logged rewards, and
         # the batch built from the groups as the trainer builds it; an empty
         # log is an empty batch
-        trajectories, advantages = [], []
-        for group in groups:
-            trajectories.extend(group.trajectories)
-            advantages.extend(group_advantages(group, "zero").advantages.tolist())
-        tokens = TokenBatch.from_trajectories(trajectories, advantages)
-    except ValueError as exc:
+        tokens = TokenBatch.from_groups(
+            groups, [group_advantages(g, "zero").advantages for g in groups])
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"rollout log {args.log}: {exc}") from exc
-    policy, _ = TabularPolicy.load(args.checkpoint)
+    policy = _load_checkpoint(args.checkpoint)
     shape = (policy.num_states, policy.num_actions)
     for task in (group.task for group in groups):
         if (task.num_states, task.vocab_size) != shape:
@@ -155,15 +163,15 @@ def _cmd_analyze(args) -> int:
     threshold = (1.0 / policy.num_actions if args.prob_threshold is None
                  else args.prob_threshold)
 
-    states, actions, advs = tokens.states, tokens.actions, tokens.advantages
-    new_lp = new_logprob_lookup(policy, states, actions)
+    states, advs = tokens.states, tokens.advantages
+    # per-token ratios, and per-(state, action) advantage sums and counts, all
+    # through the batch's flat cell index; the scatters add in token order
+    cells = tokens.cell_index(policy)
+    new_lp = _logprobs_at(policy, cells)
     deltas = np.exp(new_lp - tokens.old_logprobs)
     codes = clip_terms(clip_spec, deltas, advs, tokens.seq_len)[2]
     stats = quadrant_stats_arrays(deltas, advs, np.exp(tokens.old_logprobs), codes, threshold)
 
-    # per-(state, action) advantage sums and counts: one scatter over the flat
-    # cell index, added in token order
-    cells = states * policy.num_actions + actions
     adv_sum = np.bincount(cells, weights=advs, minlength=policy.logits.size).reshape(shape)
     adv_count = np.bincount(cells, minlength=policy.logits.size).reshape(shape)
     state_visits = np.bincount(states, minlength=policy.num_states)
@@ -201,7 +209,7 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    policy, _ = TabularPolicy.load(args.checkpoint)
+    policy = _load_checkpoint(args.checkpoint)
     if (policy.num_states - 1) % args.modulus != 0:
         raise ConfigError(
             f"checkpoint has {policy.num_states} states, not of the form T*{args.modulus}+1")
@@ -233,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=ALGORITHMS, default="ce_gppo")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trajectories", type=_int_at_least(2), default=64)
-    p.add_argument("--min-branch-count", type=int, default=16)
+    p.add_argument("--min-branch-count", type=_int_at_least(0), default=16)
     p.add_argument("--h", type=_positive_float, default=1e-5)
     for name in ("eps", "eps-low", "eps-high", "beta1", "beta2", "alpha"):
         p.add_argument(f"--{name}", type=float, default=None)

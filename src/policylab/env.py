@@ -10,8 +10,9 @@ holds no target: a tabular policy cannot tell the tasks apart.
 Every episode has exactly T tokens, so n episodes are a rectangle: the
 sampler returns C-contiguous (n, T) arrays of states, actions and
 log-probs plus an (n,) reward array, and a RolloutGroup holds its G
-episodes in that form. Trajectory objects are the per-episode view of
-those rows, built only where a caller wants one episode at a time.
+episodes in that form; training, the gradcheck and the rollout log all
+read those arrays. Trajectory objects are the per-episode view of the
+rows, built only where a caller wants one episode at a time.
 """
 
 from __future__ import annotations
@@ -232,13 +233,15 @@ def write_rollout_log(path: str | Path, groups: list[RolloutGroup]) -> None:
     """
     with open(path, "w") as fh:
         for gi, group in enumerate(groups):
-            for traj in group.trajectories:
+            task = group.task.to_dict()
+            for actions, logprobs, reward in zip(group.actions.tolist(),
+                                                 group.old_logprobs.tolist(), group.rewards):
                 fh.write(json.dumps({
-                    **traj.task.to_dict(),
+                    **task,
                     "group": gi,
-                    "actions": traj.actions.tolist(),
-                    "old_logprobs": traj.old_logprobs.tolist(),
-                    "reward": traj.reward,
+                    "actions": actions,
+                    "old_logprobs": logprobs,
+                    "reward": int(reward),
                 }) + "\n")
 
 

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .advantage import group_advantages
+from .advantage import standardize_groups
 from .env import EnvConfig, rollout_group, sample_task
 from .objectives import (
     BatchTerms,
@@ -288,18 +288,12 @@ def build_gradcheck_batch(spec: ObjectiveSpec, seed: int, n_trajectories: int = 
     for attempt in range(max_attempts):
         rng = named_stream(seed, "gradcheck", attempt)
         base = TabularPolicy.random(config.num_states, config.vocab_size, policy_scale, rng)
-        trajectories, advantages = [], []
-        for g in range(n_groups):
-            task = sample_task(config, rng)
-            group = rollout_group(base, task, group_size, rng)
-            adv = group_advantages(group, "zero")
-            trajectories.extend(group.trajectories)
-            advantages.extend(adv.advantages.tolist())
-        trajectories = trajectories[:n_trajectories]
-        advantages = advantages[:n_trajectories]
+        groups = [rollout_group(base, sample_task(config, rng), group_size, rng)
+                  for _ in range(n_groups)]
+        advantages = standardize_groups(np.stack([g.rewards for g in groups]))[0]
         drift = perturbation * (1.0 + 0.25 * attempt)
         live = TabularPolicy(base.logits + rng.normal(0.0, drift, base.logits.shape))
-        batch = TokenBatch.from_trajectories(trajectories, advantages)
+        batch = TokenBatch.from_groups(groups, advantages).rows(0, n_trajectories)
         keep = _boundary_safe_trajectories(spec, batch, live, h)
         if len(keep) < 2:
             continue

@@ -25,7 +25,14 @@ there in both value and weight, so only the label is affected).
 Batches are evaluated as arrays. A TokenBatch lays n trajectories of one
 length T end to end, so per-trajectory work is a reshape to (n, T): a
 subset is one index computation, gspo's sequence ratio is a row mean,
-and the batch mean weighs every token 1 / (n * T).
+and the batch mean weighs every token 1 / (n * T). A training step
+builds its batch straight from the rollout groups' (G, T) arrays, gathers
+it once per mini-epoch in permuted order, and takes each minibatch as a
+contiguous row slice of that gather. The flat state * V + action index
+into the probability table is range-checked and computed once per batch
+and table shape; subsets and slices carry their part of it, and the
+ratio lookup, the gradient scatter and analyze's per-cell sums all read
+that one index.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .env import Trajectory
+from .env import RolloutGroup, Trajectory
 from .policy import _SoftmaxTable, entropy_gradient_rows, entropy_rows
 
 ALGORITHMS = ("ppo", "grpo", "dapo", "cispo", "gspo", "ce_gppo")
@@ -218,6 +225,9 @@ class TokenBatch:
     old_logprobs: np.ndarray
     advantages: np.ndarray
     seq_len: int
+    # (table shape, flat cell index) once cell_index has checked the tokens
+    _cells: tuple[tuple[int, int], np.ndarray] | None = dataclasses.field(
+        default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.states)
@@ -246,6 +256,30 @@ class TokenBatch:
                    np.repeat(np.asarray(traj_advantages, dtype=np.float64), seq_len),
                    seq_len)
 
+    @classmethod
+    def from_groups(cls, groups: Sequence[RolloutGroup],
+                    advantages: Sequence[np.ndarray]) -> "TokenBatch":
+        """Concatenate the rows of rollout groups; advantages[i] holds group i's row advantages.
+
+        The same arrays as from_trajectories over the groups' trajectories,
+        without building them: empty input and mixed lengths raise the
+        same ValueErrors.
+        """
+        if len(groups) != len(advantages) or any(
+                len(adv) != len(group.rewards) for group, adv in zip(groups, advantages)):
+            raise ValueError("one advantage per trajectory required")
+        if not groups:
+            raise ValueError("token batch is empty")
+        lengths = {group.task.seq_len for group in groups}
+        if len(lengths) > 1:
+            raise ValueError(f"trajectories of mixed lengths {sorted(lengths)}")
+        seq_len = lengths.pop()
+        join = lambda name: np.concatenate([getattr(group, name) for group in groups]).ravel()
+        return cls(join("states"), join("actions"), join("old_logprobs"),
+                   np.repeat(np.concatenate(advantages).astype(np.float64, copy=False),
+                             seq_len),
+                   seq_len)
+
     @property
     def n_tokens(self) -> int:
         return len(self.states)
@@ -258,8 +292,29 @@ class TokenBatch:
         """The listed trajectories, in the given order (repeats allowed)."""
         take = (np.asarray(traj_indices, dtype=np.int64)[:, None] * self.seq_len
                 + np.arange(self.seq_len)).ravel()
-        return TokenBatch(self.states[take], self.actions[take],
-                          self.old_logprobs[take], self.advantages[take], self.seq_len)
+        return self._tokens(take)
+
+    def rows(self, start: int, stop: int) -> "TokenBatch":
+        """Trajectories start..stop-1 (stop clamped to the end), as views of these arrays."""
+        return self._tokens(slice(start * self.seq_len, stop * self.seq_len))
+
+    def _tokens(self, take: np.ndarray | slice) -> "TokenBatch":
+        part = TokenBatch(self.states[take], self.actions[take], self.old_logprobs[take],
+                          self.advantages[take], self.seq_len)
+        if self._cells is not None:  # already checked: the part inherits its cells
+            part._cells = (self._cells[0], self._cells[1][take])
+        return part
+
+    def cell_index(self, policy: _SoftmaxTable) -> np.ndarray:
+        """Each token's flat (state, action) cell in the policy's table.
+
+        Checked and computed by flat_cell_index on first use for a table
+        shape and cached for it; a table of another shape checks again.
+        """
+        shape = policy.logits.shape
+        if self._cells is None or self._cells[0] != shape:
+            self._cells = (shape, flat_cell_index(policy, self.states, self.actions))
+        return self._cells[1]
 
 
 @dataclass(eq=False)
@@ -277,6 +332,26 @@ class BatchTerms:
                 for c, b in enumerate(_CODE_TO_BRANCH)}
 
 
+def flat_cell_index(policy: _SoftmaxTable, states: np.ndarray,
+                    actions: np.ndarray) -> np.ndarray:
+    """Index of each (state, action) pair into probability_matrix().ravel().
+
+    A state or action outside the table raises ValueError: the flat index
+    would alias it to another cell.
+    """
+    num_actions = policy.num_actions
+    policy._check_states(states)
+    if actions.size and (actions.min() < 0 or actions.max() >= num_actions):
+        raise ValueError(f"actions outside [0, {num_actions})")
+    return states * num_actions + actions
+
+
+def _logprobs_at(policy: _SoftmaxTable, cells: np.ndarray) -> np.ndarray:
+    """log pi at flat cells of the policy's table; an underflowed 0 gives -inf."""
+    with np.errstate(divide="ignore"):
+        return np.log(policy.probability_matrix().ravel()[cells])
+
+
 def new_logprob_lookup(policy: _SoftmaxTable, states: np.ndarray,
                        actions: np.ndarray) -> np.ndarray:
     """Per-token log pi(a|s) under the live policy.
@@ -285,9 +360,7 @@ def new_logprob_lookup(policy: _SoftmaxTable, states: np.ndarray,
     identical to the snapshot yields ratios of exactly 1. Probabilities
     that underflowed to 0 map to -inf.
     """
-    probs = policy.probability_matrix()[policy._check_states(states), actions]
-    with np.errstate(divide="ignore"):
-        return np.log(probs)
+    return _logprobs_at(policy, flat_cell_index(policy, states, actions))
 
 
 def batch_token_terms(spec: ObjectiveSpec, batch: TokenBatch,
@@ -297,9 +370,9 @@ def batch_token_terms(spec: ObjectiveSpec, batch: TokenBatch,
     Every ratio must be finite and > 0: a live probability that underflowed
     to 0, or an old log-prob of -inf, raises ValueError.
     """
-    new_lp = new_logprob_lookup(policy, batch.states, batch.actions)
+    new_lp = _logprobs_at(policy, batch.cell_index(policy))
     deltas = np.exp(new_lp - batch.old_logprobs)
-    if not np.all(np.isfinite(deltas) & (deltas > 0.0)):
+    if not (np.isfinite(deltas) & (deltas > 0.0)).all():
         raise ValueError("importance ratio underflow/overflow: ratios must be finite and > 0")
     values, weights, codes = clip_terms(spec, deltas, batch.advantages, batch.seq_len)
     return BatchTerms(values, weights, codes, deltas, new_lp)
@@ -329,10 +402,8 @@ def aggregate_objective(terms: BatchTerms, batch: TokenBatch,
     value = float(w @ values)
     coeff = w * weights * batch.advantages
     num_states, num_actions = policy.num_states, policy.num_actions
-    if batch.actions.min() < 0 or batch.actions.max() >= num_actions:
-        raise ValueError(f"actions outside [0, {num_actions})")
     # one scatter-add over flat (state, action) cells, in token order
-    grad = np.bincount(batch.states * num_actions + batch.actions, weights=coeff,
+    grad = np.bincount(batch.cell_index(policy), weights=coeff,
                        minlength=num_states * num_actions).reshape(num_states, num_actions)
     state_coeff = np.bincount(batch.states, weights=coeff, minlength=num_states)
     grad -= state_coeff[:, None] * policy.probability_matrix()

@@ -166,6 +166,8 @@ class TabularPolicy(_SoftmaxTable):
 
         Rejects non-finite gradients (and rejects updates that would push
         any logit out of the finite range) leaving the logits untouched.
+        The logits are finite, so a finite update implies a finite
+        gradient: only a rejected update looks at the gradient, to say why.
         """
         gradient = np.asarray(gradient, dtype=np.float64)
         if gradient.shape != self.logits.shape:
@@ -173,12 +175,12 @@ class TabularPolicy(_SoftmaxTable):
                 f"gradient shape {gradient.shape} does not match logits shape {self.logits.shape}")
         if not learning_rate > 0.0:
             raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
-        if not np.all(np.isfinite(gradient)):
-            bad = np.argwhere(~np.isfinite(gradient))[0]
-            raise ValueError(
-                f"update rejected: non-finite gradient entry at (state={bad[0]}, action={bad[1]})")
         updated = self.logits + learning_rate * gradient
-        if not np.all(np.isfinite(updated)):
+        if not np.isfinite(updated).all():
+            if not np.isfinite(gradient).all():
+                bad = np.argwhere(~np.isfinite(gradient))[0]
+                raise ValueError(f"update rejected: non-finite gradient entry at "
+                                 f"(state={bad[0]}, action={bad[1]})")
             bad = np.argwhere(~np.isfinite(updated))[0]
             raise ValueError(
                 f"update rejected: logit overflow at (state={bad[0]}, action={bad[1]})")
@@ -204,8 +206,12 @@ class TabularPolicy(_SoftmaxTable):
     @classmethod
     def load(cls, path: str | Path) -> tuple["TabularPolicy", dict]:
         doc = json.loads(Path(path).read_text())
-        if doc.get("schema") != CHECKPOINT_SCHEMA:
-            raise ValueError(f"not a policy checkpoint: schema={doc.get('schema')!r}")
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        if schema != CHECKPOINT_SCHEMA:
+            raise ValueError(f"not a policy checkpoint: schema={schema!r}")
+        missing = [key for key in ("num_states", "num_actions", "logits") if key not in doc]
+        if missing:
+            raise ValueError(f"policy checkpoint lacks {missing}")
         shape = (doc["num_states"], doc["num_actions"])
         flat = np.array([float(x) for x in doc["logits"]], dtype=np.float64)
         if flat.size != shape[0] * shape[1]:

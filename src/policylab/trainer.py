@@ -11,6 +11,14 @@ ratios, entropies and KLs are gathered from it as arrays. A rollout group
 is a set of (G, T) arrays, and the step's reward, sampled entropy and
 visited states are reduced from those blocks.
 
+A step gathers its training data once and then only slices it. The
+advantages of all retained groups come from one row-wise standardization
+of their (n_groups, G) rewards, and the token batch is concatenated
+straight from the groups' arrays (no per-episode objects). Its flat
+(state, action) cell index is checked once, against the live table.
+Each mini-epoch gathers the batch once in its permuted order, and its
+minibatches are contiguous row slices (views) of that gather.
+
 Metric conventions (each a deliberate choice, fixed here):
   - entropy_exact / entropy_sampled describe the snapshot policy at
     rollout time, so the exact value and the sampled estimator measure
@@ -40,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .advantage import dynamic_sampling_filter, group_advantages
+from .advantage import dynamic_sampling_filter, standardize_groups
 from .entropy_dynamics import quadrant_stats_arrays
 from .env import (
     EnvConfig,
@@ -404,7 +412,10 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
         Path(config.out_dir) if config.out_dir else None)
     env_cfg = config.env_config()
     if config.init_checkpoint:
-        policy, _ = TabularPolicy.load(config.init_checkpoint)
+        try:
+            policy, _ = TabularPolicy.load(config.init_checkpoint)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"init checkpoint {config.init_checkpoint}: {exc}") from exc
         if (policy.num_states, policy.num_actions) != (env_cfg.num_states, env_cfg.vocab_size):
             raise ConfigError(
                 f"init checkpoint is {policy.num_states}x{policy.num_actions}, environment "
@@ -465,32 +476,32 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
             entropy_exact = _weighted_state_mean(
                 entropy_rows(snapshot_rows), visit_counts, config.entropy_weighting)
 
-            degenerate_policy = "filter" if config.dynamic_sampling else "zero"
-            trajectories, advantages = [], []
-            for group in retained:
-                adv = group_advantages(group, degenerate_policy)
-                if adv is None:  # cannot happen after the filter; guard anyway
-                    continue
-                trajectories.extend(group.trajectories)
-                advantages.extend(adv.advantages.tolist())
-            batch = TokenBatch.from_trajectories(trajectories, advantages)
+            # a degenerate group cannot survive the dynamic-sampling filter;
+            # "filter" drops one anyway
+            advantages, _, _, kept = standardize_groups(
+                np.stack([g.rewards for g in retained]),
+                "filter" if config.dynamic_sampling else "zero")
+            batch = TokenBatch.from_groups([retained[i] for i in kept], advantages)
 
             acc = _StepAccumulator(prob_threshold)
             update_rng = named_stream(config.seed, "update", step)
-            n_traj = batch.n_trajectories
+            n_traj, seq_len = batch.n_trajectories, batch.seq_len
             chunk = max(1, round(config.minibatch_fraction * n_traj))
             try:
+                batch.cell_index(policy)  # checked once; gathers and slices inherit it
                 for epoch in range(config.mini_epochs):
-                    perm = update_rng.permutation(n_traj)
+                    shuffled = batch.subset(update_rng.permutation(n_traj))
+                    old_probs = np.exp(shuffled.old_logprobs)
                     for start in range(0, n_traj, chunk):
-                        sub = batch.subset(perm[start:start + chunk])
+                        sub = shuffled.rows(start, start + chunk)
                         terms = batch_token_terms(spec, sub, policy)
                         _, grad = aggregate_objective(terms, sub, policy)
                         if spec.alpha > 0.0:
                             grad = grad + entropy_bonus(policy, np.unique(sub.states),
                                                         spec.alpha)[1]
                         grad_norm = float(np.linalg.norm(grad))
-                        acc.add(terms, sub.advantages, np.exp(sub.old_logprobs),
+                        acc.add(terms, sub.advantages,
+                                old_probs[start * seq_len:(start + chunk) * seq_len],
                                 grad_norm, late_pass=epoch >= 1)
                         policy.apply_gradient(grad, config.learning_rate)
                 kl = _weighted_state_mean(

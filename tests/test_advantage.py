@@ -13,7 +13,9 @@ from policylab import (
     named_stream,
     rollout_group,
     sample_task,
+    standardize_groups,
 )
+from policylab.advantage import DEGENERATE_STD
 
 
 def _groups(n, seed=0):
@@ -62,6 +64,53 @@ def test_normalization_invariants():
             continue
         assert abs(batch.advantages.mean()) < 1e-9
         assert abs(batch.advantages.std() - 1.0) < 1e-9
+
+
+def _one_group_reference(rewards, degenerate_policy):
+    """The per-group rule the row-wise one replaced: 1-D mean and population std."""
+    mean, std = float(rewards.mean()), float(rewards.std())
+    if std < DEGENERATE_STD:
+        return None if degenerate_policy == "filter" else (np.zeros_like(rewards), mean, std)
+    return (rewards - mean) / std, mean, std
+
+
+@pytest.mark.parametrize("group_size", [2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 64, 130, 300])
+def test_standardize_groups_matches_per_group_rule(group_size):
+    rng = named_stream(group_size, "standardize-groups")
+    rewards = rng.normal(0.0, 2.0, size=(12, group_size))
+    rewards[3] = 1.5  # degenerate: constant
+    rewards[5] = 0.0
+    rewards[8] = 0.3 + 1e-10 * rng.normal(size=group_size)  # degenerate: std ~1e-10
+    rewards[10] = rng.integers(2, size=group_size)  # 0/1 rewards, as rollouts give
+    for policy in ("zero", "filter"):
+        advantages, means, stds, kept = standardize_groups(rewards, policy)
+        reference = [_one_group_reference(row, policy) for row in rewards]
+        assert kept.tolist() == [i for i, ref in enumerate(reference) if ref is not None]
+        assert advantages.shape == (len(kept), group_size)
+        for row, i in zip(advantages, kept):
+            ref_adv, ref_mean, ref_std = reference[i]
+            # bit for bit, and the row-wise statistics equal the 1-D ones
+            assert np.array_equal(row, ref_adv) and not np.signbit(row[row == 0.0]).any()
+            assert means[i] == ref_mean and stds[i] == ref_std
+        # the one-group API is the 1-row case of the same rule
+        for row, ref in zip(rewards, reference):
+            batch = advantages_from_rewards(row, policy)
+            assert (batch is None) == (ref is None)
+            if batch is not None:
+                assert np.array_equal(batch.advantages, ref[0])
+                assert (batch.mean, batch.std, batch.degenerate) == (
+                    ref[1], ref[2], ref[2] < DEGENERATE_STD)
+    # the degenerate rows really are degenerate
+    assert not {3, 5, 8} & set(standardize_groups(rewards, "filter")[3].tolist())
+
+
+def test_standardize_groups_validation():
+    with pytest.raises(ValueError, match="matrix"):
+        standardize_groups(np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match=">= 2 rewards"):
+        standardize_groups(np.ones((3, 1)))
+    with pytest.raises(ValueError, match="degenerate_policy"):
+        standardize_groups(np.ones((3, 2)), "explode")
 
 
 @given(st.lists(st.integers(0, 1), min_size=2, max_size=16),

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from policylab import (
+    EnvConfig,
     ModSumTask,
     ObjectiveSpec,
     TabularPolicy,
@@ -21,11 +22,14 @@ from policylab import (
     aggregate_objective,
     batch_token_terms,
     clip_terms,
+    dynamic_sampling_filter,
     entropy_bonus,
     named_stream,
+    standardize_groups,
     verify_reward,
 )
-from policylab.env import Trajectory, rollout_group, sample_episodes
+from policylab import objectives
+from policylab.env import RolloutGroup, Trajectory, rollout_group, sample_episodes, sample_task
 from policylab.objectives import BatchTerms, new_logprob_lookup, token_weights
 from policylab.policy import (
     entropy_gradient_rows,
@@ -393,3 +397,129 @@ def test_aggregate_rejects_out_of_range_actions():
                            np.zeros(2))
         with pytest.raises(ValueError, match="actions outside"):
             aggregate_objective(terms, batch, policy)
+
+
+def test_from_groups_matches_from_trajectories():
+    config = EnvConfig()
+    dropped = 0
+    for seed in range(6):
+        rng = named_stream(seed, "from-groups")
+        policy = TabularPolicy.random(config.num_states, config.vocab_size, 1.0, rng)
+        groups = [rollout_group(policy, sample_task(config, rng), 8, rng) for _ in range(12)]
+        # dapo-style: the dynamic-sampling filter drops groups, then advantages
+        retained = dynamic_sampling_filter(groups)
+        dropped += len(groups) - len(retained)
+        advantages, _, _, kept = standardize_groups(
+            np.stack([g.rewards for g in retained]), "filter")
+        kept_groups = [retained[i] for i in kept]
+        got = TokenBatch.from_groups(kept_groups, advantages)
+        ref = TokenBatch.from_trajectories(
+            [t for g in kept_groups for t in g.trajectories], advantages.ravel().tolist())
+        assert got.seq_len == ref.seq_len
+        for name in ("states", "actions", "old_logprobs", "advantages"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.flags.c_contiguous and b.flags.c_contiguous
+            assert np.array_equal(a, b)
+    assert dropped > 0  # the filter acted
+
+
+def _error(build) -> str:
+    with pytest.raises(ValueError) as info:
+        build()
+    return str(info.value)
+
+
+def test_from_groups_rejects_what_from_trajectories_rejects():
+    def group(seq_len):
+        zeros = np.zeros((2, seq_len), dtype=np.int64)
+        return RolloutGroup(ModSumTask(8, seq_len, 5, 0), zeros, zeros, zeros.astype(float),
+                            np.array([0.0, 1.0]))
+
+    assert _error(lambda: TokenBatch.from_groups([], [])) == _error(
+        lambda: TokenBatch.from_trajectories([], [])) == "token batch is empty"
+    mixed = [group(2), group(3)]
+    advantages = [np.array([-1.0, 1.0])] * 2
+    message = _error(lambda: TokenBatch.from_groups(mixed, advantages))
+    assert "mixed lengths" in message
+    assert message == _error(lambda: TokenBatch.from_trajectories(
+        [t for g in mixed for t in g.trajectories], [-1.0, 1.0, -1.0, 1.0]))
+    for bad in ([np.ones(2)], [np.ones(2), np.ones(3)]):
+        assert "one advantage per trajectory" in _error(
+            lambda: TokenBatch.from_groups([group(2), group(2)], bad))
+
+
+@pytest.mark.parametrize("states, actions, message", [
+    ([0, 3], [0, 1], "states outside"),
+    ([-1, 0], [0, 1], "states outside"),
+    ([0, 1], [0, 4], "actions outside"),
+    ([0, 1], [-1, 0], "actions outside"),
+], ids=["state_high", "state_negative", "action_high", "action_negative"])
+def test_out_of_range_tokens_raise(states, actions, message):
+    # a flat state * V + action index would alias such a token to another cell
+    policy = TabularPolicy.uniform(3, 4)
+    spec = ObjectiveSpec.for_algorithm("grpo")
+
+    def batch():
+        return TokenBatch(np.array(states), np.array(actions), np.zeros(2), np.ones(2),
+                          seq_len=2)
+
+    terms = BatchTerms(np.ones(2), np.ones(2), np.zeros(2, dtype=np.int64), np.ones(2),
+                       np.zeros(2))
+    with pytest.raises(ValueError, match=message):
+        batch_token_terms(spec, batch(), policy)
+    with pytest.raises(ValueError, match=message):
+        aggregate_objective(terms, batch(), policy)
+    with pytest.raises(ValueError, match=message):
+        new_logprob_lookup(policy, np.array(states), np.array(actions))
+
+
+def test_cell_index_is_checked_per_table_shape():
+    batch = TokenBatch(np.array([0, 5, 2, 6]), np.array([1, 0, 3, 2]), np.zeros(4),
+                       np.ones(4), seq_len=2)
+    cells = batch.cell_index(TabularPolicy.uniform(7, 4))
+    assert cells.tolist() == [1, 20, 11, 26]
+    # cached for the shape, whichever table of that shape asks
+    assert batch.cell_index(TabularPolicy.uniform(7, 4)) is cells
+    # another shape is another index, checked again
+    assert batch.cell_index(TabularPolicy.uniform(7, 5)).tolist() == [1, 25, 13, 32]
+    spec = ObjectiveSpec.for_algorithm("grpo")
+    with pytest.raises(ValueError, match="states outside"):
+        batch_token_terms(spec, batch, TabularPolicy.uniform(6, 5))
+    with pytest.raises(ValueError, match="actions outside"):
+        batch_token_terms(spec, batch, TabularPolicy.uniform(7, 3))
+
+
+def test_gathers_and_slices_of_a_checked_batch_inherit_its_cells(monkeypatch):
+    rng = named_stream(2, "inherit")
+    n_traj, seq_len = 10, 3
+    n = n_traj * seq_len
+    batch = TokenBatch(rng.integers(31, size=n), rng.integers(8, size=n), rng.normal(size=n),
+                       np.repeat(rng.normal(size=n_traj), seq_len), seq_len=seq_len)
+    policy = TabularPolicy.uniform(31, 8)
+    unchecked_perm = rng.permutation(n_traj)
+    unchecked = batch.subset(unchecked_perm)  # taken before any check
+    batch.cell_index(policy)
+    checks = []
+    original = objectives.flat_cell_index
+    monkeypatch.setattr(objectives, "flat_cell_index",
+                        lambda *args: checks.append(1) or original(*args))
+    perm = rng.permutation(n_traj)
+    shuffled = batch.subset(perm)
+    chunk = 4
+    for start in range(0, n_traj, chunk):
+        sub = shuffled.rows(start, start + chunk)
+        # the minibatch the trainer took before: a gather of the permutation's chunk
+        ref = TokenBatch(*(getattr(batch.subset(perm[start:start + chunk]), name)
+                           for name in ("states", "actions", "old_logprobs", "advantages")),
+                         seq_len=seq_len)
+        assert sub.n_trajectories == ref.n_trajectories == len(perm[start:start + chunk])
+        for name in ("states", "actions", "old_logprobs", "advantages"):
+            assert np.array_equal(getattr(sub, name), getattr(ref, name))
+            assert np.shares_memory(getattr(sub, name), getattr(shuffled, name))
+        assert np.array_equal(sub.cell_index(policy), sub.states * 8 + sub.actions)
+        assert np.shares_memory(sub.cell_index(policy), shuffled.cell_index(policy))
+    assert checks == []  # every part inherited its cells
+    assert np.array_equal(ref.cell_index(policy), ref.states * 8 + ref.actions)
+    assert np.array_equal(unchecked.cell_index(policy), unchecked.states * 8 + unchecked.actions)
+    assert len(checks) == 2  # the fresh batch and the one gathered before the check

@@ -195,6 +195,7 @@ def test_analyze_prob_threshold_zero_means_zero(tmp_path, capsys):
     ["gradcheck", "--h", "0"],
     ["gradcheck", "--trajectories", "1"],
     ["gradcheck", "--seed", "-1"],
+    ["gradcheck", "--min-branch-count", "-3"],
 ], ids=lambda argv: " ".join(a for a in argv if a != "{checkpoint}"))
 def test_out_of_range_cli_input_exit_2(argv, tmp_path, capsys):
     checkpoint = tmp_path / "policy.json"
@@ -208,6 +209,37 @@ def test_out_of_range_cli_input_exit_2(argv, tmp_path, capsys):
     assert rc == 2
     assert "Traceback" not in err
     assert err.startswith(("config error:", "usage:"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "{missing}"], "No such file"),
+    (["eval", "{no_num_actions}"], "lacks ['num_actions']"),
+    (["entropy-predict", "--checkpoint", "{missing}"], "No such file"),
+    (["analyze", "--log", "{missing}", "--checkpoint", "{checkpoint}"], "No such file"),
+    (["analyze", "--log", "{log}", "--checkpoint", "{missing}"], "No such file"),
+    (["train", "--config", "{config_missing_init}"], "init checkpoint"),
+    (["gradcheck", "--min-branch-count", "100000", "--trajectories", "8"],
+     "could not build a ce_gppo batch"),
+], ids=["eval_missing", "eval_no_num_actions", "entropy_predict_missing", "analyze_no_log",
+        "analyze_missing_checkpoint", "train_missing_init", "gradcheck_unbuildable"])
+def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
+    checkpoint = tmp_path / "policy.json"
+    TabularPolicy.uniform(3 * 5 + 1, 8).save(checkpoint)
+    doc = json.loads(checkpoint.read_text())
+    del doc["num_actions"]
+    (tmp_path / "no_num_actions.json").write_text(json.dumps(doc))
+    (tmp_path / "log.jsonl").write_text(_log_line(0) + "\n" + _log_line(0, reward=1) + "\n")
+    paths = {"{missing}": str(tmp_path / "missing.json"), "{checkpoint}": str(checkpoint),
+             "{no_num_actions}": str(tmp_path / "no_num_actions.json"),
+             "{log}": str(tmp_path / "log.jsonl"),
+             "{config_missing_init}": str(_write_config(
+                 tmp_path, init_checkpoint=str(tmp_path / "missing.json")))}
+    rc = main([paths.get(a, a) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_suite_smoke(tmp_path, capsys):

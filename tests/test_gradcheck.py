@@ -15,7 +15,7 @@ from policylab import (
     numeric_gradient,
 )
 from policylab.advantage import group_advantages
-from policylab.env import rollout_group, sample_task
+from policylab.env import Trajectory, rollout_group, sample_task
 from policylab.gradcheck import (
     _boundary_safe_trajectories,
     analytic_objective_gradient,
@@ -309,6 +309,17 @@ def test_builder_failure_reports_last_branch_counts():
     with pytest.raises(RuntimeError, match=r"last counts: \{'interior"):
         build_gradcheck_batch(_spec("ce_gppo"), seed=0, n_trajectories=8,
                               min_branch_count=10_000, max_attempts=2)
+
+
+def test_builder_builds_no_trajectory(monkeypatch):
+    built = []
+    original = Trajectory.__init__
+    monkeypatch.setattr(Trajectory, "__init__",
+                        lambda self, *args: built.append(1) or original(self, *args))
+    batch, _ = build_gradcheck_batch(_spec("ce_gppo"), seed=0, n_trajectories=20,
+                                     min_branch_count=1)
+    assert batch.n_trajectories <= 20
+    assert built == []
 
 
 def test_report_json_roundtrip():

@@ -165,6 +165,20 @@ def test_apply_gradient_rejects_nonfinite():
     assert np.array_equal(policy.logits, before)
 
 
+@pytest.mark.parametrize("gradient, lr, message", [
+    ([[0.0, 0.0], [np.inf, 0.0]], 0.1,
+     r"non-finite gradient entry at \(state=1, action=0\)"),
+    ([[0.0, 1e308], [0.0, 0.0]], 1e10, r"logit overflow at \(state=0, action=1\)"),
+], ids=["non_finite_gradient", "overflow"])
+def test_apply_gradient_rejection_messages(gradient, lr, message):
+    # only a rejected update looks at the gradient, to name which one it is
+    policy = TabularPolicy.uniform(2, 2)
+    before = policy.logits
+    with pytest.raises(ValueError, match=message), np.errstate(over="ignore"):
+        policy.apply_gradient(np.array(gradient), lr)
+    assert policy.logits is before
+
+
 def test_apply_gradient_rejects_bad_lr_and_shape():
     policy = TabularPolicy.uniform(2, 2)
     with pytest.raises(ValueError):
@@ -209,6 +223,17 @@ def test_checkpoint_rejects_other_schema(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema": "something-else"}))
     with pytest.raises(ValueError):
+        TabularPolicy.load(path)
+
+
+@pytest.mark.parametrize("key", ["num_states", "num_actions", "logits"])
+def test_checkpoint_missing_key_names_it(key, tmp_path):
+    path = tmp_path / "policy.json"
+    TabularPolicy.uniform(2, 3).save(path)
+    doc = json.loads(path.read_text())
+    del doc[key]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"lacks \\['{key}'\\]"):
         TabularPolicy.load(path)
 
 

@@ -18,6 +18,7 @@ from policylab import (
 )
 from policylab import trainer
 from policylab.cli import main
+from policylab.env import Trajectory
 from policylab.objectives import ALGORITHMS, CODE_LEFT, CODE_RIGHT
 from policylab.trainer import CSV_COLUMNS, run_experiment_suite, write_metrics_csv
 
@@ -237,6 +238,26 @@ def test_rollout_log_written(tmp_path):
     # group ids are globally unique across the run
     groups = [json.loads(line)["group"] for line in lines]
     assert sorted(set(groups)) == list(range(2 * config.prompts_per_batch))
+
+
+@pytest.mark.parametrize("algorithm, dynamic_sampling", [("grpo", False), ("dapo", True)])
+def test_training_builds_no_trajectory(algorithm, dynamic_sampling, tmp_path, monkeypatch):
+    # batches, advantages and the rollout log all come from the group arrays
+    built = []
+    original = Trajectory.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Trajectory, "__init__", counting_init)
+    config = _tiny(total_steps=3, log_rollouts=True, dynamic_sampling=dynamic_sampling,
+                   objective=ObjectiveSpec.for_algorithm(algorithm))
+    train(config, out_dir=tmp_path)
+    assert (tmp_path / "rollouts.jsonl").stat().st_size > 0
+    assert built == []
+    Trajectory(ModSumTask(8, 2, 5, 0), [1, 2], [-1.0, -1.0], [0, 1], 0)
+    assert built == [1]  # the counter does see a Trajectory being built
 
 
 def test_empty_batch_abort():
