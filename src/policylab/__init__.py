@@ -4,8 +4,6 @@ optimization and entropy steering on exact tabular softmax policies."""
 __version__ = "0.1.0"
 
 from .advantage import (
-    AdvantageBatch,
-    advantages_from_rewards,
     dynamic_sampling_filter,
     group_advantages,
     standardize_groups,
@@ -49,7 +47,6 @@ from .objectives import (
     entropy_bonus,
 )
 from .policy import (
-    PolicySnapshot,
     TabularPolicy,
     exact_kl,
 )

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .advantage import group_advantages
+from .advantage import standardize_groups
 from .entropy_dynamics import (
     center_advantages,
     predict_entropy_change,
@@ -96,7 +96,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     overrides = {}
-    for name in ("eps", "eps_low", "eps_high", "beta1", "beta2", "alpha"):
+    for name in ("eps_low", "eps_high", "beta1", "beta2", "alpha"):
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
@@ -139,9 +139,7 @@ def _cmd_entropy_predict(args) -> int:
 
 def _cmd_analyze(args) -> int:
     try:
-        # the PPO clip rule with the two bounds the flags give
-        clip_spec = ObjectiveSpec(algorithm="dapo", eps_low=args.eps_low,
-                                  eps_high=args.eps_high)
+        clip_spec = ObjectiveSpec(algorithm="ppo", eps_low=args.eps_low, eps_high=args.eps_high)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     try:
@@ -149,8 +147,9 @@ def _cmd_analyze(args) -> int:
         # group-relative advantages recomputed from the logged rewards, and
         # the batch built from the groups as the trainer builds it; an empty
         # log is an empty batch
-        tokens = TokenBatch.from_groups(
-            groups, [group_advantages(g, "zero").advantages for g in groups])
+        rewards = [g.rewards for g in groups]
+        advantages = standardize_groups(np.stack(rewards))[0] if rewards else []
+        tokens = TokenBatch.from_groups(groups, advantages)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"rollout log {args.log}: {exc}") from exc
     policy = _load_checkpoint(args.checkpoint)
@@ -243,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectories", type=_int_at_least(2), default=64)
     p.add_argument("--min-branch-count", type=_int_at_least(0), default=16)
     p.add_argument("--h", type=_positive_float, default=1e-5)
-    for name in ("eps", "eps-low", "eps-high", "beta1", "beta2", "alpha"):
+    for name in ("eps-low", "eps-high", "beta1", "beta2", "alpha"):
         p.add_argument(f"--{name}", type=float, default=None)
     p.add_argument("--json", default=None, help="also write the report to this path")
     p.set_defaults(fn=_cmd_gradcheck)

@@ -10,7 +10,9 @@ ratio delta, advantage A) to a per-token pair
 plus a branch code saying which piece the token fell on. clip_terms is
 the one statement of each algorithm's clip rule, and every clip statistic
 (the CSV clip columns, the quadrant taxonomy, the gradcheck's branch
-coverage) reads the branch codes it returns.
+coverage) reads the branch codes it returns. Every algorithm clips against
+the one bound pair [1 - eps_low, 1 + eps_high]; only ce_gppo reads
+beta1/beta2, and ObjectiveSpec rejects a field that cannot act.
 
 For the clip-based objectives value and weight coincide with ordinary
 calculus. For the gradient-preserving and frozen-weight objectives the
@@ -66,14 +68,14 @@ _CODE_TO_BRANCH = (Branch.INTERIOR, Branch.LEFT_CLIPPED, Branch.RIGHT_CLIPPED)
 class ObjectiveSpec:
     """Algorithm selector plus every hyperparameter the zoo understands.
 
-    eps is the symmetric clip half-width; eps_low/eps_high are the
-    decoupled bounds used by dapo, cispo and gspo; beta1/beta2 scale the
-    reattached gradients outside the left/right clip bound; alpha is the
-    entropy-bonus coefficient.
+    Every algorithm clips the importance ratio to [1 - eps_low,
+    1 + eps_high]; beta1/beta2 (ce_gppo only) scale the reattached
+    gradients outside the left/right clip bound; alpha is the
+    entropy-bonus coefficient. A field that cannot act on the chosen
+    algorithm (a nonzero beta outside ce_gppo) raises ValueError.
     """
 
     algorithm: str = "ce_gppo"
-    eps: float = 0.2
     eps_low: float = 0.2
     eps_high: float = 0.2
     beta1: float = 0.0
@@ -83,8 +85,6 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must be in (0, 1), got {self.eps}")
         if not 0.0 < self.eps_low < 1.0:
             raise ValueError(f"eps_low must be in (0, 1), got {self.eps_low}")
         if not self.eps_high > 0.0:
@@ -93,31 +93,29 @@ class ObjectiveSpec:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        if self.algorithm != "ce_gppo" and (self.beta1 or self.beta2):
+            raise ValueError(f"beta1/beta2 act only on ce_gppo, not on {self.algorithm}")
 
     @classmethod
     def for_algorithm(cls, algorithm: str, **overrides) -> "ObjectiveSpec":
         """Spec with the conventional defaults of the named algorithm."""
         defaults = {
-            "ppo": dict(eps=0.2),
-            "grpo": dict(eps=0.2),
-            "dapo": dict(eps_low=0.2, eps_high=0.28),
-            "cispo": dict(eps_low=0.2, eps_high=0.2),
+            "ppo": {},
+            "grpo": {},
+            "dapo": dict(eps_high=0.28),
+            "cispo": {},
             "gspo": dict(eps_low=0.0003, eps_high=0.0004),
-            "ce_gppo": dict(eps=0.2, beta1=0.5, beta2=1.0),
+            "ce_gppo": dict(beta1=0.5, beta2=1.0),
         }
         if algorithm not in defaults:
             raise ValueError(f"unknown algorithm {algorithm!r}")
-        kwargs = {"algorithm": algorithm, **defaults[algorithm]}
-        kwargs.update(overrides)
-        return cls(**kwargs)
+        return cls(**{"algorithm": algorithm, **defaults[algorithm], **overrides})
 
     def with_betas(self, beta1: float, beta2: float) -> "ObjectiveSpec":
         return dataclasses.replace(self, beta1=beta1, beta2=beta2)
 
     def clip_bounds(self) -> tuple[float, float]:
         """The (lower, upper) ratio bounds this algorithm clips against."""
-        if self.algorithm in ("ppo", "grpo", "ce_gppo"):
-            return 1.0 - self.eps, 1.0 + self.eps
         return 1.0 - self.eps_low, 1.0 + self.eps_high
 
     def to_dict(self) -> dict:

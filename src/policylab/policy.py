@@ -43,7 +43,7 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 class _SoftmaxTable:
-    """Read-side operations shared by the live policy and its snapshots."""
+    """Read-side operations of a (states, actions) logit table."""
 
     logits: np.ndarray
 
@@ -84,7 +84,7 @@ class _SoftmaxTable:
             return cached[1]
         value = compute()
         value.setflags(write=False)
-        self.__dict__[key] = (self.logits, value)  # also on frozen snapshots
+        self.__dict__[key] = (self.logits, value)
         return value
 
     def probability_matrix(self) -> np.ndarray:
@@ -110,34 +110,15 @@ class _SoftmaxTable:
         return float(entropy_rows(self.action_probabilities(state)[None])[0])
 
 
-@dataclass(frozen=True, eq=False)
-class PolicySnapshot(_SoftmaxTable):
-    """Immutable copy of a policy's logits, captured at rollout time.
-
-    Serves as the reference ("old") policy for every importance ratio in
-    the batches it produced; later updates to the live policy cannot
-    affect it.
-    """
-
-    logits: np.ndarray
-
-    def __post_init__(self):
-        logits = _validate_logits(self.logits).copy()
-        logits.setflags(write=False)
-        object.__setattr__(self, "logits", logits)
-
-    def snapshot(self) -> "PolicySnapshot":
-        """An immutable table is its own snapshot."""
-        return self
-
-
 @dataclass(eq=False)
 class TabularPolicy(_SoftmaxTable):
     """Mutable tabular softmax policy over (state, action) logits.
 
     The logits array is read-only: apply_gradient rebinds ``logits`` to a
     new array rather than writing in place, which is what keeps the cached
-    probability matrix tied to one policy version.
+    probability matrix tied to one policy version. So an array, matrix or
+    rollout taken from the policy before an update is its snapshot: the
+    update cannot reach it.
     """
 
     logits: np.ndarray = field()
@@ -157,9 +138,6 @@ class TabularPolicy(_SoftmaxTable):
 
     def copy(self) -> "TabularPolicy":
         return TabularPolicy(self.logits)
-
-    def snapshot(self) -> PolicySnapshot:
-        return PolicySnapshot(self.logits)
 
     def apply_gradient(self, gradient: np.ndarray, learning_rate: float) -> "TabularPolicy":
         """Ascent step: logits <- logits + learning_rate * gradient.

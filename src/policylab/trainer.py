@@ -1,32 +1,38 @@
 """The full RL loop: rollouts, advantages, mini-epoch updates, metrics.
 
-Each step snapshots the policy, rolls out groups against the snapshot,
-and then runs several minibatched gradient passes in which importance
-ratios are recomputed against the live policy, so clipping genuinely
-activates from the second pass on. Every random draw comes from a stream
-named by (seed, purpose, step, ...); identical configs produce
-byte-identical metrics CSVs. Each policy version's softmax is computed
-once: rollouts and evaluation sample whole groups in lockstep from it, and
-ratios, entropies and KLs are gathered from it as arrays. A rollout group
-is a set of (G, T) arrays, and the step's reward, sampled entropy and
-visited states are reduced from those blocks.
+Each step rolls out groups from the policy as it stands at the start of
+the step (the snapshot), and then runs several minibatched gradient
+passes in which importance ratios are recomputed against the live
+policy, so clipping genuinely activates from the second pass on. Logits
+are read-only and an update rebinds them, so the snapshot needs no copy:
+the rollouts, the snapshot's probability rows and the last good logits
+are taken before the first update and no update can reach them.
+
+Every random draw comes from a stream named by (seed, purpose, step,
+...); identical configs produce byte-identical metrics CSVs. Each policy
+version's softmax is computed once: rollouts and evaluation sample whole
+groups in lockstep from it, and ratios, entropies and KLs are gathered
+from it as arrays. A rollout group is a set of (G, T) arrays, and the
+step's reward, sampled entropy and visited states are reduced from those
+blocks.
 
 A step gathers its training data once and then only slices it. The
 advantages of all retained groups come from one row-wise standardization
-of their (n_groups, G) rewards, and the token batch is concatenated
-straight from the groups' arrays (no per-episode objects). Its flat
-(state, action) cell index is checked once, against the live table.
-Each mini-epoch gathers the batch once in its permuted order, and its
-minibatches are contiguous row slices (views) of that gather.
+of their (n_groups, G) rewards (a group the dynamic-sampling filter keeps
+has mixed 0/1 rewards, so it is never degenerate), and the token batch
+is concatenated straight from the groups' arrays (no per-episode
+objects). Its flat (state, action) cell index is checked once, against
+the live table. Each mini-epoch gathers the batch once in its permuted
+order, and its minibatches are contiguous row slices (views) of that
+gather.
 
 Metric conventions (each a deliberate choice, fixed here):
   - entropy_exact / entropy_sampled describe the snapshot policy at
     rollout time, so the exact value and the sampled estimator measure
     the same distribution. entropy_exact averages over the states visited
-    by the step's rollouts, visit-count weighted by default
-    (entropy_weighting="uniform" switches to a plain mean).
+    by the step's rollouts, weighted by visit count.
   - kl is KL(snapshot || updated policy) after the step's passes,
-    averaged over the same visited states with the same weighting.
+    averaged over the same visited states with the same weights.
   - grad_norm is the mean Frobenius norm of the applied updates.
   - mean_reward covers all sampled trajectories, before any filtering.
   - clip/quadrant fractions aggregate over every minibatch evaluation of
@@ -42,6 +48,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,7 +75,7 @@ from .objectives import (
     batch_token_terms,
     entropy_bonus,
 )
-from .policy import PolicySnapshot, TabularPolicy, entropy_rows, kl_rows
+from .policy import TabularPolicy, entropy_rows, kl_rows
 from .seeding import named_stream
 
 CONFIG_SCHEMA_VERSION = 1
@@ -80,6 +87,17 @@ CSV_COLUMNS = ("step", "entropy_exact", "entropy_sampled", "kl", "grad_norm",
 
 class ConfigError(ValueError):
     """Invalid run configuration (CLI exit code 2)."""
+
+
+_INT_FIELDS = ("seed", "vocab_size", "seq_len", "modulus", "group_size", "prompts_per_batch",
+               "mini_epochs", "total_steps", "eval_samples", "max_filter_retries")
+
+
+def _int_tuple(name: str, values) -> tuple[int, ...]:
+    values = tuple(values)
+    if not all(isinstance(v, numbers.Integral) for v in values):
+        raise ConfigError(f"{name} must be integers, got {list(values)}")
+    return tuple(int(v) for v in values)
 
 
 class StabilityAlarm(RuntimeError):
@@ -131,7 +149,6 @@ class RunConfig:
     dynamic_sampling: bool = False
     beta_schedule: tuple[tuple[int, float, float], ...] = ()
     eval_samples: int = 32
-    entropy_weighting: str = "visits"
     max_filter_retries: int = 5
     init_logit_scale: float = 0.0
     init_checkpoint: str | None = None
@@ -139,6 +156,11 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.mini_epochs < 1:
             raise ConfigError(f"mini_epochs must be >= 1, got {self.mini_epochs}")
         if not self.learning_rate > 0.0:
@@ -154,15 +176,19 @@ class RunConfig:
             raise ConfigError(f"prompts_per_batch must be >= 1, got {self.prompts_per_batch}")
         if self.eval_samples < 1:
             raise ConfigError(f"eval_samples must be >= 1, got {self.eval_samples}")
-        if self.entropy_weighting not in ("visits", "uniform"):
-            raise ConfigError(f"entropy_weighting must be visits|uniform, "
-                              f"got {self.entropy_weighting!r}")
         if self.max_filter_retries < 1:
             raise ConfigError(f"max_filter_retries must be >= 1, got {self.max_filter_retries}")
         if self.init_logit_scale < 0.0 or not np.isfinite(self.init_logit_scale):
             raise ConfigError(f"init_logit_scale must be finite and >= 0, "
                               f"got {self.init_logit_scale}")
-        schedule = tuple((int(s), float(b1), float(b2)) for s, b1, b2 in self.beta_schedule)
+        try:
+            schedule = tuple((int(s), float(b1), float(b2)) for s, b1, b2 in self.beta_schedule)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"beta_schedule entries must be [step, beta1, beta2]: {exc}") from exc
+        if schedule and self.objective.algorithm != "ce_gppo":
+            raise ConfigError(
+                f"beta_schedule acts only on ce_gppo, not on {self.objective.algorithm}")
         steps = [s for s, _, _ in schedule]
         if steps != sorted(set(steps)):
             raise ConfigError(f"beta_schedule steps must be strictly increasing, got {steps}")
@@ -174,10 +200,10 @@ class RunConfig:
                               f"got {self.train_targets!r}")
         if self.train_targets is not None and not isinstance(self.train_targets, str):
             object.__setattr__(self, "train_targets",
-                               tuple(int(t) for t in self.train_targets))
+                               _int_tuple("train_targets", self.train_targets))
         if self.eval_targets is not None:
             object.__setattr__(self, "eval_targets",
-                               tuple(int(t) for t in self.eval_targets))
+                               _int_tuple("eval_targets", self.eval_targets))
         try:
             self.env_config()
         except ValueError as exc:
@@ -244,13 +270,8 @@ class RunConfig:
                 raise ConfigError(f"unknown objective keys: {sorted(spec_unknown)}")
             try:
                 doc["objective"] = ObjectiveSpec(**doc["objective"])
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"invalid objective: {exc}") from exc
-        if "beta_schedule" in doc:
-            doc["beta_schedule"] = tuple(tuple(entry) for entry in doc["beta_schedule"])
-        for key in ("train_targets", "eval_targets"):
-            if isinstance(doc.get(key), list):
-                doc[key] = tuple(doc[key])
         try:
             return cls(**doc)
         except TypeError as exc:
@@ -336,22 +357,20 @@ def evaluate(policy: TabularPolicy, tasks: list[ModSumTask], samples_per_prompt:
     return total / (len(tasks) * samples_per_prompt)
 
 
-def _rollout_batch(snapshot: PolicySnapshot, tasks: list[ModSumTask], config: RunConfig,
+def _rollout_batch(policy: TabularPolicy, tasks: list[ModSumTask], config: RunConfig,
                    step: int, attempt: int) -> list[RolloutGroup]:
-    return [rollout_group(snapshot, task, config.group_size,
+    return [rollout_group(policy, task, config.group_size,
                           named_stream(config.seed, "rollout", step, attempt, g))
             for g, task in enumerate(tasks)]
 
 
-def _weighted_state_mean(values: np.ndarray, counts: np.ndarray, weighting: str) -> float:
-    """Mean of per-state values, visit-count weighted or plain.
+def _weighted_state_mean(values: np.ndarray, counts: np.ndarray) -> float:
+    """Visit-count weighted mean of per-state values.
 
-    Sums run sequentially in state order (np.add.accumulate), the order a
-    scalar loop over the states adds in.
+    The sum runs sequentially in state order (np.add.accumulate), the order
+    a scalar loop over the states adds in.
     """
-    if weighting == "visits":
-        return float(np.add.accumulate(values * counts)[-1] / counts.sum())
-    return float(np.add.accumulate(values)[-1] / len(values))
+    return float(np.add.accumulate(values * counts)[-1] / counts.sum())
 
 
 class _StepAccumulator:
@@ -433,13 +452,12 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
     logged_groups: list[RolloutGroup] = []
     status = "completed"
     failure: Exception | None = None
-    last_good = policy.logits.copy()
+    last_good = policy.logits
 
     try:
         for step in range(config.total_steps):
             spec = config.objective_at(step)
-            last_good = policy.logits.copy()
-            snapshot = policy.snapshot()
+            last_good = policy.logits
 
             # rollout, with bounded resampling when dynamic sampling drains the batch
             filtered_groups = 0
@@ -449,7 +467,7 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
                 task_rng = named_stream(config.seed, "tasks", step, attempt)
                 tasks = [sample_task(env_cfg, task_rng)
                          for _ in range(config.prompts_per_batch)]
-                groups = _rollout_batch(snapshot, tasks, config, step, attempt)
+                groups = _rollout_batch(policy, tasks, config, step, attempt)
                 all_groups.extend(groups)
                 if not config.dynamic_sampling:
                     retained = groups
@@ -472,16 +490,11 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
             entropy_sampled = float(np.mean(-old_logprobs.mean(axis=1)))
             visited, visit_counts = np.unique(
                 np.concatenate([g.states for g in all_groups]), return_counts=True)
-            snapshot_rows = snapshot.probability_matrix()[visited]
-            entropy_exact = _weighted_state_mean(
-                entropy_rows(snapshot_rows), visit_counts, config.entropy_weighting)
+            snapshot_rows = policy.probability_matrix()[visited]
+            entropy_exact = _weighted_state_mean(entropy_rows(snapshot_rows), visit_counts)
 
-            # a degenerate group cannot survive the dynamic-sampling filter;
-            # "filter" drops one anyway
-            advantages, _, _, kept = standardize_groups(
-                np.stack([g.rewards for g in retained]),
-                "filter" if config.dynamic_sampling else "zero")
-            batch = TokenBatch.from_groups([retained[i] for i in kept], advantages)
+            advantages = standardize_groups(np.stack([g.rewards for g in retained]))[0]
+            batch = TokenBatch.from_groups(retained, advantages)
 
             acc = _StepAccumulator(prob_threshold)
             update_rng = named_stream(config.seed, "update", step)
@@ -505,8 +518,7 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
                                 grad_norm, late_pass=epoch >= 1)
                         policy.apply_gradient(grad, config.learning_rate)
                 kl = _weighted_state_mean(
-                    kl_rows(snapshot_rows, policy.probability_matrix()[visited]),
-                    visit_counts, config.entropy_weighting)
+                    kl_rows(snapshot_rows, policy.probability_matrix()[visited]), visit_counts)
             except ValueError as exc:
                 raise StabilityAlarm(str(exc), step, metrics) from exc
 

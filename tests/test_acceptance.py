@@ -203,7 +203,8 @@ def test_c08_stability_of_default_run():
 def test_c09_pessimism_contrast_grid():
     violations = []
     eps = 0.2
-    ce_spec = ObjectiveSpec(algorithm="ce_gppo", eps=eps, beta1=0.5, beta2=1.0)
+    ce_spec = ObjectiveSpec(algorithm="ce_gppo", eps_low=eps, eps_high=eps, beta1=0.5,
+                            beta2=1.0)
     ci_spec = ObjectiveSpec(algorithm="cispo", eps_low=eps, eps_high=eps)
     grid = [k / 10 for k in range(1, 31)]
     deltas = np.repeat(grid, 2)

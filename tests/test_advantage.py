@@ -7,7 +7,6 @@ from policylab import (
     EnvConfig,
     TabularPolicy,
     TokenBatch,
-    advantages_from_rewards,
     dynamic_sampling_filter,
     group_advantages,
     named_stream,
@@ -16,6 +15,7 @@ from policylab import (
     standardize_groups,
 )
 from policylab.advantage import DEGENERATE_STD
+from policylab.env import ModSumTask, RolloutGroup
 
 
 def _groups(n, seed=0):
@@ -25,52 +25,60 @@ def _groups(n, seed=0):
     return [rollout_group(policy, sample_task(config, rng), 8, rng) for _ in range(n)]
 
 
+def _row(rewards):
+    """standardize_groups of one reward row: (advantages, mean, std)."""
+    advantages, means, stds = standardize_groups(np.asarray(rewards, dtype=float)[None])
+    return advantages[0], float(means[0]), float(stds[0])
+
+
+def _group(rewards):
+    rewards = np.asarray(rewards, dtype=np.float64)
+    zeros = np.zeros((len(rewards), 3), dtype=np.int64)
+    return RolloutGroup(ModSumTask(8, 3, 5, 0), zeros, zeros, zeros.astype(float), rewards)
+
+
 def test_two_sample_hand_computation():
-    batch = advantages_from_rewards(np.array([1.0, 0.0]))
+    advantages, mean, std = _row([1.0, 0.0])
     # mean 0.5, population std 0.5
-    assert np.allclose(batch.advantages, [1.0, -1.0])
-    assert batch.mean == 0.5 and batch.std == 0.5
-    assert not batch.degenerate
+    assert np.allclose(advantages, [1.0, -1.0])
+    assert mean == 0.5 and std == 0.5
+    assert not std < DEGENERATE_STD
 
 
 def test_four_sample_hand_computation():
-    batch = advantages_from_rewards(np.array([1.0, 1.0, 0.0, 0.0]))
-    assert np.allclose(batch.advantages, [1.0, 1.0, -1.0, -1.0])
+    advantages, _, _ = _row([1.0, 1.0, 0.0, 0.0])
+    assert np.allclose(advantages, [1.0, 1.0, -1.0, -1.0])
 
 
 def test_degenerate_zero_policy():
-    batch = advantages_from_rewards(np.ones(8), "zero")
-    assert batch.degenerate
-    assert np.array_equal(batch.advantages, np.zeros(8))
-
-
-def test_degenerate_filter_policy():
-    assert advantages_from_rewards(np.ones(8), "filter") is None
+    advantages, _, std = _row(np.ones(8))
+    assert std < DEGENERATE_STD
+    assert np.array_equal(advantages, np.zeros(8))
 
 
 def test_group_size_and_policy_validation():
-    with pytest.raises(ValueError):
-        advantages_from_rewards(np.array([1.0]))
-    with pytest.raises(ValueError):
-        advantages_from_rewards(np.array([1.0, 0.0]), "explode")
+    # a one-sample group is rejected both as a rollout group and as a reward row
+    with pytest.raises(ValueError, match="group size must be >= 2"):
+        _group([1.0])
+    with pytest.raises(ValueError, match=">= 2 rewards"):
+        _row([1.0])
 
 
 def test_normalization_invariants():
     rng = named_stream(1, "norm")
     for _ in range(200):
-        rewards = rng.normal(0, 3, size=rng.integers(2, 12))
-        batch = advantages_from_rewards(rewards)
-        if batch.degenerate:
+        advantages, _, std = _row(rng.normal(0, 3, size=rng.integers(2, 12)))
+        if std < DEGENERATE_STD:
             continue
-        assert abs(batch.advantages.mean()) < 1e-9
-        assert abs(batch.advantages.std() - 1.0) < 1e-9
+        assert abs(advantages.mean()) < 1e-9
+        assert abs(advantages.std() - 1.0) < 1e-9
 
 
-def _one_group_reference(rewards, degenerate_policy):
+def _one_group_reference(rewards):
     """The per-group rule the row-wise one replaced: 1-D mean and population std."""
     mean, std = float(rewards.mean()), float(rewards.std())
     if std < DEGENERATE_STD:
-        return None if degenerate_policy == "filter" else (np.zeros_like(rewards), mean, std)
+        return np.zeros_like(rewards), mean, std
     return (rewards - mean) / std, mean, std
 
 
@@ -82,26 +90,18 @@ def test_standardize_groups_matches_per_group_rule(group_size):
     rewards[5] = 0.0
     rewards[8] = 0.3 + 1e-10 * rng.normal(size=group_size)  # degenerate: std ~1e-10
     rewards[10] = rng.integers(2, size=group_size)  # 0/1 rewards, as rollouts give
-    for policy in ("zero", "filter"):
-        advantages, means, stds, kept = standardize_groups(rewards, policy)
-        reference = [_one_group_reference(row, policy) for row in rewards]
-        assert kept.tolist() == [i for i, ref in enumerate(reference) if ref is not None]
-        assert advantages.shape == (len(kept), group_size)
-        for row, i in zip(advantages, kept):
-            ref_adv, ref_mean, ref_std = reference[i]
-            # bit for bit, and the row-wise statistics equal the 1-D ones
-            assert np.array_equal(row, ref_adv) and not np.signbit(row[row == 0.0]).any()
-            assert means[i] == ref_mean and stds[i] == ref_std
+    advantages, means, stds = standardize_groups(rewards)
+    assert advantages.shape == rewards.shape
+    for i, row in enumerate(rewards):
+        ref_adv, ref_mean, ref_std = _one_group_reference(row)
+        # bit for bit, and the row-wise statistics equal the 1-D ones
+        assert np.array_equal(advantages[i], ref_adv)
+        assert not np.signbit(advantages[i][advantages[i] == 0.0]).any()
+        assert means[i] == ref_mean and stds[i] == ref_std
         # the one-group API is the 1-row case of the same rule
-        for row, ref in zip(rewards, reference):
-            batch = advantages_from_rewards(row, policy)
-            assert (batch is None) == (ref is None)
-            if batch is not None:
-                assert np.array_equal(batch.advantages, ref[0])
-                assert (batch.mean, batch.std, batch.degenerate) == (
-                    ref[1], ref[2], ref[2] < DEGENERATE_STD)
+        assert np.array_equal(group_advantages(_group(row)), ref_adv)
     # the degenerate rows really are degenerate
-    assert not {3, 5, 8} & set(standardize_groups(rewards, "filter")[3].tolist())
+    assert {3, 5, 8} <= set(np.flatnonzero(stds < DEGENERATE_STD).tolist())
 
 
 def test_standardize_groups_validation():
@@ -109,8 +109,6 @@ def test_standardize_groups_validation():
         standardize_groups(np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match=">= 2 rewards"):
         standardize_groups(np.ones((3, 1)))
-    with pytest.raises(ValueError, match="degenerate_policy"):
-        standardize_groups(np.ones((3, 2)), "explode")
 
 
 @given(st.lists(st.integers(0, 1), min_size=2, max_size=16),
@@ -118,31 +116,31 @@ def test_standardize_groups_validation():
 @settings(max_examples=300, deadline=None)
 def test_shift_and_scale_invariance(rewards, shift, scale):
     rewards = np.array(rewards, dtype=float)
-    base = advantages_from_rewards(rewards)
-    shifted = advantages_from_rewards(rewards + shift)
-    scaled = advantages_from_rewards(rewards * scale)
-    if base is None or base.degenerate:
-        assert shifted.degenerate and scaled.degenerate
+    base, _, base_std = _row(rewards)
+    shifted, _, shifted_std = _row(rewards + shift)
+    scaled, _, scaled_std = _row(rewards * scale)
+    if base_std < DEGENERATE_STD:
+        assert shifted_std < DEGENERATE_STD and scaled_std < DEGENERATE_STD
         return
-    assert np.allclose(base.advantages, shifted.advantages, atol=1e-9)
-    assert np.allclose(base.advantages, scaled.advantages, atol=1e-9)
+    assert np.allclose(base, shifted, atol=1e-9)
+    assert np.allclose(base, scaled, atol=1e-9)
 
 
 def test_group_advantages_from_rollout_group():
     group = next(g for g in _groups(20) if 0 < g.rewards.sum() < len(g.trajectories))
-    batch = group_advantages(group, "zero")
-    assert abs(batch.advantages.mean()) < 1e-9
+    advantages = group_advantages(group)
+    assert abs(advantages.mean()) < 1e-9
     recomputed = (group.rewards - group.rewards.mean()) / group.rewards.std()
-    assert np.allclose(batch.advantages, recomputed)
+    assert np.allclose(advantages, recomputed)
 
 
 def test_broadcast_to_tokens():
     # every token of trajectory i carries exactly the trajectory's scalar advantage
     group = next(g for g in _groups(20, seed=3) if 0 < g.rewards.sum() < 8)
-    batch = group_advantages(group, "zero")
-    tokens = TokenBatch.from_trajectories(group.trajectories, batch.advantages)
+    advantages = group_advantages(group)
+    tokens = TokenBatch.from_trajectories(group.trajectories, advantages)
     T = tokens.seq_len
-    for i, adv in enumerate(batch.advantages):
+    for i, adv in enumerate(advantages):
         assert np.all(tokens.advantages[i * T:(i + 1) * T] == adv)
 
 

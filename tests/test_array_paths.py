@@ -106,15 +106,11 @@ def test_lockstep_sampler_matches_token_at_a_time(vocab, seq_len):
         for n in (1, 4):
             ref_rng = named_stream(seed, "sample", n)
             rng = named_stream(seed, "sample", n)
-            expected = _token_at_a_time(policy.snapshot(), task, n, ref_rng)
-            episodes = sample_episodes(policy.snapshot(), task, n, rng)
+            expected = _token_at_a_time(policy, task, n, ref_rng)
+            episodes = sample_episodes(policy, task, n, rng)
             _assert_same_trajectories(_as_trajectories(task, episodes), expected)
             # both consumed exactly n * seq_len draws
             assert rng.random() == ref_rng.random()
-        # the live policy samples as its snapshot does
-        one = sample_episodes(policy, task, 1, named_stream(seed, "one"))
-        _assert_same_trajectories(_as_trajectories(task, one),
-                                  _token_at_a_time(policy, task, 1, named_stream(seed, "one")))
 
 
 class _ScriptedDraws:
@@ -175,8 +171,6 @@ def test_probability_matrix_cached_per_logits_version():
     second = policy.probability_matrix()
     assert second is not first
     assert np.array_equal(second, TabularPolicy(policy.logits).probability_matrix())
-    snap = policy.snapshot()
-    assert snap.snapshot() is snap
 
 
 def test_new_logprob_lookup_matches_row_lookup():
@@ -302,7 +296,7 @@ def test_rollout_group_rows_match_token_at_a_time():
         for seed in range(10):
             policy = _table(task.num_states, vocab, seed)
             group = rollout_group(policy, task, 8, named_stream(seed, "group"))
-            expected = _token_at_a_time(policy.snapshot(), task, 8,
+            expected = _token_at_a_time(policy, task, 8,
                                         named_stream(seed, "group"))
             _assert_same_trajectories(group.trajectories, expected)
             assert all(t.task == task for t in group.trajectories)
@@ -409,12 +403,10 @@ def test_from_groups_matches_from_trajectories():
         # dapo-style: the dynamic-sampling filter drops groups, then advantages
         retained = dynamic_sampling_filter(groups)
         dropped += len(groups) - len(retained)
-        advantages, _, _, kept = standardize_groups(
-            np.stack([g.rewards for g in retained]), "filter")
-        kept_groups = [retained[i] for i in kept]
-        got = TokenBatch.from_groups(kept_groups, advantages)
+        advantages = standardize_groups(np.stack([g.rewards for g in retained]))[0]
+        got = TokenBatch.from_groups(retained, advantages)
         ref = TokenBatch.from_trajectories(
-            [t for g in kept_groups for t in g.trajectories], advantages.ravel().tolist())
+            [t for g in retained for t in g.trajectories], advantages.ravel().tolist())
         assert got.seq_len == ref.seq_len
         for name in ("states", "actions", "old_logprobs", "advantages"):
             a, b = getattr(got, name), getattr(ref, name)

@@ -40,6 +40,29 @@ def test_train_bad_config_exit_2(tmp_path):
     assert main(["train", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"objective": {"algorithm": "ce_gppo", "beta1": "0.5"}}, "invalid objective"),
+    ({"objective": {"algorithm": "ce_gppo", "eps_low": "0.2"}}, "invalid objective"),
+    ({"objective": {"algorithm": "grpo", "beta1": 0.7}}, "act only on ce_gppo"),
+    ({"objective": {"algorithm": "grpo"}, "beta_schedule": [[3, 0.5, 1.0]]},
+     "beta_schedule acts only on ce_gppo"),
+    ({"beta_schedule": [[3, 0.5]]}, "beta_schedule entries must be [step, beta1, beta2]"),
+    ({"train_targets": ["a"]}, "train_targets must be integers"),
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"vocab_size": 8.5}, "vocab_size must be an integer"),
+], ids=["string_beta1", "string_eps_low", "beta1_on_grpo", "schedule_on_grpo",
+        "short_schedule_entry", "string_target", "negative_seed", "fractional_vocab"])
+def test_train_malformed_config_value_exit_2(overrides, message, tmp_path, capsys):
+    # a malformed value is a usage error with one line, not a traceback mid-run
+    config = _write_config(tmp_path, **overrides)
+    rc = main(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_stability_exit_3(tmp_path):
     config = _write_config(tmp_path, learning_rate=1e8, total_steps=10)
     assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 3
@@ -65,9 +88,9 @@ def test_gradcheck_json_report(tmp_path, capsys):
     assert min(doc["branch_counts"].values()) >= 4
 
 
-@pytest.mark.parametrize("flags", [["--eps", "1.5"], ["--beta1", "-1"],
+@pytest.mark.parametrize("flags", [["--eps-low", "1.5"], ["--beta1", "-1"],
                                    ["--objective", "dapo", "--eps-high", "0"]],
-                         ids=["eps", "beta1", "eps_high"])
+                         ids=["eps_low", "beta1", "eps_high"])
 def test_gradcheck_out_of_range_flags_exit_2(flags, capsys):
     # a spec the objective rejects is a usage error, not a failed check (exit 1)
     rc = main(["gradcheck", *flags, "--trajectories", "8"])

@@ -118,7 +118,7 @@ def test_rollout_reward_matches_independent_recomputation():
     rng = named_stream(1, "roll")
     for i in range(50):
         task = sample_task(config, rng)
-        for traj in rollout_group(policy.snapshot(), task, 4, rng).trajectories:
+        for traj in rollout_group(policy, task, 4, rng).trajectories:
             assert traj.reward == int(int(traj.actions.sum()) % task.modulus == task.target)
 
 

@@ -154,7 +154,7 @@ def unfiltered_batch(seed, n_groups=8, group_size=8, drift=0.35):
     for _ in range(n_groups):
         group = rollout_group(base, sample_task(config, rng), group_size, rng)
         trajectories.extend(group.trajectories)
-        advantages.extend(group_advantages(group, "zero").advantages.tolist())
+        advantages.extend(group_advantages(group).tolist())
     live = TabularPolicy(base.logits + rng.normal(0.0, drift, base.logits.shape))
     return TokenBatch.from_trajectories(trajectories, advantages), live
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import namedtuple
 
@@ -27,19 +28,21 @@ from policylab.objectives import (
     new_logprob_lookup,
     token_weights,
 )
+from policylab.gradcheck import analytic_objective_gradient
 from policylab.policy import entropy_gradient_rows
 
 Term = namedtuple("Term", "value grad_weight branch")
 BRANCH_OF_CODE = {CODE_INTERIOR: Branch.INTERIOR, CODE_LEFT: Branch.LEFT_CLIPPED,
                   CODE_RIGHT: Branch.RIGHT_CLIPPED}
 
-PPO = ObjectiveSpec(algorithm="ppo", eps=0.2)
+PPO = ObjectiveSpec(algorithm="ppo", eps_low=0.2, eps_high=0.2)
 DAPO = ObjectiveSpec(algorithm="dapo", eps_low=0.2, eps_high=0.28)
 CISPO = ObjectiveSpec(algorithm="cispo", eps_low=0.2, eps_high=0.2)
 
 
 def ce_gppo(beta1, beta2, eps=0.2):
-    return ObjectiveSpec(algorithm="ce_gppo", eps=eps, beta1=beta1, beta2=beta2)
+    return ObjectiveSpec(algorithm="ce_gppo", eps_low=eps, eps_high=eps, beta1=beta1,
+                         beta2=beta2)
 
 
 def gspo_spec(eps_low=3e-4, eps_high=4e-4):
@@ -116,9 +119,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ObjectiveSpec(algorithm="trpo")
     with pytest.raises(ValueError):
-        ObjectiveSpec(eps=0.0)
+        ObjectiveSpec(eps_low=0.0)
     with pytest.raises(ValueError):
-        ObjectiveSpec(eps=1.0)
+        ObjectiveSpec(eps_low=1.0)
     with pytest.raises(ValueError):
         ObjectiveSpec(eps_low=1.2)
     with pytest.raises(ValueError):
@@ -127,18 +130,52 @@ def test_spec_validation():
         ObjectiveSpec(beta1=-0.1)
     with pytest.raises(ValueError):
         ObjectiveSpec(alpha=float("nan"))
-    with pytest.raises(TypeError):  # a retired key, not a setting
-        ObjectiveSpec(aggregation="token_mean")
+    for retired in ("aggregation", "eps"):  # retired keys, not settings
+        with pytest.raises(TypeError):
+            ObjectiveSpec(**{retired: 0.2})
+    for algorithm in set(ALGORITHMS) - {"ce_gppo"}:  # betas act only on ce_gppo
+        for beta in ("beta1", "beta2"):
+            with pytest.raises(ValueError, match="act only on ce_gppo"):
+                ObjectiveSpec.for_algorithm(algorithm, **{beta: 0.5})
 
 
 def test_for_algorithm_defaults():
     assert ObjectiveSpec.for_algorithm("dapo").eps_high == 0.28
     assert ObjectiveSpec.for_algorithm("dapo").clip_bounds() == (0.8, 1.28)
     assert ObjectiveSpec.for_algorithm("gspo").clip_bounds() == (1 - 3e-4, 1 + 4e-4)
-    assert ObjectiveSpec.for_algorithm("cispo").clip_bounds() == (0.8, 1.2)
+    for algorithm in ("ppo", "grpo", "cispo", "ce_gppo"):
+        assert ObjectiveSpec.for_algorithm(algorithm).clip_bounds() == (0.8, 1.2)
     ce = ObjectiveSpec.for_algorithm("ce_gppo")
     assert (ce.beta1, ce.beta2) == (0.5, 1.0)
     assert ce.with_betas(0.0, 1.0).beta1 == 0.0
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_spec_field_acts(algorithm):
+    # moving any field off the algorithm's default either changes what a
+    # training step computes from the spec, or the spec rejects it
+    deltas = np.concatenate([np.linspace(0.05, 3.0, 600), 1.0 + np.linspace(-0.01, 0.01, 401)])
+    grid_deltas = np.tile(deltas, 4)
+    grid_advs = np.repeat([-1.0, -0.5, 0.5, 1.0], deltas.size)
+    batch, policy = _random_batch(seed=1, n_groups=2)
+
+    def response(spec):
+        # clip_terms on the (delta, A) grid, and the objective with its entropy bonus
+        return (*clip_terms(spec, grid_deltas, grid_advs, 1),
+                *analytic_objective_gradient(spec, batch, policy))
+
+    base = ObjectiveSpec.for_algorithm(algorithm)
+    expected = response(base)
+    fields = [f.name for f in dataclasses.fields(ObjectiveSpec) if f.name != "algorithm"]
+    assert fields == ["eps_low", "eps_high", "beta1", "beta2", "alpha"]
+    for name in fields:
+        value = getattr(base, name)
+        try:
+            moved = dataclasses.replace(base, **{name: 0.5 * value if value else 0.5})
+        except ValueError:
+            continue
+        got = response(moved)
+        assert any(not np.array_equal(a, b) for a, b in zip(got, expected)), name
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +515,8 @@ def _random_batch(seed=0, n_groups=8, drift=0.4):
     trajs, advs = [], []
     for _ in range(n_groups):
         group = rollout_group(base, sample_task(config, rng), 8, rng)
-        adv = group_advantages(group, "zero")
         trajs.extend(group.trajectories)
-        advs.extend(adv.advantages.tolist())
+        advs.extend(group_advantages(group).tolist())
     live = TabularPolicy(base.logits + rng.normal(0, drift, base.logits.shape))
     return TokenBatch.from_trajectories(trajs, advs), live
 

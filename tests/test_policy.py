@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from policylab import (
     ModSumTask,
-    PolicySnapshot,
     TabularPolicy,
     exact_kl,
     named_stream,
+    rollout_group,
     sample_episodes,
 )
 from policylab.policy import entropy_gradient_rows
@@ -188,13 +188,20 @@ def test_apply_gradient_rejects_bad_lr_and_shape():
 
 
 def test_snapshot_immutable_and_isolated():
-    policy = TabularPolicy.uniform(2, 3)
-    snap = policy.snapshot()
-    before = snap.action_probabilities(0).copy()
-    policy.apply_gradient(np.ones((2, 3)) * np.array([1.0, -1.0, 0.0]), 1.0)
-    assert np.array_equal(snap.action_probabilities(0), before)
-    with pytest.raises(ValueError):
-        snap.logits[0, 0] = 1.0
+    # what the policy hands out before an update is the snapshot: the update
+    # rebinds the logits, so it cannot reach a matrix or rollout taken earlier
+    task = ModSumTask(4, 3, 5, 0)
+    policy = TabularPolicy.random(task.num_states, 4, 1.0, named_stream(3, "snap"))
+    logits, probs = policy.logits, policy.probability_matrix()
+    group = rollout_group(policy, task, 6, named_stream(3, "snap-group"))
+    before = [a.copy() for a in (logits, probs, group.actions, group.old_logprobs)]
+    policy.apply_gradient(np.ones((task.num_states, 4)) * np.arange(4.0), 1.0)
+    assert not np.array_equal(policy.probability_matrix(), probs)
+    after = (logits, probs, group.actions, group.old_logprobs)
+    assert all(np.array_equal(a, b) for a, b in zip(after, before))
+    for frozen in (logits, probs):
+        with pytest.raises(ValueError):
+            frozen[0, 0] = 1.0
 
 
 def test_logits_validation():
@@ -203,7 +210,7 @@ def test_logits_validation():
     with pytest.raises(ValueError):
         TabularPolicy(np.zeros(4))
     with pytest.raises(ValueError):
-        PolicySnapshot(np.array([[np.nan, 0.0]]))
+        TabularPolicy(np.array([[np.nan, 0.0]]))
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

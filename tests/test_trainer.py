@@ -48,10 +48,12 @@ def test_config_validation_errors():
         RunConfig(beta_schedule=((10, 0.5, 1.0), (10, 0.6, 1.0)))
     with pytest.raises(ConfigError):
         RunConfig(beta_schedule=((10, -0.5, 1.0),))
+    for algorithm in set(ALGORITHMS) - {"ce_gppo"}:  # the betas act only on ce_gppo
+        with pytest.raises(ConfigError, match="beta_schedule acts only on ce_gppo"):
+            RunConfig(objective=ObjectiveSpec.for_algorithm(algorithm),
+                      beta_schedule=((10, 0.5, 1.0),))
     with pytest.raises(ConfigError):
         RunConfig(modulus=1)
-    with pytest.raises(ConfigError):
-        RunConfig(entropy_weighting="harmonic")
     with pytest.raises(ConfigError):
         RunConfig(train_targets="some")
     with pytest.raises(ConfigError):
@@ -59,7 +61,7 @@ def test_config_validation_errors():
 
 
 def test_config_json_roundtrip_and_unknown_keys(tmp_path):
-    config = _tiny(objective=ObjectiveSpec.for_algorithm("dapo"),
+    config = _tiny(objective=ObjectiveSpec.for_algorithm("ce_gppo"),
                    beta_schedule=((3, 0.5, 1.0),), dynamic_sampling=True)
     doc = config.to_dict()
     assert doc["schema_version"] == 1
@@ -160,17 +162,26 @@ def test_retired_rollout_workers_key_rejected(tmp_path):
     assert main(["train", "--config", str(path)]) == 2
 
 
-@pytest.mark.parametrize("key", ["kl_ceiling", "aggregation"])
+# retired key -> (whether it sat in the objective, a value it used to take)
+RETIRED_KNOBS = {"kl_ceiling": (False, 1.0), "entropy_weighting": (False, "visits"),
+                 "aggregation": (True, "token_mean"), "eps": (True, 0.2)}
+
+
+@pytest.mark.parametrize("key", sorted(RETIRED_KNOBS))
 def test_retired_knob_rejected(key, tmp_path, capsys):
-    # neither key acted on a run (kl_ceiling was never read; with fixed-length
-    # episodes both aggregations weighed every token 1/n_tokens), so a
-    # schema-v1 file carrying one fails loudly instead of being ignored
+    # none of these keys acted on a run: kl_ceiling was never read; with
+    # fixed-length episodes both aggregations weighed every token 1/n_tokens;
+    # no suite set entropy_weighting to anything but "visits"; and every
+    # algorithm clips to [1 - eps_low, 1 + eps_high], so eps was ignored by
+    # dapo, cispo and gspo and shadowed eps_low/eps_high for the others.
+    # A schema-v1 file carrying one fails loudly instead of being ignored.
     doc = _tiny(total_steps=4).to_dict()
     assert key not in doc and key not in doc["objective"]
-    if key == "kl_ceiling":
-        doc[key], message = 1.0, r"unknown config keys: \['kl_ceiling'\]"
+    in_objective, value = RETIRED_KNOBS[key]
+    if in_objective:
+        doc["objective"][key], message = value, rf"unknown objective keys: \['{key}'\]"
     else:
-        doc["objective"][key], message = "token_mean", r"unknown objective keys: \['aggregation'\]"
+        doc[key], message = value, rf"unknown config keys: \['{key}'\]"
     with pytest.raises(ConfigError, match=message):
         RunConfig.from_dict(doc)
     path = tmp_path / "config.json"
