@@ -99,17 +99,12 @@ class ObjectiveSpec:
     @classmethod
     def for_algorithm(cls, algorithm: str, **overrides) -> "ObjectiveSpec":
         """Spec with the conventional defaults of the named algorithm."""
-        defaults = {
-            "ppo": {},
-            "grpo": {},
+        defaults = {  # ppo, grpo and cispo keep the class defaults
             "dapo": dict(eps_high=0.28),
-            "cispo": {},
             "gspo": dict(eps_low=0.0003, eps_high=0.0004),
             "ce_gppo": dict(beta1=0.5, beta2=1.0),
         }
-        if algorithm not in defaults:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
-        return cls(**{"algorithm": algorithm, **defaults[algorithm], **overrides})
+        return cls(**{"algorithm": algorithm, **defaults.get(algorithm, {}), **overrides})
 
     def with_betas(self, beta1: float, beta2: float) -> "ObjectiveSpec":
         return dataclasses.replace(self, beta1=beta1, beta2=beta2)

@@ -22,15 +22,6 @@ import numpy as np
 CHECKPOINT_SCHEMA = "tabular-policy/v1"
 
 
-def _validate_logits(logits: np.ndarray) -> np.ndarray:
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[0] < 1 or logits.shape[1] < 1:
-        raise ValueError(f"logits must be a 2-D (states, actions) matrix, got shape {logits.shape}")
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("logits must be finite (no NaN/Inf)")
-    return logits
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Softmax of each row of an (n, num_actions) logit matrix, max-shifted.
 
@@ -124,8 +115,14 @@ class TabularPolicy(_SoftmaxTable):
     logits: np.ndarray = field()
 
     def __post_init__(self):
-        self.logits = _validate_logits(self.logits).copy()
-        self.logits.setflags(write=False)
+        logits = np.array(self.logits, dtype=np.float64)  # a copy
+        if logits.ndim != 2 or logits.shape[0] < 1 or logits.shape[1] < 1:
+            raise ValueError(
+                f"logits must be a 2-D (states, actions) matrix, got shape {logits.shape}")
+        if not np.all(np.isfinite(logits)):
+            raise ValueError("logits must be finite (no NaN/Inf)")
+        logits.setflags(write=False)
+        self.logits = logits
 
     @classmethod
     def uniform(cls, num_states: int, num_actions: int) -> "TabularPolicy":

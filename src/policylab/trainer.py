@@ -89,8 +89,13 @@ class ConfigError(ValueError):
     """Invalid run configuration (CLI exit code 2)."""
 
 
-_INT_FIELDS = ("seed", "vocab_size", "seq_len", "modulus", "group_size", "prompts_per_batch",
-               "mini_epochs", "total_steps", "eval_samples", "max_filter_retries")
+_FIELD_KINDS = (  # (fields, accepted types, what the message asks for)
+    (("seed", "vocab_size", "seq_len", "modulus", "group_size", "prompts_per_batch",
+      "mini_epochs", "total_steps", "eval_samples", "max_filter_retries"),
+     numbers.Integral, "an integer"),
+    (("dynamic_sampling", "log_rollouts"), bool, "true or false"),
+    (("init_checkpoint", "out_dir"), (str, type(None)), "a path string or null"),
+)
 
 
 def _int_tuple(name: str, values) -> tuple[int, ...]:
@@ -156,9 +161,11 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        for name in _INT_FIELDS:
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for names, kind, expected in _FIELD_KINDS:
+            for name in names:
+                value = getattr(self, name)
+                if not isinstance(value, kind):
+                    raise ConfigError(f"{name} must be {expected}, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.mini_epochs < 1:
@@ -452,7 +459,6 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
     logged_groups: list[RolloutGroup] = []
     status = "completed"
     failure: Exception | None = None
-    last_good = policy.logits
 
     try:
         for step in range(config.total_steps):

@@ -50,8 +50,11 @@ def test_train_bad_config_exit_2(tmp_path):
     ({"train_targets": ["a"]}, "train_targets must be integers"),
     ({"seed": -1}, "seed must be >= 0"),
     ({"vocab_size": 8.5}, "vocab_size must be an integer"),
+    ({"dynamic_sampling": "false"}, "dynamic_sampling must be true or false"),
+    ({"init_checkpoint": 5}, "init_checkpoint must be a path string or null"),
 ], ids=["string_beta1", "string_eps_low", "beta1_on_grpo", "schedule_on_grpo",
-        "short_schedule_entry", "string_target", "negative_seed", "fractional_vocab"])
+        "short_schedule_entry", "string_target", "negative_seed", "fractional_vocab",
+        "string_flag", "numeric_path"])
 def test_train_malformed_config_value_exit_2(overrides, message, tmp_path, capsys):
     # a malformed value is a usage error with one line, not a traceback mid-run
     config = _write_config(tmp_path, **overrides)
