@@ -148,6 +148,10 @@ def _cmd_analyze(args) -> int:
         # the batch built from the groups as the trainer builds it; an empty
         # log is an empty batch
         rewards = [g.rewards for g in groups]
+        sizes = sorted({len(r) for r in rewards})
+        if len(sizes) > 1:
+            raise ValueError(f"groups of different sizes {sizes}: analyze standardizes "
+                             f"every group's rewards as one (n_groups, G) matrix")
         advantages = standardize_groups(np.stack(rewards))[0] if rewards else []
         tokens = TokenBatch.from_groups(groups, advantages)
     except (OSError, ValueError) as exc:

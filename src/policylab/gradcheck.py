@@ -16,13 +16,18 @@ objectives this is exactly the true objective in a neighborhood away
 from the clip kinks; for the stop-gradient objectives it is the surrogate
 the gradient is defined through.
 
-Moving logit z[s, a] changes softmax row s and nothing else, so the
-objective is evaluated one state row at a time: numeric_gradient hands a
-row evaluator the 2V perturbed copies of row s, and the evaluator
-recomputes only the tokens taken in state s (and, with an entropy bonus,
-the entropy of row s) on top of cached unperturbed values. Each J is
-still summed over the whole batch in the order of a full recompute, so
-the numbers are bit for bit those of rebuilding the policy per coordinate.
+Moving logit z[s, a] changes softmax row s and nothing else, so a
+perturbed table is named by the one row it changes: numeric_gradient
+builds all S*2V perturbed rows at once and asks the evaluator for every
+objective in one call. The evaluator takes one softmax over the visited
+states' perturbed rows and recomputes, in one elementwise pass, each
+token under each perturbation of its own state's row (and, with an
+entropy bonus, that state's entropy) on top of cached unperturbed values.
+Each J is still the dot of the whole token vector with the weights, in
+the order of a full recompute, so the numbers are bit for bit those of
+rebuilding the policy per coordinate. The (perturbation, token) tile
+those dots read is built a chunk of perturbations at a time, so its size
+stays within TILE_CELL_BUDGET cells however large the batch.
 
 Because the objectives are piecewise, a check is only meaningful when the
 batch actually exercises every branch and no sample point sits within
@@ -96,50 +101,53 @@ class GradCheckReport:
         }
 
 
-RowEvaluator = Callable[[int, np.ndarray], np.ndarray]
+# Cells in one (perturbed objective, token) tile of the evaluator: a chunk
+# takes as many perturbations as fit, and at least one.
+TILE_CELL_BUDGET = 1 << 14
+
+Evaluator = Callable[[np.ndarray], np.ndarray]
 
 
-def numeric_gradient(row_evaluator: RowEvaluator, policy: TabularPolicy, h: float,
+def numeric_gradient(evaluator: Evaluator, policy: TabularPolicy, h: float,
                      ) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Central differences (J(z + h e) - J(z - h e)) / 2h per logit coordinate.
 
-    Moving z[s, a] changes softmax row s only, so the objective is asked
-    for one state at a time: ``row_evaluator(s, rows)`` gets the 2V
-    perturbed copies of row s, ``base[s] + h*I`` then ``base[s] - h*I``,
-    and returns J for each, with every other row held at the policy's
-    logits. It must be a deterministic function of its arguments (frozen
-    batch, frozen snapshot). Coordinates where either perturbed objective
-    is non-finite are skipped (gradient entry left at 0) and flagged.
+    Moving z[s, a] changes softmax row s only, so the evaluator is asked
+    for every perturbed objective at once: ``evaluator(rows)`` gets the
+    (S, 2V, V) array whose block s holds the 2V perturbed copies of row s,
+    ``base[s] + h*I`` then ``base[s] - h*I``, and returns the (S, 2V)
+    objectives J with row s replaced by each, every other row held at the
+    policy's logits. It must be a deterministic function of its argument
+    (frozen batch, frozen snapshot). Coordinates where either perturbed
+    objective is non-finite are skipped (gradient entry left at 0) and
+    flagged in row-major order.
     """
     if not h > 0.0:
         raise ValueError(f"step h must be > 0, got {h}")
-    base = policy.logits.copy()
-    num_states, num_actions = base.shape
-    step = h * np.eye(num_actions)
-    grad = np.zeros_like(base)
-    flagged: list[tuple[int, int]] = []
-    for s in range(num_states):
-        values = np.asarray(row_evaluator(s, np.concatenate([base[s] + step, base[s] - step])),
-                            dtype=np.float64)
-        plus, minus = values[:num_actions], values[num_actions:]
-        finite = np.isfinite(plus) & np.isfinite(minus)
-        grad[s, finite] = (plus[finite] - minus[finite]) / (2.0 * h)
-        flagged.extend((s, int(a)) for a in np.flatnonzero(~finite))
-    return grad, flagged
+    base = policy.logits[:, None, :]
+    step = h * np.eye(policy.num_actions)
+    values = np.asarray(evaluator(np.concatenate([base + step, base - step], axis=1)),
+                        dtype=np.float64)
+    plus, minus = np.split(values, 2, axis=1)
+    finite = np.isfinite(plus) & np.isfinite(minus)
+    grad = np.zeros(policy.logits.shape)
+    grad[finite] = (plus[finite] - minus[finite]) / (2.0 * h)
+    return grad, [(int(s), int(a)) for s, a in np.argwhere(~finite)]
 
 
 def frozen_surrogate_evaluator(spec: ObjectiveSpec, batch: TokenBatch,
                                policy: TabularPolicy,
-                               terms: BatchTerms | None = None) -> RowEvaluator:
+                               terms: BatchTerms | None = None) -> Evaluator:
     """Close over the stop-gradient state captured at the current policy.
 
-    Returns the row evaluator (state, rows) -> J per row that
-    numeric_gradient expects: J at the policy's logits with row ``state``
-    replaced by each of ``rows``. Only the live ratio occurrences (and
-    the entropy bonus, which has no frozen part) respond. The token values
-    and visited-state entropies at the policy are cached; a row recomputes
-    the tokens and the entropy of its own state, and each J is summed over
-    the whole token vector in the same order as a full recompute.
+    Returns the evaluator rows (S, 2V, V) -> J (S, 2V) that
+    numeric_gradient expects: J[s, j] at the policy's logits with row s
+    replaced by rows[s, j]. Only the live ratio occurrences (and the
+    entropy bonus, which has no frozen part) respond. The token values and
+    visited-state entropies at the policy are cached; each perturbed row
+    recomputes the tokens and the entropy of its own state, each J is
+    summed over the whole token vector in the same order as a full
+    recompute, and an unvisited state's J is the unperturbed value.
     ``terms`` are batch_token_terms(spec, batch, policy) when the caller
     already has them.
     """
@@ -149,10 +157,7 @@ def frozen_surrogate_evaluator(spec: ObjectiveSpec, batch: TokenBatch,
     frozen_offset = terms.values - terms.grad_weights * batch.advantages
     base_values = frozen_scale * terms.deltas * batch.advantages + frozen_offset
     weights = token_weights(batch)
-    visited, counts = np.unique(batch.states, return_counts=True)
-    slot = {s: k for k, s in enumerate(visited.tolist())}
-    order = np.argsort(batch.states, kind="stable")
-    state_tokens = np.split(order, np.cumsum(counts)[:-1])  # by slot
+    visited = np.unique(batch.states)
     base_entropies = entropy_rows(policy.probability_matrix()[visited])
 
     def entropy_term(entropies: np.ndarray) -> np.ndarray:
@@ -163,25 +168,56 @@ def frozen_surrogate_evaluator(spec: ObjectiveSpec, batch: TokenBatch,
     if spec.alpha > 0.0:
         base_value += entropy_term(base_entropies)
 
-    def evaluate(state: int, rows: np.ndarray) -> np.ndarray:
-        k = slot.get(state)
-        if k is None:  # unvisited: nothing in J depends on this row
-            return np.full(len(rows), base_value)
-        tokens = state_tokens[k]
-        probs = softmax_rows(rows)
+    # The visited states' perturbed rows, flattened: row r perturbs state
+    # visited[r // width]. Rows are evaluated a chunk at a time through one
+    # (chunk, n_tokens) tile per call; row r is tile row r % chunk. Entry e
+    # is token e_token[e] under row e_row[e], and the entries run in row
+    # order, so each chunk owns a slice of them.
+    width = 2 * policy.num_actions
+    n_rows = len(visited) * width
+    chunk = min(n_rows, max(1, TILE_CELL_BUDGET // batch.n_tokens))
+    starts = range(0, n_rows, chunk)
+    token_rows = np.searchsorted(visited, batch.states)[:, None] * width + np.arange(width)
+    order = np.argsort(token_rows, axis=None, kind="stable")
+    e_row, e_token = token_rows.ravel()[order], order // width
+    cuts = np.searchsorted(e_row, [*starts, n_rows]).tolist()
+    e_prob = e_row * policy.num_actions + batch.actions[e_token]  # into probs.ravel()
+    e_cell = e_row % chunk * batch.n_tokens + e_token  # into tile.ravel()
+    e_old_lp, e_scale, e_adv, e_offset, e_base = (
+        a[e_token] for a in (batch.old_logprobs, frozen_scale, batch.advantages,
+                             frozen_offset, base_values))
+    row_state = np.arange(n_rows) // width  # slot in visited
+    row_cell = np.arange(n_rows) % chunk * len(visited) + row_state  # into an entropy tile
+
+    def evaluate(rows: np.ndarray) -> np.ndarray:
+        probs = softmax_rows(rows[visited].reshape(n_rows, -1))
         with np.errstate(divide="ignore"):
-            new_lp = np.log(probs[:, batch.actions[tokens]])
-        deltas = np.exp(new_lp - batch.old_logprobs[tokens])
-        token_values = np.tile(base_values, (len(rows), 1))
-        token_values[:, tokens] = (frozen_scale[tokens] * deltas * batch.advantages[tokens]
-                                   + frozen_offset[tokens])
-        # one dot per row: a single matrix-vector product rounds differently
-        values = np.array([float(weights @ v) for v in token_values])
+            new_lp = np.log(probs.ravel()[e_prob])
+        e_values = e_scale * np.exp(new_lp - e_old_lp) * e_adv + e_offset
+        values = np.empty(n_rows)
+        # each chunk writes its rows' perturbed values into the tile and
+        # puts the unperturbed ones back after its dots
+        tile = np.tile(base_values, (chunk, 1))
+        cells = tile.reshape(-1)
+        for start, lo, hi in zip(starts, cuts, cuts[1:]):
+            stop = min(start + chunk, n_rows)
+            cells[e_cell[lo:hi]] = e_values[lo:hi]
+            # a stack of 1 x n products: each rounds like the dot weights @ v
+            values[start:stop] = np.matmul(tile[:stop - start, None, :], weights)[:, 0]
+            cells[e_cell[lo:hi]] = e_base[lo:hi]
         if spec.alpha > 0.0:
-            entropies = np.tile(base_entropies, (len(rows), 1))
-            entropies[:, k] = entropy_rows(probs)
-            values += entropy_term(entropies)
-        return values
+            # row r: the visited states' entropies with its own state's replaced
+            row_entropies = entropy_rows(probs)
+            tile = np.tile(base_entropies, (chunk, 1))
+            cells = tile.reshape(-1)
+            for start in starts:
+                stop = min(start + chunk, n_rows)
+                cells[row_cell[start:stop]] = row_entropies[start:stop]
+                values[start:stop] += entropy_term(tile[:stop - start])
+                cells[row_cell[start:stop]] = base_entropies[row_state[start:stop]]
+        out = np.full(rows.shape[:2], base_value)
+        out[visited] = values.reshape(len(visited), width)
+        return out
 
     return evaluate
 

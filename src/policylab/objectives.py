@@ -42,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -85,6 +86,10 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
+        for name in ("eps_low", "eps_high", "beta1", "beta2", "alpha"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise TypeError(f"{name} must be a number, got {v!r}")
         if not 0.0 < self.eps_low < 1.0:
             raise ValueError(f"eps_low must be in (0, 1), got {self.eps_low}")
         if not self.eps_high > 0.0:

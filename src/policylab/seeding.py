@@ -13,6 +13,9 @@ import zlib
 import numpy as np
 
 
+_WORD = 0xFFFFFFFF
+
+
 def stream_key(label: str) -> int:
     """Stable 32-bit key for a stream label (process-independent)."""
     return zlib.crc32(label.encode("utf-8"))
@@ -23,9 +26,17 @@ def named_stream(root_seed: int, *path: int | str) -> np.random.Generator:
 
     Path components may be non-negative ints or string labels; labels are
     hashed with crc32 so the addressing never depends on Python's salted
-    hash().
+    hash(). The stream is SeedSequence([root_seed, *keys]): its entropy is
+    handed over as the uint32 array numpy would derive from that list,
+    each key as its 32-bit words, least significant first (0 is one word).
     """
-    keys = [stream_key(p) if isinstance(p, str) else int(p) for p in path]
-    if any(k < 0 for k in keys):
-        raise ValueError("stream path integers must be non-negative")
-    return np.random.default_rng(np.random.SeedSequence([int(root_seed), *keys]))
+    words = []
+    for key in (int(root_seed), *(stream_key(p) if isinstance(p, str) else int(p)
+                                  for p in path)):
+        if key < 0:
+            raise ValueError("stream seeds and path integers must be non-negative")
+        words.append(key & _WORD)
+        while key > _WORD:
+            key >>= 32
+            words.append(key & _WORD)
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))

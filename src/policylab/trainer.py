@@ -89,18 +89,29 @@ class ConfigError(ValueError):
     """Invalid run configuration (CLI exit code 2)."""
 
 
-_FIELD_KINDS = (  # (fields, accepted types, what the message asks for)
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which numbers.Integral counts as an integer
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+_FIELD_KINDS = (  # (fields, test a value must pass, what the message asks for)
     (("seed", "vocab_size", "seq_len", "modulus", "group_size", "prompts_per_batch",
       "mini_epochs", "total_steps", "eval_samples", "max_filter_retries"),
-     numbers.Integral, "an integer"),
-    (("dynamic_sampling", "log_rollouts"), bool, "true or false"),
-    (("init_checkpoint", "out_dir"), (str, type(None)), "a path string or null"),
+     _is_int, "an integer"),
+    (("minibatch_fraction", "learning_rate", "init_logit_scale"), _is_number, "a number"),
+    (("dynamic_sampling", "log_rollouts"), lambda v: isinstance(v, bool), "true or false"),
+    (("init_checkpoint", "out_dir"), lambda v: v is None or isinstance(v, str),
+     "a path string or null"),
 )
 
 
 def _int_tuple(name: str, values) -> tuple[int, ...]:
     values = tuple(values)
-    if not all(isinstance(v, numbers.Integral) for v in values):
+    if not all(_is_int(v) for v in values):
         raise ConfigError(f"{name} must be integers, got {list(values)}")
     return tuple(int(v) for v in values)
 
@@ -161,10 +172,10 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        for names, kind, expected in _FIELD_KINDS:
+        for names, accepts, expected in _FIELD_KINDS:
             for name in names:
                 value = getattr(self, name)
-                if not isinstance(value, kind):
+                if not accepts(value):
                     raise ConfigError(f"{name} must be {expected}, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -189,10 +200,15 @@ class RunConfig:
             raise ConfigError(f"init_logit_scale must be finite and >= 0, "
                               f"got {self.init_logit_scale}")
         try:
-            schedule = tuple((int(s), float(b1), float(b2)) for s, b1, b2 in self.beta_schedule)
+            schedule = tuple((s, b1, b2) for s, b1, b2 in self.beta_schedule)
         except (TypeError, ValueError) as exc:
             raise ConfigError(
                 f"beta_schedule entries must be [step, beta1, beta2]: {exc}") from exc
+        for entry in schedule:
+            if not (_is_int(entry[0]) and _is_number(entry[1]) and _is_number(entry[2])):
+                raise ConfigError(f"beta_schedule entries must be [step, beta1, beta2] with "
+                                  f"an integer step and numeric betas, got {list(entry)}")
+        schedule = tuple((int(s), float(b1), float(b2)) for s, b1, b2 in schedule)
         if schedule and self.objective.algorithm != "ce_gppo":
             raise ConfigError(
                 f"beta_schedule acts only on ce_gppo, not on {self.objective.algorithm}")

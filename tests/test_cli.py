@@ -52,9 +52,15 @@ def test_train_bad_config_exit_2(tmp_path):
     ({"vocab_size": 8.5}, "vocab_size must be an integer"),
     ({"dynamic_sampling": "false"}, "dynamic_sampling must be true or false"),
     ({"init_checkpoint": 5}, "init_checkpoint must be a path string or null"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"total_steps": True}, "total_steps must be an integer"),
+    ({"objective": {"algorithm": "ce_gppo", "beta1": True}}, "beta1 must be a number"),
+    ({"beta_schedule": [[2.5, 0.5, 1.0]]}, "an integer step"),
+    ({"learning_rate": True}, "learning_rate must be a number"),
 ], ids=["string_beta1", "string_eps_low", "beta1_on_grpo", "schedule_on_grpo",
         "short_schedule_entry", "string_target", "negative_seed", "fractional_vocab",
-        "string_flag", "numeric_path"])
+        "string_flag", "numeric_path", "bool_seed", "bool_total_steps", "bool_beta1",
+        "fractional_schedule_step", "bool_learning_rate"])
 def test_train_malformed_config_value_exit_2(overrides, message, tmp_path, capsys):
     # a malformed value is a usage error with one line, not a traceback mid-run
     config = _write_config(tmp_path, **overrides)
@@ -176,7 +182,10 @@ def _log_line(group, target=0, actions=(1, 2, 3), reward=0):
     ([_log_line(0), _log_line(0, actions=(1, 2))], "log group 0: rows whose length is not seq_len 3"),
     ([], "token batch is empty"),
     ([_log_line(0), '{"group": 0}'], "line 2 lacks ['vocab_size'"),
-], ids=["single_row_group", "mixed_tasks", "ragged_rows", "empty_log", "missing_field"])
+    ([_log_line(0), _log_line(0, reward=1), _log_line(1), _log_line(1, reward=1),
+      _log_line(1)], "groups of different sizes [2, 3]"),
+], ids=["single_row_group", "mixed_tasks", "ragged_rows", "empty_log", "missing_field",
+        "mixed_group_sizes"])
 def test_analyze_malformed_log_exit_2(lines, message, tmp_path, capsys):
     log = tmp_path / "rollouts.jsonl"
     log.write_text("".join(line + "\n" for line in lines))

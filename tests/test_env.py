@@ -17,6 +17,7 @@ from policylab import (
     verify_reward,
     write_rollout_log,
 )
+from policylab.seeding import stream_key
 
 
 def modsum_success_probability(vocab_size, seq_len, modulus, target):
@@ -78,6 +79,25 @@ def test_sample_task_reproducible_and_in_range():
     targets2 = [sample_task(config, named_stream(4, "t", i)).target for i in range(20)]
     assert targets1 == targets2
     assert all(0 <= t < 5 for t in targets1)
+
+
+@pytest.mark.parametrize("root", [0, 7, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3])
+def test_named_stream_is_the_seed_sequence_of_its_path(root):
+    # the stream is SeedSequence([root, *keys]), whatever the number of
+    # 32-bit words a key takes
+    for path in [(), ("rollout", 3, 0, 1), (2**32, "update", 0), (2**64 - 1, 2**96 + 1)]:
+        keys = [stream_key(p) if isinstance(p, str) else p for p in path]
+        expected = np.random.default_rng(np.random.SeedSequence([root, *keys]))
+        assert (named_stream(root, *path).bit_generator.state
+                == expected.bit_generator.state)
+
+
+@pytest.mark.parametrize("path", [(-1,), ("label", -3)])
+def test_named_stream_refuses_negative_integers(path):
+    with pytest.raises(ValueError, match="non-negative"):
+        named_stream(0, *path)
+    with pytest.raises(ValueError, match="non-negative"):
+        named_stream(-1, *path[1:])
 
 
 def test_sample_task_target_frequencies():

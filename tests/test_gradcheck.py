@@ -16,6 +16,7 @@ from policylab import (
 )
 from policylab.advantage import group_advantages
 from policylab.env import Trajectory, rollout_group, sample_task
+from policylab import gradcheck
 from policylab.gradcheck import (
     _boundary_safe_trajectories,
     analytic_objective_gradient,
@@ -173,12 +174,12 @@ def test_boundary_safe_trajectories_match_loop_reference(algorithm):
     assert kept and dropped  # both outcomes exercised
 
 
-# -- the row interface ----------------------------------------------------------
+# -- the batched interface ------------------------------------------------------
 
 
 def test_numeric_gradient_constant_objective_is_zero():
     policy = TabularPolicy.uniform(3, 4)
-    grad, flagged = numeric_gradient(lambda state, rows: np.full(len(rows), 7.5), policy, 1e-5)
+    grad, flagged = numeric_gradient(lambda rows: np.full(rows.shape[:2], 7.5), policy, 1e-5)
     assert np.array_equal(grad, np.zeros((3, 4)))
     assert flagged == []
 
@@ -186,12 +187,11 @@ def test_numeric_gradient_constant_objective_is_zero():
 def test_numeric_gradient_flags_nonfinite_coordinates():
     policy = TabularPolicy.uniform(2, 2)
 
-    def evaluator(state, rows):
-        # J = sum of all logits, with row `state` replaced by each of rows
-        rest = policy.logits.sum() - policy.logits[state].sum()
-        values = rest + rows.sum(axis=1)
-        if state == 0:
-            values[rows[:, 1] > 0.0] = float("inf")
+    def evaluator(rows):
+        # J = sum of all logits, with row s replaced by each of rows[s]
+        rest = policy.logits.sum() - policy.logits.sum(axis=1)
+        values = rest[:, None] + rows.sum(axis=2)
+        values[0, rows[0, :, 1] > 0.0] = float("inf")
         return values
 
     grad, flagged = numeric_gradient(evaluator, policy, 1e-5)
@@ -200,29 +200,72 @@ def test_numeric_gradient_flags_nonfinite_coordinates():
     assert grad[1, 0] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_numeric_gradient_flags_in_row_major_order():
+    policy = TabularPolicy.uniform(3, 3)
+
+    def evaluator(rows):
+        values = np.zeros(rows.shape[:2])
+        values[2, 0] = values[0, 4] = values[1, 3] = float("nan")  # (2,0) (0,1) (1,0)
+        return values
+
+    _, flagged = numeric_gradient(evaluator, policy, 1e-5)
+    assert flagged == [(0, 1), (1, 0), (2, 0)]
+
+
 def test_numeric_gradient_requires_positive_step():
     with pytest.raises(ValueError):
-        numeric_gradient(lambda state, rows: np.zeros(len(rows)), TabularPolicy.uniform(1, 2), 0.0)
+        numeric_gradient(lambda rows: np.zeros(rows.shape[:2]), TabularPolicy.uniform(1, 2), 0.0)
 
 
-def test_numeric_gradient_calls_evaluator_once_per_state():
+def test_numeric_gradient_calls_evaluator_once():
     policy = TabularPolicy.random(4, 3, 0.7, named_stream(2, "rows"))
     h = 1e-3
     calls = []
 
-    def evaluator(state, rows):
-        calls.append((state, rows.copy()))
-        return np.zeros(len(rows))
+    def evaluator(rows):
+        calls.append(rows.copy())
+        return np.zeros(rows.shape[:2])
 
     numeric_gradient(evaluator, policy, h)
-    assert [state for state, _ in calls] == [0, 1, 2, 3]
+    assert len(calls) == 1
+    rows = calls[0]
+    assert rows.shape == (4, 6, 3)
     base = policy.logits
-    for state, rows in calls:
-        assert rows.shape == (6, 3)
-        for sign, block in ((1.0, rows[:3]), (-1.0, rows[3:])):
-            expected = np.tile(base[state], (3, 1))
-            expected[np.arange(3), np.arange(3)] = base[state] + sign * h
-            assert np.array_equal(block, expected)
+    for state in range(4):
+        for sign, block in ((1.0, rows[state, :3]), (-1.0, rows[state, 3:])):
+            for a in range(3):
+                expected = base[state].copy()
+                expected[a] = base[state, a] + sign * h
+                assert np.array_equal(block[a], expected)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.003])
+def test_evaluator_chunking_leaves_gradient_unchanged(monkeypatch, alpha):
+    # one perturbed row per tile against a budget that holds the whole table
+    spec = ObjectiveSpec.for_algorithm("ce_gppo", alpha=alpha)
+    batch, policy = build_gradcheck_batch(spec, seed=4, n_trajectories=16, min_branch_count=2)
+    monkeypatch.setattr(gradcheck, "TILE_CELL_BUDGET", 2 * policy.logits.size * batch.n_tokens)
+    whole, whole_flagged = numeric_gradient(
+        frozen_surrogate_evaluator(spec, batch, policy), policy, 1e-5)
+    for budget in (1, batch.n_tokens + 1, 5 * batch.n_tokens - 1):
+        monkeypatch.setattr(gradcheck, "TILE_CELL_BUDGET", budget)
+        grad, flagged = numeric_gradient(
+            frozen_surrogate_evaluator(spec, batch, policy), policy, 1e-5)
+        assert np.array_equal(grad, whole)
+        assert flagged == whole_flagged
+
+
+def test_stacked_matmul_rounds_like_per_row_dot():
+    # the evaluator sums each perturbed objective with a stacked 1 x n matmul
+    # and must round as the per-row dot of a full recompute; a plain
+    # matrix-vector product does not
+    rng = named_stream(0, "stacked-matmul")
+    for n in (5, 17, 384, 4097):
+        for scale in (1e-8, 1.0, 1e8):
+            tile = rng.normal(size=(33, n)) * scale
+            weights = rng.random(n)
+            stacked = np.matmul(tile[:, None, :], weights)[:, 0]
+            assert np.array_equal(stacked, np.array([weights @ v for v in tile]))
 
 
 def test_single_token_interior_closed_form():
