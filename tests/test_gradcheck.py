@@ -41,7 +41,7 @@ def _spec(algorithm):
 
 
 # -- full-table reference ----------------------------------------------------
-# The evaluator and the coordinate loop the row-local path replaced: every
+# The evaluator and the coordinate loop the batched path replaced: every
 # perturbed objective rebuilds the whole policy and recomputes every token.
 
 
