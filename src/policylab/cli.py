@@ -66,6 +66,7 @@ def _int_at_least(minimum: int):
 _seed = _int_at_least(0)
 _positive_int = _int_at_least(1)
 _positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_probability = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 
 
 def _load_checkpoint(path: str) -> TabularPolicy:
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-low", type=float, default=0.2)
     p.add_argument("--eps-high", type=float, default=0.2)
     p.add_argument("--eta", type=_positive_float, default=0.01)
-    p.add_argument("--prob-threshold", type=float, default=None,
+    p.add_argument("--prob-threshold", type=_probability, default=None,
                    help="high/low probability split (default 1/vocab)")
     p.add_argument("--json", default=None)
     p.set_defaults(fn=_cmd_analyze)

@@ -20,14 +20,14 @@ Moving logit z[s, a] changes softmax row s and nothing else, so a
 perturbed table is named by the one row it changes: numeric_gradient
 builds all S*2V perturbed rows at once and asks the evaluator for every
 objective in one call. The evaluator takes one softmax over the visited
-states' perturbed rows and recomputes, in one elementwise pass, each
-token under each perturbation of its own state's row (and, with an
-entropy bonus, that state's entropy) on top of cached unperturbed values.
-Each J is still the dot of the whole token vector with the weights, in
-the order of a full recompute, so the numbers are bit for bit those of
-rebuilding the policy per coordinate. The (perturbation, token) tile
-those dots read is built a chunk of perturbations at a time, so its size
-stays within TILE_CELL_BUDGET cells however large the batch.
+states' perturbed rows and computes one (2V, n_tokens) grid: each token's
+value under each perturbed row of its own state. An entropy bonus takes
+each perturbed row's entropy in place of its state's. Each J is still the
+dot of the whole token vector with the weights, in the order of a full
+recompute, so the numbers are bit for bit those of rebuilding the policy
+per coordinate. The tile those dots read holds base values with a chunk
+of whole states' grid columns written in, so it stays within
+TILE_CELL_BUDGET cells, or one state's 2V rows if that is more.
 
 Because the objectives are piecewise, a check is only meaningful when the
 batch actually exercises every branch and no sample point sits within
@@ -49,9 +49,8 @@ from .objectives import (
     ObjectiveSpec,
     TokenBatch,
     _sequence_ratios,
-    aggregate_objective,
+    analytic_objective_gradient,
     batch_token_terms,
-    entropy_bonus,
     token_weights,
 )
 from .policy import TabularPolicy, entropy_rows, softmax_rows
@@ -102,7 +101,8 @@ class GradCheckReport:
 
 
 # Cells in one (perturbed objective, token) tile of the evaluator: a chunk
-# takes as many perturbations as fit, and at least one.
+# takes as many whole states (2V perturbed objectives each) as fit, and at
+# least one.
 TILE_CELL_BUDGET = 1 << 14
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
@@ -155,7 +155,11 @@ def frozen_surrogate_evaluator(spec: ObjectiveSpec, batch: TokenBatch,
         terms = batch_token_terms(spec, batch, policy)
     frozen_scale = terms.grad_weights / terms.deltas
     frozen_offset = terms.values - terms.grad_weights * batch.advantages
-    base_values = frozen_scale * terms.deltas * batch.advantages + frozen_offset
+
+    def surrogate(deltas: np.ndarray) -> np.ndarray:
+        return frozen_scale * deltas * batch.advantages + frozen_offset
+
+    base_values = surrogate(terms.deltas)
     weights = token_weights(batch)
     visited = np.unique(batch.states)
     base_entropies = entropy_rows(policy.probability_matrix()[visited])
@@ -168,76 +172,51 @@ def frozen_surrogate_evaluator(spec: ObjectiveSpec, batch: TokenBatch,
     if spec.alpha > 0.0:
         base_value += entropy_term(base_entropies)
 
-    # The visited states' perturbed rows, flattened: row r perturbs state
-    # visited[r // width]. Rows are evaluated a chunk at a time through one
-    # (chunk, n_tokens) tile per call; row r is tile row r % chunk. Entry e
-    # is token e_token[e] under row e_row[e], and the entries run in row
-    # order, so each chunk owns a slice of them.
+    # Perturbed row j of visited state i is objective (i, j). Whole states
+    # are evaluated a chunk at a time through one (chunk * width, n_tokens)
+    # tile of base values; the tokens are grouped by state once, so each
+    # chunk owns a slice of them.
     width = 2 * policy.num_actions
-    n_rows = len(visited) * width
-    chunk = min(n_rows, max(1, TILE_CELL_BUDGET // batch.n_tokens))
-    starts = range(0, n_rows, chunk)
-    token_rows = np.searchsorted(visited, batch.states)[:, None] * width + np.arange(width)
-    order = np.argsort(token_rows, axis=None, kind="stable")
-    e_row, e_token = token_rows.ravel()[order], order // width
-    cuts = np.searchsorted(e_row, [*starts, n_rows]).tolist()
-    e_prob = e_row * policy.num_actions + batch.actions[e_token]  # into probs.ravel()
-    e_cell = e_row % chunk * batch.n_tokens + e_token  # into tile.ravel()
-    e_old_lp, e_scale, e_adv, e_offset, e_base = (
-        a[e_token] for a in (batch.old_logprobs, frozen_scale, batch.advantages,
-                             frozen_offset, base_values))
-    row_state = np.arange(n_rows) // width  # slot in visited
-    row_cell = np.arange(n_rows) % chunk * len(visited) + row_state  # into an entropy tile
+    n_visited = len(visited)
+    chunk = min(n_visited, max(1, TILE_CELL_BUDGET // (width * batch.n_tokens)))
+    starts = range(0, n_visited, chunk)
+    token_slot = np.searchsorted(visited, batch.states)
+    by_state = np.argsort(token_slot, kind="stable")
+    bounds = np.searchsorted(token_slot[by_state], [*starts, n_visited]).tolist()
 
     def evaluate(rows: np.ndarray) -> np.ndarray:
-        probs = softmax_rows(rows[visited].reshape(n_rows, -1))
+        probs = softmax_rows(rows[visited].reshape(n_visited * width, -1))
+        # grid[j, t]: token t's value under perturbed row j of its own state
+        grid = probs.reshape(n_visited, width, -1).transpose(1, 0, 2)[
+            :, token_slot, batch.actions]
         with np.errstate(divide="ignore"):
-            new_lp = np.log(probs.ravel()[e_prob])
-        e_values = e_scale * np.exp(new_lp - e_old_lp) * e_adv + e_offset
-        values = np.empty(n_rows)
-        # each chunk writes its rows' perturbed values into the tile and
-        # puts the unperturbed ones back after its dots
-        tile = np.tile(base_values, (chunk, 1))
-        cells = tile.reshape(-1)
-        for start, lo, hi in zip(starts, cuts, cuts[1:]):
-            stop = min(start + chunk, n_rows)
-            cells[e_cell[lo:hi]] = e_values[lo:hi]
-            # a stack of 1 x n products: each rounds like the dot weights @ v
-            values[start:stop] = np.matmul(tile[:stop - start, None, :], weights)[:, 0]
-            cells[e_cell[lo:hi]] = e_base[lo:hi]
+            grid = surrogate(np.exp(np.log(grid) - batch.old_logprobs))
         if spec.alpha > 0.0:
-            # row r: the visited states' entropies with its own state's replaced
-            row_entropies = entropy_rows(probs)
-            tile = np.tile(base_entropies, (chunk, 1))
-            cells = tile.reshape(-1)
-            for start in starts:
-                stop = min(start + chunk, n_rows)
-                cells[row_cell[start:stop]] = row_entropies[start:stop]
-                values[start:stop] += entropy_term(tile[:stop - start])
-                cells[row_cell[start:stop]] = base_entropies[row_state[start:stop]]
+            row_entropies = entropy_rows(probs).reshape(n_visited, width, 1)
+        values = np.empty((n_visited, width))
+        tile = np.tile(base_values, (chunk * width, 1))
+        cells = tile.reshape(chunk, width, -1)
+        # each chunk writes its tokens' perturbed values into the tile and
+        # puts the unperturbed ones back after its dots
+        for start, lo, hi in zip(starts, bounds, bounds[1:]):
+            stop = min(start + chunk, n_visited)
+            tokens = by_state[lo:hi]
+            own = (token_slot[tokens] - start, slice(None), tokens)
+            cells[own] = grid[:, tokens].T
+            # a stack of 1 x n products: each rounds like the dot weights @ v
+            values[start:stop] = np.matmul(tile[:(stop - start) * width, None, :],
+                                           weights).reshape(-1, width)
+            cells[own] = base_values[tokens, None]
+            if spec.alpha > 0.0:
+                # objective (i, j): the visited states' entropies with i's replaced
+                mask = np.arange(start, stop)[:, None, None] == np.arange(n_visited)
+                values[start:stop] += entropy_term(
+                    np.where(mask, row_entropies[start:stop], base_entropies))
         out = np.full(rows.shape[:2], base_value)
-        out[visited] = values.reshape(len(visited), width)
+        out[visited] = values
         return out
 
     return evaluate
-
-
-def analytic_objective_gradient(spec: ObjectiveSpec, batch: TokenBatch,
-                                policy: TabularPolicy,
-                                terms: BatchTerms | None = None) -> tuple[float, np.ndarray]:
-    """Objective value and closed-form gradient, entropy bonus included.
-
-    ``terms`` are batch_token_terms(spec, batch, policy) when the caller
-    already has them.
-    """
-    if terms is None:
-        terms = batch_token_terms(spec, batch, policy)
-    value, grad = aggregate_objective(terms, batch, policy)
-    if spec.alpha > 0.0:
-        bonus_value, bonus_grad = entropy_bonus(policy, np.unique(batch.states), spec.alpha)
-        value += bonus_value
-        grad = grad + bonus_grad
-    return value, grad
 
 
 def check_objective_gradient(spec: ObjectiveSpec, batch: TokenBatch, policy: TabularPolicy,

@@ -92,8 +92,8 @@ class ObjectiveSpec:
                 raise TypeError(f"{name} must be a number, got {v!r}")
         if not 0.0 < self.eps_low < 1.0:
             raise ValueError(f"eps_low must be in (0, 1), got {self.eps_low}")
-        if not self.eps_high > 0.0:
-            raise ValueError(f"eps_high must be > 0, got {self.eps_high}")
+        if not 0.0 < self.eps_high < math.inf:
+            raise ValueError(f"eps_high must be finite and > 0, got {self.eps_high}")
         for name in ("beta1", "beta2", "alpha"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
@@ -405,4 +405,22 @@ def aggregate_objective(terms: BatchTerms, batch: TokenBatch,
                        minlength=num_states * num_actions).reshape(num_states, num_actions)
     state_coeff = np.bincount(batch.states, weights=coeff, minlength=num_states)
     grad -= state_coeff[:, None] * policy.probability_matrix()
+    return value, grad
+
+
+def analytic_objective_gradient(spec: ObjectiveSpec, batch: TokenBatch,
+                                policy: _SoftmaxTable,
+                                terms: BatchTerms | None = None) -> tuple[float, np.ndarray]:
+    """Objective value and closed-form gradient, entropy bonus included.
+
+    ``terms`` are batch_token_terms(spec, batch, policy) when the caller
+    already has them.
+    """
+    if terms is None:
+        terms = batch_token_terms(spec, batch, policy)
+    value, grad = aggregate_objective(terms, batch, policy)
+    if spec.alpha > 0.0:
+        bonus_value, bonus_grad = entropy_bonus(policy, batch.states, spec.alpha)
+        value += bonus_value
+        grad = grad + bonus_grad
     return value, grad

@@ -71,9 +71,8 @@ from .objectives import (
     BatchTerms,
     ObjectiveSpec,
     TokenBatch,
-    aggregate_objective,
+    analytic_objective_gradient,
     batch_token_terms,
-    entropy_bonus,
 )
 from .policy import TabularPolicy, entropy_rows, kl_rows
 from .seeding import named_stream
@@ -181,8 +180,8 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.mini_epochs < 1:
             raise ConfigError(f"mini_epochs must be >= 1, got {self.mini_epochs}")
-        if not self.learning_rate > 0.0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.total_steps < 1:
             raise ConfigError(f"total_steps must be >= 1, got {self.total_steps}")
         if not 0.0 < self.minibatch_fraction <= 1.0:
@@ -530,10 +529,7 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
                     for start in range(0, n_traj, chunk):
                         sub = shuffled.rows(start, start + chunk)
                         terms = batch_token_terms(spec, sub, policy)
-                        _, grad = aggregate_objective(terms, sub, policy)
-                        if spec.alpha > 0.0:
-                            grad = grad + entropy_bonus(policy, np.unique(sub.states),
-                                                        spec.alpha)[1]
+                        _, grad = analytic_objective_gradient(spec, sub, policy, terms)
                         grad_norm = float(np.linalg.norm(grad))
                         acc.add(terms, sub.advantages,
                                 old_probs[start * seq_len:(start + chunk) * seq_len],

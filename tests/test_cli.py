@@ -57,10 +57,14 @@ def test_train_bad_config_exit_2(tmp_path):
     ({"objective": {"algorithm": "ce_gppo", "beta1": True}}, "beta1 must be a number"),
     ({"beta_schedule": [[2.5, 0.5, 1.0]]}, "an integer step"),
     ({"learning_rate": True}, "learning_rate must be a number"),
+    ({"learning_rate": float("inf")}, "learning_rate must be finite and > 0"),
+    ({"objective": {"algorithm": "ce_gppo", "eps_high": float("inf")}},
+     "eps_high must be finite and > 0"),
 ], ids=["string_beta1", "string_eps_low", "beta1_on_grpo", "schedule_on_grpo",
         "short_schedule_entry", "string_target", "negative_seed", "fractional_vocab",
         "string_flag", "numeric_path", "bool_seed", "bool_total_steps", "bool_beta1",
-        "fractional_schedule_step", "bool_learning_rate"])
+        "fractional_schedule_step", "bool_learning_rate", "infinite_learning_rate",
+        "infinite_eps_high"])
 def test_train_malformed_config_value_exit_2(overrides, message, tmp_path, capsys):
     # a malformed value is a usage error with one line, not a traceback mid-run
     config = _write_config(tmp_path, **overrides)
@@ -222,6 +226,10 @@ def test_analyze_prob_threshold_zero_means_zero(tmp_path, capsys):
     ["eval", "{checkpoint}", "--samples", "0"],
     ["eval", "{checkpoint}", "--seed", "-1"],
     ["analyze", "--log", "{checkpoint}", "--checkpoint", "{checkpoint}", "--eta", "0"],
+    ["analyze", "--log", "{log}", "--checkpoint", "{log_checkpoint}", "--prob-threshold", "nan"],
+    ["analyze", "--log", "{log}", "--checkpoint", "{log_checkpoint}", "--prob-threshold", "-1"],
+    ["analyze", "--log", "{log}", "--checkpoint", "{log_checkpoint}", "--prob-threshold", "2"],
+    ["analyze", "--log", "{log}", "--checkpoint", "{log_checkpoint}", "--eps-high", "inf"],
     ["entropy-predict", "--eta", "0"],
     ["entropy-predict", "--eta", "nan"],
     ["entropy-predict", "--num-states", "0"],
@@ -231,11 +239,17 @@ def test_analyze_prob_threshold_zero_means_zero(tmp_path, capsys):
     ["gradcheck", "--trajectories", "1"],
     ["gradcheck", "--seed", "-1"],
     ["gradcheck", "--min-branch-count", "-3"],
-], ids=lambda argv: " ".join(a for a in argv if a != "{checkpoint}"))
+    ["gradcheck", "--eps-high", "inf"],
+], ids=lambda argv: " ".join(a for a in argv if not a.startswith("{")))
 def test_out_of_range_cli_input_exit_2(argv, tmp_path, capsys):
     checkpoint = tmp_path / "policy.json"
     TabularPolicy.uniform(6 * 5 + 1, 8).save(checkpoint)
-    argv = [str(checkpoint) if a == "{checkpoint}" else a for a in argv]
+    # a readable log with a table that fits it, so only the flag under test is wrong
+    (tmp_path / "log.jsonl").write_text(_log_line(0) + "\n" + _log_line(0, reward=1) + "\n")
+    TabularPolicy.uniform(3 * 5 + 1, 8).save(tmp_path / "log_policy.json")
+    paths = {"{checkpoint}": str(checkpoint), "{log}": str(tmp_path / "log.jsonl"),
+             "{log_checkpoint}": str(tmp_path / "log_policy.json")}
+    argv = [paths.get(a, a) for a in argv]
     try:
         rc = main(argv)
     except SystemExit as exc:  # argparse rejected the value

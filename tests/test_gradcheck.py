@@ -241,18 +241,44 @@ def test_numeric_gradient_calls_evaluator_once():
 
 @pytest.mark.parametrize("alpha", [0.0, 0.003])
 def test_evaluator_chunking_leaves_gradient_unchanged(monkeypatch, alpha):
-    # one perturbed row per tile against a budget that holds the whole table
+    # chunks of 1, 2 and 3 states, each at the smallest and largest budget
+    # that gives it, against a budget that holds the whole table
     spec = ObjectiveSpec.for_algorithm("ce_gppo", alpha=alpha)
-    batch, policy = build_gradcheck_batch(spec, seed=4, n_trajectories=16, min_branch_count=2)
-    monkeypatch.setattr(gradcheck, "TILE_CELL_BUDGET", 2 * policy.logits.size * batch.n_tokens)
+    batch, policy = build_gradcheck_batch(spec, seed=0, n_trajectories=16, min_branch_count=2)
+    n_visited = len(np.unique(batch.states))
+    assert n_visited % 2 and n_visited % 3  # the last chunk of 2 or 3 states is partial
+    state_cells = 2 * policy.num_actions * batch.n_tokens
+    monkeypatch.setattr(gradcheck, "TILE_CELL_BUDGET", policy.num_states * state_cells)
     whole, whole_flagged = numeric_gradient(
         frozen_surrogate_evaluator(spec, batch, policy), policy, 1e-5)
-    for budget in (1, batch.n_tokens + 1, 5 * batch.n_tokens - 1):
+    for budget in (1, state_cells, 2 * state_cells - 1, 2 * state_cells,
+                   3 * state_cells - 1, 3 * state_cells, 4 * state_cells - 1):
         monkeypatch.setattr(gradcheck, "TILE_CELL_BUDGET", budget)
         grad, flagged = numeric_gradient(
             frozen_surrogate_evaluator(spec, batch, policy), policy, 1e-5)
         assert np.array_equal(grad, whole)
         assert flagged == whole_flagged
+
+
+def _closure_arrays(fn):
+    """The ndarrays an evaluator keeps between calls, nested closures included."""
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            yield value
+        elif callable(value) and hasattr(value, "__closure__"):
+            yield from _closure_arrays(value)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.003])
+def test_evaluator_keeps_no_per_perturbation_arrays(alpha):
+    # what the evaluator holds between calls is per token or per state, never
+    # one entry per (perturbation, token) pair
+    spec = ObjectiveSpec.for_algorithm("ce_gppo", alpha=alpha)
+    batch, policy = build_gradcheck_batch(spec, seed=0, n_trajectories=16, min_branch_count=2)
+    arrays = list(_closure_arrays(frozen_surrogate_evaluator(spec, batch, policy)))
+    assert arrays
+    assert max(a.size for a in arrays) <= batch.n_tokens
 
 
 def test_stacked_matmul_rounds_like_per_row_dot():
