@@ -225,7 +225,7 @@ def test_analyze_prob_threshold_zero_means_zero(tmp_path, capsys):
     ["eval", "{checkpoint}", "--modulus", "1"],
     ["eval", "{checkpoint}", "--samples", "0"],
     ["eval", "{checkpoint}", "--seed", "-1"],
-    ["analyze", "--log", "{checkpoint}", "--checkpoint", "{checkpoint}", "--eta", "0"],
+    ["analyze", "--log", "{log}", "--checkpoint", "{log_checkpoint}", "--eta", "0"],
     ["analyze", "--log", "{log}", "--checkpoint", "{log_checkpoint}", "--prob-threshold", "nan"],
     ["analyze", "--log", "{log}", "--checkpoint", "{log_checkpoint}", "--prob-threshold", "-1"],
     ["analyze", "--log", "{log}", "--checkpoint", "{log_checkpoint}", "--prob-threshold", "2"],
