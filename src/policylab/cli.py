@@ -124,18 +124,16 @@ def _cmd_entropy_predict(args) -> int:
     else:
         policy = TabularPolicy.random(args.num_states, args.num_actions, 1.0, rng)
     n_states = min(args.instances, policy.num_states)
-    states = rng.choice(policy.num_states, size=n_states, replace=False)
-    etas = [args.eta / (2 ** k) for k in range(4)]
-    out = []
-    for state in sorted(int(s) for s in states):
-        raw = rng.normal(0.0, 1.0, policy.num_actions)
-        adv = center_advantages(policy, state, raw)
-        prediction = predict_entropy_change(policy, state, adv, args.eta)
-        convergence = verify_predictor_convergence(policy, state, adv, etas)
-        out.append({"prediction": prediction.to_dict(),
-                    "convergence": convergence.to_dict()})
+    states = np.sort(rng.choice(policy.num_states, size=n_states, replace=False))
+    adv = center_advantages(policy, states,
+                            rng.normal(0.0, 1.0, (n_states, policy.num_actions)))
+    predictions = predict_entropy_change(policy, states, adv, args.eta)
+    reports = verify_predictor_convergence(policy, states, adv,
+                                           [args.eta / (2 ** k) for k in range(4)])
+    out = [{"prediction": p.to_dict(), "convergence": c.to_dict()}
+           for p, c in zip(predictions, reports)]
     _emit({"seed": args.seed, "eta": args.eta, "instances": out}, args.json)
-    return EXIT_OK if all(i["convergence"]["passed"] for i in out) else EXIT_CHECK_FAILED
+    return EXIT_OK if all(c.passed for c in reports) else EXIT_CHECK_FAILED
 
 
 def _cmd_analyze(args) -> int:
@@ -178,17 +176,12 @@ def _cmd_analyze(args) -> int:
 
     adv_sum = np.bincount(cells, weights=advs, minlength=policy.logits.size).reshape(shape)
     adv_count = np.bincount(cells, minlength=policy.logits.size).reshape(shape)
-    state_visits = np.bincount(states, minlength=policy.num_states)
-
-    predictions = []
-    for state in np.unique(states).tolist():
-        counts = adv_count[state]
-        mean_adv = np.divide(adv_sum[state], counts,
-                             out=np.zeros(policy.num_actions), where=counts > 0)
-        centered = center_advantages(policy, state, mean_adv)
-        predictions.append(predict_entropy_change(policy, state, centered, args.eta))
-    weights = np.array([state_visits[p.state] for p in predictions], dtype=np.float64)
-    weights /= weights.sum()
+    visited, visits = np.unique(states, return_counts=True)
+    counts = adv_count[visited]
+    mean_adv = np.divide(adv_sum[visited], counts, out=np.zeros(counts.shape), where=counts > 0)
+    predictions = predict_entropy_change(
+        policy, visited, center_advantages(policy, visited, mean_adv), args.eta)
+    weights = visits / visits.sum()
     doc = {
         "quadrant_stats": stats.to_dict(),
         "entropy_predictions": [p.to_dict() for p in predictions],

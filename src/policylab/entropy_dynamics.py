@@ -10,6 +10,8 @@ E_{a~pi}[A] = 0), the entropy change is
 with error second order in eta. Both sides are computed exactly here: the
 covariance from the distribution, the actual dH by applying the update to
 a scratch copy, so the approximation quality itself is measurable.
+Every predictor function takes an array of states and an (n, V) advantage
+matrix, one row per state, and handles all rows in one pass.
 
 Tokens are classified by advantage sign x probability level into
 PA&HP / NA&LP / PA&LP / NA&HP. The high/low probability split has no
@@ -21,13 +23,13 @@ codes of objectives.clip_terms.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .objectives import CODE_LEFT, CODE_RIGHT
-from .policy import _SoftmaxTable, entropy_rows, softmax_rows
+from .policy import _log_or_zero, _SoftmaxTable, entropy_rows, softmax_rows
 
 CENTERING_TOLERANCE = 1e-9
 DEGENERATE_ENTROPY = 1e-6
@@ -45,29 +47,67 @@ class Quadrant(str, enum.Enum):
     NA_HP = "na_hp"
 
 
-def center_advantages(policy: _SoftmaxTable, state: int,
-                      advantages: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Subtract the on-policy mean so E_{a~pi}[A] = 0."""
-    adv = np.asarray(advantages, dtype=np.float64)
-    probs = policy.action_probabilities(state)
-    if adv.shape != probs.shape:
-        raise ValueError(f"need one advantage per action ({probs.size}), got shape {adv.shape}")
-    return adv - float(probs @ adv)
+def _rows(policy: _SoftmaxTable, states: Sequence[int] | np.ndarray, advantages: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The states' probability rows, the (n, V) advantages and each row's E_pi[A].
 
-
-def entropy_covariance(policy: _SoftmaxTable, state: int,
-                       advantages: Sequence[float] | np.ndarray) -> float:
-    """Cov_{a~pi}(log pi(a), pi(a) * A(a)), as E[XY] - E[X]E[Y].
-
-    Zero-probability actions carry zero weight and are excluded.
+    The mean is a stacked 1 x V matmul: it rounds as one row's probs @ adv
+    does, where (probs * adv).sum(1) does not.
     """
-    probs = policy.action_probabilities(state)
+    states = policy._check_states(np.asarray(states, dtype=np.int64))
+    probs = policy.probability_matrix()[states]
     adv = np.asarray(advantages, dtype=np.float64)
-    support = probs > 0.0
-    p = probs[support]
-    x = np.log(p)
-    y = p * adv[support]
-    return float((p * x * y).sum() - (p * x).sum() * (p * y).sum())
+    if states.ndim != 1 or adv.shape != probs.shape:
+        raise ValueError(f"need 1-D states and one advantage row per state, got states "
+                         f"{states.shape}, advantages {adv.shape}, {policy.num_actions} actions")
+    return probs, adv, np.matmul(probs[:, None, :], adv[:, :, None])[:, 0]
+
+
+def center_advantages(policy: _SoftmaxTable, states: Sequence[int] | np.ndarray,
+                      advantages: np.ndarray) -> np.ndarray:
+    """Subtract each row's on-policy mean, so E_{a~pi}[A] = 0 at every state.
+
+    advantages is an (n, num_actions) matrix whose row i belongs to states[i].
+    """
+    _, adv, means = _rows(policy, states, advantages)
+    return adv - means
+
+
+def entropy_covariance(policy: _SoftmaxTable, states: Sequence[int] | np.ndarray,
+                       advantages: np.ndarray) -> np.ndarray:
+    """Cov_{a~pi}(log pi(a), pi(a) * A(a)) of each row, as E[XY] - E[X]E[Y].
+
+    Zero-probability actions carry zero weight.
+    """
+    probs, adv, _ = _rows(policy, states, advantages)
+    x = _log_or_zero(probs)
+    y = probs * adv
+    return (probs * x * y).sum(axis=1) - (probs * x).sum(axis=1) * (probs * y).sum(axis=1)
+
+
+def _entropy_changes(policy: _SoftmaxTable, states: Sequence[int] | np.ndarray,
+                     advantages: np.ndarray, etas: Sequence[float]):
+    """Covariance (n,), predicted and actual dH (k, n) and entropy before (n,).
+
+    Applies z <- z + eta * pi * A for each of the k etas to scratch copies
+    of the states' rows and recomputes every entropy exactly, in one softmax
+    over n * (1 + k) stacked rows. Advantages must arrive centered
+    (|E_{a~pi}[A]| < 1e-9); centering is the caller's statement that the
+    update really is the policy-gradient step.
+    """
+    states = np.asarray(states, dtype=np.int64)
+    probs, adv, means = _rows(policy, states, advantages)
+    off = np.flatnonzero(np.abs(means[:, 0]) >= CENTERING_TOLERANCE)
+    if off.size:
+        raise ValueError(f"advantages at state {states[off[0]]} are not baseline-centered: "
+                         f"E_pi[A] = {means[off[0], 0]:.3e} (tolerance {CENTERING_TOLERANCE}); "
+                         f"center them first")
+    cov = entropy_covariance(policy, states, adv)
+    rows = policy.logits[states]
+    steps = [rows] + [rows + eta * probs * adv for eta in etas]
+    entropies = entropy_rows(softmax_rows(np.concatenate(steps))).reshape(len(steps), -1)
+    predicted = -np.asarray(etas, dtype=np.float64)[:, None] * cov
+    return cov, predicted, entropies[1:] - entropies[0], entropies[0]
 
 
 @dataclass
@@ -84,40 +124,21 @@ class EntropyPrediction:
     mode: str
 
     def to_dict(self) -> dict:
-        return {"state": self.state, "eta": self.eta, "covariance": self.covariance,
-                "predicted_delta_h": self.predicted_delta_h,
-                "actual_delta_h": self.actual_delta_h, "abs_error": self.abs_error,
-                "mode": self.mode}
+        return asdict(self)
 
 
-def predict_entropy_change(policy: _SoftmaxTable, state: int,
-                           advantages: Sequence[float] | np.ndarray,
-                           eta: float) -> EntropyPrediction:
-    """Covariance prediction vs the exact post-update entropy.
+def predict_entropy_change(policy: _SoftmaxTable, states: Sequence[int] | np.ndarray,
+                           advantages: np.ndarray, eta: float) -> list[EntropyPrediction]:
+    """Covariance prediction vs the exact post-update entropy, one per state.
 
-    Applies z <- z + eta * pi * A to a scratch copy of the state's row and
-    recomputes the entropy exactly. Advantages must arrive centered
-    (|E_{a~pi}[A]| < 1e-9); centering is the caller's statement that the
-    update really is the policy-gradient step.
+    Row i of the (n, num_actions) advantages belongs to states[i] and must
+    be centered; see _entropy_changes.
     """
     if not eta > 0.0:
         raise ValueError(f"eta must be > 0, got {eta}")
-    probs = policy.action_probabilities(state)
-    adv = np.asarray(advantages, dtype=np.float64)
-    if adv.shape != probs.shape:
-        raise ValueError(f"need one advantage per action ({probs.size}), got shape {adv.shape}")
-    residual = float(probs @ adv)
-    if abs(residual) >= CENTERING_TOLERANCE:
-        raise ValueError(
-            f"advantages are not baseline-centered: E_pi[A] = {residual:.3e} "
-            f"(tolerance {CENTERING_TOLERANCE}); center them first")
-    cov = entropy_covariance(policy, state, adv)
-    predicted = -eta * cov
-    row = policy.logits[int(state)]
-    h_before, h_after = entropy_rows(softmax_rows(np.stack([row, row + eta * probs * adv])))
-    actual = float(h_after - h_before)
-    return EntropyPrediction(int(state), float(eta), cov, predicted, actual,
-                             abs(actual - predicted), mode="policy_gradient")
+    cov, predicted, actual, _ = _entropy_changes(policy, states, advantages, [eta])
+    return [EntropyPrediction(int(s), float(eta), c, p, a, abs(a - p), mode="policy_gradient")
+            for s, c, p, a in zip(states, cov.tolist(), predicted[0].tolist(), actual[0].tolist())]
 
 
 @dataclass
@@ -133,24 +154,20 @@ class ConvergenceReport:
     reason: str
 
     def to_dict(self) -> dict:
-        return {"state": self.state, "etas": self.etas, "errors": self.errors,
-                "ratios": self.ratios, "passed": self.passed,
-                "degenerate": self.degenerate, "reason": self.reason}
+        return asdict(self)
 
 
-def verify_predictor_convergence(policy: _SoftmaxTable, state: int,
-                                 advantages: Sequence[float] | np.ndarray,
-                                 eta_sequence: Sequence[float],
-                                 ratio_band: tuple[float, float] = RATIO_BAND,
-                                 ) -> ConvergenceReport:
-    """Check second-order error shrinkage over a halving eta sequence.
+def verify_predictor_convergence(policy: _SoftmaxTable, states: Sequence[int] | np.ndarray,
+                                 advantages: np.ndarray, eta_sequence: Sequence[float],
+                                 ) -> list[ConvergenceReport]:
+    """Check second-order error shrinkage over a halving eta sequence, per state.
 
     The sequence must be geometric with ratio 1/2 and have >= 4 points.
     Passing requires the final two consecutive error ratios to land in
-    ratio_band (default [3, 5], around the ideal 4). Instances whose
-    errors sit at the floating-point floor, or whose row entropy is below
-    the smooth regime, are tagged degenerate and excluded rather than
-    failed: there is nothing to measure there.
+    RATIO_BAND ([3, 5], around the ideal 4). Rows whose errors sit at the
+    floating-point floor, or whose entropy is below the smooth regime, are
+    tagged degenerate and excluded rather than failed: there is nothing to
+    measure there.
     """
     etas = [float(e) for e in eta_sequence]
     if len(etas) < 4:
@@ -158,31 +175,27 @@ def verify_predictor_convergence(policy: _SoftmaxTable, state: int,
     for a, b in zip(etas, etas[1:]):
         if not (a > b > 0.0) or abs(a / b - 2.0) > 1e-6:
             raise ValueError(f"eta sequence must halve at each step, got {etas}")
-
-    def degenerate(reason: str) -> ConvergenceReport:
-        return ConvergenceReport(int(state), etas, errors, ratios, passed=True,
-                                 degenerate=True, reason=reason)
-
-    errors: list[float] = []
-    ratios: list[float] = []
-    if policy.exact_entropy(state) < DEGENERATE_ENTROPY:
-        return degenerate("row entropy below smooth regime")
-    errors = [predict_entropy_change(policy, state, advantages, eta).abs_error
-              for eta in etas]
-    if all(e < ERROR_FLOOR for e in errors):
-        return degenerate("errors at floating-point floor")
-    relevant = errors[-3:]
-    if any(e < ERROR_FLOOR for e in relevant):
-        return degenerate("final-pair errors at floating-point floor")
-    ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
-    final_two = ratios[-2:]
-    lo, hi = ratio_band
-    passed = all(lo <= r <= hi for r in final_two)
-    reason = "" if passed else (
-        f"final error ratios {final_two} outside [{lo}, {hi}]; "
-        f"measured sequence errors={errors} ratios={ratios}")
-    return ConvergenceReport(int(state), etas, errors, ratios, passed,
-                             degenerate=False, reason=reason)
+    _, predicted, actual, entropies = _entropy_changes(policy, states, advantages, etas)
+    lo, hi = RATIO_BAND
+    reports = []
+    for s, entropy, errors in zip(states, entropies.tolist(),
+                                  np.abs(actual - predicted).T.tolist()):
+        ratios: list[float] = []
+        if entropy < DEGENERATE_ENTROPY:
+            errors, reason = [], "row entropy below smooth regime"
+        elif all(e < ERROR_FLOOR for e in errors):
+            reason = "errors at floating-point floor"
+        elif any(e < ERROR_FLOOR for e in errors[-3:]):
+            reason = "final-pair errors at floating-point floor"
+        else:
+            ratios = [a / b for a, b in zip(errors, errors[1:])]
+            reason = "" if all(lo <= r <= hi for r in ratios[-2:]) else (
+                f"final error ratios {ratios[-2:]} outside [{lo}, {hi}]; "
+                f"measured sequence errors={errors} ratios={ratios}")
+        degenerate = not ratios  # ratios are measured only on non-degenerate rows
+        reports.append(ConvergenceReport(int(s), etas, errors, ratios, degenerate or not reason,
+                                         degenerate, reason))
+    return reports
 
 
 @dataclass
@@ -199,12 +212,7 @@ class QuadrantStats:
     histogram_edges: list[float]
 
     def to_dict(self) -> dict:
-        return {"counts": self.counts, "fractions": self.fractions,
-                "left_clip_fraction": self.left_clip_fraction,
-                "right_clip_fraction": self.right_clip_fraction,
-                "n_tokens": self.n_tokens, "n_neutral": self.n_neutral,
-                "histogram_counts": self.histogram_counts,
-                "histogram_edges": self.histogram_edges}
+        return asdict(self)
 
 
 def quadrant_stats_arrays(deltas: np.ndarray, advantages: np.ndarray,

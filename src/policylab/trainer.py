@@ -230,9 +230,11 @@ class RunConfig:
             self.env_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        for t in self.resolved_eval_targets():
-            if not 0 <= t < self.modulus:
-                raise ConfigError(f"eval target {t} outside [0, {self.modulus})")
+        targets = self.resolved_eval_targets()
+        in_range = all(0 <= t < self.modulus for t in targets)
+        if not targets or len(set(targets)) < len(targets) or not in_range:
+            raise ConfigError(f"eval_targets must be one or more distinct residues in "
+                              f"[0, {self.modulus}), got {list(targets)}")
 
     def env_config(self) -> EnvConfig:
         if self.train_targets == "all":

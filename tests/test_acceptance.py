@@ -101,9 +101,8 @@ def test_c03_entropy_predictor_second_order():
     while instances < 150:
         n = int(rng.integers(4, 11))
         policy = TabularPolicy.random(1, n, float(rng.uniform(0.3, 1.5)), rng)
-        adv = center_advantages(policy, 0, rng.normal(size=n))
-        report = verify_predictor_convergence(policy, 0, adv, etas,
-                                              ratio_band=(3.0, 5.0))
+        adv = center_advantages(policy, [0], rng.normal(size=(1, n)))
+        report = verify_predictor_convergence(policy, [0], adv, etas)[0]
         if report.degenerate:
             continue
         instances += 1
@@ -127,11 +126,13 @@ def test_c04_covariance_sign_semantics():
         if probs.max() - probs.min() < 1e-9:
             continue
         checked += 1
-        boost_max = center_advantages(policy, 0, np.eye(n)[int(np.argmax(probs))])
-        boost_min = center_advantages(policy, 0, np.eye(n)[int(np.argmin(probs))])
-        if not entropy_covariance(policy, 0, boost_max) > 0:
+        # rows: one-hot advantage on the most, then the least probable action
+        boosts = center_advantages(policy, [0, 0],
+                                   np.eye(n)[[int(np.argmax(probs)), int(np.argmin(probs))]])
+        cov_max, cov_min = entropy_covariance(policy, [0, 0], boosts)
+        if not cov_max > 0:
             violations += 1
-        if not entropy_covariance(policy, 0, boost_min) < 0:
+        if not cov_min < 0:
             violations += 1
     ok = violations == 0
     _report(4, "covariance sign semantics", ok,

@@ -60,11 +60,13 @@ def test_train_bad_config_exit_2(tmp_path):
     ({"learning_rate": float("inf")}, "learning_rate must be finite and > 0"),
     ({"objective": {"algorithm": "ce_gppo", "eps_high": float("inf")}},
      "eps_high must be finite and > 0"),
+    ({"eval_targets": []}, "eval_targets must be one or more distinct residues"),
+    ({"eval_targets": [4, 4]}, "eval_targets must be one or more distinct residues"),
 ], ids=["string_beta1", "string_eps_low", "beta1_on_grpo", "schedule_on_grpo",
         "short_schedule_entry", "string_target", "negative_seed", "fractional_vocab",
         "string_flag", "numeric_path", "bool_seed", "bool_total_steps", "bool_beta1",
         "fractional_schedule_step", "bool_learning_rate", "infinite_learning_rate",
-        "infinite_eps_high"])
+        "infinite_eps_high", "empty_eval_targets", "duplicate_eval_targets"])
 def test_train_malformed_config_value_exit_2(overrides, message, tmp_path, capsys):
     # a malformed value is a usage error with one line, not a traceback mid-run
     config = _write_config(tmp_path, **overrides)

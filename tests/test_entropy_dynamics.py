@@ -13,8 +13,17 @@ from policylab import (
     predict_entropy_change,
     verify_predictor_convergence,
 )
-from policylab.entropy_dynamics import HISTOGRAM_EDGES, quadrant_stats_arrays
-from policylab.policy import entropy_gradient_rows
+from policylab.entropy_dynamics import (
+    CENTERING_TOLERANCE,
+    DEGENERATE_ENTROPY,
+    ERROR_FLOOR,
+    HISTOGRAM_EDGES,
+    RATIO_BAND,
+    ConvergenceReport,
+    EntropyPrediction,
+    quadrant_stats_arrays,
+)
+from policylab.policy import entropy_gradient_rows, entropy_rows, softmax_rows
 
 # the PPO clip rule with bounds (0.8, 1.2)
 PPO_RULE = ObjectiveSpec(algorithm="dapo", eps_low=0.2, eps_high=0.2)
@@ -22,6 +31,157 @@ PPO_RULE = ObjectiveSpec(algorithm="dapo", eps_low=0.2, eps_high=0.2)
 
 def _policy_from_probs(probs):
     return TabularPolicy(np.log(np.array([probs])))
+
+
+def _one(fn, policy, adv, *args):
+    """fn over the single state 0 of policy, with one advantage row."""
+    return fn(policy, [0], np.asarray(adv, dtype=np.float64)[None], *args)[0]
+
+
+# ---------------------------------------------------------------------------
+# the per-state predictor, kept as the reference the row functions must match
+# ---------------------------------------------------------------------------
+
+def _center_ref(policy, state, adv):
+    return adv - float(policy.action_probabilities(state) @ adv)
+
+
+def _covariance_ref(policy, state, adv):
+    probs = policy.action_probabilities(state)
+    support = probs > 0.0
+    p = probs[support]
+    x = np.log(p)
+    y = p * adv[support]
+    return float((p * x * y).sum() - (p * x).sum() * (p * y).sum())
+
+
+def _predict_ref(policy, state, adv, eta):
+    probs = policy.action_probabilities(state)
+    assert abs(float(probs @ adv)) < CENTERING_TOLERANCE
+    cov = _covariance_ref(policy, state, adv)
+    predicted = -eta * cov
+    row = policy.logits[state]
+    h_before, h_after = entropy_rows(softmax_rows(np.stack([row, row + eta * probs * adv])))
+    actual = float(h_after - h_before)
+    return EntropyPrediction(state, eta, cov, predicted, actual, abs(actual - predicted),
+                             mode="policy_gradient")
+
+
+def _convergence_ref(policy, state, adv, etas):
+    def degenerate(reason):
+        return ConvergenceReport(state, etas, errors, [], passed=True, degenerate=True,
+                                 reason=reason)
+
+    errors = []
+    if policy.exact_entropy(state) < DEGENERATE_ENTROPY:
+        return degenerate("row entropy below smooth regime")
+    errors = [_predict_ref(policy, state, adv, eta).abs_error for eta in etas]
+    if all(e < ERROR_FLOOR for e in errors):
+        return degenerate("errors at floating-point floor")
+    if any(e < ERROR_FLOOR for e in errors[-3:]):
+        return degenerate("final-pair errors at floating-point floor")
+    ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
+    lo, hi = RATIO_BAND
+    passed = all(lo <= r <= hi for r in ratios[-2:])
+    reason = "" if passed else (
+        f"final error ratios {ratios[-2:]} outside [{lo}, {hi}]; "
+        f"measured sequence errors={errors} ratios={ratios}")
+    return ConvergenceReport(state, etas, errors, ratios, passed, degenerate=False,
+                             reason=reason)
+
+
+def _random_rows(seed, num_states, num_actions, underflow):
+    """A random table, all its states and raw N(0, 1) advantage rows.
+
+    With underflow, one to num_actions - 1 actions of every row sit 800
+    nats below the rest, so their probabilities are exactly 0.
+    """
+    rng = named_stream(seed, "rows")
+    logits = rng.normal(0.0, float(rng.uniform(0.2, 2.5)), (num_states, num_actions))
+    if underflow:
+        for row in logits:
+            k = int(rng.integers(1, num_actions))
+            row[rng.choice(num_actions, size=k, replace=False)] -= 800.0
+    policy = TabularPolicy(logits)
+    return policy, np.arange(num_states), rng.normal(0.0, 1.0, (num_states, num_actions))
+
+
+TABLES = [(31, 8)] * 10 + [(193, 32)] * 4 + [(40, 3)] * 10
+ETAS = [0.04, 0.02, 0.01, 0.005]
+
+
+def test_row_functions_equal_per_state_reference_on_full_support():
+    rows = 0
+    for seed, (num_states, num_actions) in enumerate(TABLES):
+        policy, states, raw = _random_rows(seed, num_states, num_actions, underflow=False)
+        assert (policy.probability_matrix() > 0.0).all()
+        adv = center_advantages(policy, states, raw)
+        cov = entropy_covariance(policy, states, adv)
+        predictions = predict_entropy_change(policy, states, adv, ETAS[0])
+        reports = verify_predictor_convergence(policy, states, adv, ETAS)
+        for s in states.tolist():
+            centered = _center_ref(policy, s, raw[s])
+            assert np.array_equal(adv[s], centered)
+            assert cov[s] == _covariance_ref(policy, s, centered)
+            assert predictions[s] == _predict_ref(policy, s, centered, ETAS[0])
+            assert reports[s] == _convergence_ref(policy, s, centered, ETAS)
+            rows += 1
+    assert rows == 10 * 31 + 4 * 193 + 10 * 40
+
+
+def _covariance_scale(policy, state, adv):
+    """sum |p x y| + sum |p x| * sum |p y|: the size of what the covariance subtracts."""
+    p = policy.action_probabilities(state)
+    x = np.log(p, out=np.zeros_like(p), where=p > 0.0)
+    y = p * adv
+    return float(np.abs(p * x * y).sum() + np.abs(p * x).sum() * np.abs(p * y).sum())
+
+
+def test_row_functions_near_per_state_reference_with_underflowed_actions():
+    # the reference sums only the supported actions and the rows add a zero
+    # term for each underflowed one, so the covariance may round differently;
+    # the gap is bounded relative to the terms the covariance is a difference
+    # of, since a covariance near 0 can be a cancellation of larger terms.
+    # Centering and the exact entropies still agree bit for bit.
+    for seed, (num_states, num_actions) in enumerate(TABLES):
+        policy, states, raw = _random_rows(seed, num_states, num_actions, underflow=True)
+        assert (policy.probability_matrix() == 0.0).any(axis=1).all()
+        adv = center_advantages(policy, states, raw)
+        cov = entropy_covariance(policy, states, adv)
+        predictions = predict_entropy_change(policy, states, adv, ETAS[0])
+        for s in states.tolist():
+            centered = _center_ref(policy, s, raw[s])
+            assert np.array_equal(adv[s], centered)
+            reference = _predict_ref(policy, s, centered, ETAS[0])
+            bound = 1e-12 * _covariance_scale(policy, s, centered)
+            assert abs(cov[s] - reference.covariance) <= bound
+            assert abs(predictions[s].predicted_delta_h
+                       - reference.predicted_delta_h) <= ETAS[0] * bound
+            assert predictions[s].actual_delta_h == reference.actual_delta_h
+
+
+def test_rows_are_independent_of_batch_and_order():
+    policy, states, raw = _random_rows(99, 31, 8, underflow=False)
+    order = named_stream(99, "order").permutation(states)
+    adv = center_advantages(policy, states, raw)
+    shuffled = predict_entropy_change(policy, order, adv[order], 0.02)
+    whole = predict_entropy_change(policy, states, adv, 0.02)
+    assert [whole[s] for s in order.tolist()] == shuffled
+    repeated = predict_entropy_change(policy, [3, 3], adv[[3, 3]], 0.02)
+    assert repeated == [whole[3], whole[3]]
+
+
+def test_row_function_input_validation():
+    policy = TabularPolicy.uniform(3, 4)
+    for states, adv in ((0, np.zeros(4)), ([0], np.zeros(4)), ([0, 1], np.zeros((1, 4))),
+                        ([0], np.zeros((1, 3)))):
+        with pytest.raises(ValueError, match="one advantage row per state"):
+            center_advantages(policy, states, adv)
+    with pytest.raises(ValueError, match="states outside"):
+        entropy_covariance(policy, [3], np.zeros((1, 4)))
+    with pytest.raises(ValueError, match="at state 2 are not baseline-centered"):
+        predict_entropy_change(policy, [0, 2], [[0.0] * 4, [1.0] * 4], 0.01)
+    assert predict_entropy_change(policy, [], np.zeros((0, 4)), 0.01) == []
 
 
 def _stats(deltas, advs, probs, prob_threshold, spec=PPO_RULE):
@@ -74,13 +234,13 @@ def test_covariance_identity_two_forms():
         y = probs * adv
         definitional = float(
             (probs * (x - probs @ x) * (y - probs @ y)).sum())
-        assert abs(entropy_covariance(policy, 0, adv) - definitional) < 1e-12
+        assert abs(_one(entropy_covariance, policy, adv) - definitional) < 1e-12
 
 
 def test_uniform_policy_zero_covariance():
     policy = TabularPolicy.uniform(1, 8)
-    adv = center_advantages(policy, 0, np.arange(8.0))
-    prediction = predict_entropy_change(policy, 0, adv, 0.01)
+    adv = _one(center_advantages, policy, np.arange(8.0))
+    prediction = _one(predict_entropy_change, policy, adv, 0.01)
     assert abs(prediction.covariance) < 1e-12
     assert abs(prediction.predicted_delta_h) < 1e-14
 
@@ -88,9 +248,9 @@ def test_uniform_policy_zero_covariance():
 def test_hand_computed_prediction_point_eight():
     # centered form of (+1, -1) under (0.8, 0.2) is (0.4, -1.6)
     policy = _policy_from_probs([0.8, 0.2])
-    adv = center_advantages(policy, 0, [1.0, -1.0])
+    adv = _one(center_advantages, policy, [1.0, -1.0])
     assert np.allclose(adv, [0.4, -1.6])
-    prediction = predict_entropy_change(policy, 0, adv, 0.01)
+    prediction = _one(predict_entropy_change, policy, adv, 0.01)
     assert prediction.covariance == pytest.approx(0.1420, abs=1e-4)
     assert prediction.predicted_delta_h == pytest.approx(-0.001420, abs=1e-6)
     assert prediction.predicted_delta_h == -0.01 * prediction.covariance
@@ -100,8 +260,8 @@ def test_hand_computed_prediction_point_eight():
 def test_low_probability_boost_negative_covariance():
     # positive advantage on the low-probability action: entropy predicted to rise
     policy = _policy_from_probs([0.2, 0.8])
-    adv = center_advantages(policy, 0, [1.0, -1.0])
-    prediction = predict_entropy_change(policy, 0, adv, 0.01)
+    adv = _one(center_advantages, policy, [1.0, -1.0])
+    prediction = _one(predict_entropy_change, policy, adv, 0.01)
     assert prediction.covariance == pytest.approx(-0.1420, abs=1e-4)
     assert prediction.predicted_delta_h > 0
     assert prediction.actual_delta_h > 0
@@ -110,15 +270,15 @@ def test_low_probability_boost_negative_covariance():
 def test_prediction_requires_centered_advantages():
     policy = _policy_from_probs([0.8, 0.2])
     with pytest.raises(ValueError, match="E_pi\\[A\\] = 6"):
-        predict_entropy_change(policy, 0, [1.0, -1.0], 0.01)
+        _one(predict_entropy_change, policy, [1.0, -1.0], 0.01)
 
 
 def test_prediction_validation():
     policy = _policy_from_probs([0.5, 0.5])
     with pytest.raises(ValueError):
-        predict_entropy_change(policy, 0, [0.0, 0.0], 0.0)
+        _one(predict_entropy_change, policy, [0.0, 0.0], 0.0)
     with pytest.raises(ValueError):
-        predict_entropy_change(policy, 0, [0.0, 0.0, 0.0], 0.01)
+        _one(predict_entropy_change, policy, [0.0, 0.0, 0.0], 0.01)
 
 
 def test_prediction_shift_invariance():
@@ -126,9 +286,9 @@ def test_prediction_shift_invariance():
     logits = rng.normal(0, 1, (1, 6))
     p1 = TabularPolicy(logits)
     p2 = TabularPolicy(logits + 123.0)
-    adv = center_advantages(p1, 0, rng.normal(size=6))
-    a = predict_entropy_change(p1, 0, adv, 0.02)
-    b = predict_entropy_change(p2, 0, adv, 0.02)
+    adv = _one(center_advantages, p1, rng.normal(size=6))
+    a = _one(predict_entropy_change, p1, adv, 0.02)
+    b = _one(predict_entropy_change, p2, adv, 0.02)
     assert a.covariance == pytest.approx(b.covariance, abs=1e-12)
     assert a.predicted_delta_h == pytest.approx(b.predicted_delta_h, abs=1e-12)
 
@@ -138,11 +298,11 @@ def test_entropy_gradient_along_pg_step_is_minus_covariance():
     # idealized step u = pi * A it is the -Cov(log pi, pi * A) the predictor uses
     for seed in range(20):
         policy = TabularPolicy.random(1, 6, 1.0, named_stream(seed, "upd"))
-        adv = center_advantages(policy, 0, named_stream(seed, "adv").normal(size=6))
+        adv = _one(center_advantages, policy, named_stream(seed, "adv").normal(size=6))
         probs = policy.probability_matrix()
         first_order = float(entropy_gradient_rows(probs)[0] @ (probs[0] * adv))
-        assert first_order == pytest.approx(-entropy_covariance(policy, 0, adv), abs=1e-12)
-        prediction = predict_entropy_change(policy, 0, adv, 0.02)
+        assert first_order == pytest.approx(-_one(entropy_covariance, policy, adv), abs=1e-12)
+        prediction = _one(predict_entropy_change, policy, adv, 0.02)
         assert prediction.predicted_delta_h == -0.02 * prediction.covariance
         assert prediction.mode == "policy_gradient"
 
@@ -158,8 +318,8 @@ def test_sign_semantics_boost_most_and_least_probable():
             continue
         for which, comparator in (("max", lambda c: c > 0), ("min", lambda c: c < 0)):
             a = int(np.argmax(probs)) if which == "max" else int(np.argmin(probs))
-            adv = center_advantages(policy, 0, np.eye(n)[a])
-            cov = entropy_covariance(policy, 0, adv)
+            adv = _one(center_advantages, policy, np.eye(n)[a])
+            cov = _one(entropy_covariance, policy, adv)
             assert comparator(cov), (which, probs, cov)
 
 
@@ -169,8 +329,8 @@ def test_sign_semantics_boost_most_and_least_probable():
 
 def test_convergence_quadratic_shrinkage():
     policy = TabularPolicy.random(1, 8, 1.0, named_stream(4, "conv"))
-    adv = center_advantages(policy, 0, named_stream(4, "conv-adv").normal(size=8))
-    report = verify_predictor_convergence(policy, 0, adv, [0.04, 0.02, 0.01, 0.005])
+    adv = _one(center_advantages, policy, named_stream(4, "conv-adv").normal(size=8))
+    report = _one(verify_predictor_convergence, policy, adv, [0.04, 0.02, 0.01, 0.005])
     assert report.passed and not report.degenerate
     assert len(report.ratios) == 3
     for ratio in report.ratios[-2:]:
@@ -179,8 +339,7 @@ def test_convergence_quadratic_shrinkage():
 
 def test_convergence_zero_advantages_degenerate():
     policy = TabularPolicy.random(1, 6, 1.0, named_stream(5, "conv0"))
-    report = verify_predictor_convergence(policy, 0, np.zeros(6),
-                                          [0.04, 0.02, 0.01, 0.005])
+    report = _one(verify_predictor_convergence, policy, np.zeros(6), [0.04, 0.02, 0.01, 0.005])
     assert report.passed and report.degenerate
     assert "floor" in report.reason
 
@@ -188,8 +347,7 @@ def test_convergence_zero_advantages_degenerate():
 def test_convergence_near_deterministic_policy_excluded():
     policy = TabularPolicy(np.array([[200.0, 0.0, 0.0]]))
     assert policy.exact_entropy(0) < 1e-6
-    report = verify_predictor_convergence(policy, 0, np.zeros(3),
-                                          [0.04, 0.02, 0.01, 0.005])
+    report = _one(verify_predictor_convergence, policy, np.zeros(3), [0.04, 0.02, 0.01, 0.005])
     assert report.degenerate
     assert "entropy" in report.reason
 
@@ -197,19 +355,20 @@ def test_convergence_near_deterministic_policy_excluded():
 def test_convergence_sequence_validation():
     policy = TabularPolicy.uniform(1, 4)
     with pytest.raises(ValueError):
-        verify_predictor_convergence(policy, 0, np.zeros(4), [0.04, 0.02, 0.01])
+        _one(verify_predictor_convergence, policy, np.zeros(4), [0.04, 0.02, 0.01])
     with pytest.raises(ValueError):
-        verify_predictor_convergence(policy, 0, np.zeros(4), [0.04, 0.03, 0.02, 0.01])
+        _one(verify_predictor_convergence, policy, np.zeros(4), [0.04, 0.03, 0.02, 0.01])
 
 
 def test_convergence_failure_reports_measured_sequence():
     # a sequence of etas too large for the first-order regime on a sharp policy
     policy = _policy_from_probs([0.97, 0.01, 0.01, 0.01])
-    adv = center_advantages(policy, 0, np.array([5.0, -30.0, 20.0, -10.0]))
-    report = verify_predictor_convergence(policy, 0, adv, [8.0, 4.0, 2.0, 1.0])
-    if not report.passed:
-        assert "measured sequence" in report.reason
-        assert len(report.errors) == 4
+    adv = _one(center_advantages, policy, np.array([5.0, -30.0, 20.0, -10.0]))
+    report = _one(verify_predictor_convergence, policy, adv, [16.0, 8.0, 4.0, 2.0])
+    assert not report.passed
+    assert not report.degenerate
+    assert "measured sequence" in report.reason
+    assert len(report.errors) == 4
 
 
 # ---------------------------------------------------------------------------

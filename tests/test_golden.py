@@ -102,3 +102,27 @@ def test_golden_analyze(name, tmp_path):
                  "--checkpoint", str(tmp_path / "policy.json"), "--json", str(report)])
     assert code == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == ANALYZE_GOLDEN[name]
+
+
+# sha256 of the `policylab entropy-predict` JSON: the default random table, a
+# wide random table, and the final checkpoint of the wide 10-step run
+ENTROPY_PREDICT_GOLDEN = {
+    "seed_0": ([], "a81368b2b40285bcfd74bf4a7888a77e7bf11e35e69ac38698fe34d1c69f140d"),
+    "seed_3_193x32": (["--seed", "3", "--num-states", "193", "--num-actions", "32",
+                       "--instances", "12", "--eta", "0.02"],
+                      "e24f91faaf4ae305110c539659df5c06d3d0e33276ccfc095abf8625157bb273"),
+    "wide_checkpoint": (["--checkpoint", "{checkpoint}", "--instances", "24"],
+                        "e5d312156e37ca0cdda954bbcc8e21df6e0aa0df2276d5f2e73d630ae4281b90"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTROPY_PREDICT_GOLDEN))
+def test_golden_entropy_predict(name, tmp_path, capsys):
+    flags, digest = ENTROPY_PREDICT_GOLDEN[name]
+    checkpoint = tmp_path / "policy.json"
+    if "{checkpoint}" in flags:
+        train(golden_configs()["entropy_reg/grpo_alpha_0.003_V32_T12_M16"], out_dir=tmp_path)
+    report = tmp_path / "entropy_predict.json"
+    argv = [flag.format(checkpoint=checkpoint) for flag in flags]
+    assert main(["entropy-predict", *argv, "--json", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest

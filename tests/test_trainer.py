@@ -60,6 +60,15 @@ def test_config_validation_errors():
         RunConfig(eval_targets=(9,))
 
 
+@pytest.mark.parametrize("targets", [(), (1, 1), (4, 0, 4), (-1,), (5,)],
+                         ids=["empty", "duplicate", "duplicate_apart", "negative", "too_large"])
+def test_eval_targets_must_be_distinct_residues(targets):
+    # an empty set would reach evaluate() only after step 0's update and fail there
+    with pytest.raises(ConfigError, match="eval_targets must be one or more distinct residues"):
+        RunConfig(eval_targets=targets)
+    assert RunConfig(eval_targets=(4, 0)).resolved_eval_targets() == (4, 0)
+
+
 def test_config_json_roundtrip_and_unknown_keys(tmp_path):
     config = _tiny(objective=ObjectiveSpec.for_algorithm("ce_gppo"),
                    beta_schedule=((3, 0.5, 1.0),), dynamic_sampling=True)
