@@ -24,8 +24,8 @@ from .entropy_dynamics import (
 )
 from .env import ModSumTask, read_rollout_log
 from .gradcheck import build_gradcheck_batch, check_objective_gradient
-from .objectives import ALGORITHMS, ObjectiveSpec, TokenBatch, _logprobs_at, clip_terms
-from .policy import TabularPolicy
+from .objectives import ALGORITHMS, ObjectiveSpec, TokenBatch, batch_token_terms
+from .policy import TabularPolicy, visit_weighted_mean
 from .seeding import named_stream
 from .trainer import (
     SUITE_NAMES,
@@ -138,10 +138,6 @@ def _cmd_entropy_predict(args) -> int:
 
 def _cmd_analyze(args) -> int:
     try:
-        clip_spec = ObjectiveSpec(algorithm="ppo", eps_low=args.eps_low, eps_high=args.eps_high)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
         groups = read_rollout_log(args.log)
         # group-relative advantages recomputed from the logged rewards, and
         # the batch built from the groups as the trainer builds it; an empty
@@ -162,32 +158,38 @@ def _cmd_analyze(args) -> int:
             raise ConfigError(
                 f"checkpoint is {shape[0]}x{shape[1]}, log tasks need "
                 f"{task.num_states}x{task.vocab_size}")
+    # the run's own objective clips; a beta_schedule's betas move no branch code
+    try:
+        doc = json.loads((Path(args.log).parent / "run_manifest.json").read_text())
+        spec = RunConfig.from_dict(doc.get("config") if isinstance(doc, dict) else doc).objective
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"run manifest beside {args.log}: {exc}") from exc
+    try:
+        terms = batch_token_terms(spec, tokens, policy)
+    except ValueError as exc:
+        raise ConfigError(f"log {args.log} under checkpoint {args.checkpoint}: {exc}") from exc
     threshold = (1.0 / policy.num_actions if args.prob_threshold is None
                  else args.prob_threshold)
+    advs = tokens.advantages
+    stats = quadrant_stats_arrays(terms.deltas, advs, np.exp(tokens.old_logprobs),
+                                  terms.branch_codes, threshold)
 
-    states, advs = tokens.states, tokens.advantages
-    # per-token ratios, and per-(state, action) advantage sums and counts, all
-    # through the batch's flat cell index; the scatters add in token order
+    # per-(state, action) advantage sums and counts; the scatters add in token order
     cells = tokens.cell_index(policy)
-    new_lp = _logprobs_at(policy, cells)
-    deltas = np.exp(new_lp - tokens.old_logprobs)
-    codes = clip_terms(clip_spec, deltas, advs, tokens.seq_len)[2]
-    stats = quadrant_stats_arrays(deltas, advs, np.exp(tokens.old_logprobs), codes, threshold)
-
     adv_sum = np.bincount(cells, weights=advs, minlength=policy.logits.size).reshape(shape)
     adv_count = np.bincount(cells, minlength=policy.logits.size).reshape(shape)
-    visited, visits = np.unique(states, return_counts=True)
+    visited, visits = np.unique(tokens.states, return_counts=True)
     counts = adv_count[visited]
     mean_adv = np.divide(adv_sum[visited], counts, out=np.zeros(counts.shape), where=counts > 0)
     predictions = predict_entropy_change(
         policy, visited, center_advantages(policy, visited, mean_adv), args.eta)
-    weights = visits / visits.sum()
+    weighted = {name: visit_weighted_mean([getattr(p, name) for p in predictions], visits)
+                for name in ("predicted_delta_h", "actual_delta_h")}
     doc = {
         "quadrant_stats": stats.to_dict(),
         "entropy_predictions": [p.to_dict() for p in predictions],
         "visitation_weighted_mean": {
-            "predicted_delta_h": float(weights @ [p.predicted_delta_h for p in predictions]),
-            "actual_delta_h": float(weights @ [p.actual_delta_h for p in predictions]),
+            **weighted,
             "note": "per-state idealized policy-gradient predictions, weighted by visits",
         },
         "eta": args.eta,
@@ -212,9 +214,8 @@ def _cmd_eval(args) -> int:
             f"checkpoint has {policy.num_states} states, not of the form T*{args.modulus}+1")
     seq_len = (policy.num_states - 1) // args.modulus
     targets = args.targets if args.targets else list(range(args.modulus))
-    outside = [t for t in targets if not 0 <= t < args.modulus]
-    if outside:
-        raise ConfigError(f"targets {outside} outside [0, {args.modulus})")
+    if len(set(targets)) < len(targets) or not all(0 <= t < args.modulus for t in targets):
+        raise ConfigError(f"targets {targets} must be distinct residues in [0, {args.modulus})")
     tasks = [ModSumTask(policy.num_actions, seq_len, args.modulus, t) for t in targets]
     accuracy = evaluate(policy, tasks, args.samples, named_stream(args.seed, "eval-cli"))
     _emit({"accuracy": accuracy, "targets": targets, "samples_per_prompt": args.samples,
@@ -257,11 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_entropy_predict)
 
     p = sub.add_parser("analyze", help="offline analysis of a rollout log")
-    p.add_argument("--log", required=True, help="line-delimited rollout log")
+    p.add_argument("--log", required=True, help="rollout log beside its run_manifest.json")
     p.add_argument("--checkpoint", required=True,
                    help="policy checkpoint providing the live ratios")
-    p.add_argument("--eps-low", type=float, default=0.2)
-    p.add_argument("--eps-high", type=float, default=0.2)
     p.add_argument("--eta", type=_positive_float, default=0.01)
     p.add_argument("--prob-threshold", type=_probability, default=None,
                    help="high/low probability split (default 1/vocab)")

@@ -249,20 +249,26 @@ def read_rollout_log(path: str | Path) -> list[RolloutGroup]:
     """Parse a rollout log back into its rollout groups.
 
     One group per distinct group id, in first-seen order, with rows in
-    log order and states rebuilt from the actions. Raises ValueError for
-    a line missing one of the fields the writer writes and, naming the
-    group, for a group with fewer than 2 rows, rows of more than one
-    task, rows whose length is not the task's seq_len, an action outside
-    [0, V) or a reward other than 0 or 1.
+    log order and states rebuilt from the actions. Raises ValueError,
+    naming the line, for a line that is not a JSON object, lacks one of
+    the fields the writer writes or has a task field or group id that is
+    not an integer and, naming the group, for a group with fewer than 2
+    rows, rows of more than one task, rows whose length is not the task's
+    seq_len, an action outside [0, V) or a reward other than 0 or 1.
     """
     rows: dict[int, list[tuple]] = {}
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
             if line.strip():
                 doc = json.loads(line)
+                if not isinstance(doc, dict):
+                    raise ValueError(f"line {number} is not a JSON object")
                 missing = [key for key in _LOG_FIELDS if key not in doc]
                 if missing:
                     raise ValueError(f"line {number} lacks {missing}")
+                not_int = [key for key in _LOG_FIELDS[:5] if type(doc[key]) is not int]
+                if not_int:
+                    raise ValueError(f"line {number}: {not_int} must be integers")
                 # arrays at once, so no parsed line (lists of Python floats) is
                 # held until the whole log is read
                 rows.setdefault(doc["group"], []).append((

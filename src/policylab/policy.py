@@ -188,6 +188,9 @@ class TabularPolicy(_SoftmaxTable):
         if missing:
             raise ValueError(f"policy checkpoint lacks {missing}")
         shape = (doc["num_states"], doc["num_actions"])
+        for key, size in zip(("num_states", "num_actions"), shape):
+            if type(size) is not int or size < 1:  # JSON true is an int subclass
+                raise ValueError(f"{key} must be an integer >= 1, got {size!r}")
         flat = np.array([float(x) for x in doc["logits"]], dtype=np.float64)
         if flat.size != shape[0] * shape[1]:
             raise ValueError("checkpoint logit count does not match dimensions")
@@ -217,6 +220,15 @@ def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         # sum keeps; unsupported actions are masked before they can give NaN
         terms = np.where(support, p * (_log_or_zero(p) - np.log(q)), 0.0)
     return terms.sum(axis=1)
+
+
+def visit_weighted_mean(values: np.ndarray | list[float], counts: np.ndarray) -> float:
+    """Visit-count weighted mean of per-state values.
+
+    The sum runs sequentially in state order (np.add.accumulate), the order
+    a scalar loop over the states adds in.
+    """
+    return float(np.add.accumulate(np.multiply(values, counts))[-1] / counts.sum())
 
 
 def entropy_gradient_rows(probs: np.ndarray) -> np.ndarray:

@@ -74,7 +74,7 @@ from .objectives import (
     analytic_objective_gradient,
     batch_token_terms,
 )
-from .policy import TabularPolicy, entropy_rows, kl_rows
+from .policy import TabularPolicy, entropy_rows, kl_rows, visit_weighted_mean
 from .seeding import named_stream
 
 CONFIG_SCHEMA_VERSION = 1
@@ -276,6 +276,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be a JSON object")
         doc = dict(doc)
         version = doc.pop("schema_version", None)
         if version != CONFIG_SCHEMA_VERSION:
@@ -307,8 +309,6 @@ class RunConfig:
             doc = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
         return cls.from_dict(doc)
 
     def config_hash(self) -> str:
@@ -386,15 +386,6 @@ def _rollout_batch(policy: TabularPolicy, tasks: list[ModSumTask], config: RunCo
     return [rollout_group(policy, task, config.group_size,
                           named_stream(config.seed, "rollout", step, attempt, g))
             for g, task in enumerate(tasks)]
-
-
-def _weighted_state_mean(values: np.ndarray, counts: np.ndarray) -> float:
-    """Visit-count weighted mean of per-state values.
-
-    The sum runs sequentially in state order (np.add.accumulate), the order
-    a scalar loop over the states adds in.
-    """
-    return float(np.add.accumulate(values * counts)[-1] / counts.sum())
 
 
 class _StepAccumulator:
@@ -514,7 +505,7 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
             visited, visit_counts = np.unique(
                 np.concatenate([g.states for g in all_groups]), return_counts=True)
             snapshot_rows = policy.probability_matrix()[visited]
-            entropy_exact = _weighted_state_mean(entropy_rows(snapshot_rows), visit_counts)
+            entropy_exact = visit_weighted_mean(entropy_rows(snapshot_rows), visit_counts)
 
             advantages = standardize_groups(np.stack([g.rewards for g in retained]))[0]
             batch = TokenBatch.from_groups(retained, advantages)
@@ -537,7 +528,7 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
                                 old_probs[start * seq_len:(start + chunk) * seq_len],
                                 grad_norm, late_pass=epoch >= 1)
                         policy.apply_gradient(grad, config.learning_rate)
-                kl = _weighted_state_mean(
+                kl = visit_weighted_mean(
                     kl_rows(snapshot_rows, policy.probability_matrix()[visited]), visit_counts)
             except ValueError as exc:
                 raise StabilityAlarm(str(exc), step, metrics) from exc

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,8 +6,18 @@ import sys
 import numpy as np
 import pytest
 
-from policylab import RunConfig, TabularPolicy
+from policylab import (
+    RunConfig,
+    TabularPolicy,
+    TokenBatch,
+    batch_token_terms,
+    read_rollout_log,
+    standardize_groups,
+    suite_configs,
+    train,
+)
 from policylab.cli import main
+from policylab.objectives import CODE_LEFT, CODE_RIGHT
 
 
 def _write_config(tmp_path, **overrides):
@@ -161,18 +172,62 @@ def test_analyze_mixed_lengths_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flags", [["--eps-low", "1.5"], ["--eps-high", "-0.1"]],
-                         ids=["eps_low", "eps_high"])
-def test_analyze_out_of_range_flags_exit_2(flags, tmp_path, capsys):
-    config = _write_config(tmp_path, log_rollouts=True, total_steps=1)
-    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
-    capsys.readouterr()
-    rc = main(["analyze", "--log", str(tmp_path / "run" / "rollouts.jsonl"),
-               "--checkpoint", str(tmp_path / "run" / "policy.json"), *flags])
+@pytest.mark.parametrize("name", ["grpo", "dapo", "cispo", "gspo", "ce_gppo"])
+def test_analyze_clip_fractions_follow_the_run_objective(name, tmp_path, capsys):
+    # analyze's clip fractions are the shares of the logged run's own branch
+    # codes against the final checkpoint, whatever rule the run clips by
+    config = suite_configs("baseline_zoo", seed=0, total_steps=10)[name]
+    result = train(dataclasses.replace(config, log_rollouts=True), out_dir=tmp_path)
+    report = tmp_path / "analysis.json"
+    assert main(["analyze", "--log", str(tmp_path / "rollouts.jsonl"),
+                 "--checkpoint", str(tmp_path / "policy.json"), "--json", str(report)]) == 0
+    groups = read_rollout_log(tmp_path / "rollouts.jsonl")
+    batch = TokenBatch.from_groups(groups,
+                                   standardize_groups(np.stack([g.rewards for g in groups]))[0])
+    codes = batch_token_terms(config.objective, batch, result.policy).branch_codes
+    stats = json.loads(report.read_text())["quadrant_stats"]
+    assert stats["left_clip_fraction"] == np.mean(codes == CODE_LEFT)
+    assert stats["right_clip_fraction"] == np.mean(codes == CODE_RIGHT)
+    if name == "gspo":  # whole sequences clipped at 3e-4 / 4e-4, not PPO's 0.2 / 0.2
+        assert stats["left_clip_fraction"] > 0.4 and stats["right_clip_fraction"] > 0.1
+
+
+def _log_dir_with_manifest(tmp_path, manifest):
+    (tmp_path / "rollouts.jsonl").write_text(_log_line(0) + "\n" + _log_line(0, reward=1) + "\n")
+    if manifest is not None:
+        (tmp_path / "run_manifest.json").write_text(manifest)
+    return tmp_path / "rollouts.jsonl"
+
+
+@pytest.mark.parametrize("manifest, message", [
+    (None, "No such file"),
+    ("[]", "config must be a JSON object"),
+    (json.dumps({"config": {"schema_version": 1, "objective": {"algorithm": "sgd"}}}),
+     "unknown algorithm"),
+], ids=["missing", "not_an_object", "invalid_objective"])
+def test_analyze_without_a_valid_manifest_exit_2(manifest, message, tmp_path, capsys):
+    log = _log_dir_with_manifest(tmp_path, manifest)
+    TabularPolicy.uniform(3 * 5 + 1, 8).save(tmp_path / "policy.json")
+    rc = main(["analyze", "--log", str(log), "--checkpoint", str(tmp_path / "policy.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: run manifest") and err.count("\n") == 1
+    assert message in err
+
+
+def test_analyze_underflowed_ratio_exit_2(tmp_path, capsys):
+    # the logged tokens take actions 1, 2 and 3; a checkpoint 800 nats down on
+    # action 1 gives it probability 0, so the token's ratio cannot be formed
+    manifest = json.dumps({"config": RunConfig(seq_len=3).to_dict()})
+    log = _log_dir_with_manifest(tmp_path, manifest)
+    logits = np.zeros((3 * 5 + 1, 8))
+    logits[:, 1] = -800.0
+    TabularPolicy(logits).save(tmp_path / "policy.json")
+    rc = main(["analyze", "--log", str(log), "--checkpoint", str(tmp_path / "policy.json")])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("config error:") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert "importance ratio underflow" in err
 
 
 def _log_line(group, target=0, actions=(1, 2, 3), reward=0):
@@ -190,8 +245,12 @@ def _log_line(group, target=0, actions=(1, 2, 3), reward=0):
     ([_log_line(0), '{"group": 0}'], "line 2 lacks ['vocab_size'"),
     ([_log_line(0), _log_line(0, reward=1), _log_line(1), _log_line(1, reward=1),
       _log_line(1)], "groups of different sizes [2, 3]"),
+    ([_log_line(0), "3"], "line 2 is not a JSON object"),
+    ([_log_line(0), _log_line([1])], "line 2: ['group'] must be integers"),
+    ([_log_line(0).replace('"vocab_size": 8', '"vocab_size": "8"')],
+     "line 1: ['vocab_size'] must be integers"),
 ], ids=["single_row_group", "mixed_tasks", "ragged_rows", "empty_log", "missing_field",
-        "mixed_group_sizes"])
+        "mixed_group_sizes", "not_an_object", "list_group", "string_vocab_size"])
 def test_analyze_malformed_log_exit_2(lines, message, tmp_path, capsys):
     log = tmp_path / "rollouts.jsonl"
     log.write_text("".join(line + "\n" for line in lines))
@@ -231,7 +290,6 @@ def test_analyze_prob_threshold_zero_means_zero(tmp_path, capsys):
     ["analyze", "--log", "{log}", "--checkpoint", "{log_checkpoint}", "--prob-threshold", "nan"],
     ["analyze", "--log", "{log}", "--checkpoint", "{log_checkpoint}", "--prob-threshold", "-1"],
     ["analyze", "--log", "{log}", "--checkpoint", "{log_checkpoint}", "--prob-threshold", "2"],
-    ["analyze", "--log", "{log}", "--checkpoint", "{log_checkpoint}", "--eps-high", "inf"],
     ["entropy-predict", "--eta", "0"],
     ["entropy-predict", "--eta", "nan"],
     ["entropy-predict", "--num-states", "0"],
@@ -265,13 +323,17 @@ def test_out_of_range_cli_input_exit_2(argv, tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["eval", "{missing}"], "No such file"),
     (["eval", "{no_num_actions}"], "lacks ['num_actions']"),
+    (["eval", "{float_dims}"], "num_states must be an integer >= 1, got 16.0"),
+    (["eval", "{checkpoint}", "--targets", "1", "1"],
+     "targets [1, 1] must be distinct residues in [0, 5)"),
     (["entropy-predict", "--checkpoint", "{missing}"], "No such file"),
     (["analyze", "--log", "{missing}", "--checkpoint", "{checkpoint}"], "No such file"),
     (["analyze", "--log", "{log}", "--checkpoint", "{missing}"], "No such file"),
     (["train", "--config", "{config_missing_init}"], "init checkpoint"),
     (["gradcheck", "--min-branch-count", "100000", "--trajectories", "8"],
      "could not build a ce_gppo batch"),
-], ids=["eval_missing", "eval_no_num_actions", "entropy_predict_missing", "analyze_no_log",
+], ids=["eval_missing", "eval_no_num_actions", "eval_float_dims", "eval_repeated_target",
+        "entropy_predict_missing", "analyze_no_log",
         "analyze_missing_checkpoint", "train_missing_init", "gradcheck_unbuildable"])
 def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
     checkpoint = tmp_path / "policy.json"
@@ -279,9 +341,12 @@ def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
     doc = json.loads(checkpoint.read_text())
     del doc["num_actions"]
     (tmp_path / "no_num_actions.json").write_text(json.dumps(doc))
+    doc.update(num_states=16.0, num_actions=8.0)
+    (tmp_path / "float_dims.json").write_text(json.dumps(doc))
     (tmp_path / "log.jsonl").write_text(_log_line(0) + "\n" + _log_line(0, reward=1) + "\n")
     paths = {"{missing}": str(tmp_path / "missing.json"), "{checkpoint}": str(checkpoint),
              "{no_num_actions}": str(tmp_path / "no_num_actions.json"),
+             "{float_dims}": str(tmp_path / "float_dims.json"),
              "{log}": str(tmp_path / "log.jsonl"),
              "{config_missing_init}": str(_write_config(
                  tmp_path, init_checkpoint=str(tmp_path / "missing.json")))}

@@ -88,9 +88,9 @@ def test_golden_table_covers_every_config():
 # the wide run, and dapo, whose log holds only the groups dynamic sampling kept
 ANALYZE_GOLDEN = {
     "baseline_zoo/dapo":
-        "9f2c509f3a355a409714caf699f3d85ff448da1e16c92e03871ecf89836ad41a",
+        "82b44e80acd0917fd1dd28af100242f2be4530e56c9a3a7a7b1ee48fa3e33995",
     "entropy_reg/grpo_alpha_0.003_V32_T12_M16":
-        "e9ce8b82c81ad1b4c00e45f1d13b836a0d934155ca2bc6b098af13840cbb8408",
+        "249ca971c022d6aaf83646038fba1ca47266d76655aa120ee2bf0eeb4cc79003",
 }
 
 

@@ -244,6 +244,19 @@ def test_checkpoint_missing_key_names_it(key, tmp_path):
         TabularPolicy.load(path)
 
 
+@pytest.mark.parametrize("key, value", [("num_states", 2.0), ("num_actions", "3"),
+                                        ("num_states", True), ("num_actions", 0)],
+                         ids=["float", "string", "bool", "zero"])
+def test_checkpoint_dimension_must_be_positive_integer(key, value, tmp_path):
+    path = tmp_path / "policy.json"
+    TabularPolicy.uniform(2, 3).save(path)
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"{key} must be an integer >= 1"):
+        TabularPolicy.load(path)
+
+
 def test_entropy_logit_gradient_uniform_row_is_zero():
     policy = TabularPolicy.uniform(1, 6)
     assert np.allclose(entropy_gradient_rows(policy.probability_matrix()), 0.0, atol=1e-15)
