@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .advantage import standardize_groups
 from .entropy_dynamics import (
     center_advantages,
     predict_entropy_change,
@@ -139,16 +138,9 @@ def _cmd_entropy_predict(args) -> int:
 def _cmd_analyze(args) -> int:
     try:
         groups = read_rollout_log(args.log)
-        # group-relative advantages recomputed from the logged rewards, and
-        # the batch built from the groups as the trainer builds it; an empty
-        # log is an empty batch
-        rewards = [g.rewards for g in groups]
-        sizes = sorted({len(r) for r in rewards})
-        if len(sizes) > 1:
-            raise ValueError(f"groups of different sizes {sizes}: analyze standardizes "
-                             f"every group's rewards as one (n_groups, G) matrix")
-        advantages = standardize_groups(np.stack(rewards))[0] if rewards else []
-        tokens = TokenBatch.from_groups(groups, advantages)
+        # the batch, advantages included, built from the logged groups as the
+        # trainer builds it; an empty log is an empty batch
+        tokens = TokenBatch.from_groups(groups)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"rollout log {args.log}: {exc}") from exc
     policy = _load_checkpoint(args.checkpoint)

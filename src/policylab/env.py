@@ -192,21 +192,25 @@ def sample_episodes(policy: _SoftmaxTable, task: ModSumTask, n: int,
     cdf = policy.sampling_cdf()
     seq_len, modulus = task.seq_len, task.modulus
     draws = rng.random((n, seq_len))
-    residues = np.empty((n, seq_len), dtype=np.int64)
     actions = np.empty((n, seq_len), dtype=np.int64)
-    residue = np.zeros(n, dtype=np.int64)
+    residue = np.zeros(n, dtype=np.int64)  # each episode's residue before token t
     for t in range(seq_len):
-        residues[:, t] = residue
         # count of cdf entries <= u, i.e. searchsorted(cdf, u, side="right")
         # over the first V-1 columns, which is at most V-1
         picks = (cdf[t * modulus + residue] <= draws[:, t, None]).sum(axis=1)
         actions[:, t] = picks
         residue = (residue + picks) % modulus
-    states = residues + np.arange(seq_len) * modulus
+    states = _episode_states(actions, modulus)
     with np.errstate(divide="ignore"):
         logprobs = np.log(policy.probability_matrix()[states, actions])
     rewards = (actions.sum(axis=1) % modulus == task.target).astype(np.float64)
     return states, actions, logprobs, rewards
+
+
+def _episode_states(actions: np.ndarray, modulus: int) -> np.ndarray:
+    """(n, T) state ids of (n, T) int64 actions: t * M + (sum of the tokens before t) mod M."""
+    residues = (np.cumsum(actions, axis=1) - actions) % modulus
+    return residues + np.arange(actions.shape[1]) * modulus
 
 
 def rollout_group(policy: _SoftmaxTable, task: ModSumTask, group_size: int,
@@ -251,10 +255,12 @@ def read_rollout_log(path: str | Path) -> list[RolloutGroup]:
     One group per distinct group id, in first-seen order, with rows in
     log order and states rebuilt from the actions. Raises ValueError,
     naming the line, for a line that is not a JSON object, lacks one of
-    the fields the writer writes or has a task field or group id that is
-    not an integer and, naming the group, for a group with fewer than 2
-    rows, rows of more than one task, rows whose length is not the task's
-    seq_len, an action outside [0, V) or a reward other than 0 or 1.
+    the fields the writer writes, has a task field, group id or reward
+    that is not an integer or actions and old_logprobs that are not lists
+    of integers and of numbers (no bools; JSON's -Infinity is a float)
+    and, naming the group, for a group with fewer than 2 rows, rows of
+    more than one task, rows whose length is not the task's seq_len, an
+    action outside [0, V) or a reward other than 0 or 1.
     """
     rows: dict[int, list[tuple]] = {}
     with open(path) as fh:
@@ -266,9 +272,13 @@ def read_rollout_log(path: str | Path) -> list[RolloutGroup]:
                 missing = [key for key in _LOG_FIELDS if key not in doc]
                 if missing:
                     raise ValueError(f"line {number} lacks {missing}")
-                not_int = [key for key in _LOG_FIELDS[:5] if type(doc[key]) is not int]
+                not_int = [key for key in (*_LOG_FIELDS[:5], "reward") if type(doc[key]) is not int]
                 if not_int:
                     raise ValueError(f"line {number}: {not_int} must be integers")
+                if not (_list_of(doc["actions"], int)
+                        and _list_of(doc["old_logprobs"], int, float)):
+                    raise ValueError(f"line {number}: actions and old_logprobs must be lists "
+                                     f"of integers and of numbers")
                 # arrays at once, so no parsed line (lists of Python floats) is
                 # held until the whole log is read
                 rows.setdefault(doc["group"], []).append((
@@ -282,6 +292,11 @@ def read_rollout_log(path: str | Path) -> list[RolloutGroup]:
         except ValueError as exc:
             raise ValueError(f"log group {gid}: {exc}") from exc
     return groups
+
+
+def _list_of(value, *types: type) -> bool:
+    """Whether value is a list whose items are all of exactly these types (no bool)."""
+    return isinstance(value, list) and set(map(type, value)) <= set(types)
 
 
 def _group_from_rows(rows: list[tuple]) -> RolloutGroup:
@@ -298,7 +313,5 @@ def _group_from_rows(rows: list[tuple]) -> RolloutGroup:
     rewards = np.array(rewards, dtype=np.float64)
     if not np.isin(rewards, (0.0, 1.0)).all():
         raise ValueError("rewards other than 0 or 1")
-    residues = np.zeros_like(actions)
-    residues[:, 1:] = np.cumsum(actions, axis=1)[:, :-1] % task.modulus
-    states = residues + np.arange(task.seq_len) * task.modulus
-    return RolloutGroup(task, states, actions, np.stack(old_logprobs), rewards)
+    return RolloutGroup(task, _episode_states(actions, task.modulus), actions,
+                        np.stack(old_logprobs), rewards)

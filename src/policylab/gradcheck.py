@@ -37,12 +37,11 @@ nothing). Batch construction enforces both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .advantage import standardize_groups
 from .env import EnvConfig, rollout_group, sample_task
 from .objectives import (
     BatchTerms,
@@ -57,9 +56,14 @@ from .policy import TabularPolicy, entropy_rows, softmax_rows
 from .seeding import named_stream
 
 DEFAULT_STEP = 1e-5
-DEFAULT_REL_TOL = 1e-5
-DEFAULT_ABS_TOL = 1e-8
+REL_TOL = 1e-5  # check_objective_gradient's pass criterion
+ABS_TOL = 1e-8
 BOUNDARY_EXCLUSION_STEPS = 10.0
+# build_gradcheck_batch: rollout group size, logit scale of the sampling
+# policy, and the live policy's drift from it at the first attempt
+GROUP_SIZE = 8
+POLICY_SCALE = 0.6
+PERTURBATION = 0.35
 
 
 @dataclass
@@ -78,26 +82,11 @@ class GradCheckReport:
     n_tokens: int = 0
     n_coordinates: int = 0
     h: float = DEFAULT_STEP
-    rel_tol: float = DEFAULT_REL_TOL
-    abs_tol: float = DEFAULT_ABS_TOL
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "passed": self.passed,
-            "rejected": self.rejected,
-            "rejection_reason": self.rejection_reason,
-            "max_abs_error": self.max_abs_error,
-            "max_rel_error": self.max_rel_error,
-            "worst_coordinate": list(self.worst_coordinate),
-            "branch_counts": self.branch_counts,
-            "flagged_coordinates": [list(c) for c in self.flagged_coordinates],
-            "n_tokens": self.n_tokens,
-            "n_coordinates": self.n_coordinates,
-            "h": self.h,
-            "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol,
-        }
+        return {**asdict(self), "worst_coordinate": list(self.worst_coordinate),
+                "flagged_coordinates": [list(c) for c in self.flagged_coordinates],
+                "rel_tol": REL_TOL, "abs_tol": ABS_TOL}
 
 
 # Cells in one (perturbed objective, token) tile of the evaluator: a chunk
@@ -220,14 +209,11 @@ def frozen_surrogate_evaluator(spec: ObjectiveSpec, batch: TokenBatch,
 
 
 def check_objective_gradient(spec: ObjectiveSpec, batch: TokenBatch, policy: TabularPolicy,
-                             rel_tol: float = DEFAULT_REL_TOL,
-                             abs_tol: float = DEFAULT_ABS_TOL,
-                             h: float = DEFAULT_STEP,
-                             min_branch_count: int = 1) -> GradCheckReport:
+                             h: float = DEFAULT_STEP, min_branch_count: int = 1) -> GradCheckReport:
     """Compare the analytic batch gradient against central differences.
 
-    A coordinate passes when |analytic - numeric| <= max(abs_tol,
-    rel_tol * max(|analytic|, |numeric|)); the report's max_rel_error is
+    A coordinate passes when |analytic - numeric| <= max(ABS_TOL,
+    REL_TOL * max(|analytic|, |numeric|)); the report's max_rel_error is
     taken over coordinates large enough for the relative criterion to
     govern. A report whose batch leaves any branch below min_branch_count
     is rejected outright: an unexercised branch proves nothing.
@@ -240,8 +226,7 @@ def check_objective_gradient(spec: ObjectiveSpec, batch: TokenBatch, policy: Tab
             algorithm=spec.algorithm, passed=False, rejected=True,
             rejection_reason=(f"branch coverage below {min_branch_count}: {short} "
                               f"(full counts: {counts})"),
-            branch_counts=counts, n_tokens=batch.n_tokens,
-            h=h, rel_tol=rel_tol, abs_tol=abs_tol)
+            branch_counts=counts, n_tokens=batch.n_tokens, h=h)
 
     _, analytic = analytic_objective_gradient(spec, batch, policy, terms)
     evaluator = frozen_surrogate_evaluator(spec, batch, policy, terms)
@@ -251,22 +236,21 @@ def check_objective_gradient(spec: ObjectiveSpec, batch: TokenBatch, policy: Tab
     denom = np.maximum(np.abs(analytic), np.abs(numeric))
     for s, a in flagged:
         err[s, a] = 0.0
-    # err <= max(abs_tol, rel_tol * denom)  <=>  score <= rel_tol
-    score = err / np.maximum(denom, abs_tol / rel_tol)
+    # err <= max(ABS_TOL, REL_TOL * denom)  <=>  score <= REL_TOL
+    score = err / np.maximum(denom, ABS_TOL / REL_TOL)
     worst = np.unravel_index(int(np.argmax(score)), score.shape)
-    governed = denom >= abs_tol / rel_tol
+    governed = denom >= ABS_TOL / REL_TOL
     max_rel = float((err[governed] / denom[governed]).max()) if governed.any() else 0.0
     return GradCheckReport(
         algorithm=spec.algorithm,
-        passed=bool(score.max() <= rel_tol),
+        passed=bool(score.max() <= REL_TOL),
         max_abs_error=float(err.max()),
         max_rel_error=max_rel,
         worst_coordinate=(int(worst[0]), int(worst[1])),
         branch_counts=counts,
         flagged_coordinates=flagged,
         n_tokens=batch.n_tokens,
-        n_coordinates=int(analytic.size - len(flagged)),
-        h=h, rel_tol=rel_tol, abs_tol=abs_tol)
+        n_coordinates=int(analytic.size - len(flagged)), h=h)
 
 
 def _boundary_safe_trajectories(spec: ObjectiveSpec, batch: TokenBatch,
@@ -285,8 +269,7 @@ def _boundary_safe_trajectories(spec: ObjectiveSpec, batch: TokenBatch,
 
 
 def build_gradcheck_batch(spec: ObjectiveSpec, seed: int, n_trajectories: int = 64,
-                          env_config: EnvConfig | None = None, group_size: int = 8,
-                          policy_scale: float = 0.6, perturbation: float = 0.35,
+                          env_config: EnvConfig | None = None,
                           min_branch_count: int = 16, h: float = DEFAULT_STEP,
                           max_attempts: int = 20) -> tuple[TokenBatch, TabularPolicy]:
     """Roll out a batch and drift the live policy until every branch is hit.
@@ -298,17 +281,16 @@ def build_gradcheck_batch(spec: ObjectiveSpec, seed: int, n_trajectories: int = 
     of the algorithm's branches reach min_branch_count.
     """
     config = env_config or EnvConfig()
-    n_groups = max(1, -(-n_trajectories // group_size))
+    n_groups = max(1, -(-n_trajectories // GROUP_SIZE))
     counts = None  # stays None while no attempt keeps 2 boundary-safe trajectories
     for attempt in range(max_attempts):
         rng = named_stream(seed, "gradcheck", attempt)
-        base = TabularPolicy.random(config.num_states, config.vocab_size, policy_scale, rng)
-        groups = [rollout_group(base, sample_task(config, rng), group_size, rng)
+        base = TabularPolicy.random(config.num_states, config.vocab_size, POLICY_SCALE, rng)
+        groups = [rollout_group(base, sample_task(config, rng), GROUP_SIZE, rng)
                   for _ in range(n_groups)]
-        advantages = standardize_groups(np.stack([g.rewards for g in groups]))[0]
-        drift = perturbation * (1.0 + 0.25 * attempt)
+        drift = PERTURBATION * (1.0 + 0.25 * attempt)
         live = TabularPolicy(base.logits + rng.normal(0.0, drift, base.logits.shape))
-        batch = TokenBatch.from_groups(groups, advantages).rows(0, n_trajectories)
+        batch = TokenBatch.from_groups(groups).rows(0, n_trajectories)
         keep = _boundary_safe_trajectories(spec, batch, live, h)
         if len(keep) < 2:
             continue

@@ -28,13 +28,13 @@ Batches are evaluated as arrays. A TokenBatch lays n trajectories of one
 length T end to end, so per-trajectory work is a reshape to (n, T): a
 subset is one index computation, gspo's sequence ratio is a row mean,
 and the batch mean weighs every token 1 / (n * T). A training step
-builds its batch straight from the rollout groups' (G, T) arrays, gathers
-it once per mini-epoch in permuted order, and takes each minibatch as a
-contiguous row slice of that gather. The flat state * V + action index
-into the probability table is range-checked and computed once per batch
-and table shape; subsets and slices carry their part of it, and the
-ratio lookup, the gradient scatter and analyze's per-cell sums all read
-that one index.
+builds its batch, group advantages included, straight from the rollout
+groups' (G, T) arrays, gathers it once per mini-epoch in permuted order,
+and takes each minibatch as a contiguous row slice of that gather. The
+flat state * V + action index into the probability table is
+range-checked and computed once per batch and table shape; subsets and
+slices carry their part of it, and the ratio lookup, the gradient
+scatter and analyze's per-cell sums all read that one index.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .advantage import standardize_groups
 from .env import RolloutGroup, Trajectory
 from .policy import _SoftmaxTable, entropy_gradient_rows, entropy_rows
 
@@ -255,28 +256,29 @@ class TokenBatch:
                    seq_len)
 
     @classmethod
-    def from_groups(cls, groups: Sequence[RolloutGroup],
-                    advantages: Sequence[np.ndarray]) -> "TokenBatch":
-        """Concatenate the rows of rollout groups; advantages[i] holds group i's row advantages.
+    def from_groups(cls, groups: Sequence[RolloutGroup]) -> "TokenBatch":
+        """Concatenate the rows of rollout groups, each with its group-relative advantage.
 
-        The same arrays as from_trajectories over the groups' trajectories,
-        without building them: empty input and mixed lengths raise the
-        same ValueErrors.
+        The advantages are standardize_groups over the stacked (n_groups, G)
+        rewards, so groups of different sizes raise ValueError. The same
+        arrays as from_trajectories over the groups' trajectories, without
+        building them: empty input and mixed lengths raise the same
+        ValueErrors.
         """
-        if len(groups) != len(advantages) or any(
-                len(adv) != len(group.rewards) for group, adv in zip(groups, advantages)):
-            raise ValueError("one advantage per trajectory required")
         if not groups:
             raise ValueError("token batch is empty")
+        sizes = sorted({len(group.rewards) for group in groups})
+        if len(sizes) > 1:
+            raise ValueError(f"groups of different sizes {sizes}: group advantages "
+                             f"standardize every group's rewards as one (n_groups, G) matrix")
         lengths = {group.task.seq_len for group in groups}
         if len(lengths) > 1:
             raise ValueError(f"trajectories of mixed lengths {sorted(lengths)}")
         seq_len = lengths.pop()
+        advantages = standardize_groups(np.stack([group.rewards for group in groups]))[0]
         join = lambda name: np.concatenate([getattr(group, name) for group in groups]).ravel()
         return cls(join("states"), join("actions"), join("old_logprobs"),
-                   np.repeat(np.concatenate(advantages).astype(np.float64, copy=False),
-                             seq_len),
-                   seq_len)
+                   np.repeat(advantages.ravel(), seq_len), seq_len)
 
     @property
     def n_tokens(self) -> int:
@@ -323,7 +325,6 @@ class BatchTerms:
     grad_weights: np.ndarray
     branch_codes: np.ndarray
     deltas: np.ndarray
-    new_logprobs: np.ndarray
 
     def branch_counts(self) -> dict[str, int]:
         return {b.value: int((self.branch_codes == c).sum())
@@ -373,7 +374,7 @@ def batch_token_terms(spec: ObjectiveSpec, batch: TokenBatch,
     if not (np.isfinite(deltas) & (deltas > 0.0)).all():
         raise ValueError("importance ratio underflow/overflow: ratios must be finite and > 0")
     values, weights, codes = clip_terms(spec, deltas, batch.advantages, batch.seq_len)
-    return BatchTerms(values, weights, codes, deltas, new_lp)
+    return BatchTerms(values, weights, codes, deltas)
 
 
 def token_weights(batch: TokenBatch) -> np.ndarray:

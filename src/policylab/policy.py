@@ -133,9 +133,6 @@ class TabularPolicy(_SoftmaxTable):
                rng: np.random.Generator) -> "TabularPolicy":
         return cls(rng.normal(0.0, scale, size=(num_states, num_actions)))
 
-    def copy(self) -> "TabularPolicy":
-        return TabularPolicy(self.logits)
-
     def apply_gradient(self, gradient: np.ndarray, learning_rate: float) -> "TabularPolicy":
         """Ascent step: logits <- logits + learning_rate * gradient.
 
@@ -191,7 +188,14 @@ class TabularPolicy(_SoftmaxTable):
         for key, size in zip(("num_states", "num_actions"), shape):
             if type(size) is not int or size < 1:  # JSON true is an int subclass
                 raise ValueError(f"{key} must be an integer >= 1, got {size!r}")
-        flat = np.array([float(x) for x in doc["logits"]], dtype=np.float64)
+        logits = doc["logits"]
+        try:  # save writes strings; a hand-written checkpoint may hold numbers
+            if not (isinstance(logits, list)
+                    and set(map(type, logits)) <= {int, float, str}):
+                raise ValueError
+            flat = np.array([float(x) for x in logits], dtype=np.float64)
+        except (ValueError, OverflowError):
+            raise ValueError("logits must be a list of numbers or numeric strings") from None
         if flat.size != shape[0] * shape[1]:
             raise ValueError("checkpoint logit count does not match dimensions")
         return cls(flat.reshape(shape)), doc.get("rng_lineage", {})

@@ -17,11 +17,11 @@ step's reward, sampled entropy and visited states are reduced from those
 blocks.
 
 A step gathers its training data once and then only slices it. The
-advantages of all retained groups come from one row-wise standardization
-of their (n_groups, G) rewards (a group the dynamic-sampling filter keeps
-has mixed 0/1 rewards, so it is never degenerate), and the token batch
-is concatenated straight from the groups' arrays (no per-episode
-objects). Its flat (state, action) cell index is checked once, against
+token batch is concatenated straight from the retained groups' arrays
+(no per-episode objects), and TokenBatch.from_groups takes their
+advantages from one row-wise standardization of the (n_groups, G)
+rewards (a group the dynamic-sampling filter keeps has mixed 0/1
+rewards, so it is never degenerate). Its flat (state, action) cell index is checked once, against
 the live table. Each mini-epoch gathers the batch once in its permuted
 order, and its minibatches are contiguous row slices (views) of that
 gather.
@@ -55,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .advantage import dynamic_sampling_filter, standardize_groups
+from .advantage import dynamic_sampling_filter
 from .entropy_dynamics import quadrant_stats_arrays
 from .env import (
     EnvConfig,
@@ -507,8 +507,7 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
             snapshot_rows = policy.probability_matrix()[visited]
             entropy_exact = visit_weighted_mean(entropy_rows(snapshot_rows), visit_counts)
 
-            advantages = standardize_groups(np.stack([g.rewards for g in retained]))[0]
-            batch = TokenBatch.from_groups(retained, advantages)
+            batch = TokenBatch.from_groups(retained)
 
             acc = _StepAccumulator(prob_threshold)
             update_rng = named_stream(config.seed, "update", step)

@@ -62,8 +62,7 @@ def test_c01_gradient_correctness_all_objectives():
         spec = _spec(algorithm)
         batch, policy = build_gradcheck_batch(spec, seed=7, n_trajectories=64,
                                               min_branch_count=16, h=1e-5)
-        report = check_objective_gradient(spec, batch, policy, rel_tol=1e-5,
-                                          abs_tol=1e-8, h=1e-5, min_branch_count=16)
+        report = check_objective_gradient(spec, batch, policy, h=1e-5, min_branch_count=16)
         assert not report.rejected, report.rejection_reason
         assert min(report.branch_counts.values()) >= 16
         worst[algorithm] = (report.passed, report.max_rel_error, report.max_abs_error)
@@ -81,8 +80,7 @@ def test_c02_ppo_reduction_bit_identical():
     max_diff = 0.0
     for seed in range(100):
         batch, policy = build_gradcheck_batch(ppo, seed=1000 + seed, n_trajectories=8,
-                                              group_size=8, min_branch_count=0,
-                                              max_attempts=3)
+                                              min_branch_count=0, max_attempts=3)
         _, g_ppo = analytic_objective_gradient(ppo, batch, policy)
         _, g_ce = analytic_objective_gradient(ce0, batch, policy)
         max_diff = max(max_diff, float(np.linalg.norm(g_ce - g_ppo)))

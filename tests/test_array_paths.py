@@ -387,8 +387,7 @@ def test_aggregate_rejects_out_of_range_actions():
     for bad in (-1, 4):
         batch = TokenBatch(np.array([0, 1]), np.array([0, bad]), np.zeros(2), np.ones(2),
                            seq_len=2)
-        terms = BatchTerms(np.ones(2), np.ones(2), np.zeros(2, dtype=np.int64), np.ones(2),
-                           np.zeros(2))
+        terms = BatchTerms(np.ones(2), np.ones(2), np.zeros(2, dtype=np.int64), np.ones(2))
         with pytest.raises(ValueError, match="actions outside"):
             aggregate_objective(terms, batch, policy)
 
@@ -403,8 +402,11 @@ def test_from_groups_matches_from_trajectories():
         # dapo-style: the dynamic-sampling filter drops groups, then advantages
         retained = dynamic_sampling_filter(groups)
         dropped += len(groups) - len(retained)
+        got = TokenBatch.from_groups(retained)
+        # the batch's advantages: each group's row of the stacked rewards'
+        # standardization, repeated over its trajectories' tokens
         advantages = standardize_groups(np.stack([g.rewards for g in retained]))[0]
-        got = TokenBatch.from_groups(retained, advantages)
+        assert np.array_equal(got.advantages, np.repeat(advantages.ravel(), got.seq_len))
         ref = TokenBatch.from_trajectories(
             [t for g in retained for t in g.trajectories], advantages.ravel().tolist())
         assert got.seq_len == ref.seq_len
@@ -428,17 +430,13 @@ def test_from_groups_rejects_what_from_trajectories_rejects():
         return RolloutGroup(ModSumTask(8, seq_len, 5, 0), zeros, zeros, zeros.astype(float),
                             np.array([0.0, 1.0]))
 
-    assert _error(lambda: TokenBatch.from_groups([], [])) == _error(
+    assert _error(lambda: TokenBatch.from_groups([])) == _error(
         lambda: TokenBatch.from_trajectories([], [])) == "token batch is empty"
     mixed = [group(2), group(3)]
-    advantages = [np.array([-1.0, 1.0])] * 2
-    message = _error(lambda: TokenBatch.from_groups(mixed, advantages))
+    message = _error(lambda: TokenBatch.from_groups(mixed))
     assert "mixed lengths" in message
     assert message == _error(lambda: TokenBatch.from_trajectories(
         [t for g in mixed for t in g.trajectories], [-1.0, 1.0, -1.0, 1.0]))
-    for bad in ([np.ones(2)], [np.ones(2), np.ones(3)]):
-        assert "one advantage per trajectory" in _error(
-            lambda: TokenBatch.from_groups([group(2), group(2)], bad))
 
 
 @pytest.mark.parametrize("states, actions, message", [
@@ -456,8 +454,7 @@ def test_out_of_range_tokens_raise(states, actions, message):
         return TokenBatch(np.array(states), np.array(actions), np.zeros(2), np.ones(2),
                           seq_len=2)
 
-    terms = BatchTerms(np.ones(2), np.ones(2), np.zeros(2, dtype=np.int64), np.ones(2),
-                       np.zeros(2))
+    terms = BatchTerms(np.ones(2), np.ones(2), np.zeros(2, dtype=np.int64), np.ones(2))
     with pytest.raises(ValueError, match=message):
         batch_token_terms(spec, batch(), policy)
     with pytest.raises(ValueError, match=message):

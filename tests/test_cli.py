@@ -12,7 +12,6 @@ from policylab import (
     TokenBatch,
     batch_token_terms,
     read_rollout_log,
-    standardize_groups,
     suite_configs,
     train,
 )
@@ -182,8 +181,7 @@ def test_analyze_clip_fractions_follow_the_run_objective(name, tmp_path, capsys)
     assert main(["analyze", "--log", str(tmp_path / "rollouts.jsonl"),
                  "--checkpoint", str(tmp_path / "policy.json"), "--json", str(report)]) == 0
     groups = read_rollout_log(tmp_path / "rollouts.jsonl")
-    batch = TokenBatch.from_groups(groups,
-                                   standardize_groups(np.stack([g.rewards for g in groups]))[0])
+    batch = TokenBatch.from_groups(groups)
     codes = batch_token_terms(config.objective, batch, result.policy).branch_codes
     stats = json.loads(report.read_text())["quadrant_stats"]
     assert stats["left_clip_fraction"] == np.mean(codes == CODE_LEFT)
@@ -249,8 +247,17 @@ def _log_line(group, target=0, actions=(1, 2, 3), reward=0):
     ([_log_line(0), _log_line([1])], "line 2: ['group'] must be integers"),
     ([_log_line(0).replace('"vocab_size": 8', '"vocab_size": "8"')],
      "line 1: ['vocab_size'] must be integers"),
+    ([_log_line(0), _log_line(0, actions=("1", "2", "3"))],
+     "line 2: actions and old_logprobs must be lists"),
+    ([_log_line(0).replace('[-2.0794415416798357', '["-2.0794415416798357"')],
+     "line 1: actions and old_logprobs must be lists"),
+    ([_log_line(0), _log_line(0, reward="1")], "line 2: ['reward'] must be integers"),
+    ([_log_line(0), _log_line(0, actions=(True, 2, 3))],
+     "line 2: actions and old_logprobs must be lists"),
+    ([_log_line(0), _log_line(0, reward=True)], "line 2: ['reward'] must be integers"),
 ], ids=["single_row_group", "mixed_tasks", "ragged_rows", "empty_log", "missing_field",
-        "mixed_group_sizes", "not_an_object", "list_group", "string_vocab_size"])
+        "mixed_group_sizes", "not_an_object", "list_group", "string_vocab_size",
+        "string_actions", "string_old_logprobs", "string_reward", "bool_action", "bool_reward"])
 def test_analyze_malformed_log_exit_2(lines, message, tmp_path, capsys):
     log = tmp_path / "rollouts.jsonl"
     log.write_text("".join(line + "\n" for line in lines))
@@ -324,6 +331,8 @@ def test_out_of_range_cli_input_exit_2(argv, tmp_path, capsys):
     (["eval", "{missing}"], "No such file"),
     (["eval", "{no_num_actions}"], "lacks ['num_actions']"),
     (["eval", "{float_dims}"], "num_states must be an integer >= 1, got 16.0"),
+    (["eval", "{int_logits}"], "logits must be a list of numbers or numeric strings"),
+    (["eval", "{null_logits}"], "logits must be a list of numbers or numeric strings"),
     (["eval", "{checkpoint}", "--targets", "1", "1"],
      "targets [1, 1] must be distinct residues in [0, 5)"),
     (["entropy-predict", "--checkpoint", "{missing}"], "No such file"),
@@ -332,13 +341,16 @@ def test_out_of_range_cli_input_exit_2(argv, tmp_path, capsys):
     (["train", "--config", "{config_missing_init}"], "init checkpoint"),
     (["gradcheck", "--min-branch-count", "100000", "--trajectories", "8"],
      "could not build a ce_gppo batch"),
-], ids=["eval_missing", "eval_no_num_actions", "eval_float_dims", "eval_repeated_target",
+], ids=["eval_missing", "eval_no_num_actions", "eval_float_dims", "eval_int_logits",
+        "eval_null_logits", "eval_repeated_target",
         "entropy_predict_missing", "analyze_no_log",
         "analyze_missing_checkpoint", "train_missing_init", "gradcheck_unbuildable"])
 def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
     checkpoint = tmp_path / "policy.json"
     TabularPolicy.uniform(3 * 5 + 1, 8).save(checkpoint)
     doc = json.loads(checkpoint.read_text())
+    for name, logits in (("int_logits", 3), ("null_logits", [None] * len(doc["logits"]))):
+        (tmp_path / f"{name}.json").write_text(json.dumps({**doc, "logits": logits}))
     del doc["num_actions"]
     (tmp_path / "no_num_actions.json").write_text(json.dumps(doc))
     doc.update(num_states=16.0, num_actions=8.0)
@@ -347,6 +359,8 @@ def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
     paths = {"{missing}": str(tmp_path / "missing.json"), "{checkpoint}": str(checkpoint),
              "{no_num_actions}": str(tmp_path / "no_num_actions.json"),
              "{float_dims}": str(tmp_path / "float_dims.json"),
+             "{int_logits}": str(tmp_path / "int_logits.json"),
+             "{null_logits}": str(tmp_path / "null_logits.json"),
              "{log}": str(tmp_path / "log.jsonl"),
              "{config_missing_init}": str(_write_config(
                  tmp_path, init_checkpoint=str(tmp_path / "missing.json")))}

@@ -258,6 +258,16 @@ MALFORMED_LOGS = {
 }
 
 
+def test_rollout_log_reads_integer_and_infinite_logprobs(tmp_path):
+    # json writes an underflowed log-prob as -Infinity, which parses to a float
+    doc = {**json.loads(_log_line()), "old_logprobs": [float("-inf"), -1, -2.5]}
+    path = tmp_path / "rollouts.jsonl"
+    path.write_text(json.dumps(doc) + "\n" + _log_line(reward=1) + "\n")
+    assert "-Infinity" in path.read_text()
+    (group,) = read_rollout_log(path)
+    assert group.old_logprobs[0].tolist() == [-np.inf, -1.0, -2.5]
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED_LOGS))
 def test_rollout_log_malformed_groups_raise(name, tmp_path):
     path = tmp_path / "rollouts.jsonl"

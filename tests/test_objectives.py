@@ -558,7 +558,7 @@ def _terms(values, grad_weights):
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
     return BatchTerms(values, np.asarray(grad_weights, dtype=np.float64),
-                      np.full(n, CODE_INTERIOR), np.ones(n), np.zeros(n))
+                      np.full(n, CODE_INTERIOR), np.ones(n))
 
 
 def test_aggregation_normalizer_examples():

@@ -69,7 +69,7 @@ def test_entropy_hand_computed():
 def test_kl_identical_policies_zero():
     rng = named_stream(0, "kl")
     p = TabularPolicy.random(4, 6, 1.0, rng)
-    assert exact_kl(p, p.copy(), 2) == 0.0
+    assert exact_kl(p, TabularPolicy(p.logits), 2) == 0.0
 
 
 def test_kl_hand_computed():
@@ -255,6 +255,31 @@ def test_checkpoint_dimension_must_be_positive_integer(key, value, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=f"{key} must be an integer >= 1"):
         TabularPolicy.load(path)
+
+
+@pytest.mark.parametrize("logits", [3, "0.5", None, [None] * 6, ["a"] * 6, [True] * 6,
+                                    [[0.0] * 3] * 2, [10 ** 400] * 6],
+                         ids=["int", "string", "null", "null_entries", "text_entries",
+                              "bool_entries", "nested", "overflow"])
+def test_checkpoint_logits_must_be_numbers(logits, tmp_path):
+    path = tmp_path / "policy.json"
+    TabularPolicy.uniform(2, 3).save(path)
+    doc = json.loads(path.read_text())
+    doc["logits"] = logits
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="logits must be a list of numbers or numeric strings"):
+        TabularPolicy.load(path)
+
+
+def test_checkpoint_loads_numeric_logits(tmp_path):
+    # save writes decimal strings; plain JSON numbers load to the same table
+    path = tmp_path / "policy.json"
+    TabularPolicy.uniform(2, 3).save(path)
+    doc = json.loads(path.read_text())
+    doc["logits"] = [0, 0.5, -1, "2.5", 1e300, 0]
+    path.write_text(json.dumps(doc))
+    policy, _ = TabularPolicy.load(path)
+    assert policy.logits.tolist() == [[0.0, 0.5, -1.0], [2.5, 1e300, 0.0]]
 
 
 def test_entropy_logit_gradient_uniform_row_is_zero():
