@@ -24,7 +24,7 @@ from .entropy_dynamics import (
 from .env import ModSumTask, read_rollout_log
 from .gradcheck import build_gradcheck_batch, check_objective_gradient
 from .objectives import ALGORITHMS, ObjectiveSpec, TokenBatch, batch_token_terms
-from .policy import TabularPolicy, visit_weighted_mean
+from .policy import TabularPolicy, state_visits, visit_weighted_mean
 from .seeding import named_stream
 from .trainer import (
     SUITE_NAMES,
@@ -170,7 +170,7 @@ def _cmd_analyze(args) -> int:
     cells = tokens.cell_index(policy)
     adv_sum = np.bincount(cells, weights=advs, minlength=policy.logits.size).reshape(shape)
     adv_count = np.bincount(cells, minlength=policy.logits.size).reshape(shape)
-    visited, visits = np.unique(tokens.states, return_counts=True)
+    visited, visits = state_visits(policy, tokens.states)
     counts = adv_count[visited]
     mean_adv = np.divide(adv_sum[visited], counts, out=np.zeros(counts.shape), where=counts > 0)
     predictions = predict_entropy_change(

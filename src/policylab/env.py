@@ -170,7 +170,16 @@ def verify_reward(trajectory: Trajectory) -> int:
     if len(trajectory.actions) != task.seq_len:
         raise ValueError(
             f"incomplete trajectory: {len(trajectory.actions)} of {task.seq_len} actions")
-    return int(int(trajectory.actions.sum()) % task.modulus == task.target)
+    return int(_rewards(trajectory.actions, task))
+
+
+def _rewards(actions: np.ndarray, task: ModSumTask) -> np.ndarray:
+    """1.0 where an episode's actions (the last axis) sum to the target mod M, else 0.0.
+
+    The one statement of the reward rule: the sampler, verify_reward and the
+    log reader all apply it.
+    """
+    return (actions.sum(axis=-1) % task.modulus == task.target).astype(np.float64)
 
 
 def sample_episodes(policy: _SoftmaxTable, task: ModSumTask, n: int,
@@ -203,8 +212,7 @@ def sample_episodes(policy: _SoftmaxTable, task: ModSumTask, n: int,
     states = _episode_states(actions, modulus)
     with np.errstate(divide="ignore"):
         logprobs = np.log(policy.probability_matrix()[states, actions])
-    rewards = (actions.sum(axis=1) % modulus == task.target).astype(np.float64)
-    return states, actions, logprobs, rewards
+    return states, actions, logprobs, _rewards(actions, task)
 
 
 def _episode_states(actions: np.ndarray, modulus: int) -> np.ndarray:
@@ -256,11 +264,12 @@ def read_rollout_log(path: str | Path) -> list[RolloutGroup]:
     log order and states rebuilt from the actions. Raises ValueError,
     naming the line, for a line that is not a JSON object, lacks one of
     the fields the writer writes, has a task field, group id or reward
-    that is not an integer or actions and old_logprobs that are not lists
-    of integers and of numbers (no bools; JSON's -Infinity is a float)
-    and, naming the group, for a group with fewer than 2 rows, rows of
-    more than one task, rows whose length is not the task's seq_len, an
-    action outside [0, V) or a reward other than 0 or 1.
+    that is not an integer, actions and old_logprobs that are not lists
+    of integers and of numbers (no bools; JSON's -Infinity is a float) or
+    a log-prob above 0 or NaN and, naming the group, for a group with
+    fewer than 2 rows, rows of more than one task, rows whose length is
+    not the task's seq_len, an action outside [0, V) or a reward that is
+    not the one its actions earn.
     """
     rows: dict[int, list[tuple]] = {}
     with open(path) as fh:
@@ -281,10 +290,13 @@ def read_rollout_log(path: str | Path) -> list[RolloutGroup]:
                                      f"of integers and of numbers")
                 # arrays at once, so no parsed line (lists of Python floats) is
                 # held until the whole log is read
+                logprobs = np.array(doc["old_logprobs"], dtype=np.float64)
+                if not (logprobs <= 0.0).all():  # NaN compares false
+                    raise ValueError(f"line {number}: old_logprobs must be log-probabilities "
+                                     f"<= 0 (no NaN)")
                 rows.setdefault(doc["group"], []).append((
                     (doc["vocab_size"], doc["seq_len"], doc["modulus"], doc["target"]),
-                    np.array(doc["actions"], dtype=np.int64),
-                    np.array(doc["old_logprobs"], dtype=np.float64), doc["reward"]))
+                    np.array(doc["actions"], dtype=np.int64), logprobs, doc["reward"]))
     groups = []
     for gid, group_rows in rows.items():
         try:
@@ -311,7 +323,8 @@ def _group_from_rows(rows: list[tuple]) -> RolloutGroup:
     if actions.min() < 0 or actions.max() >= task.vocab_size:
         raise ValueError(f"actions outside [0, {task.vocab_size})")
     rewards = np.array(rewards, dtype=np.float64)
-    if not np.isin(rewards, (0.0, 1.0)).all():
-        raise ValueError("rewards other than 0 or 1")
+    if not np.array_equal(rewards, _rewards(actions, task)):
+        raise ValueError(f"rewards that contradict their actions: the reward is 1 iff "
+                         f"sum(actions) % {task.modulus} == {task.target}")
     return RolloutGroup(task, _episode_states(actions, task.modulus), actions,
                         np.stack(old_logprobs), rewards)

@@ -47,12 +47,13 @@ from .objectives import (
     BatchTerms,
     ObjectiveSpec,
     TokenBatch,
+    _entropy_term,
     _sequence_ratios,
     analytic_objective_gradient,
     batch_token_terms,
     token_weights,
 )
-from .policy import TabularPolicy, entropy_rows, softmax_rows
+from .policy import TabularPolicy, entropy_rows, softmax_rows, state_visits
 from .seeding import named_stream
 
 DEFAULT_STEP = 1e-5
@@ -150,16 +151,12 @@ def frozen_surrogate_evaluator(spec: ObjectiveSpec, batch: TokenBatch,
 
     base_values = surrogate(terms.deltas)
     weights = token_weights(batch)
-    visited = np.unique(batch.states)
+    visited, _ = state_visits(policy, batch.states)
     base_entropies = entropy_rows(policy.probability_matrix()[visited])
-
-    def entropy_term(entropies: np.ndarray) -> np.ndarray:
-        # entropy_bonus's value: a running sum over the states in order
-        return spec.alpha * np.add.accumulate(entropies, axis=-1)[..., -1] / len(visited)
 
     base_value = float(weights @ base_values)
     if spec.alpha > 0.0:
-        base_value += entropy_term(base_entropies)
+        base_value += _entropy_term(base_entropies, spec.alpha)
 
     # Perturbed row j of visited state i is objective (i, j). Whole states
     # are evaluated a chunk at a time through one (chunk * width, n_tokens)
@@ -199,8 +196,8 @@ def frozen_surrogate_evaluator(spec: ObjectiveSpec, batch: TokenBatch,
             if spec.alpha > 0.0:
                 # objective (i, j): the visited states' entropies with i's replaced
                 mask = np.arange(start, stop)[:, None, None] == np.arange(n_visited)
-                values[start:stop] += entropy_term(
-                    np.where(mask, row_entropies[start:stop], base_entropies))
+                values[start:stop] += _entropy_term(
+                    np.where(mask, row_entropies[start:stop], base_entropies), spec.alpha)
         out = np.full(rows.shape[:2], base_value)
         out[visited] = values
         return out

@@ -50,7 +50,7 @@ import numpy as np
 
 from .advantage import standardize_groups
 from .env import RolloutGroup, Trajectory
-from .policy import _SoftmaxTable, entropy_gradient_rows, entropy_rows
+from .policy import _SoftmaxTable, entropy_and_gradient_rows, state_visits
 
 ALGORITHMS = ("ppo", "grpo", "dapo", "cispo", "gspo", "ce_gppo")
 
@@ -193,15 +193,21 @@ def entropy_bonus(policy: _SoftmaxTable, visited_states: Sequence[int] | np.ndar
     if alpha < 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     grad = np.zeros((policy.num_states, policy.num_actions))
-    states = np.unique(np.asarray(visited_states, dtype=np.int64))
+    states, _ = state_visits(policy, np.asarray(visited_states, dtype=np.int64))
     if alpha == 0.0 or states.size == 0:
         return 0.0, grad
-    probs = policy.probability_matrix()[policy._check_states(states)]
-    # a running sum in state order, as a scalar loop over the states would add
-    value = float(np.add.accumulate(entropy_rows(probs))[-1])
-    grad[states] = entropy_gradient_rows(probs)
-    n = len(states)
-    return alpha * value / n, (alpha / n) * grad
+    entropies, gradients = entropy_and_gradient_rows(policy.probability_matrix()[states])
+    grad[states] = (alpha / len(states)) * gradients
+    return float(_entropy_term(entropies, alpha)), grad
+
+
+def _entropy_term(entropies: np.ndarray, alpha: float) -> np.ndarray:
+    """entropy_bonus's value from the visited states' entropies on the last axis.
+
+    alpha * (a running sum in state order, as a scalar loop over the states
+    would add) / n; the gradcheck takes its perturbed bonuses from it too.
+    """
+    return alpha * np.add.accumulate(entropies, axis=-1)[..., -1] / entropies.shape[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -423,5 +429,5 @@ def analytic_objective_gradient(spec: ObjectiveSpec, batch: TokenBatch,
     if spec.alpha > 0.0:
         bonus_value, bonus_grad = entropy_bonus(policy, batch.states, spec.alpha)
         value += bonus_value
-        grad = grad + bonus_grad
+        grad += bonus_grad
     return value, grad

@@ -211,9 +211,18 @@ def _log_or_zero(probs: np.ndarray) -> np.ndarray:
 # probability_matrix()[states]; the per-state functions are their 1-row cases.
 
 
+def _expected_log_rows(probs: np.ndarray, logp: np.ndarray) -> np.ndarray:
+    """E_pi[log pi] = sum_a pi_a log pi_a of each row, as an (n, 1) column.
+
+    logp is _log_or_zero(probs). The one statement of the row sum that the
+    entropy (its negation) and the entropy gradient both take.
+    """
+    return (probs * logp).sum(axis=1, keepdims=True)
+
+
 def entropy_rows(probs: np.ndarray) -> np.ndarray:
     """Shannon entropy of each row in nats, with 0*log(0) = 0."""
-    return -(probs * _log_or_zero(probs)).sum(axis=1)
+    return -_expected_log_rows(probs, _log_or_zero(probs))[:, 0]
 
 
 def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -235,14 +244,32 @@ def visit_weighted_mean(values: np.ndarray | list[float], counts: np.ndarray) ->
     return float(np.add.accumulate(np.multiply(values, counts))[-1] / counts.sum())
 
 
+def state_visits(table: _SoftmaxTable, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct states of an int array, sorted, and how often each occurs.
+
+    The one visited-state rule: numpy's unique with return_counts=True,
+    bit for bit (both int64), taken from one bincount over the table's
+    states rather than a sort or a hash table. A state outside the table
+    raises ValueError, where bincount would grow the table to fit it.
+    """
+    counts = np.bincount(table._check_states(states).ravel(), minlength=table.num_states)
+    visited = np.flatnonzero(counts)
+    return visited, counts[visited]
+
+
 def entropy_gradient_rows(probs: np.ndarray) -> np.ndarray:
     """Exact dH/dz of each row: -pi_a * (log pi_a - E_pi[log pi]).
 
     Zero-probability actions contribute zero.
     """
+    return entropy_and_gradient_rows(probs)[1]
+
+
+def entropy_and_gradient_rows(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """entropy_rows(probs) and entropy_gradient_rows(probs) from one log and one row sum."""
     logp = _log_or_zero(probs)
-    mean_logp = (probs * logp).sum(axis=1, keepdims=True)
-    return -probs * (logp - mean_logp)
+    mean_logp = _expected_log_rows(probs, logp)
+    return -mean_logp[:, 0], -probs * (logp - mean_logp)
 
 
 def exact_kl(p: _SoftmaxTable, q: _SoftmaxTable, state: int) -> float:

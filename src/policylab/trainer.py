@@ -74,7 +74,7 @@ from .objectives import (
     analytic_objective_gradient,
     batch_token_terms,
 )
-from .policy import TabularPolicy, entropy_rows, kl_rows, visit_weighted_mean
+from .policy import TabularPolicy, entropy_rows, kl_rows, state_visits, visit_weighted_mean
 from .seeding import named_stream
 
 CONFIG_SCHEMA_VERSION = 1
@@ -195,9 +195,14 @@ class RunConfig:
             raise ConfigError(f"eval_samples must be >= 1, got {self.eval_samples}")
         if self.max_filter_retries < 1:
             raise ConfigError(f"max_filter_retries must be >= 1, got {self.max_filter_retries}")
+        if self.max_filter_retries != RunConfig.max_filter_retries and not self.dynamic_sampling:
+            # off its default: without the filter the first attempt keeps its batch
+            raise ConfigError("max_filter_retries acts only with dynamic_sampling")
         if self.init_logit_scale < 0.0 or not np.isfinite(self.init_logit_scale):
             raise ConfigError(f"init_logit_scale must be finite and >= 0, "
                               f"got {self.init_logit_scale}")
+        if self.init_logit_scale > 0.0 and self.init_checkpoint:
+            raise ConfigError("init_logit_scale does not act when init_checkpoint is set")
         try:
             schedule = tuple((s, b1, b2) for s, b1, b2 in self.beta_schedule)
         except (TypeError, ValueError) as exc:
@@ -438,12 +443,15 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
     """Run the configured training loop; returns metrics and the final policy.
 
     Writes metrics.csv, run_manifest.json and policy.json when an output
-    directory is configured. On a stability alarm the checkpoint written
+    directory is configured, and rollouts.jsonl with log_rollouts, which
+    without an output directory raises ConfigError. On a stability alarm the checkpoint written
     is the last good state (the failing step's snapshot) and the
     exception carries the metrics collected so far.
     """
     out = Path(out_dir) if out_dir is not None else (
         Path(config.out_dir) if config.out_dir else None)
+    if config.log_rollouts and out is None:
+        raise ConfigError("log_rollouts needs an output directory to write rollouts.jsonl to")
     env_cfg = config.env_config()
     if config.init_checkpoint:
         try:
@@ -502,8 +510,8 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
             mean_reward = float(np.concatenate([g.rewards for g in all_groups]).mean())
             old_logprobs = np.concatenate([g.old_logprobs for g in all_groups])
             entropy_sampled = float(np.mean(-old_logprobs.mean(axis=1)))
-            visited, visit_counts = np.unique(
-                np.concatenate([g.states for g in all_groups]), return_counts=True)
+            visited, visit_counts = state_visits(
+                policy, np.concatenate([g.states for g in all_groups]))
             snapshot_rows = policy.probability_matrix()[visited]
             entropy_exact = visit_weighted_mean(entropy_rows(snapshot_rows), visit_counts)
 

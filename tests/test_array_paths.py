@@ -32,11 +32,13 @@ from policylab import objectives
 from policylab.env import RolloutGroup, Trajectory, rollout_group, sample_episodes, sample_task
 from policylab.objectives import BatchTerms, new_logprob_lookup, token_weights
 from policylab.policy import (
+    entropy_and_gradient_rows,
     entropy_gradient_rows,
     entropy_rows,
     exact_kl,
     kl_rows,
     softmax_rows,
+    state_visits,
 )
 
 MODULUS = 5
@@ -247,8 +249,18 @@ def test_kl_rows_infinite_sentinel():
     assert kl[2] == 0.0
 
 
+def _saturated_table(num_states: int, num_actions: int, seed: int) -> TabularPolicy:
+    """Logits of -800, 0 and +800: every row with an 800 has underflowed zeros."""
+    rng = named_stream(seed, "saturated")
+    return TabularPolicy(rng.choice([-800.0, 0.0, 800.0], size=(num_states, num_actions)))
+
+
 def test_entropy_bonus_matches_per_state_loop():
-    policy = _table(6 * MODULUS + 1, 8, 9)
+    for make_table in (_table, _saturated_table):
+        _check_entropy_bonus_against_rows(make_table(6 * MODULUS + 1, 8, 9))
+
+
+def _check_entropy_bonus_against_rows(policy):
     visited = named_stream(9, "visits").integers(policy.num_states, size=60)
     value, grad = entropy_bonus(policy, visited, 0.003)
     states = sorted(set(visited.tolist()))
@@ -258,8 +270,43 @@ def test_entropy_bonus_matches_per_state_loop():
         expected_grad[s] = entropy_gradient_rows(policy.action_probabilities(s)[None])[0]
     assert value == 0.003 * expected_value / len(states)
     assert np.array_equal(grad, (0.003 / len(states)) * expected_grad)
+    # the one-log pair equals the two row forms, and both equal the formulas
+    # written out with their own log and row sum, in the same operation order
+    probs = policy.probability_matrix()[states]
+    assert (probs == 0.0).any()  # underflowed zeros among the visited rows
+    entropies, gradients = entropy_and_gradient_rows(probs)
+    with np.errstate(divide="ignore"):
+        logp = np.where(probs > 0.0, np.log(probs), 0.0)
+    assert np.array_equal(entropies, entropy_rows(probs))
+    assert np.array_equal(entropies, -(probs * logp).sum(axis=1))
+    assert np.array_equal(gradients, entropy_gradient_rows(probs))
+    assert np.array_equal(gradients, -probs * (logp - (probs * logp).sum(axis=1, keepdims=True)))
     with pytest.raises(ValueError):
         entropy_bonus(policy, [policy.num_states], 0.003)
+
+
+@pytest.mark.parametrize("states", [
+    named_stream(3, "visits").integers(193, size=500),
+    np.array([3, 3, 3, 1, 1, 3]),
+    np.array([7]),
+    np.array([192, 0, 0, 192, 5]),
+    np.array([], dtype=np.int64),
+    named_stream(4, "visits").integers(193, size=(8, 12)),
+], ids=["random", "repeated", "single_state", "boundary", "empty", "group_matrix"])
+def test_state_visits_matches_numpy_unique(states):
+    table = TabularPolicy.uniform(193, 4)
+    visited, counts = state_visits(table, states)
+    expected_visited, expected_counts = np.unique(states, return_counts=True)
+    for got, expected in ((visited, expected_visited), (counts, expected_counts)):
+        assert got.dtype == np.int64 == expected.dtype
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("bad", [-1, 193])
+def test_state_visits_rejects_states_outside_the_table(bad):
+    table = TabularPolicy.uniform(193, 4)
+    with pytest.raises(ValueError, match=r"states outside \[0, 193\)"):
+        state_visits(table, np.array([0, bad, 5]))
 
 
 @pytest.mark.parametrize("seq_len", [3, 12])

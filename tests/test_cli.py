@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from policylab import (
+    ObjectiveSpec,
     RunConfig,
     TabularPolicy,
     TokenBatch,
@@ -72,11 +73,15 @@ def test_train_bad_config_exit_2(tmp_path):
      "eps_high must be finite and > 0"),
     ({"eval_targets": []}, "eval_targets must be one or more distinct residues"),
     ({"eval_targets": [4, 4]}, "eval_targets must be one or more distinct residues"),
+    ({"max_filter_retries": 2}, "max_filter_retries acts only with dynamic_sampling"),
+    ({"init_logit_scale": 0.5, "init_checkpoint": "start.json"},
+     "init_logit_scale does not act when init_checkpoint is set"),
 ], ids=["string_beta1", "string_eps_low", "beta1_on_grpo", "schedule_on_grpo",
         "short_schedule_entry", "string_target", "negative_seed", "fractional_vocab",
         "string_flag", "numeric_path", "bool_seed", "bool_total_steps", "bool_beta1",
         "fractional_schedule_step", "bool_learning_rate", "infinite_learning_rate",
-        "infinite_eps_high", "empty_eval_targets", "duplicate_eval_targets"])
+        "infinite_eps_high", "empty_eval_targets", "duplicate_eval_targets",
+        "retries_without_dynamic_sampling", "scale_with_checkpoint"])
 def test_train_malformed_config_value_exit_2(overrides, message, tmp_path, capsys):
     # a malformed value is a usage error with one line, not a traceback mid-run
     config = _write_config(tmp_path, **overrides)
@@ -125,6 +130,24 @@ def test_gradcheck_out_of_range_flags_exit_2(flags, capsys):
     assert "Traceback" not in err
 
 
+def test_alpha_run_analyze_and_gradcheck_never_call_numpy_unique(tmp_path, monkeypatch, capsys):
+    # numpy's unique without a return_* argument takes a hash-table path whose
+    # first call raises the process's peak RSS by about 1.2 MB; the visited
+    # states come from policy.state_visits on every path, entropy bonus included
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.unique called")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    objective = ObjectiveSpec.for_algorithm("grpo", alpha=0.003).to_dict()
+    config = _write_config(tmp_path, log_rollouts=True, total_steps=2, objective=objective)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(run)]) == 0
+    assert main(["analyze", "--log", str(run / "rollouts.jsonl"),
+                 "--checkpoint", str(run / "policy.json")]) == 0
+    assert main(["gradcheck", "--objective", "grpo", "--alpha", "0.003",
+                 "--trajectories", "16", "--min-branch-count", "2"]) == 0
+
+
 def test_entropy_predict(capsys):
     rc = main(["entropy-predict", "--instances", "2", "--num-states", "4"])
     assert rc == 0
@@ -156,10 +179,10 @@ def test_analyze_mixed_lengths_exit_2(tmp_path, capsys):
     # a log whose two groups have different seq_len cannot form a token batch
     lines = []
     for group, seq_len in ((0, 3), (1, 4)):
-        for reward in (0, 1):
+        for reward in (0, 1):  # actions summing to 0 mod 5 earn target 0's reward
             lines.append(json.dumps({
                 "vocab_size": 8, "seq_len": seq_len, "modulus": 5, "target": 0,
-                "group": group, "actions": [1] * seq_len,
+                "group": group, "actions": [1 - reward] * seq_len,
                 "old_logprobs": [-2.0794415416798357] * seq_len, "reward": reward}))
     log = tmp_path / "mixed.jsonl"
     log.write_text("\n".join(lines) + "\n")
@@ -191,7 +214,7 @@ def test_analyze_clip_fractions_follow_the_run_objective(name, tmp_path, capsys)
 
 
 def _log_dir_with_manifest(tmp_path, manifest):
-    (tmp_path / "rollouts.jsonl").write_text(_log_line(0) + "\n" + _log_line(0, reward=1) + "\n")
+    (tmp_path / "rollouts.jsonl").write_text(_log_line(0) + "\n" + _rewarded_line(0) + "\n")
     if manifest is not None:
         (tmp_path / "run_manifest.json").write_text(manifest)
     return tmp_path / "rollouts.jsonl"
@@ -235,13 +258,17 @@ def _log_line(group, target=0, actions=(1, 2, 3), reward=0):
                        "reward": reward})
 
 
+def _rewarded_line(group):
+    return _log_line(group, actions=(1, 2, 2), reward=1)  # 1 + 2 + 2 = 0 mod 5
+
+
 @pytest.mark.parametrize("lines, message", [
-    ([_log_line(0), _log_line(0, reward=1), _log_line(1)], "log group 1: group size must be >= 2"),
+    ([_log_line(0), _rewarded_line(0), _log_line(1)], "log group 1: group size must be >= 2"),
     ([_log_line(0), _log_line(0, target=2)], "log group 0: rows of 2 different tasks"),
     ([_log_line(0), _log_line(0, actions=(1, 2))], "log group 0: rows whose length is not seq_len 3"),
     ([], "token batch is empty"),
     ([_log_line(0), '{"group": 0}'], "line 2 lacks ['vocab_size'"),
-    ([_log_line(0), _log_line(0, reward=1), _log_line(1), _log_line(1, reward=1),
+    ([_log_line(0), _rewarded_line(0), _log_line(1), _rewarded_line(1),
       _log_line(1)], "groups of different sizes [2, 3]"),
     ([_log_line(0), "3"], "line 2 is not a JSON object"),
     ([_log_line(0), _log_line([1])], "line 2: ['group'] must be integers"),
@@ -255,9 +282,16 @@ def _log_line(group, target=0, actions=(1, 2, 3), reward=0):
     ([_log_line(0), _log_line(0, actions=(True, 2, 3))],
      "line 2: actions and old_logprobs must be lists"),
     ([_log_line(0), _log_line(0, reward=True)], "line 2: ['reward'] must be integers"),
+    ([_log_line(0), _log_line(0).replace('[-2.0794415416798357', '[5.0')],
+     "line 2: old_logprobs must be log-probabilities <= 0"),
+    ([_log_line(0).replace('[-2.0794415416798357', '[NaN')],
+     "line 1: old_logprobs must be log-probabilities <= 0"),
+    ([_log_line(0), _log_line(0, reward=1)],
+     "log group 0: rewards that contradict their actions"),
 ], ids=["single_row_group", "mixed_tasks", "ragged_rows", "empty_log", "missing_field",
         "mixed_group_sizes", "not_an_object", "list_group", "string_vocab_size",
-        "string_actions", "string_old_logprobs", "string_reward", "bool_action", "bool_reward"])
+        "string_actions", "string_old_logprobs", "string_reward", "bool_action", "bool_reward",
+        "positive_old_logprob", "nan_old_logprob", "flipped_reward"])
 def test_analyze_malformed_log_exit_2(lines, message, tmp_path, capsys):
     log = tmp_path / "rollouts.jsonl"
     log.write_text("".join(line + "\n" for line in lines))
@@ -312,7 +346,7 @@ def test_out_of_range_cli_input_exit_2(argv, tmp_path, capsys):
     checkpoint = tmp_path / "policy.json"
     TabularPolicy.uniform(6 * 5 + 1, 8).save(checkpoint)
     # a readable log with a table that fits it, so only the flag under test is wrong
-    (tmp_path / "log.jsonl").write_text(_log_line(0) + "\n" + _log_line(0, reward=1) + "\n")
+    (tmp_path / "log.jsonl").write_text(_log_line(0) + "\n" + _rewarded_line(0) + "\n")
     TabularPolicy.uniform(3 * 5 + 1, 8).save(tmp_path / "log_policy.json")
     paths = {"{checkpoint}": str(checkpoint), "{log}": str(tmp_path / "log.jsonl"),
              "{log_checkpoint}": str(tmp_path / "log_policy.json")}
@@ -339,12 +373,14 @@ def test_out_of_range_cli_input_exit_2(argv, tmp_path, capsys):
     (["analyze", "--log", "{missing}", "--checkpoint", "{checkpoint}"], "No such file"),
     (["analyze", "--log", "{log}", "--checkpoint", "{missing}"], "No such file"),
     (["train", "--config", "{config_missing_init}"], "init checkpoint"),
+    (["train", "--config", "{config_log_without_out}"], "log_rollouts needs an output directory"),
     (["gradcheck", "--min-branch-count", "100000", "--trajectories", "8"],
      "could not build a ce_gppo batch"),
 ], ids=["eval_missing", "eval_no_num_actions", "eval_float_dims", "eval_int_logits",
         "eval_null_logits", "eval_repeated_target",
         "entropy_predict_missing", "analyze_no_log",
-        "analyze_missing_checkpoint", "train_missing_init", "gradcheck_unbuildable"])
+        "analyze_missing_checkpoint", "train_missing_init", "train_log_without_out",
+        "gradcheck_unbuildable"])
 def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
     checkpoint = tmp_path / "policy.json"
     TabularPolicy.uniform(3 * 5 + 1, 8).save(checkpoint)
@@ -355,7 +391,8 @@ def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
     (tmp_path / "no_num_actions.json").write_text(json.dumps(doc))
     doc.update(num_states=16.0, num_actions=8.0)
     (tmp_path / "float_dims.json").write_text(json.dumps(doc))
-    (tmp_path / "log.jsonl").write_text(_log_line(0) + "\n" + _log_line(0, reward=1) + "\n")
+    (tmp_path / "log.jsonl").write_text(_log_line(0) + "\n" + _rewarded_line(0) + "\n")
+    (tmp_path / "log_without_out").mkdir()  # _write_config writes one config.json per directory
     paths = {"{missing}": str(tmp_path / "missing.json"), "{checkpoint}": str(checkpoint),
              "{no_num_actions}": str(tmp_path / "no_num_actions.json"),
              "{float_dims}": str(tmp_path / "float_dims.json"),
@@ -363,7 +400,9 @@ def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
              "{null_logits}": str(tmp_path / "null_logits.json"),
              "{log}": str(tmp_path / "log.jsonl"),
              "{config_missing_init}": str(_write_config(
-                 tmp_path, init_checkpoint=str(tmp_path / "missing.json")))}
+                 tmp_path, init_checkpoint=str(tmp_path / "missing.json"))),
+             "{config_log_without_out}": str(_write_config(
+                 tmp_path / "log_without_out", log_rollouts=True))}
     rc = main([paths.get(a, a) for a in argv])
     err = capsys.readouterr().err
     assert rc == 2

@@ -237,13 +237,14 @@ def _log_line(group=0, target=0, actions=(1, 2, 3), reward=0, **task):
 
 def test_rollout_log_groups_by_id_in_first_seen_order(tmp_path):
     # rows join their group wherever they appear; a group keeps its rows in log order
-    lines = [_log_line(7, actions=(0, 1, 2)), _log_line(3, target=4), _log_line(7, reward=1),
+    lines = [_log_line(7, actions=(0, 1, 2)), _log_line(3, target=4),
+             _log_line(7, actions=(1, 2, 2), reward=1),
              _log_line(3, target=4, actions=(4, 4, 4))]
     path = tmp_path / "rollouts.jsonl"
     path.write_text("\n".join(lines) + "\n\n")
     first, second = read_rollout_log(path)
     assert first.task.target == 0 and second.task.target == 4
-    assert first.actions.tolist() == [[0, 1, 2], [1, 2, 3]]
+    assert first.actions.tolist() == [[0, 1, 2], [1, 2, 2]]
     assert first.rewards.tolist() == [0.0, 1.0]
     assert first.states.tolist() == [[0, 5, 11], [0, 6, 13]]
     assert second.states.tolist() == [[0, 6, 13], [0, 9, 13]]
@@ -262,7 +263,7 @@ def test_rollout_log_reads_integer_and_infinite_logprobs(tmp_path):
     # json writes an underflowed log-prob as -Infinity, which parses to a float
     doc = {**json.loads(_log_line()), "old_logprobs": [float("-inf"), -1, -2.5]}
     path = tmp_path / "rollouts.jsonl"
-    path.write_text(json.dumps(doc) + "\n" + _log_line(reward=1) + "\n")
+    path.write_text(json.dumps(doc) + "\n" + _log_line(actions=(1, 2, 2), reward=1) + "\n")
     assert "-Infinity" in path.read_text()
     (group,) = read_rollout_log(path)
     assert group.old_logprobs[0].tolist() == [-np.inf, -1.0, -2.5]
