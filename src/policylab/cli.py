@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from .entropy_dynamics import (
     quadrant_stats_arrays,
     verify_predictor_convergence,
 )
-from .env import ModSumTask, read_rollout_log
+from .env import EnvConfig, ModSumTask, read_rollout_log, residue_set
 from .gradcheck import build_gradcheck_batch, check_objective_gradient
 from .objectives import ALGORITHMS, ObjectiveSpec, TokenBatch, batch_token_terms
 from .policy import TabularPolicy, state_visits, visit_weighted_mean
@@ -68,12 +69,19 @@ _positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number
 _probability = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 
 
+@contextmanager
+def _usage_errors(context: str = ""):
+    """An OSError or ValueError raised inside is a usage error (exit 2), prefixed by context."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{context}{exc}") from exc
+
+
 def _load_checkpoint(path: str) -> TabularPolicy:
     """The policy of a checkpoint; a missing or malformed one is a usage error."""
-    try:
+    with _usage_errors(f"checkpoint {path}: "):
         return TabularPolicy.load(path)[0]
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"checkpoint {path}: {exc}") from exc
 
 
 def _emit(doc: dict, json_path: str | None) -> None:
@@ -100,10 +108,8 @@ def _cmd_gradcheck(args) -> int:
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
-    try:
+    with _usage_errors():
         spec = ObjectiveSpec.for_algorithm(args.objective, **overrides)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     try:
         batch, policy = build_gradcheck_batch(
             spec, seed=args.seed, n_trajectories=args.trajectories,
@@ -136,30 +142,21 @@ def _cmd_entropy_predict(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    try:
+    with _usage_errors(f"rollout log {args.log}: "):
         groups = read_rollout_log(args.log)
         # the batch, advantages included, built from the logged groups as the
         # trainer builds it; an empty log is an empty batch
         tokens = TokenBatch.from_groups(groups)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"rollout log {args.log}: {exc}") from exc
     policy = _load_checkpoint(args.checkpoint)
-    shape = (policy.num_states, policy.num_actions)
-    for task in (group.task for group in groups):
-        if (task.num_states, task.vocab_size) != shape:
-            raise ConfigError(
-                f"checkpoint is {shape[0]}x{shape[1]}, log tasks need "
-                f"{task.num_states}x{task.vocab_size}")
+    with _usage_errors(f"checkpoint {args.checkpoint}: "):
+        for group in groups:
+            group.task.check_table(policy)
     # the run's own objective clips; a beta_schedule's betas move no branch code
-    try:
+    with _usage_errors(f"run manifest beside {args.log}: "):
         doc = json.loads((Path(args.log).parent / "run_manifest.json").read_text())
         spec = RunConfig.from_dict(doc.get("config") if isinstance(doc, dict) else doc).objective
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"run manifest beside {args.log}: {exc}") from exc
-    try:
+    with _usage_errors(f"log {args.log} under checkpoint {args.checkpoint}: "):
         terms = batch_token_terms(spec, tokens, policy)
-    except ValueError as exc:
-        raise ConfigError(f"log {args.log} under checkpoint {args.checkpoint}: {exc}") from exc
     threshold = (1.0 / policy.num_actions if args.prob_threshold is None
                  else args.prob_threshold)
     advs = tokens.advantages
@@ -167,7 +164,7 @@ def _cmd_analyze(args) -> int:
                                   terms.branch_codes, threshold)
 
     # per-(state, action) advantage sums and counts; the scatters add in token order
-    cells = tokens.cell_index(policy)
+    cells, shape = tokens.cell_index(policy), policy.logits.shape
     adv_sum = np.bincount(cells, weights=advs, minlength=policy.logits.size).reshape(shape)
     adv_count = np.bincount(cells, minlength=policy.logits.size).reshape(shape)
     visited, visits = state_visits(policy, tokens.states)
@@ -201,14 +198,15 @@ def _cmd_suite(args) -> int:
 
 def _cmd_eval(args) -> int:
     policy = _load_checkpoint(args.checkpoint)
-    if (policy.num_states - 1) % args.modulus != 0:
-        raise ConfigError(
-            f"checkpoint has {policy.num_states} states, not of the form T*{args.modulus}+1")
-    seq_len = (policy.num_states - 1) // args.modulus
-    targets = args.targets if args.targets else list(range(args.modulus))
-    if len(set(targets)) < len(targets) or not all(0 <= t < args.modulus for t in targets):
-        raise ConfigError(f"targets {targets} must be distinct residues in [0, {args.modulus})")
-    tasks = [ModSumTask(policy.num_actions, seq_len, args.modulus, t) for t in targets]
+    # V and T read off the table, raised to the smallest valid ones: the table
+    # fits this environment or no environment of this modulus
+    env = EnvConfig(max(policy.num_actions, 2),
+                    max((policy.num_states - 1) // args.modulus, 1), args.modulus)
+    with _usage_errors(f"checkpoint {args.checkpoint}: "):
+        env.check_table(policy)
+    with _usage_errors():  # no --targets value means every residue
+        targets = residue_set("targets", args.targets or range(args.modulus), args.modulus)
+    tasks = [ModSumTask(env.vocab_size, env.seq_len, env.modulus, t) for t in targets]
     accuracy = evaluate(policy, tasks, args.samples, named_stream(args.seed, "eval-cli"))
     _emit({"accuracy": accuracy, "targets": targets, "samples_per_prompt": args.samples,
            "avg_at": args.samples, "seed": args.seed}, args.json)

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .objectives import CODE_LEFT, CODE_RIGHT
-from .policy import _log_or_zero, _SoftmaxTable, entropy_rows, softmax_rows
+from .policy import _expected_log_rows, _log_or_zero, _SoftmaxTable, entropy_rows, softmax_rows
 
 CENTERING_TOLERANCE = 1e-9
 DEGENERATE_ENTROPY = 1e-6
@@ -82,7 +82,8 @@ def entropy_covariance(policy: _SoftmaxTable, states: Sequence[int] | np.ndarray
     probs, adv, _ = _rows(policy, states, advantages)
     x = _log_or_zero(probs)
     y = probs * adv
-    return (probs * x * y).sum(axis=1) - (probs * x).sum(axis=1) * (probs * y).sum(axis=1)
+    mean_x = _expected_log_rows(probs, x)[:, 0]
+    return (probs * x * y).sum(axis=1) - mean_x * (probs * y).sum(axis=1)
 
 
 def _entropy_changes(policy: _SoftmaxTable, states: Sequence[int] | np.ndarray,

@@ -18,6 +18,7 @@ rows, built only where a caller wants one episode at a time.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -27,8 +28,54 @@ import numpy as np
 from .policy import _SoftmaxTable
 
 
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which numbers.Integral counts as an integer
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def residue_set(name: str, values, modulus: int) -> tuple[int, ...]:
+    """The one residue-set rule: values as a tuple of one or more distinct ints in
+    [0, modulus); anything else (a bool included) raises ValueError naming the field."""
+    values = tuple(values)
+    if not all(map(_is_int, values)):
+        raise ValueError(f"{name} must be integers, got {list(values)}")
+    residues = tuple(map(int, values))
+    if not residues or len(set(residues)) < len(residues) or not all(
+            0 <= r < modulus for r in residues):
+        raise ValueError(f"{name} must be one or more distinct residues in "
+                         f"[0, {modulus}), got {list(residues)}")
+    return residues
+
+
 @dataclass(frozen=True)
-class EnvConfig:
+class _Dimensions:
+    """V actions, T tokens and modulus M: the shape an environment and its tasks share."""
+
+    vocab_size: int
+    seq_len: int
+    modulus: int
+
+    def __post_init__(self):
+        if self.vocab_size < 2 or self.seq_len < 1 or self.modulus < 2:
+            # M = 1 would make the reward constant
+            raise ValueError(
+                f"invalid dimensions vocab_size={self.vocab_size} seq_len={self.seq_len} "
+                f"modulus={self.modulus}: need vocab_size >= 2, seq_len >= 1 and modulus >= 2")
+
+    @property
+    def num_states(self) -> int:
+        return self.seq_len * self.modulus + 1
+
+    def check_table(self, table: _SoftmaxTable) -> None:
+        """The one table-fit rule: a policy for this shape is a (T*M + 1) x V table."""
+        if table.num_states != self.num_states or table.num_actions != self.vocab_size:
+            raise ValueError(
+                f"policy table ({table.num_states} states, {table.num_actions} actions) does "
+                f"not match state space ({self.num_states} states, {self.vocab_size} actions)")
+
+
+@dataclass(frozen=True)
+class EnvConfig(_Dimensions):
     """Environment dimensions plus the residues tasks may target."""
 
     vocab_size: int = 8
@@ -38,54 +85,23 @@ class EnvConfig:
     train_targets: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.vocab_size < 2:
-            raise ValueError(f"vocab_size must be >= 2, got {self.vocab_size}")
-        if self.seq_len < 1:
-            raise ValueError(f"seq_len must be >= 1, got {self.seq_len}")
-        if self.modulus < 2:
-            raise ValueError(
-                f"modulus must be >= 2, got {self.modulus} (reward would be constant)")
+        super().__post_init__()
         if self.train_targets is not None:
-            targets = tuple(int(t) for t in self.train_targets)
-            if not targets:
-                raise ValueError("train_targets must be non-empty when given")
-            if any(not 0 <= t < self.modulus for t in targets):
-                raise ValueError(f"train_targets {targets} outside [0, {self.modulus})")
-            if len(set(targets)) != len(targets):
-                raise ValueError(f"train_targets {targets} contain duplicates")
-            object.__setattr__(self, "train_targets", targets)
-
-    @property
-    def num_states(self) -> int:
-        return self.seq_len * self.modulus + 1
+            object.__setattr__(self, "train_targets",
+                               residue_set("train_targets", self.train_targets, self.modulus))
 
     def allowed_targets(self) -> tuple[int, ...]:
-        if self.train_targets is None:
-            return tuple(range(self.modulus))
-        return self.train_targets
+        return self.train_targets or tuple(range(self.modulus))
 
 
 @dataclass(frozen=True)
-class ModSumTask:
-    vocab_size: int
-    seq_len: int
-    modulus: int
+class ModSumTask(_Dimensions):
     target: int
 
     def __post_init__(self):
-        if self.vocab_size < 2 or self.seq_len < 1 or self.modulus < 2:
-            raise ValueError(
-                f"invalid task dimensions V={self.vocab_size} T={self.seq_len} M={self.modulus}")
+        super().__post_init__()
         if not 0 <= self.target < self.modulus:
             raise ValueError(f"target {self.target} outside [0, {self.modulus})")
-
-    @property
-    def num_states(self) -> int:
-        return self.seq_len * self.modulus + 1
-
-    @property
-    def terminal_state(self) -> int:
-        return self.seq_len * self.modulus
 
     def state_id(self, position: int, residue: int) -> int:
         if not 0 <= position < self.seq_len:
@@ -194,10 +210,7 @@ def sample_episodes(policy: _SoftmaxTable, task: ModSumTask, n: int,
     to the last action) of its draw, so the episodes equal n sequential
     token-at-a-time rollouts bit for bit, log-probs included.
     """
-    if policy.num_states != task.num_states or policy.num_actions != task.vocab_size:
-        raise ValueError(
-            f"policy table ({policy.num_states} states, {policy.num_actions} actions) does not "
-            f"match task state space ({task.num_states} states, {task.vocab_size} actions)")
+    task.check_table(policy)
     cdf = policy.sampling_cdf()
     seq_len, modulus = task.seq_len, task.modulus
     draws = rng.random((n, seq_len))

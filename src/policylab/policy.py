@@ -215,7 +215,8 @@ def _expected_log_rows(probs: np.ndarray, logp: np.ndarray) -> np.ndarray:
     """E_pi[log pi] = sum_a pi_a log pi_a of each row, as an (n, 1) column.
 
     logp is _log_or_zero(probs). The one statement of the row sum that the
-    entropy (its negation) and the entropy gradient both take.
+    entropy (its negation), the entropy gradient and the entropy covariance's
+    E[X] all take.
     """
     return (probs * logp).sum(axis=1, keepdims=True)
 
@@ -257,16 +258,10 @@ def state_visits(table: _SoftmaxTable, states: np.ndarray) -> tuple[np.ndarray, 
     return visited, counts[visited]
 
 
-def entropy_gradient_rows(probs: np.ndarray) -> np.ndarray:
-    """Exact dH/dz of each row: -pi_a * (log pi_a - E_pi[log pi]).
-
-    Zero-probability actions contribute zero.
-    """
-    return entropy_and_gradient_rows(probs)[1]
-
-
 def entropy_and_gradient_rows(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """entropy_rows(probs) and entropy_gradient_rows(probs) from one log and one row sum."""
+    """entropy_rows(probs) and each row's exact dH/dz, -pi_a * (log pi_a - E_pi[log pi]),
+    from one log and one row sum. Zero-probability actions contribute zero.
+    """
     logp = _log_or_zero(probs)
     mean_logp = _expected_log_rows(probs, logp)
     return -mean_logp[:, 0], -probs * (logp - mean_logp)

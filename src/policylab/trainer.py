@@ -61,6 +61,8 @@ from .env import (
     EnvConfig,
     ModSumTask,
     RolloutGroup,
+    _is_int,
+    residue_set,
     rollout_group,
     sample_episodes,
     sample_task,
@@ -88,11 +90,6 @@ class ConfigError(ValueError):
     """Invalid run configuration (CLI exit code 2)."""
 
 
-def _is_int(value) -> bool:
-    # JSON true/false arrive as bool, which numbers.Integral counts as an integer
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
@@ -108,11 +105,9 @@ _FIELD_KINDS = (  # (fields, test a value must pass, what the message asks for)
 )
 
 
-def _int_tuple(name: str, values) -> tuple[int, ...]:
-    values = tuple(values)
-    if not all(_is_int(v) for v in values):
-        raise ConfigError(f"{name} must be integers, got {list(values)}")
-    return tuple(int(v) for v in values)
+# the lower bound of each integer field; EnvConfig bounds vocab_size, seq_len and modulus
+_MINIMUMS = {"seed": 0, "mini_epochs": 1, "total_steps": 1, "group_size": 2,
+             "prompts_per_batch": 1, "eval_samples": 1, "max_filter_retries": 1}
 
 
 class StabilityAlarm(RuntimeError):
@@ -176,25 +171,14 @@ class RunConfig:
                 value = getattr(self, name)
                 if not accepts(value):
                     raise ConfigError(f"{name} must be {expected}, got {value!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.mini_epochs < 1:
-            raise ConfigError(f"mini_epochs must be >= 1, got {self.mini_epochs}")
+        for name, minimum in _MINIMUMS.items():
+            if getattr(self, name) < minimum:
+                raise ConfigError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
         if not 0.0 < self.learning_rate < np.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.total_steps < 1:
-            raise ConfigError(f"total_steps must be >= 1, got {self.total_steps}")
         if not 0.0 < self.minibatch_fraction <= 1.0:
             raise ConfigError(
                 f"minibatch_fraction must be in (0, 1], got {self.minibatch_fraction}")
-        if self.group_size < 2:
-            raise ConfigError(f"group_size must be >= 2, got {self.group_size}")
-        if self.prompts_per_batch < 1:
-            raise ConfigError(f"prompts_per_batch must be >= 1, got {self.prompts_per_batch}")
-        if self.eval_samples < 1:
-            raise ConfigError(f"eval_samples must be >= 1, got {self.eval_samples}")
-        if self.max_filter_retries < 1:
-            raise ConfigError(f"max_filter_retries must be >= 1, got {self.max_filter_retries}")
         if self.max_filter_retries != RunConfig.max_filter_retries and not self.dynamic_sampling:
             # off its default: without the filter the first attempt keeps its batch
             raise ConfigError("max_filter_retries acts only with dynamic_sampling")
@@ -225,21 +209,15 @@ class RunConfig:
         if isinstance(self.train_targets, str) and self.train_targets != "all":
             raise ConfigError(f"train_targets must be a list, \"all\" or null, "
                               f"got {self.train_targets!r}")
-        if self.train_targets is not None and not isinstance(self.train_targets, str):
-            object.__setattr__(self, "train_targets",
-                               _int_tuple("train_targets", self.train_targets))
-        if self.eval_targets is not None:
-            object.__setattr__(self, "eval_targets",
-                               _int_tuple("eval_targets", self.eval_targets))
         try:
-            self.env_config()
+            env = self.env_config()
+            if self.eval_targets is not None:
+                object.__setattr__(self, "eval_targets",
+                                   residue_set("eval_targets", self.eval_targets, self.modulus))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        targets = self.resolved_eval_targets()
-        in_range = all(0 <= t < self.modulus for t in targets)
-        if not targets or len(set(targets)) < len(targets) or not in_range:
-            raise ConfigError(f"eval_targets must be one or more distinct residues in "
-                              f"[0, {self.modulus}), got {list(targets)}")
+        if self.train_targets is not None and not isinstance(self.train_targets, str):
+            object.__setattr__(self, "train_targets", env.train_targets)
 
     def env_config(self) -> EnvConfig:
         if self.train_targets == "all":
@@ -456,12 +434,9 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
     if config.init_checkpoint:
         try:
             policy, _ = TabularPolicy.load(config.init_checkpoint)
+            env_cfg.check_table(policy)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"init checkpoint {config.init_checkpoint}: {exc}") from exc
-        if (policy.num_states, policy.num_actions) != (env_cfg.num_states, env_cfg.vocab_size):
-            raise ConfigError(
-                f"init checkpoint is {policy.num_states}x{policy.num_actions}, environment "
-                f"needs {env_cfg.num_states}x{env_cfg.vocab_size}")
     elif config.init_logit_scale > 0.0:
         policy = TabularPolicy.random(env_cfg.num_states, env_cfg.vocab_size,
                                       config.init_logit_scale,

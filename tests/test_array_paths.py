@@ -33,7 +33,6 @@ from policylab.env import RolloutGroup, Trajectory, rollout_group, sample_episod
 from policylab.objectives import BatchTerms, new_logprob_lookup, token_weights
 from policylab.policy import (
     entropy_and_gradient_rows,
-    entropy_gradient_rows,
     entropy_rows,
     exact_kl,
     kl_rows,
@@ -223,11 +222,11 @@ def test_entropy_and_kl_rows_match_per_state_forms(vocab):
         pr, qr = p.probability_matrix()[states], q.probability_matrix()[states]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ent, kl, grad = entropy_rows(pr), kl_rows(pr, qr), entropy_gradient_rows(pr)
+            ent, kl, grad = entropy_rows(pr), kl_rows(pr, qr), entropy_and_gradient_rows(pr)[1]
         for s in states:
             assert ent[s] == p.exact_entropy(s)
             assert kl[s] == exact_kl(p, q, s)
-            assert np.array_equal(grad[s], entropy_gradient_rows(pr[s][None])[0])
+            assert np.array_equal(grad[s], entropy_and_gradient_rows(pr[s][None])[1][0])
             # and against the masked row formulas they replaced: bit for bit
             # where no probability underflowed
             if (pr[s] > 0).all():
@@ -267,10 +266,10 @@ def _check_entropy_bonus_against_rows(policy):
     expected_value, expected_grad = 0.0, np.zeros_like(grad)
     for s in states:
         expected_value += policy.exact_entropy(s)
-        expected_grad[s] = entropy_gradient_rows(policy.action_probabilities(s)[None])[0]
+        expected_grad[s] = entropy_and_gradient_rows(policy.action_probabilities(s)[None])[1][0]
     assert value == 0.003 * expected_value / len(states)
     assert np.array_equal(grad, (0.003 / len(states)) * expected_grad)
-    # the one-log pair equals the two row forms, and both equal the formulas
+    # the one-log pair equals entropy_rows and a repeat call, and both equal the formulas
     # written out with their own log and row sum, in the same operation order
     probs = policy.probability_matrix()[states]
     assert (probs == 0.0).any()  # underflowed zeros among the visited rows
@@ -279,7 +278,7 @@ def _check_entropy_bonus_against_rows(policy):
         logp = np.where(probs > 0.0, np.log(probs), 0.0)
     assert np.array_equal(entropies, entropy_rows(probs))
     assert np.array_equal(entropies, -(probs * logp).sum(axis=1))
-    assert np.array_equal(gradients, entropy_gradient_rows(probs))
+    assert np.array_equal(gradients, entropy_and_gradient_rows(probs)[1])
     assert np.array_equal(gradients, -probs * (logp - (probs * logp).sum(axis=1, keepdims=True)))
     with pytest.raises(ValueError):
         entropy_bonus(policy, [policy.num_states], 0.003)

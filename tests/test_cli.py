@@ -7,12 +7,17 @@ import numpy as np
 import pytest
 
 from policylab import (
+    ConfigError,
+    EnvConfig,
+    ModSumTask,
     ObjectiveSpec,
     RunConfig,
     TabularPolicy,
     TokenBatch,
     batch_token_terms,
+    named_stream,
     read_rollout_log,
+    rollout_group,
     suite_configs,
     train,
 )
@@ -368,7 +373,11 @@ def test_out_of_range_cli_input_exit_2(argv, tmp_path, capsys):
     (["eval", "{int_logits}"], "logits must be a list of numbers or numeric strings"),
     (["eval", "{null_logits}"], "logits must be a list of numbers or numeric strings"),
     (["eval", "{checkpoint}", "--targets", "1", "1"],
-     "targets [1, 1] must be distinct residues in [0, 5)"),
+     "targets must be one or more distinct residues in [0, 5), got [1, 1]"),
+    (["eval", "{one_action}"],
+     "policy table (31 states, 1 actions) does not match state space (31 states, 2 actions)"),
+    (["eval", "{one_state}"],
+     "policy table (1 states, 8 actions) does not match state space (6 states, 8 actions)"),
     (["entropy-predict", "--checkpoint", "{missing}"], "No such file"),
     (["analyze", "--log", "{missing}", "--checkpoint", "{checkpoint}"], "No such file"),
     (["analyze", "--log", "{log}", "--checkpoint", "{missing}"], "No such file"),
@@ -377,7 +386,7 @@ def test_out_of_range_cli_input_exit_2(argv, tmp_path, capsys):
     (["gradcheck", "--min-branch-count", "100000", "--trajectories", "8"],
      "could not build a ce_gppo batch"),
 ], ids=["eval_missing", "eval_no_num_actions", "eval_float_dims", "eval_int_logits",
-        "eval_null_logits", "eval_repeated_target",
+        "eval_null_logits", "eval_repeated_target", "eval_one_action", "eval_one_state",
         "entropy_predict_missing", "analyze_no_log",
         "analyze_missing_checkpoint", "train_missing_init", "train_log_without_out",
         "gradcheck_unbuildable"])
@@ -391,6 +400,8 @@ def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
     (tmp_path / "no_num_actions.json").write_text(json.dumps(doc))
     doc.update(num_states=16.0, num_actions=8.0)
     (tmp_path / "float_dims.json").write_text(json.dumps(doc))
+    TabularPolicy.uniform(6 * 5 + 1, 1).save(tmp_path / "one_action.json")
+    TabularPolicy.uniform(1, 8).save(tmp_path / "one_state.json")
     (tmp_path / "log.jsonl").write_text(_log_line(0) + "\n" + _rewarded_line(0) + "\n")
     (tmp_path / "log_without_out").mkdir()  # _write_config writes one config.json per directory
     paths = {"{missing}": str(tmp_path / "missing.json"), "{checkpoint}": str(checkpoint),
@@ -398,6 +409,8 @@ def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
              "{float_dims}": str(tmp_path / "float_dims.json"),
              "{int_logits}": str(tmp_path / "int_logits.json"),
              "{null_logits}": str(tmp_path / "null_logits.json"),
+             "{one_action}": str(tmp_path / "one_action.json"),
+             "{one_state}": str(tmp_path / "one_state.json"),
              "{log}": str(tmp_path / "log.jsonl"),
              "{config_missing_init}": str(_write_config(
                  tmp_path, init_checkpoint=str(tmp_path / "missing.json"))),
@@ -409,6 +422,73 @@ def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
     assert err.startswith("config error:") and err.count("\n") == 1
     assert message in err
     assert "Traceback" not in err
+
+
+def _config_error(argv, capsys) -> str:
+    """The message of a CLI usage error: exit 2 with one 'config error:' line."""
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("config error: ") and err.count("\n") == 1
+    return err[len("config error: "):-1]
+
+
+def _raised(call) -> str:
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+def _residue_set_messages(bad, tmp_path, capsys) -> list[tuple[str, str]]:
+    """(field, message) from every residue-set entry point for one bad set at M = 5."""
+    found = [("train_targets", _raised(lambda: EnvConfig(train_targets=bad))),
+             ("train_targets", _raised(lambda: RunConfig(train_targets=bad))),
+             ("eval_targets", _raised(lambda: RunConfig(eval_targets=bad)))]
+    if bad and all(type(t) is int for t in bad):  # eval --targets parses integers; none means all
+        TabularPolicy.uniform(6 * 5 + 1, 8).save(tmp_path / "policy.json")
+        found.append(("targets", _config_error(
+            ["eval", str(tmp_path / "policy.json"), "--targets", *map(str, bad)], capsys)))
+    return found
+
+
+def _table_fit_messages(shape, tmp_path, capsys) -> list[tuple[str, str]]:
+    """(context prefix, message) from every table-fit entry point for a table of
+    the given shape and the V=8, T=3, M=5 environment (16 states) of _log_line."""
+    checkpoint = tmp_path / "policy.json"
+    TabularPolicy.uniform(*shape).save(checkpoint)
+    (tmp_path / "log.jsonl").write_text(_log_line(0) + "\n" + _rewarded_line(0) + "\n")
+    with pytest.raises(ConfigError) as info:
+        train(RunConfig(seq_len=3, total_steps=1, init_checkpoint=str(checkpoint)))
+    return [
+        ("", _raised(lambda: rollout_group(TabularPolicy.uniform(*shape), ModSumTask(8, 3, 5, 0),
+                                           2, named_stream(0, "fit")))),
+        (f"init checkpoint {checkpoint}: ", str(info.value)),
+        (f"checkpoint {checkpoint}: ", _config_error(
+            ["analyze", "--log", str(tmp_path / "log.jsonl"), "--checkpoint", str(checkpoint)],
+            capsys)),
+        (f"checkpoint {checkpoint}: ", _config_error(["eval", str(checkpoint)], capsys)),
+    ]
+
+
+_RESIDUES = "{name} must be one or more distinct residues in [0, 5), got {bad}"
+_INTEGERS = "{name} must be integers, got {bad}"
+_FIT = "policy table ({bad[0]} states, 8 actions) does not match state space (16 states, 8 actions)"
+
+
+@pytest.mark.parametrize("bad, rule", [
+    ([1, 1], _RESIDUES), ([5], _RESIDUES), ([-1, 0], _RESIDUES), ([], _RESIDUES),
+    ([1.5, 2.9], _INTEGERS), ([True], _INTEGERS),
+    ((17, 8), _FIT), ((20, 8), _FIT),
+], ids=["repeat", "too_large", "negative", "empty", "fractional", "bool",
+        "table_17x8", "table_20x8"])
+def test_each_shape_rule_gives_one_message_at_every_entry_point(bad, rule, tmp_path, capsys):
+    # residue sets and table fit are each stated once in env.py: every entry
+    # point of a rule gives that rule's message, naming its own field or file
+    if rule is _FIT:
+        for prefix, message in _table_fit_messages(bad, tmp_path, capsys):
+            assert message == prefix + rule.format(bad=bad)
+    else:
+        for name, message in _residue_set_messages(bad, tmp_path, capsys):
+            assert message == rule.format(name=name, bad=bad)
 
 
 def test_suite_smoke(tmp_path, capsys):

@@ -23,7 +23,7 @@ from policylab.entropy_dynamics import (
     EntropyPrediction,
     quadrant_stats_arrays,
 )
-from policylab.policy import entropy_gradient_rows, entropy_rows, softmax_rows
+from policylab.policy import entropy_and_gradient_rows, entropy_rows, softmax_rows
 
 # the PPO clip rule with bounds (0.8, 1.2)
 PPO_RULE = ObjectiveSpec(algorithm="dapo", eps_low=0.2, eps_high=0.2)
@@ -300,7 +300,7 @@ def test_entropy_gradient_along_pg_step_is_minus_covariance():
         policy = TabularPolicy.random(1, 6, 1.0, named_stream(seed, "upd"))
         adv = _one(center_advantages, policy, named_stream(seed, "adv").normal(size=6))
         probs = policy.probability_matrix()
-        first_order = float(entropy_gradient_rows(probs)[0] @ (probs[0] * adv))
+        first_order = float(entropy_and_gradient_rows(probs)[1][0] @ (probs[0] * adv))
         assert first_order == pytest.approx(-_one(entropy_covariance, policy, adv), abs=1e-12)
         prediction = _one(predict_entropy_change, policy, adv, 0.02)
         assert prediction.predicted_delta_h == -0.02 * prediction.covariance

@@ -58,6 +58,11 @@ def test_env_config_validation():
         EnvConfig(train_targets=(5,))
     with pytest.raises(ValueError):
         EnvConfig(train_targets=())
+    # a non-integer target is refused, not truncated
+    for targets in ((1.5, 2.9), (True,), ("1",)):
+        with pytest.raises(ValueError, match="train_targets must be integers"):
+            EnvConfig(train_targets=targets)
+    assert EnvConfig(train_targets=[np.int64(3), 1]).train_targets == (3, 1)
     assert EnvConfig().num_states == 31
 
 
@@ -68,7 +73,6 @@ def test_task_validation():
         ModSumTask(8, 6, 1, 0)
     task = ModSumTask(8, 6, 5, 2)
     assert task.num_states == 31
-    assert task.terminal_state == 30
     assert task.state_id(0, 0) == 0
     assert task.state_id(3, 2) == 17
 

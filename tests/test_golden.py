@@ -85,7 +85,8 @@ def test_golden_table_covers_every_config():
 
 
 # sha256 of the `policylab analyze` JSON for a run's log and final checkpoint:
-# the wide run, and dapo, whose log holds only the groups dynamic sampling kept
+# the wide run, and dapo, whose log holds every sampled group, the ones dynamic
+# sampling filtered out included (11 of the 80 groups of the 10-step seed-0 run)
 ANALYZE_GOLDEN = {
     "baseline_zoo/dapo":
         "82b44e80acd0917fd1dd28af100242f2be4530e56c9a3a7a7b1ee48fa3e33995",

@@ -14,7 +14,7 @@ from policylab import (
     rollout_group,
     sample_episodes,
 )
-from policylab.policy import entropy_gradient_rows
+from policylab.policy import entropy_and_gradient_rows
 
 
 def test_uniform_row_probabilities():
@@ -284,13 +284,13 @@ def test_checkpoint_loads_numeric_logits(tmp_path):
 
 def test_entropy_logit_gradient_uniform_row_is_zero():
     policy = TabularPolicy.uniform(1, 6)
-    assert np.allclose(entropy_gradient_rows(policy.probability_matrix()), 0.0, atol=1e-15)
+    assert np.allclose(entropy_and_gradient_rows(policy.probability_matrix())[1], 0.0, atol=1e-15)
 
 
 def test_entropy_logit_gradient_matches_finite_differences():
     rng = named_stream(2, "hgrad")
     policy = TabularPolicy.random(1, 5, 1.2, rng)
-    analytic = entropy_gradient_rows(policy.probability_matrix())[0]
+    analytic = entropy_and_gradient_rows(policy.probability_matrix())[1][0]
     h = 1e-6
     for a in range(5):
         bumped = policy.logits.copy()
