@@ -216,24 +216,11 @@ class QuadrantStats:
         return asdict(self)
 
 
-def quadrant_stats_arrays(deltas: np.ndarray, advantages: np.ndarray,
-                          probs: np.ndarray, branch_codes: np.ndarray,
-                          prob_threshold: float) -> QuadrantStats:
-    """Vectorized taxonomy over parallel arrays.
-
-    Quadrant fractions are over tokens with A != 0 (they sum to 1 there);
-    clip fractions are the shares of all tokens whose branch code (from
-    objectives.clip_terms) is left- or right-clipped. The histogram uses
-    the fixed log-spaced edges so runs are comparable.
-    """
-    deltas = np.asarray(deltas, dtype=np.float64)
-    advantages = np.asarray(advantages, dtype=np.float64)
-    probs = np.asarray(probs, dtype=np.float64)
-    n = len(deltas)
-    if n == 0:
-        raise ValueError("empty token batch")
-    if len(branch_codes) != n:
-        raise ValueError(f"{len(branch_codes)} branch codes for {n} tokens")
+def quadrant_taxonomy(advantages: np.ndarray, probs: np.ndarray,
+                      prob_threshold: float) -> tuple[dict[str, int], dict[str, float]]:
+    """Quadrant counts and fractions: advantage sign x (probability >= prob_threshold).
+    Tokens with A == 0 are in no quadrant, and the fractions are over the
+    others (they sum to 1 there, and are all 0 when there are none)."""
     pos = advantages > 0.0
     neg = advantages < 0.0
     high = probs >= prob_threshold
@@ -243,8 +230,25 @@ def quadrant_stats_arrays(deltas: np.ndarray, advantages: np.ndarray,
         Quadrant.NA_HP.value: int((neg & high).sum()),
         Quadrant.NA_LP.value: int((neg & ~high).sum()),
     }
-    n_signed = int(pos.sum() + neg.sum())
-    fractions = {k: (c / n_signed if n_signed else 0.0) for k, c in counts.items()}
+    n_signed = sum(counts.values())
+    return counts, {k: (c / n_signed if n_signed else 0.0) for k, c in counts.items()}
+
+
+def quadrant_stats_arrays(deltas: np.ndarray, advantages: np.ndarray,
+                          probs: np.ndarray, branch_codes: np.ndarray,
+                          prob_threshold: float) -> QuadrantStats:
+    """Vectorized taxonomy over parallel arrays: quadrant_taxonomy's quadrants,
+    the shares of all tokens whose branch code (from objectives.clip_terms)
+    is left- or right-clipped, and a ratio histogram over the fixed
+    log-spaced edges, so runs are comparable."""
+    deltas = np.asarray(deltas, dtype=np.float64)
+    n = len(deltas)
+    if n == 0:
+        raise ValueError("empty token batch")
+    if len(branch_codes) != n:
+        raise ValueError(f"{len(branch_codes)} branch codes for {n} tokens")
+    counts, fractions = quadrant_taxonomy(np.asarray(advantages, dtype=np.float64),
+                                          np.asarray(probs, dtype=np.float64), prob_threshold)
     code_counts = np.bincount(branch_codes, minlength=3)
     inner = np.histogram(deltas, bins=HISTOGRAM_EDGES)[0]
     hist = [int((deltas < HISTOGRAM_EDGES[0]).sum()), *inner.tolist(),
@@ -253,6 +257,6 @@ def quadrant_stats_arrays(deltas: np.ndarray, advantages: np.ndarray,
         counts=counts, fractions=fractions,
         left_clip_fraction=float(code_counts[CODE_LEFT] / n),
         right_clip_fraction=float(code_counts[CODE_RIGHT] / n),
-        n_tokens=n, n_neutral=int(n - n_signed),
+        n_tokens=n, n_neutral=n - sum(counts.values()),
         histogram_counts=hist, histogram_edges=HISTOGRAM_EDGES.tolist())
 

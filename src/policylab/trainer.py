@@ -35,12 +35,14 @@ Metric conventions (each a deliberate choice, fixed here):
     averaged over the same visited states with the same weights.
   - grad_norm is the mean Frobenius norm of the applied updates.
   - mean_reward covers all sampled trajectories, before any filtering.
-  - clip/quadrant fractions aggregate over every minibatch evaluation of
-    the step, with token probabilities taken at rollout time and the
-    high/low probability threshold at the uniform level 1/V. clip_left /
-    clip_right are the shares of those token evaluations on the
-    objective's own clipped branches (objectives.clip_terms), so gspo
-    counts whole clipped sequences and cispo clips on either sign.
+  - quadrant fractions are the step batch's own, counted once per step,
+    with token probabilities taken at rollout time and the high/low
+    threshold at the uniform level 1/V. Each mini-epoch passes over every
+    batch token once, so its passes would give the same fractions.
+  - clip_left / clip_right add up each pass's branch-code counts: the
+    shares of the step's token evaluations on the objective's own
+    clipped branches (objectives.clip_terms), so gspo counts whole
+    clipped sequences and cispo clips on either sign.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ import numpy as np
 
 from . import __version__
 from .advantage import dynamic_sampling_filter
-from .entropy_dynamics import quadrant_stats_arrays
+from .entropy_dynamics import quadrant_taxonomy
 from .env import (
     EnvConfig,
     ModSumTask,
@@ -70,6 +72,8 @@ from .env import (
 )
 from .objectives import (
     CODE_INTERIOR,
+    CODE_LEFT,
+    CODE_RIGHT,
     BatchTerms,
     ObjectiveSpec,
     TokenBatch,
@@ -372,45 +376,40 @@ def _rollout_batch(policy: TabularPolicy, tasks: list[ModSumTask], config: RunCo
 
 
 class _StepAccumulator:
-    """Clip/quadrant/off-policy statistics over one step's minibatch passes."""
+    """One step's statistics: per-pass clip/off-policy counts and sums, batch quadrants."""
 
-    def __init__(self, prob_threshold: float):
-        self.prob_threshold = prob_threshold
+    def __init__(self, quadrant_fractions: dict[str, float]):
+        self.quadrant_fractions = quadrant_fractions
         self.grad_norms: list[float] = []
-        self.deltas: list[np.ndarray] = []
-        self.advs: list[np.ndarray] = []
-        self.probs: list[np.ndarray] = []
-        self.codes: list[np.ndarray] = []
+        self.code_counts = np.zeros(3, dtype=np.int64)
+        self.code_prob_sums = np.zeros(3)
         self.offpolicy_tokens = 0
         self.late_pass_tokens = 0
 
-    def add(self, terms: BatchTerms, advs: np.ndarray, old_probs: np.ndarray,
-            grad_norm: float, late_pass: bool) -> None:
-        self.deltas.append(terms.deltas)
-        self.advs.append(advs)
-        self.probs.append(old_probs)
-        self.codes.append(terms.branch_codes)
+    def add(self, terms: BatchTerms, old_probs: np.ndarray, grad_norm: float,
+            late_pass: bool) -> None:
+        self.code_counts += np.bincount(terms.branch_codes, minlength=3)
+        self.code_prob_sums += np.bincount(terms.branch_codes, weights=old_probs, minlength=3)
         self.grad_norms.append(grad_norm)
         if late_pass:
             self.offpolicy_tokens += int((terms.deltas != 1.0).sum())
             self.late_pass_tokens += len(terms.deltas)
 
     def summarize(self) -> dict:
-        probs = np.concatenate(self.probs)
-        codes = np.concatenate(self.codes)
-        stats = quadrant_stats_arrays(np.concatenate(self.deltas), np.concatenate(self.advs),
-                                      probs, codes, self.prob_threshold)
-        clipped = codes != CODE_INTERIOR
+        counts, sums, fractions = self.code_counts, self.code_prob_sums, self.quadrant_fractions
+        n_clipped = counts[CODE_LEFT] + counts[CODE_RIGHT]
         return {
             "grad_norm": float(np.mean(self.grad_norms)),
-            "clip_left": stats.left_clip_fraction,
-            "clip_right": stats.right_clip_fraction,
-            "frac_pahp": stats.fractions["pa_hp"],
-            "frac_nalp": stats.fractions["na_lp"],
-            "frac_palp": stats.fractions["pa_lp"],
-            "frac_nahp": stats.fractions["na_hp"],
-            "prob_clipped_mean": float(probs[clipped].mean()) if clipped.any() else float("nan"),
-            "prob_unclipped_mean": float(probs[~clipped].mean()) if (~clipped).any() else float("nan"),
+            "clip_left": float(counts[CODE_LEFT] / counts.sum()),
+            "clip_right": float(counts[CODE_RIGHT] / counts.sum()),
+            "frac_pahp": fractions["pa_hp"],
+            "frac_nalp": fractions["na_lp"],
+            "frac_palp": fractions["pa_lp"],
+            "frac_nahp": fractions["na_hp"],
+            "prob_clipped_mean": (float((sums[CODE_LEFT] + sums[CODE_RIGHT]) / n_clipped)
+                                  if n_clipped else float("nan")),
+            "prob_unclipped_mean": (float(sums[CODE_INTERIOR] / counts[CODE_INTERIOR])
+                                    if counts[CODE_INTERIOR] else float("nan")),
             "offpolicy_fraction": (self.offpolicy_tokens / self.late_pass_tokens
                                    if self.late_pass_tokens else 0.0),
         }
@@ -445,7 +444,6 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
         policy = TabularPolicy.uniform(env_cfg.num_states, env_cfg.vocab_size)
     eval_tasks = [ModSumTask(config.vocab_size, config.seq_len, config.modulus, t)
                   for t in config.resolved_eval_targets()]
-    prob_threshold = 1.0 / config.vocab_size
     metrics: list[StepMetrics] = []
     logged_groups: list[RolloutGroup] = []
     status = "completed"
@@ -492,23 +490,21 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
 
             batch = TokenBatch.from_groups(retained)
 
-            acc = _StepAccumulator(prob_threshold)
+            acc = _StepAccumulator(quadrant_taxonomy(
+                batch.advantages, np.exp(batch.old_logprobs), 1.0 / config.vocab_size)[1])
             update_rng = named_stream(config.seed, "update", step)
-            n_traj, seq_len = batch.n_trajectories, batch.seq_len
+            n_traj = batch.n_trajectories
             chunk = max(1, round(config.minibatch_fraction * n_traj))
             try:
                 batch.cell_index(policy)  # checked once; gathers and slices inherit it
                 for epoch in range(config.mini_epochs):
                     shuffled = batch.subset(update_rng.permutation(n_traj))
-                    old_probs = np.exp(shuffled.old_logprobs)
                     for start in range(0, n_traj, chunk):
                         sub = shuffled.rows(start, start + chunk)
                         terms = batch_token_terms(spec, sub, policy)
                         _, grad = analytic_objective_gradient(spec, sub, policy, terms)
                         grad_norm = float(np.linalg.norm(grad))
-                        acc.add(terms, sub.advantages,
-                                old_probs[start * seq_len:(start + chunk) * seq_len],
-                                grad_norm, late_pass=epoch >= 1)
+                        acc.add(terms, np.exp(sub.old_logprobs), grad_norm, late_pass=epoch >= 1)
                         policy.apply_gradient(grad, config.learning_rate)
                 kl = visit_weighted_mean(
                     kl_rows(snapshot_rows, policy.probability_matrix()[visited]), visit_counts)

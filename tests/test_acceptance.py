@@ -182,7 +182,8 @@ def test_c07_collapse_vs_stabilization():
     _report(7, "collapse vs stabilization", ok,
             f"grpo H {grpo_final:.4f} < {0.2 * initial:.4f}, "
             f"ce_gppo H {ce_final:.4f} > {0.4 * initial:.4f}, "
-            f"held-out acc {ce_acc:.4f} >= {grpo_acc:.4f}")
+            f"P(token sum mod 5 = 4), a residue no training target rewards, "
+            f"{ce_acc:.4f} >= {grpo_acc:.4f}")
 
 
 def test_c08_stability_of_default_run():

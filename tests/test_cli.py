@@ -22,7 +22,7 @@ from policylab import (
     train,
 )
 from policylab.cli import main
-from policylab.objectives import CODE_LEFT, CODE_RIGHT
+from policylab.objectives import ALGORITHMS, CODE_LEFT, CODE_RIGHT
 
 
 def _write_config(tmp_path, **overrides):
@@ -151,6 +151,29 @@ def test_alpha_run_analyze_and_gradcheck_never_call_numpy_unique(tmp_path, monke
                  "--checkpoint", str(run / "policy.json")]) == 0
     assert main(["gradcheck", "--objective", "grpo", "--alpha", "0.003",
                  "--trajectories", "16", "--min-branch-count", "2"]) == 0
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_training_builds_no_ratio_histogram_and_analyze_does(algorithm, tmp_path, monkeypatch):
+    # a training step counts its clip codes per pass and its quadrants on the
+    # batch; only analyze's JSON holds the ratio histogram
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.histogram called")
+
+    calls, real_histogram = [], np.histogram
+    monkeypatch.setattr(np, "histogram", refuse)
+    config = _write_config(tmp_path, log_rollouts=True, total_steps=3,
+                           objective=ObjectiveSpec.for_algorithm(algorithm).to_dict(),
+                           dynamic_sampling=algorithm == "dapo")
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(run)]) == 0
+    monkeypatch.setattr(np, "histogram", lambda *a, **k: calls.append(1) or real_histogram(*a, **k))
+    assert main(["analyze", "--log", str(run / "rollouts.jsonl"),
+                 "--checkpoint", str(run / "policy.json"),
+                 "--json", str(tmp_path / "analysis.json")]) == 0
+    assert calls
+    doc = json.loads((tmp_path / "analysis.json").read_text())
+    assert len(doc["quadrant_stats"]["histogram_counts"]) == 42
 
 
 def test_entropy_predict(capsys):

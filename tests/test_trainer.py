@@ -19,7 +19,8 @@ from policylab import (
 from policylab import trainer
 from policylab.cli import main
 from policylab.env import Trajectory
-from policylab.objectives import ALGORITHMS, CODE_LEFT, CODE_RIGHT
+from policylab.entropy_dynamics import quadrant_stats_arrays
+from policylab.objectives import ALGORITHMS, CODE_INTERIOR, CODE_LEFT, CODE_RIGHT
 from policylab.trainer import CSV_COLUMNS, run_experiment_suite, write_metrics_csv
 
 
@@ -203,17 +204,20 @@ def test_retired_knob_rejected(key, tmp_path, capsys):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_clip_columns_read_the_objective_branch_codes(algorithm, monkeypatch):
     # clip_left / clip_right are the shares of the step's token evaluations
-    # that the objective itself put on its left / right clipped branch
+    # that the objective itself put on its left / right clipped branch; the
+    # reference is quadrant_stats_arrays over every pass's tokens, which the
+    # per-pass counts and the batch's own quadrants must reproduce bit for bit
     passes, steps = [], []
     real_terms, real_evaluate = trainer.batch_token_terms, trainer.evaluate
 
     def recording_terms(spec, batch, policy):
         terms = real_terms(spec, batch, policy)
-        passes.append(terms.branch_codes)
+        passes.append((terms.deltas, batch.advantages, np.exp(batch.old_logprobs),
+                       terms.branch_codes))
         return terms
 
     def step_boundary(*args):  # evaluate runs once per step, after its passes
-        steps.append(np.concatenate(passes))
+        steps.append([np.concatenate(column) for column in zip(*passes)])
         passes.clear()
         return real_evaluate(*args)
 
@@ -223,9 +227,22 @@ def test_clip_columns_read_the_objective_branch_codes(algorithm, monkeypatch):
                        dynamic_sampling=algorithm == "dapo")
     metrics = train(config).metrics
     assert len(steps) == len(metrics) == 3
-    for m, codes in zip(metrics, steps):
+    for m, (deltas, advs, probs, codes) in zip(metrics, steps):
+        stats = quadrant_stats_arrays(deltas, advs, probs, codes, 1.0 / config.vocab_size)
+        assert m.clip_left == stats.left_clip_fraction
+        assert m.clip_right == stats.right_clip_fraction
         assert m.clip_left == np.count_nonzero(codes == CODE_LEFT) / codes.size
         assert m.clip_right == np.count_nonzero(codes == CODE_RIGHT) / codes.size
+        assert [m.frac_pahp, m.frac_nalp, m.frac_palp, m.frac_nahp] == [
+            stats.fractions[q] for q in ("pa_hp", "na_lp", "pa_lp", "na_hp")]
+        late = deltas[codes.size // config.mini_epochs:]  # passes after the first mini-epoch
+        assert m.offpolicy_fraction == np.count_nonzero(late != 1.0) / late.size
+        clipped = codes != CODE_INTERIOR
+        for mean, mask in ((m.prob_clipped_mean, clipped), (m.prob_unclipped_mean, ~clipped)):
+            if mask.any():
+                assert mean == pytest.approx(probs[mask].mean(), rel=1e-12, abs=0.0)
+            else:
+                assert np.isnan(mean)
     assert any(m.clip_left > 0.0 or m.clip_right > 0.0 for m in metrics)
 
 
