@@ -87,7 +87,8 @@ def _load_checkpoint(path: str) -> TabularPolicy:
 def _emit(doc: dict, json_path: str | None) -> None:
     text = json.dumps(doc, indent=2)
     if json_path:
-        Path(json_path).write_text(text)
+        with _usage_errors(f"cannot write {json_path}: "):
+            Path(json_path).write_text(text)
     print(text)
 
 
@@ -141,16 +142,21 @@ def _cmd_entropy_predict(args) -> int:
     return EXIT_OK if all(c.passed for c in reports) else EXIT_CHECK_FAILED
 
 
-def _cmd_analyze(args) -> int:
+def _analyze_log(args):
+    """analyze's log pass: (policy, threshold, quadrant stats, visited states,
+    their visits, their mean advantages). The groups, token batch and terms
+    it reads are gone by the time the predictor runs."""
     with _usage_errors(f"rollout log {args.log}: "):
         groups = read_rollout_log(args.log)
         # the batch, advantages included, built from the logged groups as the
         # trainer builds it; an empty log is an empty batch
         tokens = TokenBatch.from_groups(groups)
+    tasks = dict.fromkeys(group.task for group in groups)  # first-seen order
+    del groups  # the batch holds copies of their arrays
     policy = _load_checkpoint(args.checkpoint)
     with _usage_errors(f"checkpoint {args.checkpoint}: "):
-        for group in groups:
-            group.task.check_table(policy)
+        for task in tasks:
+            task.check_table(policy)
     # the run's own objective clips; a beta_schedule's betas move no branch code
     with _usage_errors(f"run manifest beside {args.log}: "):
         doc = json.loads((Path(args.log).parent / "run_manifest.json").read_text())
@@ -162,6 +168,7 @@ def _cmd_analyze(args) -> int:
     advs = tokens.advantages
     stats = quadrant_stats_arrays(terms.deltas, advs, np.exp(tokens.old_logprobs),
                                   terms.branch_codes, threshold)
+    del terms
 
     # per-(state, action) advantage sums and counts; the scatters add in token order
     cells, shape = tokens.cell_index(policy), policy.logits.shape
@@ -170,6 +177,11 @@ def _cmd_analyze(args) -> int:
     visited, visits = state_visits(policy, tokens.states)
     counts = adv_count[visited]
     mean_adv = np.divide(adv_sum[visited], counts, out=np.zeros(counts.shape), where=counts > 0)
+    return policy, threshold, stats, visited, visits, mean_adv
+
+
+def _cmd_analyze(args) -> int:
+    policy, threshold, stats, visited, visits, mean_adv = _analyze_log(args)
     predictions = predict_entropy_change(
         policy, visited, center_advantages(policy, visited, mean_adv), args.eta)
     weighted = {name: visit_weighted_mean([getattr(p, name) for p in predictions], visits)
@@ -278,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)  # the parser is not kept past parsing
     try:
         return args.fn(args)
     except ConfigError as exc:

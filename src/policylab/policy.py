@@ -164,16 +164,20 @@ class TabularPolicy(_SoftmaxTable):
         """Write a self-describing JSON checkpoint.
 
         Logits are stored row-major as 17-significant-digit decimal
-        strings, which round-trip 64-bit floats exactly.
+        strings, which round-trip 64-bit floats exactly. The bytes are
+        json.dumps of {schema, num_states, num_actions, logits, rng_lineage},
+        written a row at a time ("%.17g" is format(x, ".17g")), so no
+        string per logit is held.
         """
-        doc = {
-            "schema": CHECKPOINT_SCHEMA,
-            "num_states": self.num_states,
-            "num_actions": self.num_actions,
-            "logits": [format(x, ".17g") for x in self.logits.ravel(order="C")],
-            "rng_lineage": rng_lineage or {},
-        }
-        Path(path).write_text(json.dumps(doc))
+        head = json.dumps({"schema": CHECKPOINT_SCHEMA, "num_states": self.num_states,
+                           "num_actions": self.num_actions})[:-1]
+        tail = json.dumps(rng_lineage or {})
+        row = ", ".join(['"%.17g"'] * self.num_actions)
+        with open(path, "w") as fh:
+            fh.write(head + ', "logits": [')
+            for i, values in enumerate(self.logits):
+                fh.write((", " if i else "") + row % tuple(values.tolist()))
+            fh.write(f'], "rng_lineage": {tail}}}')
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["TabularPolicy", dict]:
@@ -193,7 +197,7 @@ class TabularPolicy(_SoftmaxTable):
             if not (isinstance(logits, list)
                     and set(map(type, logits)) <= {int, float, str}):
                 raise ValueError
-            flat = np.array([float(x) for x in logits], dtype=np.float64)
+            flat = np.fromiter(map(float, logits), np.float64, count=len(logits))
         except (ValueError, OverflowError):
             raise ValueError("logits must be a list of numbers or numeric strings") from None
         if flat.size != shape[0] * shape[1]:

@@ -421,9 +421,10 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
 
     Writes metrics.csv, run_manifest.json and policy.json when an output
     directory is configured, and rollouts.jsonl with log_rollouts, which
-    without an output directory raises ConfigError. On a stability alarm the checkpoint written
-    is the last good state (the failing step's snapshot) and the
-    exception carries the metrics collected so far.
+    without an output directory raises ConfigError, as does an output
+    directory that cannot be created (made before step 0). On a stability
+    alarm the checkpoint written is the last good state (the failing step's
+    snapshot) and the exception carries the metrics collected so far.
     """
     out = Path(out_dir) if out_dir is not None else (
         Path(config.out_dir) if config.out_dir else None)
@@ -444,6 +445,11 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
         policy = TabularPolicy.uniform(env_cfg.num_states, env_cfg.vocab_size)
     eval_tasks = [ModSumTask(config.vocab_size, config.seq_len, config.modulus, t)
                   for t in config.resolved_eval_targets()]
+    if out is not None:  # before step 0: an output path that cannot be a directory costs no step
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output directory {out}: {exc}") from exc
     metrics: list[StepMetrics] = []
     logged_groups: list[RolloutGroup] = []
     status = "completed"
@@ -546,7 +552,6 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
         manifest["failure"] = str(failure)
 
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
         write_metrics_csv(out / "metrics.csv", metrics)
         (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2))
         policy.save(out / "policy.json",

@@ -1,4 +1,6 @@
+import argparse
 import dataclasses
+import gc
 import json
 import subprocess
 import sys
@@ -21,8 +23,10 @@ from policylab import (
     suite_configs,
     train,
 )
+from policylab import cli, trainer
 from policylab.cli import main
-from policylab.objectives import ALGORITHMS, CODE_LEFT, CODE_RIGHT
+from policylab.env import RolloutGroup
+from policylab.objectives import ALGORITHMS, CODE_LEFT, CODE_RIGHT, BatchTerms
 
 
 def _write_config(tmp_path, **overrides):
@@ -408,11 +412,24 @@ def test_out_of_range_cli_input_exit_2(argv, tmp_path, capsys):
     (["train", "--config", "{config_log_without_out}"], "log_rollouts needs an output directory"),
     (["gradcheck", "--min-branch-count", "100000", "--trajectories", "8"],
      "could not build a ce_gppo batch"),
+    (["gradcheck", "--json", "{under_a_file}"], "cannot write {under_a_file}: "),
+    (["entropy-predict", "--json", "{under_a_file}"], "cannot write {under_a_file}: "),
+    (["analyze", "--log", "{log}", "--checkpoint", "{checkpoint}", "--json", "{under_a_file}"],
+     "cannot write {under_a_file}: "),
+    (["eval", "{checkpoint}", "--json", "{a_directory}"], "cannot write {a_directory}: "),
+    (["train", "--config", "{config}", "--out", "{checkpoint}"],
+     "output directory {checkpoint}: "),
+    (["train", "--config", "{config}", "--out", "{under_a_file}"],
+     "output directory {under_a_file}: "),
+    (["suite", "baseline_zoo", "--steps", "1", "--out", "{checkpoint}"],
+     "output directory {checkpoint}/grpo: "),
 ], ids=["eval_missing", "eval_no_num_actions", "eval_float_dims", "eval_int_logits",
         "eval_null_logits", "eval_repeated_target", "eval_one_action", "eval_one_state",
         "entropy_predict_missing", "analyze_no_log",
         "analyze_missing_checkpoint", "train_missing_init", "train_log_without_out",
-        "gradcheck_unbuildable"])
+        "gradcheck_unbuildable", "gradcheck_json_unwritable",
+        "entropy_predict_json_unwritable", "analyze_json_unwritable", "eval_json_unwritable",
+        "train_out_is_a_file", "train_out_under_a_file", "suite_out_is_a_file"])
 def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
     checkpoint = tmp_path / "policy.json"
     TabularPolicy.uniform(3 * 5 + 1, 8).save(checkpoint)
@@ -426,8 +443,12 @@ def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
     TabularPolicy.uniform(6 * 5 + 1, 1).save(tmp_path / "one_action.json")
     TabularPolicy.uniform(1, 8).save(tmp_path / "one_state.json")
     (tmp_path / "log.jsonl").write_text(_log_line(0) + "\n" + _rewarded_line(0) + "\n")
-    (tmp_path / "log_without_out").mkdir()  # _write_config writes one config.json per directory
+    (tmp_path / "run_manifest.json").write_text(json.dumps({"config": RunConfig().to_dict()}))
+    for name in ("log_without_out", "plain"):  # _write_config writes one config.json per directory
+        (tmp_path / name).mkdir()
     paths = {"{missing}": str(tmp_path / "missing.json"), "{checkpoint}": str(checkpoint),
+             "{under_a_file}": str(checkpoint / "out"), "{a_directory}": str(tmp_path / "plain"),
+             "{config}": str(_write_config(tmp_path / "plain")),
              "{no_num_actions}": str(tmp_path / "no_num_actions.json"),
              "{float_dims}": str(tmp_path / "float_dims.json"),
              "{int_logits}": str(tmp_path / "int_logits.json"),
@@ -439,12 +460,53 @@ def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
                  tmp_path, init_checkpoint=str(tmp_path / "missing.json"))),
              "{config_log_without_out}": str(_write_config(
                  tmp_path / "log_without_out", log_rollouts=True))}
-    rc = main([paths.get(a, a) for a in argv])
+    for key, path in paths.items():  # an output path's message names it
+        argv = [a.replace(key, path) for a in argv]
+        message = message.replace(key, path)
+    rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("config error:") and err.count("\n") == 1
     assert message in err
     assert "Traceback" not in err
+
+
+def test_train_output_that_cannot_be_a_directory_fails_before_step_0(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(trainer, "_rollout_batch", refuse)
+    (tmp_path / "taken").write_text("")
+    assert main(["train", "--config", str(_write_config(tmp_path)),
+                 "--out", str(tmp_path / "taken")]) == 2
+
+
+def test_analyze_predicts_with_no_log_objects_or_parser_alive(tmp_path, monkeypatch):
+    # the log pass returns only what the predictor and the report need: while
+    # predict_entropy_change runs, no rollout group, token batch, batch terms
+    # or policylab parser is reachable (no RSS or timing bound)
+    def held():
+        gc.collect()
+        return [obj for obj in gc.get_objects()
+                if isinstance(obj, (RolloutGroup, TokenBatch, BatchTerms))
+                or (isinstance(obj, argparse.ArgumentParser)
+                    and obj.prog.startswith("policylab"))]
+
+    config = _write_config(tmp_path, log_rollouts=True, total_steps=3,
+                           vocab_size=32, seq_len=12, modulus=16)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(run)]) == 0
+    before, seen, real = held(), [], cli.predict_entropy_change
+
+    def scanning(*args, **kwargs):
+        seen.append([type(obj).__name__ for obj in held()
+                     if not any(obj is old for old in before)])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "predict_entropy_change", scanning)
+    assert main(["analyze", "--log", str(run / "rollouts.jsonl"),
+                 "--checkpoint", str(run / "policy.json")]) == 0
+    assert seen == [[]]
 
 
 def _config_error(argv, capsys) -> str:

@@ -258,9 +258,13 @@ def test_checkpoint_dimension_must_be_positive_integer(key, value, tmp_path):
 
 
 @pytest.mark.parametrize("logits", [3, "0.5", None, [None] * 6, ["a"] * 6, [True] * 6,
-                                    [[0.0] * 3] * 2, [10 ** 400] * 6],
+                                    [[0.0] * 3] * 2, [10 ** 400] * 6,
+                                    # a bad last entry, after load has converted good ones
+                                    [0.5, "1", True], [0.5, "1", [0.0]], [0.5, "1", "abc"],
+                                    [0.5, "1", 10 ** 400]],
                          ids=["int", "string", "null", "null_entries", "text_entries",
-                              "bool_entries", "nested", "overflow"])
+                              "bool_entries", "nested", "overflow", "bool_last", "nested_last",
+                              "abc_last", "overflow_last"])
 def test_checkpoint_logits_must_be_numbers(logits, tmp_path):
     path = tmp_path / "policy.json"
     TabularPolicy.uniform(2, 3).save(path)
@@ -269,6 +273,45 @@ def test_checkpoint_logits_must_be_numbers(logits, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="logits must be a list of numbers or numeric strings"):
         TabularPolicy.load(path)
+
+
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+             1e16, 0.1]
+
+
+def _one_dumps_checkpoint(logits: np.ndarray, rng_lineage: dict | None) -> bytes:
+    """The checkpoint as one json.dumps of its document: the reference save must match."""
+    return json.dumps({
+        "schema": "tabular-policy/v1",
+        "num_states": logits.shape[0],
+        "num_actions": logits.shape[1],
+        "logits": [format(x, ".17g") for x in logits.ravel(order="C")],
+        "rng_lineage": rng_lineage or {},
+    }).encode()
+
+
+def _extreme_tables(shape):
+    """Random normal tables of the shape holding every extreme value; a 1x1 table per value."""
+    if shape == (1, 1):
+        return [np.array([[x]]) for x in _EXTREMES + [-1.2345678901234567]]
+    rng = np.random.default_rng(shape[0])
+    logits = rng.normal(0.0, 1.0, size=shape)
+    logits.ravel()[rng.choice(logits.size, len(_EXTREMES), replace=False)] = _EXTREMES
+    return [logits]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (31, 8), (193, 32)])
+@pytest.mark.parametrize("rng_lineage", [None, {"seed": 7, "config_hash": "9f2c",
+                                                "steps_completed": 6}],
+                         ids=["no_lineage", "lineage"])
+def test_checkpoint_bytes_are_one_json_dumps_and_load_bit_for_bit(shape, rng_lineage, tmp_path):
+    path = tmp_path / "policy.json"
+    for logits in _extreme_tables(shape):
+        TabularPolicy(logits).save(path, rng_lineage=rng_lineage)
+        assert path.read_bytes() == _one_dumps_checkpoint(logits, rng_lineage)
+        loaded, lineage = TabularPolicy.load(path)
+        assert loaded.logits.tobytes() == logits.tobytes()  # -0.0 kept apart from 0.0
+        assert lineage == (rng_lineage or {})
 
 
 def test_checkpoint_loads_numeric_logits(tmp_path):
