@@ -36,7 +36,7 @@ DEGENERATE_ENTROPY = 1e-6
 ERROR_FLOOR = 1e-13
 RATIO_BAND = (3.0, 5.0)
 
-# 40 log-spaced ratio bins over [e^-3, e^3] plus an overflow bin at each end
+# the 41 edges e_0..e_40 of 40 log-spaced ratio bins over [e^-3, e^3]
 HISTOGRAM_EDGES = np.exp(np.linspace(-3.0, 3.0, 41))
 
 
@@ -201,7 +201,9 @@ def verify_predictor_convergence(policy: _SoftmaxTable, states: Sequence[int] | 
 
 @dataclass
 class QuadrantStats:
-    """Batch-level token taxonomy and ratio histogram."""
+    """Batch-level token taxonomy and ratio histogram. Of the 42 histogram_counts
+    over histogram_edges e_0..e_40, bucket 0 counts ratios below e_0, bucket k
+    those in [e_(k-1), e_k) and bucket 41 those >= e_40: they sum to n_tokens."""
 
     counts: dict[str, int]
     fractions: dict[str, float]
@@ -209,7 +211,7 @@ class QuadrantStats:
     right_clip_fraction: float
     n_tokens: int
     n_neutral: int
-    histogram_counts: list[int]       # [underflow, 40 bins, overflow]
+    histogram_counts: list[int]       # [< e_0, 40 half-open bins, >= e_40]
     histogram_edges: list[float]
 
     def to_dict(self) -> dict:
@@ -239,8 +241,9 @@ def quadrant_stats_arrays(deltas: np.ndarray, advantages: np.ndarray,
                           prob_threshold: float) -> QuadrantStats:
     """Vectorized taxonomy over parallel arrays: quadrant_taxonomy's quadrants,
     the shares of all tokens whose branch code (from objectives.clip_terms)
-    is left- or right-clipped, and a ratio histogram over the fixed
-    log-spaced edges, so runs are comparable."""
+    is left- or right-clipped, and QuadrantStats' 42-bucket ratio histogram
+    over the fixed log-spaced edges, so runs are comparable: a ratio's bucket
+    is the number of edges <= it (NaN sorts last, into 41), found without a sort."""
     deltas = np.asarray(deltas, dtype=np.float64)
     n = len(deltas)
     if n == 0:
@@ -250,9 +253,8 @@ def quadrant_stats_arrays(deltas: np.ndarray, advantages: np.ndarray,
     counts, fractions = quadrant_taxonomy(np.asarray(advantages, dtype=np.float64),
                                           np.asarray(probs, dtype=np.float64), prob_threshold)
     code_counts = np.bincount(branch_codes, minlength=3)
-    inner = np.histogram(deltas, bins=HISTOGRAM_EDGES)[0]
-    hist = [int((deltas < HISTOGRAM_EDGES[0]).sum()), *inner.tolist(),
-            int((deltas >= HISTOGRAM_EDGES[-1]).sum())]
+    hist = np.bincount(np.searchsorted(HISTOGRAM_EDGES, deltas, side="right"),
+                       minlength=len(HISTOGRAM_EDGES) + 1).tolist()
     return QuadrantStats(
         counts=counts, fractions=fractions,
         left_clip_fraction=float(code_counts[CODE_LEFT] / n),

@@ -274,7 +274,10 @@ def read_rollout_log(path: str | Path) -> list[RolloutGroup]:
     """Parse a rollout log back into its rollout groups.
 
     One group per distinct group id, in first-seen order, with rows in
-    log order and states rebuilt from the actions. Raises ValueError,
+    log order and states rebuilt from the actions. A group's rows go to
+    flat typed buffers (int64 actions, float64 log-probs), a reward list
+    and sets of task tuples and row lengths, and its arrays are built
+    once, so no per-row object outlives its line. Raises ValueError,
     naming the line, for a line that is not a JSON object, lacks one of
     the fields the writer writes, has a task field, group id or reward
     that is not an integer, actions and old_logprobs that are not lists
@@ -284,7 +287,8 @@ def read_rollout_log(path: str | Path) -> list[RolloutGroup]:
     not the task's seq_len, an action outside [0, V) or a reward that is
     not the one its actions earn.
     """
-    rows: dict[int, list[tuple]] = {}
+    from array import array  # here, so only a log reader loads the extension module
+    rows: dict[int, tuple] = {}  # group id -> its rows' flat buffers, first-seen order
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
             if line.strip():
@@ -301,19 +305,21 @@ def read_rollout_log(path: str | Path) -> list[RolloutGroup]:
                         and _list_of(doc["old_logprobs"], int, float)):
                     raise ValueError(f"line {number}: actions and old_logprobs must be lists "
                                      f"of integers and of numbers")
-                # arrays at once, so no parsed line (lists of Python floats) is
-                # held until the whole log is read
-                logprobs = np.array(doc["old_logprobs"], dtype=np.float64)
-                if not (logprobs <= 0.0).all():  # NaN compares false
+                if doc["group"] not in rows:
+                    rows[doc["group"]] = (array("q"), array("d"), [], set(), set())
+                actions, logprobs, rewards, tasks, lengths = rows[doc["group"]]
+                logprobs.extend(doc["old_logprobs"])  # an int too large for a float raises here
+                if not all(map((0.0).__ge__, doc["old_logprobs"])):  # NaN compares false
                     raise ValueError(f"line {number}: old_logprobs must be log-probabilities "
                                      f"<= 0 (no NaN)")
-                rows.setdefault(doc["group"], []).append((
-                    (doc["vocab_size"], doc["seq_len"], doc["modulus"], doc["target"]),
-                    np.array(doc["actions"], dtype=np.int64), logprobs, doc["reward"]))
+                actions.extend(doc["actions"])
+                rewards.append(doc["reward"])
+                tasks.add((doc["vocab_size"], doc["seq_len"], doc["modulus"], doc["target"]))
+                lengths.update((len(doc["actions"]), len(doc["old_logprobs"])))
     groups = []
-    for gid, group_rows in rows.items():
-        try:
-            groups.append(_group_from_rows(group_rows))
+    for gid in list(rows):
+        try:  # popped, so a group's buffers are freed once its arrays are built
+            groups.append(_group_from_rows(*rows.pop(gid)))
         except ValueError as exc:
             raise ValueError(f"log group {gid}: {exc}") from exc
     return groups
@@ -324,15 +330,16 @@ def _list_of(value, *types: type) -> bool:
     return isinstance(value, list) and set(map(type, value)) <= set(types)
 
 
-def _group_from_rows(rows: list[tuple]) -> RolloutGroup:
-    """(task fields, actions, old_logprobs, reward) rows as one RolloutGroup."""
-    task_fields, actions, old_logprobs, rewards = zip(*rows)
-    if len(set(task_fields)) > 1:
-        raise ValueError(f"rows of {len(set(task_fields))} different tasks")
-    task = ModSumTask(*task_fields[0])
-    if any(row.shape != (task.seq_len,) for row in actions + old_logprobs):
+def _group_from_rows(actions, logprobs, rewards: list[int], tasks: set[tuple],
+                     lengths: set[int]) -> RolloutGroup:
+    """One group's int64 and float64 buffers, rewards, task tuples and row lengths
+    (see read_rollout_log) as a C-contiguous RolloutGroup."""
+    if len(tasks) > 1:
+        raise ValueError(f"rows of {len(tasks)} different tasks")
+    task = ModSumTask(*next(iter(tasks)))
+    if lengths != {task.seq_len}:
         raise ValueError(f"rows whose length is not seq_len {task.seq_len}")
-    actions = np.stack(actions)
+    actions = np.frombuffer(actions, dtype=np.int64).reshape(-1, task.seq_len).copy()
     if actions.min() < 0 or actions.max() >= task.vocab_size:
         raise ValueError(f"actions outside [0, {task.vocab_size})")
     rewards = np.array(rewards, dtype=np.float64)
@@ -340,4 +347,4 @@ def _group_from_rows(rows: list[tuple]) -> RolloutGroup:
         raise ValueError(f"rewards that contradict their actions: the reward is 1 iff "
                          f"sum(actions) % {task.modulus} == {task.target}")
     return RolloutGroup(task, _episode_states(actions, task.modulus), actions,
-                        np.stack(old_logprobs), rewards)
+                        np.frombuffer(logprobs).reshape(-1, task.seq_len).copy(), rewards)

@@ -421,10 +421,11 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
 
     Writes metrics.csv, run_manifest.json and policy.json when an output
     directory is configured, and rollouts.jsonl with log_rollouts, which
-    without an output directory raises ConfigError, as does an output
-    directory that cannot be created (made before step 0). On a stability
-    alarm the checkpoint written is the last good state (the failing step's
-    snapshot) and the exception carries the metrics collected so far.
+    without an output directory raises ConfigError before step 0, as do an
+    output directory that cannot be made and an output path that exists
+    but is not a regular file. On a stability alarm the checkpoint written
+    is the last good state (the failing step's snapshot) and the exception
+    carries the metrics collected so far.
     """
     out = Path(out_dir) if out_dir is not None else (
         Path(config.out_dir) if config.out_dir else None)
@@ -450,6 +451,10 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"output directory {out}: {exc}") from exc
+        outputs = ("metrics.csv", "run_manifest.json", "policy.json", "rollouts.jsonl")
+        for path in (out / name for name in outputs[:3 + config.log_rollouts]):
+            if path.exists() and not path.is_file():
+                raise ConfigError(f"output file {path}: exists and is not a regular file")
     metrics: list[StepMetrics] = []
     logged_groups: list[RolloutGroup] = []
     status = "completed"

@@ -23,7 +23,7 @@ from policylab import (
     suite_configs,
     train,
 )
-from policylab import cli, trainer
+from policylab import cli, entropy_dynamics, trainer
 from policylab.cli import main
 from policylab.env import RolloutGroup
 from policylab.objectives import ALGORITHMS, CODE_LEFT, CODE_RIGHT, BatchTerms
@@ -160,18 +160,21 @@ def test_alpha_run_analyze_and_gradcheck_never_call_numpy_unique(tmp_path, monke
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_training_builds_no_ratio_histogram_and_analyze_does(algorithm, tmp_path, monkeypatch):
     # a training step counts its clip codes per pass and its quadrants on the
-    # batch; only analyze's JSON holds the ratio histogram
+    # batch; only analyze's JSON holds the ratio histogram, which
+    # quadrant_stats_arrays alone bins
     def refuse(*args, **kwargs):
-        raise AssertionError("numpy.histogram called")
+        raise AssertionError("quadrant_stats_arrays called")
 
-    calls, real_histogram = [], np.histogram
-    monkeypatch.setattr(np, "histogram", refuse)
+    calls, real = [], entropy_dynamics.quadrant_stats_arrays
+    for module in (entropy_dynamics, cli):  # every policylab module that binds it
+        monkeypatch.setattr(module, "quadrant_stats_arrays", refuse)
     config = _write_config(tmp_path, log_rollouts=True, total_steps=3,
                            objective=ObjectiveSpec.for_algorithm(algorithm).to_dict(),
                            dynamic_sampling=algorithm == "dapo")
     run = tmp_path / "run"
     assert main(["train", "--config", str(config), "--out", str(run)]) == 0
-    monkeypatch.setattr(np, "histogram", lambda *a, **k: calls.append(1) or real_histogram(*a, **k))
+    monkeypatch.setattr(cli, "quadrant_stats_arrays",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
     assert main(["analyze", "--log", str(run / "rollouts.jsonl"),
                  "--checkpoint", str(run / "policy.json"),
                  "--json", str(tmp_path / "analysis.json")]) == 0
@@ -423,13 +426,16 @@ def test_out_of_range_cli_input_exit_2(argv, tmp_path, capsys):
      "output directory {under_a_file}: "),
     (["suite", "baseline_zoo", "--steps", "1", "--out", "{checkpoint}"],
      "output directory {checkpoint}/grpo: "),
+    (["train", "--config", "{config}", "--out", "{csv_is_a_directory}"],
+     "output file {csv_is_a_directory}/metrics.csv: "),
 ], ids=["eval_missing", "eval_no_num_actions", "eval_float_dims", "eval_int_logits",
         "eval_null_logits", "eval_repeated_target", "eval_one_action", "eval_one_state",
         "entropy_predict_missing", "analyze_no_log",
         "analyze_missing_checkpoint", "train_missing_init", "train_log_without_out",
         "gradcheck_unbuildable", "gradcheck_json_unwritable",
         "entropy_predict_json_unwritable", "analyze_json_unwritable", "eval_json_unwritable",
-        "train_out_is_a_file", "train_out_under_a_file", "suite_out_is_a_file"])
+        "train_out_is_a_file", "train_out_under_a_file", "suite_out_is_a_file",
+        "train_output_file_is_a_directory"])
 def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
     checkpoint = tmp_path / "policy.json"
     TabularPolicy.uniform(3 * 5 + 1, 8).save(checkpoint)
@@ -446,8 +452,10 @@ def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
     (tmp_path / "run_manifest.json").write_text(json.dumps({"config": RunConfig().to_dict()}))
     for name in ("log_without_out", "plain"):  # _write_config writes one config.json per directory
         (tmp_path / name).mkdir()
+    (tmp_path / "run" / "metrics.csv").mkdir(parents=True)
     paths = {"{missing}": str(tmp_path / "missing.json"), "{checkpoint}": str(checkpoint),
              "{under_a_file}": str(checkpoint / "out"), "{a_directory}": str(tmp_path / "plain"),
+             "{csv_is_a_directory}": str(tmp_path / "run"),
              "{config}": str(_write_config(tmp_path / "plain")),
              "{no_num_actions}": str(tmp_path / "no_num_actions.json"),
              "{float_dims}": str(tmp_path / "float_dims.json"),
@@ -479,6 +487,10 @@ def test_train_output_that_cannot_be_a_directory_fails_before_step_0(tmp_path, m
     (tmp_path / "taken").write_text("")
     assert main(["train", "--config", str(_write_config(tmp_path)),
                  "--out", str(tmp_path / "taken")]) == 2
+    # nor may a file the run writes at its end be a directory
+    (tmp_path / "run" / "rollouts.jsonl").mkdir(parents=True)
+    assert main(["train", "--config", str(_write_config(tmp_path, log_rollouts=True)),
+                 "--out", str(tmp_path / "run")]) == 2
 
 
 def test_analyze_predicts_with_no_log_objects_or_parser_alive(tmp_path, monkeypatch):

@@ -414,6 +414,19 @@ def test_histogram_fixed_edges_and_overflow():
     assert sum(stats.histogram_counts) == 3
 
 
+def test_ratio_histogram_buckets_partition_the_tokens():
+    # bucket 0 is below e_0, bucket k is [e_(k-1), e_k), bucket 41 is >= e_40:
+    # a ratio on an edge lands in the bucket that edge opens, and only there
+    e = HISTOGRAM_EDGES
+    deltas = np.array([e[0], e[-1], e[-1], (e[20] + e[21]) / 2, 1e-3, 1e3])
+    stats = _stats(deltas, np.ones(6), np.full(6, 0.5), 0.5)
+    expected = [0] * 42
+    for bucket in (1, 41, 41, 21, 0, 41):
+        expected[bucket] += 1
+    assert stats.histogram_counts == expected
+    assert sum(stats.histogram_counts) == stats.n_tokens == 6
+
+
 def test_batch_quadrant_stats_from_records():
     # (old prob, new prob, advantage) per token
     records = np.array([

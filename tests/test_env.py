@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -252,6 +253,52 @@ def test_rollout_log_groups_by_id_in_first_seen_order(tmp_path):
     assert first.rewards.tolist() == [0.0, 1.0]
     assert first.states.tolist() == [[0, 5, 11], [0, 6, 13]]
     assert second.states.tolist() == [[0, 6, 13], [0, 9, 13]]
+
+
+def test_log_reader_holds_no_per_row_objects(tmp_path):
+    # two interleaved groups of 500 rows, T=6: the reader's traced peak stays
+    # below 2.5x the bytes it returns (no RSS or timing bound), and its arrays
+    # equal per-row np.array references
+    rng = named_stream(11, "log")
+    task_of = {9: ModSumTask(8, 6, 5, 3), 4: ModSumTask(8, 6, 5, 1)}
+    rows = {gid: [] for gid in task_of}
+    lines = []
+    for i in range(1000):
+        gid = (9, 4)[i % 2]
+        actions = rng.integers(0, 8, 6).tolist()
+        logprobs = (-rng.exponential(2.0, 6)).tolist()
+        reward = int(sum(actions) % 5 == task_of[gid].target)
+        rows[gid].append((actions, logprobs, reward))
+        lines.append(json.dumps({**task_of[gid].to_dict(), "group": gid, "actions": actions,
+                                 "old_logprobs": logprobs, "reward": reward}))
+    path = tmp_path / "rollouts.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+
+    tracemalloc.start()
+    try:
+        groups = read_rollout_log(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    names = ("states", "actions", "old_logprobs", "rewards")
+    returned = sum(getattr(g, name).nbytes for g in groups for name in names)
+    assert peak < 2.5 * returned, (peak, returned)
+
+    assert [g.task for g in groups] == list(task_of.values())  # first-seen order
+    for group, gid in zip(groups, task_of):
+        actions = np.array([a for a, _, _ in rows[gid]], dtype=np.int64)
+        reference = {
+            "actions": actions,
+            "old_logprobs": np.array([lp for _, lp, _ in rows[gid]], dtype=np.float64),
+            "rewards": np.array([r for _, _, r in rows[gid]], dtype=np.float64),
+            "states": np.array([[t * 5 + sum(row[:t]) % 5 for t in range(6)]
+                                for row in actions.tolist()], dtype=np.int64),
+        }
+        for name, want in reference.items():
+            got = getattr(group, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.flags.c_contiguous, name
+            assert np.array_equal(got, want), name
 
 
 MALFORMED_LOGS = {
