@@ -297,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except StabilityAlarm as exc:
-        print(f"stability alarm: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)  # its message starts "stability alarm at step"
         return EXIT_STABILITY
     except EmptyBatchError as exc:
         print(f"empty batch: {exc}", file=sys.stderr)

@@ -282,10 +282,10 @@ def read_rollout_log(path: str | Path) -> list[RolloutGroup]:
     the fields the writer writes, has a task field, group id or reward
     that is not an integer, actions and old_logprobs that are not lists
     of integers and of numbers (no bools; JSON's -Infinity is a float) or
-    a log-prob above 0 or NaN and, naming the group, for a group with
-    fewer than 2 rows, rows of more than one task, rows whose length is
-    not the task's seq_len, an action outside [0, V) or a reward that is
-    not the one its actions earn.
+    do not fit int64 and float64, or a log-prob above 0 or NaN and,
+    naming the group, for a group with fewer than 2 rows, rows of more
+    than one task, rows whose length is not the task's seq_len, an action
+    outside [0, V) or a reward that is not the one its actions earn.
     """
     from array import array  # here, so only a log reader loads the extension module
     rows: dict[int, tuple] = {}  # group id -> its rows' flat buffers, first-seen order
@@ -308,11 +308,15 @@ def read_rollout_log(path: str | Path) -> list[RolloutGroup]:
                 if doc["group"] not in rows:
                     rows[doc["group"]] = (array("q"), array("d"), [], set(), set())
                 actions, logprobs, rewards, tasks, lengths = rows[doc["group"]]
-                logprobs.extend(doc["old_logprobs"])  # an int too large for a float raises here
+                try:
+                    actions.extend(doc["actions"])
+                    logprobs.extend(doc["old_logprobs"])
+                except OverflowError as exc:
+                    raise ValueError(f"line {number}: actions and old_logprobs must fit int64 "
+                                     f"and float64: {exc}") from exc
                 if not all(map((0.0).__ge__, doc["old_logprobs"])):  # NaN compares false
                     raise ValueError(f"line {number}: old_logprobs must be log-probabilities "
                                      f"<= 0 (no NaN)")
-                actions.extend(doc["actions"])
                 rewards.append(doc["reward"])
                 tasks.add((doc["vocab_size"], doc["seq_len"], doc["modulus"], doc["target"]))
                 lengths.update((len(doc["actions"]), len(doc["old_logprobs"])))
@@ -342,9 +346,9 @@ def _group_from_rows(actions, logprobs, rewards: list[int], tasks: set[tuple],
     actions = np.frombuffer(actions, dtype=np.int64).reshape(-1, task.seq_len).copy()
     if actions.min() < 0 or actions.max() >= task.vocab_size:
         raise ValueError(f"actions outside [0, {task.vocab_size})")
-    rewards = np.array(rewards, dtype=np.float64)
-    if not np.array_equal(rewards, _rewards(actions, task)):
+    earned = _rewards(actions, task)
+    if rewards != earned.tolist():  # compared as Python numbers, so no reward overflows
         raise ValueError(f"rewards that contradict their actions: the reward is 1 iff "
                          f"sum(actions) % {task.modulus} == {task.target}")
     return RolloutGroup(task, _episode_states(actions, task.modulus), actions,
-                        np.frombuffer(logprobs).reshape(-1, task.seq_len).copy(), rewards)
+                        np.frombuffer(logprobs).reshape(-1, task.seq_len).copy(), earned)

@@ -1,12 +1,14 @@
 """The full RL loop: rollouts, advantages, mini-epoch updates, metrics.
 
-Each step rolls out groups from the policy as it stands at the start of
-the step (the snapshot), and then runs several minibatched gradient
-passes in which importance ratios are recomputed against the live
-policy, so clipping genuinely activates from the second pass on. Logits
-are read-only and an update rebinds them, so the snapshot needs no copy:
-the rollouts, the snapshot's probability rows and the last good logits
-are taken before the first update and no update can reach them.
+One step is _step: it rolls out groups from the policy as it stands at
+the start of the step (the snapshot), and then runs several minibatched
+gradient passes in which importance ratios are recomputed against the
+live policy, so clipping genuinely activates from the second pass on.
+Only the logits cross a step boundary; train is its checks, a loop over
+_step and the writes. Logits are read-only and an update rebinds them,
+so the snapshot needs no copy: the rollouts, the snapshot's probability
+rows and the last good logits are taken before the first update and no
+update can reach them.
 
 Every random draw comes from a stream named by (seed, purpose, step,
 ...); identical configs produce byte-identical metrics CSVs. Each policy
@@ -21,10 +23,10 @@ token batch is concatenated straight from the retained groups' arrays
 (no per-episode objects), and TokenBatch.from_groups takes their
 advantages from one row-wise standardization of the (n_groups, G)
 rewards (a group the dynamic-sampling filter keeps has mixed 0/1
-rewards, so it is never degenerate). Its flat (state, action) cell index is checked once, against
-the live table. Each mini-epoch gathers the batch once in its permuted
-order, and its minibatches are contiguous row slices (views) of that
-gather.
+rewards, so it is never degenerate). Its flat (state, action) cell index
+is checked once, against the live table. Each mini-epoch gathers the
+batch once in its permuted order, and its minibatches are contiguous row
+slices (views) of that gather.
 
 Metric conventions (each a deliberate choice, fixed here):
   - entropy_exact / entropy_sampled describe the snapshot policy at
@@ -117,20 +119,13 @@ _MINIMUMS = {"seed": 0, "mini_epochs": 1, "total_steps": 1, "group_size": 2,
 class StabilityAlarm(RuntimeError):
     """Non-finite value detected; run halted at the last good state (exit 3)."""
 
-    def __init__(self, reason: str, step: int, metrics: list["StepMetrics"]):
-        super().__init__(f"stability alarm at step {step}: {reason}")
-        self.reason = reason
-        self.step = step
-        self.metrics = metrics
+    status = "stability_alarm"  # the manifest status of a run it ends
 
 
 class EmptyBatchError(RuntimeError):
     """Dynamic sampling drained every group despite resampling (exit 4)."""
 
-    def __init__(self, message: str, step: int, metrics: list["StepMetrics"]):
-        super().__init__(message)
-        self.step = step
-        self.metrics = metrics
+    status = "empty_batch_abort"
 
 
 @dataclass(frozen=True)
@@ -368,13 +363,6 @@ def evaluate(policy: TabularPolicy, tasks: list[ModSumTask], samples_per_prompt:
     return total / (len(tasks) * samples_per_prompt)
 
 
-def _rollout_batch(policy: TabularPolicy, tasks: list[ModSumTask], config: RunConfig,
-                   step: int, attempt: int) -> list[RolloutGroup]:
-    return [rollout_group(policy, task, config.group_size,
-                          named_stream(config.seed, "rollout", step, attempt, g))
-            for g, task in enumerate(tasks)]
-
-
 class _StepAccumulator:
     """One step's statistics: per-pass clip/off-policy counts and sums, batch quadrants."""
 
@@ -386,11 +374,11 @@ class _StepAccumulator:
         self.offpolicy_tokens = 0
         self.late_pass_tokens = 0
 
-    def add(self, terms: BatchTerms, old_probs: np.ndarray, grad_norm: float,
+    def add(self, terms: BatchTerms, old_probs: np.ndarray, grad: np.ndarray,
             late_pass: bool) -> None:
         self.code_counts += np.bincount(terms.branch_codes, minlength=3)
         self.code_prob_sums += np.bincount(terms.branch_codes, weights=old_probs, minlength=3)
-        self.grad_norms.append(grad_norm)
+        self.grad_norms.append(float(np.linalg.norm(grad)))
         if late_pass:
             self.offpolicy_tokens += int((terms.deltas != 1.0).sum())
             self.late_pass_tokens += len(terms.deltas)
@@ -415,6 +403,73 @@ class _StepAccumulator:
         }
 
 
+def _step(config: RunConfig, env_cfg: EnvConfig, eval_tasks: list[ModSumTask],
+          policy: TabularPolicy, step: int) -> tuple[StepMetrics, list[RolloutGroup]]:
+    """One training step from the policy as it stands; updates policy in place.
+
+    Returns the step's record and every group it sampled, the ones dynamic
+    sampling filtered out included. Raises EmptyBatchError when every
+    resampling attempt is drained and StabilityAlarm on a non-finite value,
+    with policy possibly part-updated: the caller keeps the last good logits.
+    """
+    spec = config.objective_at(step)
+
+    # rollout, with bounded resampling when dynamic sampling drains the batch
+    filtered_groups = 0
+    all_groups: list[RolloutGroup] = []
+    for attempt in range(config.max_filter_retries):
+        task_rng = named_stream(config.seed, "tasks", step, attempt)
+        groups = [rollout_group(policy, sample_task(env_cfg, task_rng), config.group_size,
+                                named_stream(config.seed, "rollout", step, attempt, g))
+                  for g in range(config.prompts_per_batch)]
+        all_groups.extend(groups)
+        retained = dynamic_sampling_filter(groups) if config.dynamic_sampling else groups
+        filtered_groups += len(groups) - len(retained)
+        if retained:
+            break
+    else:
+        raise EmptyBatchError(f"all rollout groups shared identical correctness for "
+                              f"{config.max_filter_retries} resampling attempts at step {step}")
+
+    mean_reward = float(np.concatenate([g.rewards for g in all_groups]).mean())
+    old_logprobs = np.concatenate([g.old_logprobs for g in all_groups])
+    entropy_sampled = float(np.mean(-old_logprobs.mean(axis=1)))
+    visited, visit_counts = state_visits(policy, np.concatenate([g.states for g in all_groups]))
+    snapshot_rows = policy.probability_matrix()[visited]
+    entropy_exact = visit_weighted_mean(entropy_rows(snapshot_rows), visit_counts)
+
+    batch = TokenBatch.from_groups(retained)
+    acc = _StepAccumulator(quadrant_taxonomy(
+        batch.advantages, np.exp(batch.old_logprobs), 1.0 / config.vocab_size)[1])
+    update_rng = named_stream(config.seed, "update", step)
+    n_traj = batch.n_trajectories
+    chunk = max(1, round(config.minibatch_fraction * n_traj))
+    try:
+        batch.cell_index(policy)  # checked once; gathers and slices inherit it
+        for epoch in range(config.mini_epochs):
+            shuffled = batch.subset(update_rng.permutation(n_traj))
+            for start in range(0, n_traj, chunk):
+                sub = shuffled.rows(start, start + chunk)
+                terms = batch_token_terms(spec, sub, policy)
+                _, grad = analytic_objective_gradient(spec, sub, policy, terms)
+                acc.add(terms, np.exp(sub.old_logprobs), grad, late_pass=epoch >= 1)
+                policy.apply_gradient(grad, config.learning_rate)
+        kl = visit_weighted_mean(
+            kl_rows(snapshot_rows, policy.probability_matrix()[visited]), visit_counts)
+    except ValueError as exc:
+        raise StabilityAlarm(f"stability alarm at step {step}: {exc}") from exc
+
+    accuracy = evaluate(policy, eval_tasks, config.eval_samples,
+                        named_stream(config.seed, "eval", step))
+    record = StepMetrics(
+        step=step, entropy_exact=entropy_exact, entropy_sampled=entropy_sampled,
+        kl=kl, mean_reward=mean_reward, accuracy=accuracy,
+        filtered_groups=filtered_groups, **acc.summarize())
+    if not record.finite():
+        raise StabilityAlarm(f"stability alarm at step {step}: non-finite value in step metrics")
+    return record, all_groups
+
+
 def train(config: RunConfig, out_dir: str | Path | None = None,
           progress: bool = False) -> RunResult:
     """Run the configured training loop; returns metrics and the final policy.
@@ -423,9 +478,9 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
     directory is configured, and rollouts.jsonl with log_rollouts, which
     without an output directory raises ConfigError before step 0, as do an
     output directory that cannot be made and an output path that exists
-    but is not a regular file. On a stability alarm the checkpoint written
-    is the last good state (the failing step's snapshot) and the exception
-    carries the metrics collected so far.
+    but is not a regular file. On a stability alarm or an empty batch the
+    outputs are still written, the checkpoint holding the last good state
+    (the failing step's snapshot), and the exception is raised after.
     """
     out = Path(out_dir) if out_dir is not None else (
         Path(config.out_dir) if config.out_dir else None)
@@ -455,91 +510,23 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
         for path in (out / name for name in outputs[:3 + config.log_rollouts]):
             if path.exists() and not path.is_file():
                 raise ConfigError(f"output file {path}: exists and is not a regular file")
+
     metrics: list[StepMetrics] = []
     logged_groups: list[RolloutGroup] = []
-    status = "completed"
-    failure: Exception | None = None
-
-    try:
-        for step in range(config.total_steps):
-            spec = config.objective_at(step)
-            last_good = policy.logits
-
-            # rollout, with bounded resampling when dynamic sampling drains the batch
-            filtered_groups = 0
-            all_groups: list[RolloutGroup] = []
-            retained: list[RolloutGroup] = []
-            for attempt in range(config.max_filter_retries):
-                task_rng = named_stream(config.seed, "tasks", step, attempt)
-                tasks = [sample_task(env_cfg, task_rng)
-                         for _ in range(config.prompts_per_batch)]
-                groups = _rollout_batch(policy, tasks, config, step, attempt)
-                all_groups.extend(groups)
-                if not config.dynamic_sampling:
-                    retained = groups
-                    break
-                kept = dynamic_sampling_filter(groups)
-                filtered_groups += len(groups) - len(kept)
-                if kept:
-                    retained = kept
-                    break
-            else:
-                raise EmptyBatchError(
-                    f"all rollout groups shared identical correctness for "
-                    f"{config.max_filter_retries} resampling attempts at step {step}",
-                    step, metrics)
-            if config.log_rollouts:
-                logged_groups.extend(all_groups)
-
-            mean_reward = float(np.concatenate([g.rewards for g in all_groups]).mean())
-            old_logprobs = np.concatenate([g.old_logprobs for g in all_groups])
-            entropy_sampled = float(np.mean(-old_logprobs.mean(axis=1)))
-            visited, visit_counts = state_visits(
-                policy, np.concatenate([g.states for g in all_groups]))
-            snapshot_rows = policy.probability_matrix()[visited]
-            entropy_exact = visit_weighted_mean(entropy_rows(snapshot_rows), visit_counts)
-
-            batch = TokenBatch.from_groups(retained)
-
-            acc = _StepAccumulator(quadrant_taxonomy(
-                batch.advantages, np.exp(batch.old_logprobs), 1.0 / config.vocab_size)[1])
-            update_rng = named_stream(config.seed, "update", step)
-            n_traj = batch.n_trajectories
-            chunk = max(1, round(config.minibatch_fraction * n_traj))
-            try:
-                batch.cell_index(policy)  # checked once; gathers and slices inherit it
-                for epoch in range(config.mini_epochs):
-                    shuffled = batch.subset(update_rng.permutation(n_traj))
-                    for start in range(0, n_traj, chunk):
-                        sub = shuffled.rows(start, start + chunk)
-                        terms = batch_token_terms(spec, sub, policy)
-                        _, grad = analytic_objective_gradient(spec, sub, policy, terms)
-                        grad_norm = float(np.linalg.norm(grad))
-                        acc.add(terms, np.exp(sub.old_logprobs), grad_norm, late_pass=epoch >= 1)
-                        policy.apply_gradient(grad, config.learning_rate)
-                kl = visit_weighted_mean(
-                    kl_rows(snapshot_rows, policy.probability_matrix()[visited]), visit_counts)
-            except ValueError as exc:
-                raise StabilityAlarm(str(exc), step, metrics) from exc
-
-            accuracy = evaluate(policy, eval_tasks, config.eval_samples,
-                                named_stream(config.seed, "eval", step))
-            summary = acc.summarize()
-            record = StepMetrics(
-                step=step, entropy_exact=entropy_exact, entropy_sampled=entropy_sampled,
-                kl=kl, mean_reward=mean_reward, accuracy=accuracy,
-                filtered_groups=filtered_groups, **summary)
-            if not record.finite():
-                raise StabilityAlarm("non-finite value in step metrics", step, metrics)
-            metrics.append(record)
-            if progress and (step % 50 == 0 or step == config.total_steps - 1):
-                print(f"step {step:>5}  H={entropy_exact:.4f}  reward={mean_reward:.3f}  "
-                      f"acc={accuracy:.3f}  kl={kl:.5f}")
-    except StabilityAlarm as exc:
-        status, failure = "stability_alarm", exc
-        policy = TabularPolicy(last_good)
-    except EmptyBatchError as exc:
-        status, failure = "empty_batch_abort", exc
+    status, failure = "completed", None
+    for step in range(config.total_steps):
+        last_good = policy.logits
+        try:
+            record, groups = _step(config, env_cfg, eval_tasks, policy, step)
+        except (StabilityAlarm, EmptyBatchError) as exc:
+            status, failure, policy = exc.status, exc, TabularPolicy(last_good)
+            break
+        metrics.append(record)
+        if config.log_rollouts:
+            logged_groups.extend(groups)
+        if progress and (step % 50 == 0 or step == config.total_steps - 1):
+            print(f"step {step:>5}  H={record.entropy_exact:.4f}  reward={record.mean_reward:.3f}"
+                  f"  acc={record.accuracy:.3f}  kl={record.kl:.5f}")
 
     manifest = {
         "schema_version": CONFIG_SCHEMA_VERSION,

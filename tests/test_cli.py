@@ -102,9 +102,15 @@ def test_train_malformed_config_value_exit_2(overrides, message, tmp_path, capsy
     assert not (tmp_path / "run").exists()
 
 
-def test_train_stability_exit_3(tmp_path):
+def test_train_stability_exit_3(tmp_path, capsys):
     config = _write_config(tmp_path, learning_rate=1e8, total_steps=10)
     assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 3
+    # one stderr line, the prefix once, and the manifest's failure text verbatim
+    err = capsys.readouterr().err
+    manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+    assert err == manifest["failure"] + "\n"
+    assert err.startswith("stability alarm at step 0: importance ratio underflow/overflow")
+    assert err.count("stability alarm") == 1
 
 
 def test_train_empty_batch_exit_4(tmp_path):
@@ -323,10 +329,17 @@ def _rewarded_line(group):
      "line 1: old_logprobs must be log-probabilities <= 0"),
     ([_log_line(0), _log_line(0, reward=1)],
      "log group 0: rewards that contradict their actions"),
+    ([_log_line(0), _log_line(0, actions=(1, 2, 2 ** 70))],
+     "line 2: actions and old_logprobs must fit int64 and float64"),
+    ([_log_line(0), _log_line(0).replace('[-2.0794415416798357', '[-1' + '0' * 400)],
+     "line 2: actions and old_logprobs must fit int64 and float64"),
+    ([_log_line(0), _log_line(0, reward=10 ** 400)],
+     "log group 0: rewards that contradict their actions"),
 ], ids=["single_row_group", "mixed_tasks", "ragged_rows", "empty_log", "missing_field",
         "mixed_group_sizes", "not_an_object", "list_group", "string_vocab_size",
         "string_actions", "string_old_logprobs", "string_reward", "bool_action", "bool_reward",
-        "positive_old_logprob", "nan_old_logprob", "flipped_reward"])
+        "positive_old_logprob", "nan_old_logprob", "flipped_reward", "oversized_action",
+        "oversized_old_logprob", "oversized_reward"])
 def test_analyze_malformed_log_exit_2(lines, message, tmp_path, capsys):
     log = tmp_path / "rollouts.jsonl"
     log.write_text("".join(line + "\n" for line in lines))
@@ -483,7 +496,7 @@ def test_train_output_that_cannot_be_a_directory_fails_before_step_0(tmp_path, m
     def refuse(*args, **kwargs):
         raise AssertionError("a training step ran")
 
-    monkeypatch.setattr(trainer, "_rollout_batch", refuse)
+    monkeypatch.setattr(trainer, "_step", refuse)
     (tmp_path / "taken").write_text("")
     assert main(["train", "--config", str(_write_config(tmp_path)),
                  "--out", str(tmp_path / "taken")]) == 2

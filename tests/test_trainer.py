@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -297,20 +298,22 @@ def test_training_builds_no_trajectory(algorithm, dynamic_sampling, tmp_path, mo
     assert built == [1]  # the counter does see a Trajectory being built
 
 
-def test_empty_batch_abort():
+def test_empty_batch_abort(tmp_path):
     # a deterministic one-hot policy makes every group degenerate, so dynamic
     # sampling drains every batch and the run aborts after bounded retries
     logits = np.zeros((31, 8))
     logits[:, 0] = 60.0
-    det = TabularPolicy(logits)
-    import tempfile
-    with tempfile.TemporaryDirectory() as tmp:
-        ckpt = f"{tmp}/det.json"
-        det.save(ckpt)
-        config = _tiny(total_steps=3, dynamic_sampling=True, init_checkpoint=ckpt,
-                       max_filter_retries=2)
-        with pytest.raises(EmptyBatchError, match="identical correctness"):
-            train(config)
+    ckpt = tmp_path / "det.json"
+    TabularPolicy(logits).save(ckpt)
+    config = _tiny(total_steps=3, dynamic_sampling=True, init_checkpoint=str(ckpt),
+                   max_filter_retries=2)
+    with pytest.raises(EmptyBatchError, match="identical correctness"):
+        train(config, out_dir=tmp_path / "run")
+    manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+    assert (manifest["status"], manifest["steps_completed"]) == ("empty_batch_abort", 0)
+    assert (tmp_path / "run" / "metrics.csv").read_text() == ",".join(CSV_COLUMNS) + "\n"
+    written, _ = TabularPolicy.load(tmp_path / "run" / "policy.json")
+    assert np.array_equal(written.logits, TabularPolicy.load(ckpt)[0].logits)
 
 
 def test_stability_alarm_halts_with_last_good_checkpoint(tmp_path):
@@ -322,6 +325,77 @@ def test_stability_alarm_halts_with_last_good_checkpoint(tmp_path):
     # the checkpoint written is the last good state: finite logits
     policy, _ = TabularPolicy.load(tmp_path / "policy.json")
     assert np.all(np.isfinite(policy.logits))
+
+
+def test_stability_alarm_after_updates_keeps_the_last_completed_step(tmp_path, monkeypatch):
+    # an alarm at step 3 leaves exactly what a 3-step run leaves: its rows and
+    # its final logits, not the initial table
+    reference = train(_tiny(total_steps=3), out_dir=tmp_path / "three")
+    evaluate, calls = trainer.evaluate, []
+
+    def nan_at_step_3(*args):
+        calls.append(1)
+        return float("nan") if len(calls) == 4 else evaluate(*args)
+
+    monkeypatch.setattr(trainer, "evaluate", nan_at_step_3)
+    with pytest.raises(StabilityAlarm, match="at step 3: non-finite value"):
+        train(_tiny(total_steps=6), out_dir=tmp_path / "alarm")
+    assert ((tmp_path / "alarm" / "metrics.csv").read_bytes()
+            == (tmp_path / "three" / "metrics.csv").read_bytes())
+    written, _ = TabularPolicy.load(tmp_path / "alarm" / "policy.json")
+    assert np.array_equal(written.logits, reference.policy.logits)
+    assert not np.array_equal(written.logits, TabularPolicy.uniform(31, 8).logits)
+    manifest = json.loads((tmp_path / "alarm" / "run_manifest.json").read_text())
+    assert (manifest["status"], manifest["steps_completed"]) == ("stability_alarm", 3)
+
+
+def _twenty_step(algorithm, **overrides):
+    return _tiny(total_steps=20, objective=ObjectiveSpec.for_algorithm(algorithm), **overrides)
+
+
+STEP_CONFIGS = {
+    "grpo": _twenty_step("grpo"),
+    "cispo": _twenty_step("cispo"),
+    "gspo": _twenty_step("gspo"),
+    "dapo_dynamic_sampling": _twenty_step("dapo", dynamic_sampling=True),
+    "ce_gppo_beta_switch": _twenty_step("ce_gppo", beta_schedule=((15, 1.0, 0.5),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_CONFIGS))
+def test_steps_from_a_checkpoint_continue_the_run(name, tmp_path):
+    # only the logits cross a step boundary: steps 10-19 from a 10-step run's
+    # checkpoint give the 20-step run's rows and final logits bit for bit
+    config = STEP_CONFIGS[name]
+    full = train(config)
+    train(dataclasses.replace(config, total_steps=10), out_dir=tmp_path)
+    policy, _ = TabularPolicy.load(tmp_path / "policy.json")
+    eval_tasks = [ModSumTask(config.vocab_size, config.seq_len, config.modulus, t)
+                  for t in config.resolved_eval_targets()]
+    rows = [trainer._step(config, config.env_config(), eval_tasks, policy, step)[0].csv_row()
+            for step in range(10, 20)]
+    assert rows == [m.csv_row() for m in full.metrics[10:]]
+    assert np.array_equal(policy.logits, full.policy.logits)
+
+
+@pytest.mark.parametrize("config", [
+    _tiny(total_steps=4, objective=ObjectiveSpec.for_algorithm("dapo"), dynamic_sampling=True,
+          prompts_per_batch=1, group_size=2, max_filter_retries=8),
+    _tiny(total_steps=4, objective=ObjectiveSpec.for_algorithm("ce_gppo"),
+          beta_schedule=((2, 1.0, 0.5),)),
+], ids=["dapo_retries", "ce_gppo_beta_switch"])
+def test_objective_at_marks_each_step_once(config, monkeypatch):
+    # a step starts with its one objective_at call, which step timers hook
+    called, filtered = [], []
+    objective_at, dynamic_sampling_filter = RunConfig.objective_at, trainer.dynamic_sampling_filter
+    monkeypatch.setattr(RunConfig, "objective_at",
+                        lambda self, step: called.append(step) or objective_at(self, step))
+    monkeypatch.setattr(trainer, "dynamic_sampling_filter",
+                        lambda groups: filtered.append(1) or dynamic_sampling_filter(groups))
+    result = train(config)
+    assert called == [0, 1, 2, 3] == [m.step for m in result.metrics]
+    if config.dynamic_sampling:  # some step resampled
+        assert len(filtered) > config.total_steps
 
 
 def test_schedule_switch_changes_dynamics():
