@@ -35,6 +35,7 @@ from .trainer import (
     StabilityAlarm,
     evaluate,
     format_suite_table,
+    objective_from_dict,
     run_experiment_suite,
     train,
 )
@@ -126,9 +127,12 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_entropy_predict(args) -> int:
     rng = named_stream(args.seed, "entropy-predict")
     if args.checkpoint:
+        if args.num_states is not None or args.num_actions is not None:
+            raise ConfigError("--num-states and --num-actions do not act with --checkpoint, "
+                              "whose table gives the shape")
         policy = _load_checkpoint(args.checkpoint)
     else:
-        policy = TabularPolicy.random(args.num_states, args.num_actions, 1.0, rng)
+        policy = TabularPolicy.random(args.num_states or 31, args.num_actions or 8, 1.0, rng)
     n_states = min(args.instances, policy.num_states)
     states = np.sort(rng.choice(policy.num_states, size=n_states, replace=False))
     adv = center_advantages(policy, states,
@@ -157,10 +161,14 @@ def _analyze_log(args):
     with _usage_errors(f"checkpoint {args.checkpoint}: "):
         for task in tasks:
             task.check_table(policy)
-    # the run's own objective clips; a beta_schedule's betas move no branch code
+    # the run's own objective clips; a beta_schedule's betas move no branch code.
+    # Only the objective is read, so a manifest holding a retired key still analyzes
     with _usage_errors(f"run manifest beside {args.log}: "):
         doc = json.loads((Path(args.log).parent / "run_manifest.json").read_text())
-        spec = RunConfig.from_dict(doc.get("config") if isinstance(doc, dict) else doc).objective
+        config = doc.get("config") if isinstance(doc, dict) else doc
+        if not isinstance(config, dict):
+            raise ConfigError("config must be a JSON object")
+        spec = objective_from_dict(config.get("objective", {}))
     with _usage_errors(f"log {args.log} under checkpoint {args.checkpoint}: "):
         terms = batch_token_terms(spec, tokens, policy)
     threshold = (1.0 / policy.num_actions if args.prob_threshold is None
@@ -233,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run a training loop from a JSON config")
     p.add_argument("--config", required=True, help="path to the run config JSON")
-    p.add_argument("--out", default=None, help="output directory (overrides config)")
+    p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--progress", action="store_true")
     p.set_defaults(fn=_cmd_train)
 
@@ -252,8 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="covariance predictor vs exact entropy change")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--checkpoint", default=None, help="policy checkpoint (default: random)")
-    p.add_argument("--num-states", type=_positive_int, default=31)
-    p.add_argument("--num-actions", type=_positive_int, default=8)
+    # the random policy's shape (default 31 x 8); a checkpoint brings its own
+    p.add_argument("--num-states", type=_positive_int, default=None)
+    p.add_argument("--num-actions", type=_positive_int, default=None)
     p.add_argument("--instances", type=_positive_int, default=5)
     p.add_argument("--eta", type=_positive_float, default=0.04)
     p.add_argument("--json", default=None)
@@ -273,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=SUITE_NAMES)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--steps", type=int, default=300)
+    p.add_argument("--steps", type=_positive_int, default=300)
     p.add_argument("--progress", action="store_true")
     p.set_defaults(fn=_cmd_suite)
 

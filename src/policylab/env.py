@@ -33,6 +33,10 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def residue_set(name: str, values, modulus: int) -> tuple[int, ...]:
     """The one residue-set rule: values as a tuple of one or more distinct ints in
     [0, modulus); anything else (a bool included) raises ValueError naming the field."""
@@ -102,13 +106,6 @@ class ModSumTask(_Dimensions):
         super().__post_init__()
         if not 0 <= self.target < self.modulus:
             raise ValueError(f"target {self.target} outside [0, {self.modulus})")
-
-    def state_id(self, position: int, residue: int) -> int:
-        if not 0 <= position < self.seq_len:
-            raise ValueError(f"position {position} outside [0, {self.seq_len})")
-        if not 0 <= residue < self.modulus:
-            raise ValueError(f"residue {residue} outside [0, {self.modulus})")
-        return position * self.modulus + residue
 
     def to_dict(self) -> dict:
         return {"vocab_size": self.vocab_size, "seq_len": self.seq_len,

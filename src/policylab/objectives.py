@@ -42,14 +42,13 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .advantage import standardize_groups
-from .env import RolloutGroup, Trajectory
+from .env import RolloutGroup, Trajectory, _is_number
 from .policy import _SoftmaxTable, entropy_and_gradient_rows, state_visits
 
 ALGORITHMS = ("ppo", "grpo", "dapo", "cispo", "gspo", "ce_gppo")
@@ -88,9 +87,8 @@ class ObjectiveSpec:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         for name in ("eps_low", "eps_high", "beta1", "beta2", "alpha"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise TypeError(f"{name} must be a number, got {v!r}")
+            if not _is_number(getattr(self, name)):
+                raise TypeError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0.0 < self.eps_low < 1.0:
             raise ValueError(f"eps_low must be in (0, 1), got {self.eps_low}")
         if not 0.0 < self.eps_high < math.inf:

@@ -52,7 +52,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,6 +65,7 @@ from .env import (
     ModSumTask,
     RolloutGroup,
     _is_int,
+    _is_number,
     residue_set,
     rollout_group,
     sample_episodes,
@@ -96,19 +96,13 @@ class ConfigError(ValueError):
     """Invalid run configuration (CLI exit code 2)."""
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-_FIELD_KINDS = (  # (fields, test a value must pass, what the message asks for)
-    (("seed", "vocab_size", "seq_len", "modulus", "group_size", "prompts_per_batch",
-      "mini_epochs", "total_steps", "eval_samples", "max_filter_retries"),
-     _is_int, "an integer"),
-    (("minibatch_fraction", "learning_rate", "init_logit_scale"), _is_number, "a number"),
-    (("dynamic_sampling", "log_rollouts"), lambda v: isinstance(v, bool), "true or false"),
-    (("init_checkpoint", "out_dir"), lambda v: v is None or isinstance(v, str),
-     "a path string or null"),
-)
+# a field's annotation -> (the test its value must pass, what the message asks for)
+_KINDS = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a path string or null"),
+}
 
 
 # the lower bound of each integer field; EnvConfig bounds vocab_size, seq_len and modulus
@@ -128,9 +122,25 @@ class EmptyBatchError(RuntimeError):
     status = "empty_batch_abort"
 
 
+def objective_from_dict(doc: dict) -> ObjectiveSpec:
+    """The objective a JSON config names: ObjectiveSpec.for_algorithm's
+    defaults for its algorithm (ce_gppo when it names none), overridden by
+    the keys it gives."""
+    if not isinstance(doc, dict):
+        raise ConfigError("objective must be an object")
+    unknown = set(doc) - {f.name for f in dataclasses.fields(ObjectiveSpec)}
+    if unknown:
+        raise ConfigError(f"unknown objective keys: {sorted(unknown)}")
+    try:
+        return ObjectiveSpec.for_algorithm(**{"algorithm": "ce_gppo", **doc})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid objective: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything that identifies a training run.
+    """Everything that identifies a training run; where its outputs go is
+    train's out_dir, not part of it.
 
     train_targets: None holds out the top residue (train on 0..M-2) when
     M > 2; "all" trains on every residue; an explicit list is used as
@@ -162,14 +172,12 @@ class RunConfig:
     init_logit_scale: float = 0.0
     init_checkpoint: str | None = None
     log_rollouts: bool = False
-    out_dir: str | None = None
 
     def __post_init__(self):
-        for names, accepts, expected in _FIELD_KINDS:
-            for name in names:
-                value = getattr(self, name)
-                if not accepts(value):
-                    raise ConfigError(f"{name} must be {expected}, got {value!r}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type in _KINDS and not _KINDS[f.type][0](value):
+                raise ConfigError(f"{f.name} must be {_KINDS[f.type][1]}, got {value!r}")
         for name, minimum in _MINIMUMS.items():
             if getattr(self, name) < minimum:
                 raise ConfigError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
@@ -186,24 +194,24 @@ class RunConfig:
                               f"got {self.init_logit_scale}")
         if self.init_logit_scale > 0.0 and self.init_checkpoint:
             raise ConfigError("init_logit_scale does not act when init_checkpoint is set")
+        if self.beta_schedule and self.objective.algorithm != "ce_gppo":
+            raise ConfigError(
+                f"beta_schedule acts only on ce_gppo, not on {self.objective.algorithm}")
         try:
             schedule = tuple((s, b1, b2) for s, b1, b2 in self.beta_schedule)
+            for _, b1, b2 in schedule:  # a switch's betas obey the objective's own beta rule
+                self.objective.with_betas(b1, b2)
         except (TypeError, ValueError) as exc:
             raise ConfigError(
                 f"beta_schedule entries must be [step, beta1, beta2]: {exc}") from exc
         for entry in schedule:
-            if not (_is_int(entry[0]) and _is_number(entry[1]) and _is_number(entry[2])):
+            if not _is_int(entry[0]):
                 raise ConfigError(f"beta_schedule entries must be [step, beta1, beta2] with "
                                   f"an integer step and numeric betas, got {list(entry)}")
         schedule = tuple((int(s), float(b1), float(b2)) for s, b1, b2 in schedule)
-        if schedule and self.objective.algorithm != "ce_gppo":
-            raise ConfigError(
-                f"beta_schedule acts only on ce_gppo, not on {self.objective.algorithm}")
         steps = [s for s, _, _ in schedule]
         if steps != sorted(set(steps)):
             raise ConfigError(f"beta_schedule steps must be strictly increasing, got {steps}")
-        if any(b < 0 or not np.isfinite(b) for _, b1, b2 in schedule for b in (b1, b2)):
-            raise ConfigError("beta_schedule betas must be finite and >= 0")
         object.__setattr__(self, "beta_schedule", schedule)
         if isinstance(self.train_targets, str) and self.train_targets != "all":
             raise ConfigError(f"train_targets must be a list, \"all\" or null, "
@@ -246,15 +254,7 @@ class RunConfig:
         return spec
 
     def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["schema_version"] = CONFIG_SCHEMA_VERSION
-        doc["objective"] = self.objective.to_dict()
-        doc["beta_schedule"] = [list(entry) for entry in self.beta_schedule]
-        if self.train_targets is not None and not isinstance(self.train_targets, str):
-            doc["train_targets"] = list(self.train_targets)
-        if self.eval_targets is not None:
-            doc["eval_targets"] = list(self.eval_targets)
-        return doc
+        return {**dataclasses.asdict(self), "schema_version": CONFIG_SCHEMA_VERSION}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -270,16 +270,7 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "objective" in doc:
-            if not isinstance(doc["objective"], dict):
-                raise ConfigError("objective must be an object")
-            spec_known = {f.name for f in dataclasses.fields(ObjectiveSpec)}
-            spec_unknown = set(doc["objective"]) - spec_known
-            if spec_unknown:
-                raise ConfigError(f"unknown objective keys: {sorted(spec_unknown)}")
-            try:
-                doc["objective"] = ObjectiveSpec(**doc["objective"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"invalid objective: {exc}") from exc
+            doc["objective"] = objective_from_dict(doc["objective"])
         try:
             return cls(**doc)
         except TypeError as exc:
@@ -474,16 +465,14 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
           progress: bool = False) -> RunResult:
     """Run the configured training loop; returns metrics and the final policy.
 
-    Writes metrics.csv, run_manifest.json and policy.json when an output
-    directory is configured, and rollouts.jsonl with log_rollouts, which
-    without an output directory raises ConfigError before step 0, as do an
-    output directory that cannot be made and an output path that exists
-    but is not a regular file. On a stability alarm or an empty batch the
+    Writes metrics.csv, run_manifest.json and policy.json when out_dir is
+    given, and rollouts.jsonl with log_rollouts, which without out_dir
+    raises ConfigError before step 0, as do an output directory that cannot
+    be made and an output path that exists but is not a regular file. On a stability alarm or an empty batch the
     outputs are still written, the checkpoint holding the last good state
     (the failing step's snapshot), and the exception is raised after.
     """
-    out = Path(out_dir) if out_dir is not None else (
-        Path(config.out_dir) if config.out_dir else None)
+    out = Path(out_dir) if out_dir is not None else None
     if config.log_rollouts and out is None:
         raise ConfigError("log_rollouts needs an output directory to write rollouts.jsonl to")
     env_cfg = config.env_config()

@@ -71,7 +71,7 @@ def _token_at_a_time(policy, task, n, rng) -> list[Trajectory]:
     for _ in range(n):
         states, actions, logprobs, residue = [], [], [], 0
         for t in range(task.seq_len):
-            state = task.state_id(t, residue)
+            state = t * task.modulus + residue
             action, lp = _sample_action(policy, state, rng)
             states.append(state)
             actions.append(action)

@@ -277,6 +277,23 @@ def test_analyze_without_a_valid_manifest_exit_2(manifest, message, tmp_path, ca
     assert message in err
 
 
+def test_analyze_reads_only_the_manifest_objective(tmp_path):
+    # manifests written while out_dir was a config key hold "out_dir": null;
+    # analyze reads only the objective, so such a run directory, or one whose
+    # manifest holds any retired key, still analyzes to the same report
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(_write_config(tmp_path, log_rollouts=True)),
+                 "--out", str(run)]) == 0
+    argv = ["analyze", "--log", str(run / "rollouts.jsonl"),
+            "--checkpoint", str(run / "policy.json"), "--json"]
+    assert main(argv + [str(tmp_path / "now.json")]) == 0
+    manifest = json.loads((run / "run_manifest.json").read_text())
+    manifest["config"].update(out_dir=None, rollout_workers=1)
+    (run / "run_manifest.json").write_text(json.dumps(manifest, indent=2))
+    assert main(argv + [str(tmp_path / "old.json")]) == 0
+    assert (tmp_path / "old.json").read_bytes() == (tmp_path / "now.json").read_bytes()
+
+
 def test_analyze_underflowed_ratio_exit_2(tmp_path, capsys):
     # the logged tokens take actions 1, 2 and 3; a checkpoint 800 nats down on
     # action 1 gives it probability 0, so the token's ratio cannot be formed
@@ -422,6 +439,10 @@ def test_out_of_range_cli_input_exit_2(argv, tmp_path, capsys):
     (["eval", "{one_state}"],
      "policy table (1 states, 8 actions) does not match state space (6 states, 8 actions)"),
     (["entropy-predict", "--checkpoint", "{missing}"], "No such file"),
+    (["entropy-predict", "--checkpoint", "{checkpoint}", "--num-states", "5",
+      "--num-actions", "3"], "--num-states and --num-actions do not act with --checkpoint"),
+    (["entropy-predict", "--checkpoint", "{checkpoint}", "--num-actions", "8"],
+     "--num-states and --num-actions do not act with --checkpoint"),
     (["analyze", "--log", "{missing}", "--checkpoint", "{checkpoint}"], "No such file"),
     (["analyze", "--log", "{log}", "--checkpoint", "{missing}"], "No such file"),
     (["train", "--config", "{config_missing_init}"], "init checkpoint"),
@@ -443,7 +464,8 @@ def test_out_of_range_cli_input_exit_2(argv, tmp_path, capsys):
      "output file {csv_is_a_directory}/metrics.csv: "),
 ], ids=["eval_missing", "eval_no_num_actions", "eval_float_dims", "eval_int_logits",
         "eval_null_logits", "eval_repeated_target", "eval_one_action", "eval_one_state",
-        "entropy_predict_missing", "analyze_no_log",
+        "entropy_predict_missing", "entropy_predict_shape_with_checkpoint",
+        "entropy_predict_actions_with_checkpoint", "analyze_no_log",
         "analyze_missing_checkpoint", "train_missing_init", "train_log_without_out",
         "gradcheck_unbuildable", "gradcheck_json_unwritable",
         "entropy_predict_json_unwritable", "analyze_json_unwritable", "eval_json_unwritable",
@@ -607,6 +629,15 @@ def test_suite_smoke(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "suite: schedule_switch" in out
     assert (tmp_path / "suite" / "summary.json").exists()
+
+
+def test_suite_steps_is_a_positive_count(capsys):
+    # refused by the parser as the flag the user typed, before any config is built
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "baseline_zoo", "--steps", "0"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--steps: expected an integer >= 1, got '0'" in err and "total_steps" not in err
 
 
 def test_unknown_suite_usage_error():

@@ -18,6 +18,7 @@ from policylab import (
     verify_reward,
     write_rollout_log,
 )
+from policylab.env import _episode_states
 from policylab.seeding import stream_key
 
 
@@ -74,8 +75,9 @@ def test_task_validation():
         ModSumTask(8, 6, 1, 0)
     task = ModSumTask(8, 6, 5, 2)
     assert task.num_states == 31
-    assert task.state_id(0, 0) == 0
-    assert task.state_id(3, 2) == 17
+    states = _episode_states(np.array([[1, 1, 0, 4, 0, 0]]), task.modulus)[0]
+    assert states[0] == 0  # position 0, residue 0
+    assert states[3] == 17  # position 3, residue 1 + 1 + 0 = 2
 
 
 def test_sample_task_reproducible_and_in_range():
@@ -148,14 +150,16 @@ def test_rollout_reward_matches_independent_recomputation():
 
 
 def test_state_transition_brute_force():
-    # exhaustive check of the encoding at V=4, T=3, M=3: from state (t, r),
-    # action a must lead to (t+1, (r + a) mod 3)
+    # exhaustive check of the encoding at V=4, T=3, M=3: from each reachable
+    # state (t, r), action a must lead to (t+1, (r + a) mod 3)
     task = ModSumTask(4, 3, 3, 0)
     for t in range(task.seq_len - 1):
-        for r in range(task.modulus):
+        for r in range(task.modulus) if t else (0,):  # position 0 holds residue 0
             for a in range(task.vocab_size):
-                here = task.state_id(t, r)
-                there = task.state_id(t + 1, (r + a) % task.modulus)
+                row = ([r] + [0] * (t - 1) if t else []) + [a]  # residue r at t, then a
+                row += [0] * (task.seq_len - len(row))
+                states = _episode_states(np.array([row]), task.modulus)[0]
+                here, there = states[t], states[t + 1]
                 assert here == t * task.modulus + r
                 assert there == (t + 1) * task.modulus + (r + a) % task.modulus
     # and sampled trajectories actually follow it

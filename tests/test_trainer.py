@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +103,48 @@ def test_config_json_roundtrip_and_unknown_keys(tmp_path):
         RunConfig.from_json(path)
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_json_objective_keeps_the_algorithm_defaults(algorithm):
+    # a JSON objective names only what it changes; every other field takes its
+    # algorithm's for_algorithm default, as RunConfig() and the suites do
+    doc = {"schema_version": 1, "objective": {"algorithm": algorithm}}
+    assert RunConfig.from_dict(doc).objective == ObjectiveSpec.for_algorithm(algorithm)
+    doc["objective"]["alpha"] = 0.01
+    assert RunConfig.from_dict(doc).objective == ObjectiveSpec.for_algorithm(algorithm,
+                                                                             alpha=0.01)
+
+
+def test_empty_json_objective_is_the_default_objective():
+    # ce_gppo with betas (0.5, 1.0), not ObjectiveSpec's field defaults (0, 0),
+    # under which ce_gppo's gradient is ppo's
+    for doc in ({"schema_version": 1, "objective": {}}, {"schema_version": 1}):
+        assert RunConfig.from_dict(doc).objective == RunConfig().objective
+    assert RunConfig().objective == ObjectiveSpec.for_algorithm("ce_gppo")
+
+
+# annotation -> (a value of another kind, what the refusal asks for)
+WRONG_KINDS = {"int": (True, "an integer"), "float": ("0.5", "a number"),
+               "bool": (1, "true or false"), "str | None": (5, "a path string or null")}
+
+
+@pytest.mark.parametrize("spec", [f for f in dataclasses.fields(RunConfig)
+                                  if f.type in WRONG_KINDS], ids=lambda f: f.name)
+def test_wrong_kind_value_refused(spec):
+    value, expected = WRONG_KINDS[spec.type]
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"{spec.name} must be {expected}, got {value!r}")):
+        RunConfig(**{spec.name: value})
+
+
+def test_readme_config_example_is_a_full_config():
+    # the run-configuration block parses, names every key, and shows each
+    # value as the config writes it back
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Run configuration"):]
+    doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    assert json.loads(json.dumps(RunConfig.from_dict(doc).to_dict())) == doc
+
+
 def test_holdout_target_defaults():
     config = RunConfig()
     assert config.env_config().allowed_targets() == (0, 1, 2, 3)
@@ -154,7 +198,7 @@ def test_off_policy_activation_with_mini_epochs():
 
 
 def test_determinism_byte_identical_csv(tmp_path):
-    config = _tiny(total_steps=6, out_dir=None)
+    config = _tiny(total_steps=6)
     train(config, out_dir=tmp_path / "a")
     train(config, out_dir=tmp_path / "b")
     assert (tmp_path / "a/metrics.csv").read_bytes() == (tmp_path / "b/metrics.csv").read_bytes()
@@ -175,7 +219,8 @@ def test_retired_rollout_workers_key_rejected(tmp_path):
 
 # retired key -> (whether it sat in the objective, a value it used to take)
 RETIRED_KNOBS = {"kl_ceiling": (False, 1.0), "entropy_weighting": (False, "visits"),
-                 "aggregation": (True, "token_mean"), "eps": (True, 0.2)}
+                 "aggregation": (True, "token_mean"), "eps": (True, 0.2),
+                 "out_dir": (False, "out/demo")}
 
 
 @pytest.mark.parametrize("key", sorted(RETIRED_KNOBS))
@@ -184,7 +229,8 @@ def test_retired_knob_rejected(key, tmp_path, capsys):
     # fixed-length episodes both aggregations weighed every token 1/n_tokens;
     # no suite set entropy_weighting to anything but "visits"; and every
     # algorithm clips to [1 - eps_low, 1 + eps_high], so eps was ignored by
-    # dapo, cispo and gspo and shadowed eps_low/eps_high for the others.
+    # dapo, cispo and gspo and shadowed eps_low/eps_high for the others;
+    # out_dir named the directory that train(out_dir=) / --out names.
     # A schema-v1 file carrying one fails loudly instead of being ignored.
     doc = _tiny(total_steps=4).to_dict()
     assert key not in doc and key not in doc["objective"]
@@ -420,7 +466,7 @@ def test_evaluate_optimal_policy_is_perfect():
     task = ModSumTask(8, 3, 5, 2)
     logits = np.zeros((task.num_states, 8))
     for r in range(5):
-        state = task.state_id(2, r)
+        state = 2 * task.modulus + r  # position 2, running residue r
         logits[state, (2 - r) % 5] = 60.0
     policy = TabularPolicy(logits)
     accuracy = evaluate(policy, [task], 200, named_stream(0, "opt"))
