@@ -34,7 +34,14 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A real number (no bool) that a float can hold: a 400-digit integer is not one."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def residue_set(name: str, values, modulus: int) -> tuple[int, ...]:
@@ -85,17 +92,14 @@ class EnvConfig(_Dimensions):
     vocab_size: int = 8
     seq_len: int = 6
     modulus: int = 5
-    # None -> targets drawn from all residues [0, M)
+    # None resolves to every residue [0, M), so the field is always a tuple
     train_targets: tuple[int, ...] | None = None
 
     def __post_init__(self):
         super().__post_init__()
-        if self.train_targets is not None:
-            object.__setattr__(self, "train_targets",
-                               residue_set("train_targets", self.train_targets, self.modulus))
-
-    def allowed_targets(self) -> tuple[int, ...]:
-        return self.train_targets or tuple(range(self.modulus))
+        targets = range(self.modulus) if self.train_targets is None else self.train_targets
+        object.__setattr__(self, "train_targets",
+                           residue_set("train_targets", targets, self.modulus))
 
 
 @dataclass(frozen=True)
@@ -171,8 +175,8 @@ class RolloutGroup:
 
 
 def sample_task(config: EnvConfig, rng: np.random.Generator) -> ModSumTask:
-    """Draw a task with target uniform over the config's allowed residues."""
-    targets = config.allowed_targets()
+    """Draw a task with target uniform over the config's train targets."""
+    targets = config.train_targets
     target = int(targets[rng.integers(len(targets))])
     return ModSumTask(config.vocab_size, config.seq_len, config.modulus, target)
 
@@ -220,8 +224,7 @@ def sample_episodes(policy: _SoftmaxTable, task: ModSumTask, n: int,
         actions[:, t] = picks
         residue = (residue + picks) % modulus
     states = _episode_states(actions, modulus)
-    with np.errstate(divide="ignore"):
-        logprobs = np.log(policy.probability_matrix()[states, actions])
+    logprobs = policy.log_probs(states * policy.num_actions + actions)
     return states, actions, logprobs, _rewards(actions, task)
 
 

@@ -349,12 +349,6 @@ def flat_cell_index(policy: _SoftmaxTable, states: np.ndarray,
     return states * num_actions + actions
 
 
-def _logprobs_at(policy: _SoftmaxTable, cells: np.ndarray) -> np.ndarray:
-    """log pi at flat cells of the policy's table; an underflowed 0 gives -inf."""
-    with np.errstate(divide="ignore"):
-        return np.log(policy.probability_matrix().ravel()[cells])
-
-
 def new_logprob_lookup(policy: _SoftmaxTable, states: np.ndarray,
                        actions: np.ndarray) -> np.ndarray:
     """Per-token log pi(a|s) under the live policy.
@@ -363,7 +357,7 @@ def new_logprob_lookup(policy: _SoftmaxTable, states: np.ndarray,
     identical to the snapshot yields ratios of exactly 1. Probabilities
     that underflowed to 0 map to -inf.
     """
-    return _logprobs_at(policy, flat_cell_index(policy, states, actions))
+    return policy.log_probs(flat_cell_index(policy, states, actions))
 
 
 def batch_token_terms(spec: ObjectiveSpec, batch: TokenBatch,
@@ -373,7 +367,7 @@ def batch_token_terms(spec: ObjectiveSpec, batch: TokenBatch,
     Every ratio must be finite and > 0: a live probability that underflowed
     to 0, or an old log-prob of -inf, raises ValueError.
     """
-    new_lp = _logprobs_at(policy, batch.cell_index(policy))
+    new_lp = policy.log_probs(batch.cell_index(policy))
     deltas = np.exp(new_lp - batch.old_logprobs)
     if not (np.isfinite(deltas) & (deltas > 0.0)).all():
         raise ValueError("importance ratio underflow/overflow: ratios must be finite and > 0")

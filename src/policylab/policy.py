@@ -96,6 +96,12 @@ class _SoftmaxTable:
         return self._per_version("_cdf", lambda: np.ascontiguousarray(
             np.cumsum(self.probability_matrix(), axis=1)[:, :-1]))
 
+    def log_probs(self, cells: np.ndarray) -> np.ndarray:
+        """log pi at flat cells of probability_matrix().ravel(), -inf where it underflowed
+        to 0: the one token log-prob rule, read by the sampler and the ratio lookups."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.probability_matrix().ravel()[cells])
+
     def exact_entropy(self, state: int) -> float:
         """Shannon entropy -sum pi log pi in nats, with 0*log(0) = 0."""
         return float(entropy_rows(self.action_probabilities(state)[None])[0])

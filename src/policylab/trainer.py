@@ -87,10 +87,6 @@ from .seeding import named_stream
 
 CONFIG_SCHEMA_VERSION = 1
 
-CSV_COLUMNS = ("step", "entropy_exact", "entropy_sampled", "kl", "grad_norm",
-               "mean_reward", "accuracy", "clip_left", "clip_right",
-               "frac_pahp", "frac_nalp", "frac_palp", "frac_nahp", "filtered_groups")
-
 
 class ConfigError(ValueError):
     """Invalid run configuration (CLI exit code 2)."""
@@ -227,23 +223,21 @@ class RunConfig:
             object.__setattr__(self, "train_targets", env.train_targets)
 
     def env_config(self) -> EnvConfig:
-        if self.train_targets == "all":
-            targets = None
-        elif self.train_targets is None:
-            targets = tuple(range(self.modulus - 1)) if self.modulus > 2 else None
-        else:
-            targets = self.train_targets
-        return EnvConfig(self.vocab_size, self.seq_len, self.modulus, targets)
+        targets = self.train_targets
+        if targets is None and self.modulus > 2:  # hold out the top residue
+            targets = range(self.modulus - 1)
+        return EnvConfig(self.vocab_size, self.seq_len, self.modulus,
+                         None if targets == "all" else targets)
 
     def resolved_eval_targets(self) -> tuple[int, ...]:
         if self.eval_targets is not None:
             return self.eval_targets
-        trained = set(self.env_config().allowed_targets())
+        trained = set(self.env_config().train_targets)
         held_out = tuple(t for t in range(self.modulus) if t not in trained)
         return held_out if held_out else tuple(range(self.modulus))
 
     def eval_reuses_training_targets(self) -> bool:
-        trained = set(self.env_config().allowed_targets())
+        trained = set(self.env_config().train_targets)
         return any(t in trained for t in self.resolved_eval_targets())
 
     def objective_at(self, step: int) -> ObjectiveSpec:
@@ -313,18 +307,15 @@ class StepMetrics:
     prob_unclipped_mean: float = float("nan")
     offpolicy_fraction: float = 0.0
 
-    def canonical_values(self) -> list:
-        return [getattr(self, col) for col in CSV_COLUMNS]
-
     def csv_row(self) -> str:
-        cells = []
-        for col in CSV_COLUMNS:
-            v = getattr(self, col)
-            cells.append(str(v) if isinstance(v, int) else repr(float(v)))
-        return ",".join(cells)
+        values = (getattr(self, col) for col in CSV_COLUMNS)
+        return ",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in values)
 
     def finite(self) -> bool:
-        return all(np.isfinite(v) for v in self.canonical_values())
+        return all(np.isfinite(getattr(self, col)) for col in CSV_COLUMNS)
+
+
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(StepMetrics))[:14]
 
 
 def write_metrics_csv(path: str | Path, metrics: list[StepMetrics]) -> None:
@@ -461,16 +452,27 @@ def _step(config: RunConfig, env_cfg: EnvConfig, eval_tasks: list[ModSumTask],
     return record, all_groups
 
 
+def _make_output_dir(out: Path, names: tuple[str, ...]) -> None:
+    """Make out; ConfigError if it cannot be made or a named path in it is not a regular file."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out}: {exc}") from exc
+    for path in (out / name for name in names):
+        if path.exists() and not path.is_file():
+            raise ConfigError(f"output file {path}: exists and is not a regular file")
+
+
 def train(config: RunConfig, out_dir: str | Path | None = None,
           progress: bool = False) -> RunResult:
     """Run the configured training loop; returns metrics and the final policy.
 
     Writes metrics.csv, run_manifest.json and policy.json when out_dir is
-    given, and rollouts.jsonl with log_rollouts, which without out_dir
-    raises ConfigError before step 0, as do an output directory that cannot
-    be made and an output path that exists but is not a regular file. On a stability alarm or an empty batch the
-    outputs are still written, the checkpoint holding the last good state
-    (the failing step's snapshot), and the exception is raised after.
+    given, and rollouts.jsonl with log_rollouts. ConfigError comes before
+    step 0 for log_rollouts without out_dir and for outputs _make_output_dir
+    refuses. On a stability alarm or an empty batch the outputs are still
+    written, the checkpoint holding the last good state (the failing step's
+    snapshot), and the exception is raised after.
     """
     out = Path(out_dir) if out_dir is not None else None
     if config.log_rollouts and out is None:
@@ -490,15 +492,9 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
         policy = TabularPolicy.uniform(env_cfg.num_states, env_cfg.vocab_size)
     eval_tasks = [ModSumTask(config.vocab_size, config.seq_len, config.modulus, t)
                   for t in config.resolved_eval_targets()]
-    if out is not None:  # before step 0: an output path that cannot be a directory costs no step
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"output directory {out}: {exc}") from exc
+    if out is not None:  # before step 0: an output path that cannot be written costs no step
         outputs = ("metrics.csv", "run_manifest.json", "policy.json", "rollouts.jsonl")
-        for path in (out / name for name in outputs[:3 + config.log_rollouts]):
-            if path.exists() and not path.is_file():
-                raise ConfigError(f"output file {path}: exists and is not a regular file")
+        _make_output_dir(out, outputs[:3 + config.log_rollouts])
 
     metrics: list[StepMetrics] = []
     logged_groups: list[RolloutGroup] = []
@@ -525,7 +521,7 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
         "code_version": __version__,
         "status": status,
         "steps_completed": len(metrics),
-        "train_targets": list(config.env_config().allowed_targets()),
+        "train_targets": list(config.env_config().train_targets),
         "eval_targets": list(config.resolved_eval_targets()),
         "eval_reuses_training_targets": config.eval_reuses_training_targets(),
     }
@@ -554,50 +550,36 @@ SUITE_NAMES = ("beta_sweep", "baseline_zoo", "entropy_reg", "schedule_switch")
 
 
 def suite_configs(name: str, seed: int = 0, total_steps: int = 300) -> dict[str, RunConfig]:
-    """Preconfigured comparison sets sharing one seed."""
-    base = dict(seed=seed, total_steps=total_steps)
+    """Preconfigured comparison sets sharing one seed; dapo samples dynamically."""
+    def run(algorithm: str, beta_schedule=(), **objective) -> RunConfig:
+        return RunConfig(seed=seed, total_steps=total_steps,
+                         objective=ObjectiveSpec.for_algorithm(algorithm, **objective),
+                         dynamic_sampling=algorithm == "dapo", beta_schedule=beta_schedule)
+
     if name == "beta_sweep":
-        return {
-            f"ce_gppo_b{b1}_{b2}": RunConfig(
-                objective=ObjectiveSpec.for_algorithm("ce_gppo", beta1=b1, beta2=b2), **base)
-            for b1, b2 in ((1.0, 0.5), (0.5, 1.0), (0.75, 1.0), (0.0, 1.0))
-        }
+        return {f"ce_gppo_b{b1}_{b2}": run("ce_gppo", beta1=b1, beta2=b2)
+                for b1, b2 in ((1.0, 0.5), (0.5, 1.0), (0.75, 1.0), (0.0, 1.0))}
     if name == "baseline_zoo":
-        return {
-            "grpo": RunConfig(objective=ObjectiveSpec.for_algorithm("grpo"), **base),
-            "dapo": RunConfig(objective=ObjectiveSpec.for_algorithm("dapo"),
-                              dynamic_sampling=True, **base),
-            "cispo": RunConfig(objective=ObjectiveSpec.for_algorithm("cispo"), **base),
-            "gspo": RunConfig(objective=ObjectiveSpec.for_algorithm("gspo"), **base),
-            "ce_gppo": RunConfig(objective=ObjectiveSpec.for_algorithm("ce_gppo"), **base),
-        }
+        return {algo: run(algo) for algo in ("grpo", "dapo", "cispo", "gspo", "ce_gppo")}
     if name == "entropy_reg":
-        return {
-            "grpo": RunConfig(objective=ObjectiveSpec.for_algorithm("grpo"), **base),
-            "grpo_alpha_0.001": RunConfig(
-                objective=ObjectiveSpec.for_algorithm("grpo", alpha=0.001), **base),
-            "grpo_alpha_0.003": RunConfig(
-                objective=ObjectiveSpec.for_algorithm("grpo", alpha=0.003), **base),
-            "dapo": RunConfig(objective=ObjectiveSpec.for_algorithm("dapo"),
-                              dynamic_sampling=True, **base),
-            "ce_gppo": RunConfig(objective=ObjectiveSpec.for_algorithm("ce_gppo"), **base),
-        }
+        return {"grpo": run("grpo"), "grpo_alpha_0.001": run("grpo", alpha=0.001),
+                "grpo_alpha_0.003": run("grpo", alpha=0.003), "dapo": run("dapo"),
+                "ce_gppo": run("ce_gppo")}
     if name == "schedule_switch":
-        explorer = ObjectiveSpec.for_algorithm("ce_gppo", beta1=0.0, beta2=1.0)
-        return {
-            "ce_gppo_b0_1_constant": RunConfig(objective=explorer, **base),
-            "ce_gppo_b0_1_to_b0.5_1": RunConfig(
-                objective=explorer,
-                beta_schedule=((total_steps // 2, 0.5, 1.0),), **base),
-        }
+        return {"ce_gppo_b0_1_constant": run("ce_gppo", beta1=0.0, beta2=1.0),
+                "ce_gppo_b0_1_to_b0.5_1": run("ce_gppo", ((total_steps // 2, 0.5, 1.0),),
+                                              beta1=0.0, beta2=1.0)}
     raise ConfigError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
 
 
 def run_experiment_suite(name: str, out_dir: str | Path | None = None, seed: int = 0,
                          total_steps: int = 300, progress: bool = False) -> dict:
-    """Run a named suite over a shared seed and summarize the paired runs."""
+    """Run a named suite over a shared seed and summarize the paired runs; an out_dir
+    that cannot hold summary.json raises ConfigError before the first run."""
     configs = suite_configs(name, seed=seed, total_steps=total_steps)
     out = Path(out_dir) if out_dir is not None else None
+    if out is not None:
+        _make_output_dir(out, ("summary.json",))
     summary: dict = {"suite": name, "seed": seed, "total_steps": total_steps, "runs": {}}
     for run_name, cfg in configs.items():
         run_out = out / run_name if out is not None else None
@@ -616,7 +598,6 @@ def run_experiment_suite(name: str, out_dir: str | Path | None = None, seed: int
             "steps": len(series),
         }
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
         (out / "summary.json").write_text(json.dumps(summary, indent=2))
     return summary
 

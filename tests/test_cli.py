@@ -459,7 +459,7 @@ def test_out_of_range_cli_input_exit_2(argv, tmp_path, capsys):
     (["train", "--config", "{config}", "--out", "{under_a_file}"],
      "output directory {under_a_file}: "),
     (["suite", "baseline_zoo", "--steps", "1", "--out", "{checkpoint}"],
-     "output directory {checkpoint}/grpo: "),
+     "output directory {checkpoint}: "),
     (["train", "--config", "{config}", "--out", "{csv_is_a_directory}"],
      "output file {csv_is_a_directory}/metrics.csv: "),
 ], ids=["eval_missing", "eval_no_num_actions", "eval_float_dims", "eval_int_logits",
@@ -526,6 +526,34 @@ def test_train_output_that_cannot_be_a_directory_fails_before_step_0(tmp_path, m
     (tmp_path / "run" / "rollouts.jsonl").mkdir(parents=True)
     assert main(["train", "--config", str(_write_config(tmp_path, log_rollouts=True)),
                  "--out", str(tmp_path / "run")]) == 2
+
+
+def test_suite_summary_that_is_a_directory_fails_before_the_first_run(tmp_path, monkeypatch,
+                                                                     capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(trainer, "_step", refuse)
+    (tmp_path / "suite" / "summary.json").mkdir(parents=True)
+    message = _config_error(["suite", "schedule_switch", "--steps", "1",
+                             "--out", str(tmp_path / "suite")], capsys)
+    assert message == (f"output file {tmp_path / 'suite' / 'summary.json'}: "
+                       f"exists and is not a regular file")
+
+
+TOO_BIG = 10 ** 400  # a JSON integer that no float can hold
+
+
+@pytest.mark.parametrize("doc, field", [
+    *(pytest.param({f.name: TOO_BIG}, f.name, id=f.name)
+      for f in dataclasses.fields(RunConfig) if f.type == "float"),
+    *(pytest.param({"objective": {f.name: TOO_BIG}}, f.name, id=f"objective.{f.name}")
+      for f in dataclasses.fields(ObjectiveSpec) if f.type == "float"),
+    pytest.param({"beta_schedule": [[2, 0.5, TOO_BIG]]}, "beta2", id="beta_schedule"),
+])
+def test_number_no_float_can_hold_is_refused_naming_its_field(doc, field, tmp_path, capsys):
+    message = _config_error(["train", "--config", str(_write_config(tmp_path, **doc))], capsys)
+    assert f"{field} must be a number, got {TOO_BIG}" in message
 
 
 def test_analyze_predicts_with_no_log_objects_or_parser_alive(tmp_path, monkeypatch):

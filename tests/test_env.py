@@ -65,6 +65,7 @@ def test_env_config_validation():
         with pytest.raises(ValueError, match="train_targets must be integers"):
             EnvConfig(train_targets=targets)
     assert EnvConfig(train_targets=[np.int64(3), 1]).train_targets == (3, 1)
+    assert EnvConfig().train_targets == (0, 1, 2, 3, 4)  # None resolves to every residue
     assert EnvConfig().num_states == 31
 
 

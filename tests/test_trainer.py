@@ -147,17 +147,17 @@ def test_readme_config_example_is_a_full_config():
 
 def test_holdout_target_defaults():
     config = RunConfig()
-    assert config.env_config().allowed_targets() == (0, 1, 2, 3)
+    assert config.env_config().train_targets == (0, 1, 2, 3)
     assert config.resolved_eval_targets() == (4,)
     assert not config.eval_reuses_training_targets()
 
     everything = RunConfig(train_targets="all")
-    assert everything.env_config().allowed_targets() == (0, 1, 2, 3, 4)
+    assert everything.env_config().train_targets == (0, 1, 2, 3, 4)
     assert everything.resolved_eval_targets() == (0, 1, 2, 3, 4)
     assert everything.eval_reuses_training_targets()
 
     explicit = RunConfig(train_targets=(0, 2), eval_targets=(1,))
-    assert explicit.env_config().allowed_targets() == (0, 2)
+    assert explicit.env_config().train_targets == (0, 2)
     assert explicit.resolved_eval_targets() == (1,)
 
 
@@ -293,10 +293,16 @@ def test_clip_columns_read_the_objective_branch_codes(algorithm, monkeypatch):
     assert any(m.clip_left > 0.0 or m.clip_right > 0.0 for m in metrics)
 
 
+# the 14-column CSV contract, written out rather than read off the code
+CSV_HEADER = ("step,entropy_exact,entropy_sampled,kl,grad_norm,mean_reward,accuracy,"
+              "clip_left,clip_right,frac_pahp,frac_nalp,frac_palp,frac_nahp,filtered_groups")
+
+
 def test_metrics_csv_format(tmp_path):
+    assert ",".join(CSV_COLUMNS) == CSV_HEADER
     result = train(_tiny(total_steps=3), out_dir=tmp_path)
     lines = (tmp_path / "metrics.csv").read_text().strip().split("\n")
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0] == CSV_HEADER
     assert len(lines) == 4
     first = lines[1].split(",")
     assert len(first) == len(CSV_COLUMNS)
@@ -357,7 +363,7 @@ def test_empty_batch_abort(tmp_path):
         train(config, out_dir=tmp_path / "run")
     manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
     assert (manifest["status"], manifest["steps_completed"]) == ("empty_batch_abort", 0)
-    assert (tmp_path / "run" / "metrics.csv").read_text() == ",".join(CSV_COLUMNS) + "\n"
+    assert (tmp_path / "run" / "metrics.csv").read_text() == CSV_HEADER + "\n"
     written, _ = TabularPolicy.load(tmp_path / "run" / "policy.json")
     assert np.array_equal(written.logits, TabularPolicy.load(ckpt)[0].logits)
 
@@ -502,27 +508,53 @@ def test_evaluate_empty_task_set():
 # suites
 # ---------------------------------------------------------------------------
 
+def _suites(seed: int, steps: int) -> dict[str, dict[str, RunConfig]]:
+    """Every suite written out field by field, in run order."""
+    def run(objective, **fields):
+        return RunConfig(seed=seed, total_steps=steps, objective=objective, **fields)
+
+    ce_gppo = ObjectiveSpec("ce_gppo", beta1=0.5, beta2=1.0)
+    grpo = ObjectiveSpec("grpo")
+    dapo = run(ObjectiveSpec("dapo", eps_high=0.28), dynamic_sampling=True)
+    explorer = ObjectiveSpec("ce_gppo", beta1=0.0, beta2=1.0)
+    return {
+        "beta_sweep": {
+            "ce_gppo_b1.0_0.5": run(ObjectiveSpec("ce_gppo", beta1=1.0, beta2=0.5)),
+            "ce_gppo_b0.5_1.0": run(ObjectiveSpec("ce_gppo", beta1=0.5, beta2=1.0)),
+            "ce_gppo_b0.75_1.0": run(ObjectiveSpec("ce_gppo", beta1=0.75, beta2=1.0)),
+            "ce_gppo_b0.0_1.0": run(explorer),
+        },
+        "baseline_zoo": {
+            "grpo": run(grpo),
+            "dapo": dapo,
+            "cispo": run(ObjectiveSpec("cispo")),
+            "gspo": run(ObjectiveSpec("gspo", eps_low=0.0003, eps_high=0.0004)),
+            "ce_gppo": run(ce_gppo),
+        },
+        "entropy_reg": {
+            "grpo": run(grpo),
+            "grpo_alpha_0.001": run(ObjectiveSpec("grpo", alpha=0.001)),
+            "grpo_alpha_0.003": run(ObjectiveSpec("grpo", alpha=0.003)),
+            "dapo": dapo,
+            "ce_gppo": run(ce_gppo),
+        },
+        "schedule_switch": {
+            "ce_gppo_b0_1_constant": run(explorer),
+            "ce_gppo_b0_1_to_b0.5_1": run(explorer, beta_schedule=((steps // 2, 0.5, 1.0),)),
+        },
+    }
+
+
 def test_suite_configs_contents():
-    sweep = suite_configs("beta_sweep", seed=3, total_steps=10)
-    betas = {(c.objective.beta1, c.objective.beta2) for c in sweep.values()}
-    assert betas == {(1.0, 0.5), (0.5, 1.0), (0.75, 1.0), (0.0, 1.0)}
-    assert all(c.seed == 3 for c in sweep.values())
-
-    zoo = suite_configs("baseline_zoo")
-    assert {c.objective.algorithm for c in zoo.values()} == {
-        "grpo", "dapo", "cispo", "gspo", "ce_gppo"}
-    assert zoo["dapo"].dynamic_sampling
-    assert zoo["dapo"].objective.eps_high == 0.28
-    assert zoo["gspo"].objective.eps_low == 0.0003
-
-    reg = suite_configs("entropy_reg")
-    assert {c.objective.alpha for c in reg.values()} == {0.0, 0.001, 0.003}
-
-    switch = suite_configs("schedule_switch", total_steps=100)
-    schedules = [c.beta_schedule for c in switch.values()]
-    assert ((50, 0.5, 1.0),) in schedules
-    assert () in schedules
-
+    for seed, steps in ((0, 300), (3, 12)):
+        expected = _suites(seed, steps)
+        assert trainer.SUITE_NAMES == tuple(expected)
+        for name, runs in expected.items():
+            configs = suite_configs(name, seed=seed, total_steps=steps)
+            assert list(configs.items()) == list(runs.items())  # names in order, configs equal
+            # dapo makes dynamic sampling part of the algorithm; no other run samples so
+            assert {run for run, c in configs.items() if c.dynamic_sampling} == (
+                {"dapo"} & set(configs))
     with pytest.raises(ConfigError):
         suite_configs("everything")
 
