@@ -45,15 +45,11 @@ def group_advantages(group: RolloutGroup) -> np.ndarray:
 
 
 def dynamic_sampling_filter(groups: list[RolloutGroup]) -> list[RolloutGroup]:
-    """Drop groups whose responses all share identical correctness.
-
-    Such groups carry zero normalized advantage and therefore no signal.
-    Order of the retained groups is preserved. An empty result is the
-    caller's cue to resample.
-    """
-    retained = []
-    for group in groups:
-        rewards = group.rewards
-        if rewards.max() != rewards.min():
-            retained.append(group)
-    return retained
+    """Drop the groups standardize_groups calls degenerate (std below DEGENERATE_STD):
+    their advantages are all zero, so they carry no signal (with 0/1 rewards,
+    every response shares one correctness). Groups must share a size; the
+    retained keep their order, and an empty result is the caller's cue to resample."""
+    if not groups:  # np.stack needs at least one row
+        return []
+    stds = standardize_groups(np.stack([group.rewards for group in groups]))[2]
+    return [group for group, std in zip(groups, stds) if std >= DEGENERATE_STD]

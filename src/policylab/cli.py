@@ -23,9 +23,9 @@ from .entropy_dynamics import (
     verify_predictor_convergence,
 )
 from .env import EnvConfig, ModSumTask, read_rollout_log, residue_set
-from .gradcheck import build_gradcheck_batch, check_objective_gradient
-from .objectives import ALGORITHMS, ObjectiveSpec, TokenBatch, batch_token_terms
-from .policy import TabularPolicy, state_visits, visit_weighted_mean
+from .gradcheck import DEFAULT_STEP, build_gradcheck_batch, check_objective_gradient
+from .objectives import ALGORITHMS, NUMBER_FIELDS, ObjectiveSpec, TokenBatch, batch_token_terms
+from .policy import TabularPolicy, check_table_size, state_visits, visit_weighted_mean
 from .seeding import named_stream
 from .trainer import (
     SUITE_NAMES,
@@ -105,11 +105,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    overrides = {}
-    for name in ("eps_low", "eps_high", "beta1", "beta2", "alpha"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
+    overrides = {n: getattr(args, n) for n in NUMBER_FIELDS if getattr(args, n) is not None}
     with _usage_errors():
         spec = ObjectiveSpec.for_algorithm(args.objective, **overrides)
     try:
@@ -132,14 +128,16 @@ def _cmd_entropy_predict(args) -> int:
                               "whose table gives the shape")
         policy = _load_checkpoint(args.checkpoint)
     else:
-        policy = TabularPolicy.random(args.num_states or 31, args.num_actions or 8, 1.0, rng)
+        shape = (args.num_states or 31, args.num_actions or 8)
+        with _usage_errors():
+            check_table_size(*shape, "--num-states and --num-actions")
+        policy = TabularPolicy.random(*shape, 1.0, rng)
     n_states = min(args.instances, policy.num_states)
     states = np.sort(rng.choice(policy.num_states, size=n_states, replace=False))
     adv = center_advantages(policy, states,
                             rng.normal(0.0, 1.0, (n_states, policy.num_actions)))
     predictions = predict_entropy_change(policy, states, adv, args.eta)
-    reports = verify_predictor_convergence(policy, states, adv,
-                                           [args.eta / (2 ** k) for k in range(4)])
+    reports = verify_predictor_convergence(policy, states, adv, args.eta)
     out = [{"prediction": p.to_dict(), "convergence": c.to_dict()}
            for p, c in zip(predictions, reports)]
     _emit({"seed": args.seed, "eta": args.eta, "instances": out}, args.json)
@@ -220,8 +218,9 @@ def _cmd_eval(args) -> int:
     policy = _load_checkpoint(args.checkpoint)
     # V and T read off the table, raised to the smallest valid ones: the table
     # fits this environment or no environment of this modulus
-    env = EnvConfig(max(policy.num_actions, 2),
-                    max((policy.num_states - 1) // args.modulus, 1), args.modulus)
+    with _usage_errors("--modulus: "):
+        env = EnvConfig(max(policy.num_actions, 2),
+                        max((policy.num_states - 1) // args.modulus, 1), args.modulus)
     with _usage_errors(f"checkpoint {args.checkpoint}: "):
         env.check_table(policy)
     with _usage_errors():  # no --targets value means every residue
@@ -250,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trajectories", type=_int_at_least(2), default=64)
     p.add_argument("--min-branch-count", type=_int_at_least(0), default=16)
-    p.add_argument("--h", type=_positive_float, default=1e-5)
-    for name in ("eps-low", "eps-high", "beta1", "beta2", "alpha"):
-        p.add_argument(f"--{name}", type=float, default=None)
+    p.add_argument("--h", type=_positive_float, default=DEFAULT_STEP)
+    for name in NUMBER_FIELDS:
+        p.add_argument(f"--{name.replace('_', '-')}", type=float, default=None)
     p.add_argument("--json", default=None, help="also write the report to this path")
     p.set_defaults(fn=_cmd_gradcheck)
 

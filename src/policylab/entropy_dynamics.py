@@ -96,6 +96,8 @@ def _entropy_changes(policy: _SoftmaxTable, states: Sequence[int] | np.ndarray,
     (|E_{a~pi}[A]| < 1e-9); centering is the caller's statement that the
     update really is the policy-gradient step.
     """
+    if not etas[0] > 0.0:  # the caller's eta; any others halve it
+        raise ValueError(f"eta must be > 0, got {etas[0]}")
     states = np.asarray(states, dtype=np.int64)
     probs, adv, means = _rows(policy, states, advantages)
     off = np.flatnonzero(np.abs(means[:, 0]) >= CENTERING_TOLERANCE)
@@ -133,10 +135,8 @@ def predict_entropy_change(policy: _SoftmaxTable, states: Sequence[int] | np.nda
     """Covariance prediction vs the exact post-update entropy, one per state.
 
     Row i of the (n, num_actions) advantages belongs to states[i] and must
-    be centered; see _entropy_changes.
+    be centered, and eta must be > 0; see _entropy_changes.
     """
-    if not eta > 0.0:
-        raise ValueError(f"eta must be > 0, got {eta}")
     cov, predicted, actual, _ = _entropy_changes(policy, states, advantages, [eta])
     return [EntropyPrediction(int(s), float(eta), c, p, a, abs(a - p), mode="policy_gradient")
             for s, c, p, a in zip(states, cov.tolist(), predicted[0].tolist(), actual[0].tolist())]
@@ -159,23 +159,16 @@ class ConvergenceReport:
 
 
 def verify_predictor_convergence(policy: _SoftmaxTable, states: Sequence[int] | np.ndarray,
-                                 advantages: np.ndarray, eta_sequence: Sequence[float],
-                                 ) -> list[ConvergenceReport]:
-    """Check second-order error shrinkage over a halving eta sequence, per state.
+                                 advantages: np.ndarray, eta: float) -> list[ConvergenceReport]:
+    """Check second-order error shrinkage over eta, eta/2, eta/4, eta/8, per state.
 
-    The sequence must be geometric with ratio 1/2 and have >= 4 points.
-    Passing requires the final two consecutive error ratios to land in
-    RATIO_BAND ([3, 5], around the ideal 4). Rows whose errors sit at the
-    floating-point floor, or whose entropy is below the smooth regime, are
-    tagged degenerate and excluded rather than failed: there is nothing to
-    measure there.
+    eta must be > 0. Passing requires the final two consecutive error
+    ratios to land in RATIO_BAND ([3, 5], around the ideal 4). Rows whose
+    errors sit at the floating-point floor, or whose entropy is below the
+    smooth regime, are tagged degenerate and excluded rather than failed:
+    there is nothing to measure there.
     """
-    etas = [float(e) for e in eta_sequence]
-    if len(etas) < 4:
-        raise ValueError(f"need at least 4 eta values, got {len(etas)}")
-    for a, b in zip(etas, etas[1:]):
-        if not (a > b > 0.0) or abs(a / b - 2.0) > 1e-6:
-            raise ValueError(f"eta sequence must halve at each step, got {etas}")
+    etas = [eta / 2 ** k for k in range(4)]
     _, predicted, actual, entropies = _entropy_changes(policy, states, advantages, etas)
     lo, hi = RATIO_BAND
     reports = []

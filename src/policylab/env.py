@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .policy import _SoftmaxTable
+from .policy import _SoftmaxTable, check_table_size
 
 
 def _is_int(value) -> bool:
@@ -72,6 +72,7 @@ class _Dimensions:
             raise ValueError(
                 f"invalid dimensions vocab_size={self.vocab_size} seq_len={self.seq_len} "
                 f"modulus={self.modulus}: need vocab_size >= 2, seq_len >= 1 and modulus >= 2")
+        check_table_size(self.num_states, self.vocab_size, "vocab_size, seq_len and modulus")
 
     @property
     def num_states(self) -> int:
@@ -112,8 +113,7 @@ class ModSumTask(_Dimensions):
             raise ValueError(f"target {self.target} outside [0, {self.modulus})")
 
     def to_dict(self) -> dict:
-        return {"vocab_size": self.vocab_size, "seq_len": self.seq_len,
-                "modulus": self.modulus, "target": self.target}
+        return asdict(self)
 
 
 @dataclass(eq=False)
@@ -246,8 +246,8 @@ def rollout_group(policy: _SoftmaxTable, task: ModSumTask, group_size: int,
     return RolloutGroup(task, *sample_episodes(policy, task, group_size, rng))
 
 
-_LOG_FIELDS = ("vocab_size", "seq_len", "modulus", "target", "group", "actions",
-              "old_logprobs", "reward")
+_TASK_FIELDS = tuple(f.name for f in fields(ModSumTask))
+_LOG_FIELDS = (*_TASK_FIELDS, "group", "actions", "old_logprobs", "reward")
 
 
 def write_rollout_log(path: str | Path, groups: list[RolloutGroup]) -> None:
@@ -298,7 +298,7 @@ def read_rollout_log(path: str | Path) -> list[RolloutGroup]:
                 missing = [key for key in _LOG_FIELDS if key not in doc]
                 if missing:
                     raise ValueError(f"line {number} lacks {missing}")
-                not_int = [key for key in (*_LOG_FIELDS[:5], "reward") if type(doc[key]) is not int]
+                not_int = [k for k in (*_TASK_FIELDS, "group", "reward") if type(doc[k]) is not int]
                 if not_int:
                     raise ValueError(f"line {number}: {not_int} must be integers")
                 if not (_list_of(doc["actions"], int)
@@ -318,7 +318,7 @@ def read_rollout_log(path: str | Path) -> list[RolloutGroup]:
                     raise ValueError(f"line {number}: old_logprobs must be log-probabilities "
                                      f"<= 0 (no NaN)")
                 rewards.append(doc["reward"])
-                tasks.add((doc["vocab_size"], doc["seq_len"], doc["modulus"], doc["target"]))
+                tasks.add(tuple(doc[key] for key in _TASK_FIELDS))
                 lengths.update((len(doc["actions"]), len(doc["old_logprobs"])))
     groups = []
     for gid in list(rows):

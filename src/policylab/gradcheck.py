@@ -48,9 +48,9 @@ from .objectives import (
     ObjectiveSpec,
     TokenBatch,
     _entropy_term,
-    _sequence_ratios,
     analytic_objective_gradient,
     batch_token_terms,
+    clip_ratios,
     token_weights,
 )
 from .policy import TabularPolicy, entropy_rows, softmax_rows, state_visits
@@ -256,13 +256,11 @@ def _boundary_safe_trajectories(spec: ObjectiveSpec, batch: TokenBatch,
     deltas = batch_token_terms(spec, batch, policy).deltas
     lo, hi = spec.clip_bounds()
     band = BOUNDARY_EXCLUSION_STEPS * h
-    near = (np.abs(deltas - lo) < band) | (np.abs(deltas - hi) < band)
-    near_any = near.reshape(-1, batch.seq_len).any(axis=1)
-    if spec.algorithm == "gspo":
-        # the sequence ratio is the point gspo clips
-        seq_ratio = _sequence_ratios(deltas, batch.seq_len)
-        near_any |= np.minimum(np.abs(seq_ratio - lo), np.abs(seq_ratio - hi)) < band
-    return np.flatnonzero(~near_any).tolist()
+    n = batch.n_trajectories  # row i: trajectory i's token ratios, then its clip_ratios
+    points = np.hstack([deltas.reshape(n, -1),
+                        clip_ratios(spec, deltas, batch.seq_len).reshape(n, -1)])
+    near = (np.abs(points - lo) < band) | (np.abs(points - hi) < band)
+    return np.flatnonzero(~near.any(axis=1)).tolist()
 
 
 def build_gradcheck_batch(spec: ObjectiveSpec, seed: int, n_trajectories: int = 64,

@@ -86,14 +86,14 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
-        for name in ("eps_low", "eps_high", "beta1", "beta2", "alpha"):
+        for name in NUMBER_FIELDS:
             if not _is_number(getattr(self, name)):
                 raise TypeError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0.0 < self.eps_low < 1.0:
             raise ValueError(f"eps_low must be in (0, 1), got {self.eps_low}")
         if not 0.0 < self.eps_high < math.inf:
             raise ValueError(f"eps_high must be finite and > 0, got {self.eps_high}")
-        for name in ("beta1", "beta2", "alpha"):
+        for name in NUMBER_FIELDS[2:]:  # the coefficients after the two clip widths
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
@@ -121,12 +121,16 @@ class ObjectiveSpec:
         return dataclasses.asdict(self)
 
 
-def _sequence_ratios(deltas: np.ndarray, seq_len: int) -> np.ndarray:
-    """gspo's sequence ratios exp(mean(log delta_t)), one per seq_len tokens.
+# the numeric fields in field order, which a config's objective and gradcheck's flags set
+NUMBER_FIELDS = tuple(f.name for f in dataclasses.fields(ObjectiveSpec) if f.type == "float")
 
-    A row mean of the C-contiguous (n, seq_len) view, so each row adds in
-    the order of a per-sequence mean.
-    """
+
+def clip_ratios(spec: ObjectiveSpec, deltas: np.ndarray, seq_len: int) -> np.ndarray:
+    """The ratios spec's algorithm clips: the token ratios, or gspo's sequence
+    ratios exp(mean(log delta_t)), each a row mean of the C-contiguous (n,
+    seq_len) view, so each adds in the order of a per-sequence mean."""
+    if spec.algorithm != "gspo":
+        return deltas
     return np.exp(np.log(deltas).reshape(-1, seq_len).mean(axis=1))
 
 
@@ -165,8 +169,9 @@ def clip_terms(spec: ObjectiveSpec, deltas: np.ndarray, advantages: np.ndarray,
         gated, left_side, right_side = False, (lo, lo), (hi, hi)
     else:  # ppo, grpo, dapo and gspo
         gated, left_side, right_side = True, (lo, 0.0), (hi, 0.0)
+    deltas = clip_ratios(spec, deltas, seq_len)
     if spec.algorithm == "gspo":
-        deltas, advantages = _sequence_ratios(deltas, seq_len), advantages[::seq_len]
+        advantages = advantages[::seq_len]
     left, right = deltas < lo, deltas > hi
     if gated:
         left &= advantages < 0.0

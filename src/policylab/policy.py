@@ -22,6 +22,13 @@ import numpy as np
 CHECKPOINT_SCHEMA = "tabular-policy/v1"
 
 
+def check_table_size(num_states: int, num_actions: int, names: str) -> None:
+    """The one table-size rule: every flat cell index of the table fits int64."""
+    if num_states * num_actions >= 2 ** 63:
+        raise ValueError(f"{names} make a {num_states} x {num_actions} table whose flat cell "
+                         f"index does not fit int64")
+
+
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Softmax of each row of an (n, num_actions) logit matrix, max-shifted.
 

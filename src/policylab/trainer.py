@@ -236,10 +236,6 @@ class RunConfig:
         held_out = tuple(t for t in range(self.modulus) if t not in trained)
         return held_out if held_out else tuple(range(self.modulus))
 
-    def eval_reuses_training_targets(self) -> bool:
-        trained = set(self.env_config().train_targets)
-        return any(t in trained for t in self.resolved_eval_targets())
-
     def objective_at(self, step: int) -> ObjectiveSpec:
         spec = self.objective
         for switch_step, b1, b2 in self.beta_schedule:
@@ -452,6 +448,12 @@ def _step(config: RunConfig, env_cfg: EnvConfig, eval_tasks: list[ModSumTask],
     return record, all_groups
 
 
+def _run_files(config: RunConfig) -> tuple[str, ...]:
+    """The files train writes into its out_dir."""
+    names = ("metrics.csv", "run_manifest.json", "policy.json", "rollouts.jsonl")
+    return names if config.log_rollouts else names[:3]
+
+
 def _make_output_dir(out: Path, names: tuple[str, ...]) -> None:
     """Make out; ConfigError if it cannot be made or a named path in it is not a regular file."""
     try:
@@ -490,11 +492,11 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
                                       named_stream(config.seed, "init"))
     else:
         policy = TabularPolicy.uniform(env_cfg.num_states, env_cfg.vocab_size)
-    eval_tasks = [ModSumTask(config.vocab_size, config.seq_len, config.modulus, t)
-                  for t in config.resolved_eval_targets()]
+    eval_targets = config.resolved_eval_targets()
+    eval_tasks = [ModSumTask(env_cfg.vocab_size, env_cfg.seq_len, env_cfg.modulus, t)
+                  for t in eval_targets]
     if out is not None:  # before step 0: an output path that cannot be written costs no step
-        outputs = ("metrics.csv", "run_manifest.json", "policy.json", "rollouts.jsonl")
-        _make_output_dir(out, outputs[:3 + config.log_rollouts])
+        _make_output_dir(out, _run_files(config))
 
     metrics: list[StepMetrics] = []
     logged_groups: list[RolloutGroup] = []
@@ -521,9 +523,9 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
         "code_version": __version__,
         "status": status,
         "steps_completed": len(metrics),
-        "train_targets": list(config.env_config().train_targets),
-        "eval_targets": list(config.resolved_eval_targets()),
-        "eval_reuses_training_targets": config.eval_reuses_training_targets(),
+        "train_targets": list(env_cfg.train_targets),
+        "eval_targets": list(eval_targets),
+        "eval_reuses_training_targets": not set(eval_targets).isdisjoint(env_cfg.train_targets),
     }
     if failure is not None:
         manifest["failure"] = str(failure)
@@ -575,11 +577,14 @@ def suite_configs(name: str, seed: int = 0, total_steps: int = 300) -> dict[str,
 def run_experiment_suite(name: str, out_dir: str | Path | None = None, seed: int = 0,
                          total_steps: int = 300, progress: bool = False) -> dict:
     """Run a named suite over a shared seed and summarize the paired runs; an out_dir
-    that cannot hold summary.json raises ConfigError before the first run."""
+    that cannot hold summary.json or a run's outputs raises ConfigError before
+    the first run."""
     configs = suite_configs(name, seed=seed, total_steps=total_steps)
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         _make_output_dir(out, ("summary.json",))
+        for run_name, cfg in configs.items():
+            _make_output_dir(out / run_name, _run_files(cfg))
     summary: dict = {"suite": name, "seed": seed, "total_steps": total_steps, "runs": {}}
     for run_name, cfg in configs.items():
         run_out = out / run_name if out is not None else None

@@ -100,7 +100,7 @@ def test_c03_entropy_predictor_second_order():
         n = int(rng.integers(4, 11))
         policy = TabularPolicy.random(1, n, float(rng.uniform(0.3, 1.5)), rng)
         adv = center_advantages(policy, [0], rng.normal(size=(1, n)))
-        report = verify_predictor_convergence(policy, [0], adv, etas)[0]
+        report = verify_predictor_convergence(policy, [0], adv, etas[0])[0]
         if report.degenerate:
             continue
         instances += 1

@@ -169,3 +169,4 @@ def test_dynamic_sampling_filter_examples():
     retained = dynamic_sampling_filter(batch)
     assert retained == [mixed[0], mixed[1]]
     assert dynamic_sampling_filter([all_same[0]]) == []
+    assert dynamic_sampling_filter([]) == []

@@ -26,7 +26,8 @@ from policylab import (
 from policylab import cli, entropy_dynamics, trainer
 from policylab.cli import main
 from policylab.env import RolloutGroup
-from policylab.objectives import ALGORITHMS, CODE_LEFT, CODE_RIGHT, BatchTerms
+from policylab.gradcheck import build_gradcheck_batch, check_objective_gradient
+from policylab.objectives import ALGORITHMS, CODE_LEFT, CODE_RIGHT, NUMBER_FIELDS, BatchTerms
 
 
 def _write_config(tmp_path, **overrides):
@@ -85,12 +86,20 @@ def test_train_bad_config_exit_2(tmp_path):
     ({"max_filter_retries": 2}, "max_filter_retries acts only with dynamic_sampling"),
     ({"init_logit_scale": 0.5, "init_checkpoint": "start.json"},
      "init_logit_scale does not act when init_checkpoint is set"),
+    # a table whose flat cell index does not fit int64 (never a size numpy might allocate)
+    ({"vocab_size": 10 ** 30}, f"vocab_size, seq_len and modulus make a 31 x {10 ** 30} table "
+                               f"whose flat cell index does not fit int64"),
+    ({"seq_len": 10 ** 30}, f"vocab_size, seq_len and modulus make a {5 * 10 ** 30 + 1} x 8 "
+                            f"table whose flat cell index does not fit int64"),
+    ({"modulus": 10 ** 30}, f"vocab_size, seq_len and modulus make a {6 * 10 ** 30 + 1} x 8 "
+                            f"table whose flat cell index does not fit int64"),
 ], ids=["string_beta1", "string_eps_low", "beta1_on_grpo", "schedule_on_grpo",
         "short_schedule_entry", "string_target", "negative_seed", "fractional_vocab",
         "string_flag", "numeric_path", "bool_seed", "bool_total_steps", "bool_beta1",
         "fractional_schedule_step", "bool_learning_rate", "infinite_learning_rate",
         "infinite_eps_high", "empty_eval_targets", "duplicate_eval_targets",
-        "retries_without_dynamic_sampling", "scale_with_checkpoint"])
+        "retries_without_dynamic_sampling", "scale_with_checkpoint", "oversized_vocab_size",
+        "oversized_seq_len", "oversized_modulus"])
 def test_train_malformed_config_value_exit_2(overrides, message, tmp_path, capsys):
     # a malformed value is a usage error with one line, not a traceback mid-run
     config = _write_config(tmp_path, **overrides)
@@ -462,6 +471,15 @@ def test_out_of_range_cli_input_exit_2(argv, tmp_path, capsys):
      "output directory {checkpoint}: "),
     (["train", "--config", "{config}", "--out", "{csv_is_a_directory}"],
      "output file {csv_is_a_directory}/metrics.csv: "),
+    (["eval", "{checkpoint}", "--modulus", str(10 ** 30)],
+     f"--modulus: vocab_size, seq_len and modulus make a {10 ** 30 + 1} x 8 table whose flat "
+     f"cell index does not fit int64"),
+    (["entropy-predict", "--num-states", str(10 ** 30)],
+     f"--num-states and --num-actions make a {10 ** 30} x 8 table whose flat cell index does "
+     f"not fit int64"),
+    (["entropy-predict", "--num-actions", str(10 ** 30)],
+     f"--num-states and --num-actions make a 31 x {10 ** 30} table whose flat cell index does "
+     f"not fit int64"),
 ], ids=["eval_missing", "eval_no_num_actions", "eval_float_dims", "eval_int_logits",
         "eval_null_logits", "eval_repeated_target", "eval_one_action", "eval_one_state",
         "entropy_predict_missing", "entropy_predict_shape_with_checkpoint",
@@ -470,7 +488,8 @@ def test_out_of_range_cli_input_exit_2(argv, tmp_path, capsys):
         "gradcheck_unbuildable", "gradcheck_json_unwritable",
         "entropy_predict_json_unwritable", "analyze_json_unwritable", "eval_json_unwritable",
         "train_out_is_a_file", "train_out_under_a_file", "suite_out_is_a_file",
-        "train_output_file_is_a_directory"])
+        "train_output_file_is_a_directory", "eval_oversized_modulus",
+        "entropy_predict_oversized_states", "entropy_predict_oversized_actions"])
 def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
     checkpoint = tmp_path / "policy.json"
     TabularPolicy.uniform(3 * 5 + 1, 8).save(checkpoint)
@@ -539,6 +558,40 @@ def test_suite_summary_that_is_a_directory_fails_before_the_first_run(tmp_path, 
                              "--out", str(tmp_path / "suite")], capsys)
     assert message == (f"output file {tmp_path / 'suite' / 'summary.json'}: "
                        f"exists and is not a regular file")
+
+
+def test_suite_run_directory_that_is_a_file_fails_before_the_first_run(tmp_path, capsys):
+    # cispo is baseline_zoo's third run: grpo and dapo must not train first
+    out = tmp_path / "suite"
+    out.mkdir()
+    (out / "cispo").write_text("")
+    message = _config_error(["suite", "baseline_zoo", "--steps", "1", "--out", str(out)], capsys)
+    assert message.startswith(f"output directory {out / 'cispo'}: ")
+    assert not (out / "grpo" / "metrics.csv").exists()
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_every_number_field_reaches_the_gradcheck_spec(field, tmp_path):
+    # each flag sets its field: the report is the library's for the spec with that
+    # field changed, and differs from the report without the flag
+    default = ObjectiveSpec.for_algorithm("ce_gppo")
+    value = getattr(default, field) + 0.125
+
+    def report(spec):
+        batch, policy = build_gradcheck_batch(spec, seed=1, n_trajectories=16,
+                                              min_branch_count=1)
+        return json.loads(json.dumps(
+            check_objective_gradient(spec, batch, policy, min_branch_count=1).to_dict()))
+
+    path = tmp_path / "report.json"
+    rc = main(["gradcheck", "--objective", "ce_gppo", f"--{field.replace('_', '-')}", str(value),
+               "--seed", "1", "--trajectories", "16", "--min-branch-count", "1",
+               "--json", str(path)])
+    expected = report(ObjectiveSpec.for_algorithm("ce_gppo", **{field: value}))
+    assert rc == (0 if expected["passed"] else 1)
+    assert json.loads(path.read_text()) == expected
+    assert expected != report(default)
 
 
 TOO_BIG = 10 ** 400  # a JSON integer that no float can hold

@@ -118,7 +118,7 @@ def test_row_functions_equal_per_state_reference_on_full_support():
         adv = center_advantages(policy, states, raw)
         cov = entropy_covariance(policy, states, adv)
         predictions = predict_entropy_change(policy, states, adv, ETAS[0])
-        reports = verify_predictor_convergence(policy, states, adv, ETAS)
+        reports = verify_predictor_convergence(policy, states, adv, ETAS[0])
         for s in states.tolist():
             centered = _center_ref(policy, s, raw[s])
             assert np.array_equal(adv[s], centered)
@@ -330,7 +330,7 @@ def test_sign_semantics_boost_most_and_least_probable():
 def test_convergence_quadratic_shrinkage():
     policy = TabularPolicy.random(1, 8, 1.0, named_stream(4, "conv"))
     adv = _one(center_advantages, policy, named_stream(4, "conv-adv").normal(size=8))
-    report = _one(verify_predictor_convergence, policy, adv, [0.04, 0.02, 0.01, 0.005])
+    report = _one(verify_predictor_convergence, policy, adv, 0.04)
     assert report.passed and not report.degenerate
     assert len(report.ratios) == 3
     for ratio in report.ratios[-2:]:
@@ -339,7 +339,7 @@ def test_convergence_quadratic_shrinkage():
 
 def test_convergence_zero_advantages_degenerate():
     policy = TabularPolicy.random(1, 6, 1.0, named_stream(5, "conv0"))
-    report = _one(verify_predictor_convergence, policy, np.zeros(6), [0.04, 0.02, 0.01, 0.005])
+    report = _one(verify_predictor_convergence, policy, np.zeros(6), 0.04)
     assert report.passed and report.degenerate
     assert "floor" in report.reason
 
@@ -347,24 +347,24 @@ def test_convergence_zero_advantages_degenerate():
 def test_convergence_near_deterministic_policy_excluded():
     policy = TabularPolicy(np.array([[200.0, 0.0, 0.0]]))
     assert policy.exact_entropy(0) < 1e-6
-    report = _one(verify_predictor_convergence, policy, np.zeros(3), [0.04, 0.02, 0.01, 0.005])
+    report = _one(verify_predictor_convergence, policy, np.zeros(3), 0.04)
     assert report.degenerate
     assert "entropy" in report.reason
 
 
 def test_convergence_sequence_validation():
+    # the check builds eta, eta/2, eta/4, eta/8 itself; a first eta <= 0 is refused
     policy = TabularPolicy.uniform(1, 4)
-    with pytest.raises(ValueError):
-        _one(verify_predictor_convergence, policy, np.zeros(4), [0.04, 0.02, 0.01])
-    with pytest.raises(ValueError):
-        _one(verify_predictor_convergence, policy, np.zeros(4), [0.04, 0.03, 0.02, 0.01])
+    for eta in (0.0, -0.04, float("nan")):
+        with pytest.raises(ValueError, match="eta must be > 0"):
+            _one(verify_predictor_convergence, policy, np.zeros(4), eta)
 
 
 def test_convergence_failure_reports_measured_sequence():
     # a sequence of etas too large for the first-order regime on a sharp policy
     policy = _policy_from_probs([0.97, 0.01, 0.01, 0.01])
     adv = _one(center_advantages, policy, np.array([5.0, -30.0, 20.0, -10.0]))
-    report = _one(verify_predictor_convergence, policy, adv, [16.0, 8.0, 4.0, 2.0])
+    report = _one(verify_predictor_convergence, policy, adv, 16.0)
     assert not report.passed
     assert not report.degenerate
     assert "measured sequence" in report.reason

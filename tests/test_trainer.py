@@ -146,19 +146,24 @@ def test_readme_config_example_is_a_full_config():
 
 
 def test_holdout_target_defaults():
+    def reuses(config):  # what a 1-step run's manifest says
+        manifest = train(dataclasses.replace(config, total_steps=1)).manifest
+        return manifest["eval_reuses_training_targets"]
+
     config = RunConfig()
     assert config.env_config().train_targets == (0, 1, 2, 3)
     assert config.resolved_eval_targets() == (4,)
-    assert not config.eval_reuses_training_targets()
+    assert not reuses(config)
 
     everything = RunConfig(train_targets="all")
     assert everything.env_config().train_targets == (0, 1, 2, 3, 4)
     assert everything.resolved_eval_targets() == (0, 1, 2, 3, 4)
-    assert everything.eval_reuses_training_targets()
+    assert reuses(everything)
 
     explicit = RunConfig(train_targets=(0, 2), eval_targets=(1,))
     assert explicit.env_config().train_targets == (0, 2)
     assert explicit.resolved_eval_targets() == (1,)
+    assert not reuses(explicit)
 
 
 def test_beta_schedule_switching():
