@@ -22,7 +22,7 @@ from .entropy_dynamics import (
     quadrant_stats_arrays,
     verify_predictor_convergence,
 )
-from .env import EnvConfig, ModSumTask, read_rollout_log, residue_set
+from .env import ModSumTask, _Dimensions, read_rollout_log, residue_set
 from .gradcheck import DEFAULT_STEP, build_gradcheck_batch, check_objective_gradient
 from .objectives import ALGORITHMS, NUMBER_FIELDS, ObjectiveSpec, TokenBatch, batch_token_terms
 from .policy import TabularPolicy, check_table_size, state_visits, visit_weighted_mean
@@ -217,10 +217,11 @@ def _cmd_suite(args) -> int:
 def _cmd_eval(args) -> int:
     policy = _load_checkpoint(args.checkpoint)
     # V and T read off the table, raised to the smallest valid ones: the table
-    # fits this environment or no environment of this modulus
+    # fits this shape or no environment of this modulus. No train targets are
+    # built, so a modulus the table cannot fit is refused before any residue set
     with _usage_errors("--modulus: "):
-        env = EnvConfig(max(policy.num_actions, 2),
-                        max((policy.num_states - 1) // args.modulus, 1), args.modulus)
+        env = _Dimensions(max(policy.num_actions, 2),
+                          max((policy.num_states - 1) // args.modulus, 1), args.modulus)
     with _usage_errors(f"checkpoint {args.checkpoint}: "):
         env.check_table(policy)
     with _usage_errors():  # no --targets value means every residue

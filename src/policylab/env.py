@@ -46,8 +46,12 @@ def _is_number(value) -> bool:
 
 def residue_set(name: str, values, modulus: int) -> tuple[int, ...]:
     """The one residue-set rule: values as a tuple of one or more distinct ints in
-    [0, modulus); anything else (a bool included) raises ValueError naming the field."""
-    values = tuple(values)
+    [0, modulus); anything else (a bool or a non-iterable included) raises ValueError
+    naming the field."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a list of integers, got {values!r}") from None
     if not all(map(_is_int, values)):
         raise ValueError(f"{name} must be integers, got {list(values)}")
     residues = tuple(map(int, values))

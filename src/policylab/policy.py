@@ -13,6 +13,7 @@ an objective J to be maximized (ascent), never a negated loss.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -20,13 +21,18 @@ from typing import Callable
 import numpy as np
 
 CHECKPOINT_SCHEMA = "tabular-policy/v1"
+PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")  # bytes, read once
 
 
 def check_table_size(num_states: int, num_actions: int, names: str) -> None:
-    """The one table-size rule: every flat cell index of the table fits int64."""
+    """The one table-size rule: every flat cell index of the table fits int64, and
+    its float64 logits fit the machine's physical memory."""
     if num_states * num_actions >= 2 ** 63:
         raise ValueError(f"{names} make a {num_states} x {num_actions} table whose flat cell "
                          f"index does not fit int64")
+    if 8 * num_states * num_actions > PHYSICAL_MEMORY:
+        raise ValueError(f"{names} make a {num_states} x {num_actions} table whose float64 "
+                         f"logits exceed the {PHYSICAL_MEMORY} bytes of physical memory")
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

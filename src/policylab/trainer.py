@@ -76,7 +76,6 @@ from .objectives import (
     CODE_INTERIOR,
     CODE_LEFT,
     CODE_RIGHT,
-    BatchTerms,
     ObjectiveSpec,
     TokenBatch,
     analytic_objective_gradient,
@@ -341,46 +340,6 @@ def evaluate(policy: TabularPolicy, tasks: list[ModSumTask], samples_per_prompt:
     return total / (len(tasks) * samples_per_prompt)
 
 
-class _StepAccumulator:
-    """One step's statistics: per-pass clip/off-policy counts and sums, batch quadrants."""
-
-    def __init__(self, quadrant_fractions: dict[str, float]):
-        self.quadrant_fractions = quadrant_fractions
-        self.grad_norms: list[float] = []
-        self.code_counts = np.zeros(3, dtype=np.int64)
-        self.code_prob_sums = np.zeros(3)
-        self.offpolicy_tokens = 0
-        self.late_pass_tokens = 0
-
-    def add(self, terms: BatchTerms, old_probs: np.ndarray, grad: np.ndarray,
-            late_pass: bool) -> None:
-        self.code_counts += np.bincount(terms.branch_codes, minlength=3)
-        self.code_prob_sums += np.bincount(terms.branch_codes, weights=old_probs, minlength=3)
-        self.grad_norms.append(float(np.linalg.norm(grad)))
-        if late_pass:
-            self.offpolicy_tokens += int((terms.deltas != 1.0).sum())
-            self.late_pass_tokens += len(terms.deltas)
-
-    def summarize(self) -> dict:
-        counts, sums, fractions = self.code_counts, self.code_prob_sums, self.quadrant_fractions
-        n_clipped = counts[CODE_LEFT] + counts[CODE_RIGHT]
-        return {
-            "grad_norm": float(np.mean(self.grad_norms)),
-            "clip_left": float(counts[CODE_LEFT] / counts.sum()),
-            "clip_right": float(counts[CODE_RIGHT] / counts.sum()),
-            "frac_pahp": fractions["pa_hp"],
-            "frac_nalp": fractions["na_lp"],
-            "frac_palp": fractions["pa_lp"],
-            "frac_nahp": fractions["na_hp"],
-            "prob_clipped_mean": (float((sums[CODE_LEFT] + sums[CODE_RIGHT]) / n_clipped)
-                                  if n_clipped else float("nan")),
-            "prob_unclipped_mean": (float(sums[CODE_INTERIOR] / counts[CODE_INTERIOR])
-                                    if counts[CODE_INTERIOR] else float("nan")),
-            "offpolicy_fraction": (self.offpolicy_tokens / self.late_pass_tokens
-                                   if self.late_pass_tokens else 0.0),
-        }
-
-
 def _step(config: RunConfig, env_cfg: EnvConfig, eval_tasks: list[ModSumTask],
           policy: TabularPolicy, step: int) -> tuple[StepMetrics, list[RolloutGroup]]:
     """One training step from the policy as it stands; updates policy in place.
@@ -417,11 +376,13 @@ def _step(config: RunConfig, env_cfg: EnvConfig, eval_tasks: list[ModSumTask],
     entropy_exact = visit_weighted_mean(entropy_rows(snapshot_rows), visit_counts)
 
     batch = TokenBatch.from_groups(retained)
-    acc = _StepAccumulator(quadrant_taxonomy(
-        batch.advantages, np.exp(batch.old_logprobs), 1.0 / config.vocab_size)[1])
     update_rng = named_stream(config.seed, "update", step)
     n_traj = batch.n_trajectories
     chunk = max(1, round(config.minibatch_fraction * n_traj))
+    # per-pass sums: branch-code counts and rollout-time probabilities per code,
+    # update norms, and off-policy tokens of the passes from the second mini-epoch on
+    counts, prob_sums, grad_norms = np.zeros(3, dtype=np.int64), np.zeros(3), []
+    offpolicy_tokens = late_pass_tokens = 0
     try:
         batch.cell_index(policy)  # checked once; gathers and slices inherit it
         for epoch in range(config.mini_epochs):
@@ -430,7 +391,13 @@ def _step(config: RunConfig, env_cfg: EnvConfig, eval_tasks: list[ModSumTask],
                 sub = shuffled.rows(start, start + chunk)
                 terms = batch_token_terms(spec, sub, policy)
                 _, grad = analytic_objective_gradient(spec, sub, policy, terms)
-                acc.add(terms, np.exp(sub.old_logprobs), grad, late_pass=epoch >= 1)
+                counts += np.bincount(terms.branch_codes, minlength=3)
+                prob_sums += np.bincount(terms.branch_codes, weights=np.exp(sub.old_logprobs),
+                                         minlength=3)
+                grad_norms.append(float(np.linalg.norm(grad)))
+                if epoch >= 1:
+                    offpolicy_tokens += int((terms.deltas != 1.0).sum())
+                    late_pass_tokens += len(terms.deltas)
                 policy.apply_gradient(grad, config.learning_rate)
         kl = visit_weighted_mean(
             kl_rows(snapshot_rows, policy.probability_matrix()[visited]), visit_counts)
@@ -439,10 +406,22 @@ def _step(config: RunConfig, env_cfg: EnvConfig, eval_tasks: list[ModSumTask],
 
     accuracy = evaluate(policy, eval_tasks, config.eval_samples,
                         named_stream(config.seed, "eval", step))
+    fractions = quadrant_taxonomy(batch.advantages, np.exp(batch.old_logprobs),
+                                  1.0 / config.vocab_size)[1]
+    n_clipped = counts[CODE_LEFT] + counts[CODE_RIGHT]
     record = StepMetrics(
-        step=step, entropy_exact=entropy_exact, entropy_sampled=entropy_sampled,
-        kl=kl, mean_reward=mean_reward, accuracy=accuracy,
-        filtered_groups=filtered_groups, **acc.summarize())
+        step=step, entropy_exact=entropy_exact, entropy_sampled=entropy_sampled, kl=kl,
+        grad_norm=float(np.mean(grad_norms)), mean_reward=mean_reward, accuracy=accuracy,
+        clip_left=float(counts[CODE_LEFT] / counts.sum()),
+        clip_right=float(counts[CODE_RIGHT] / counts.sum()),
+        frac_pahp=fractions["pa_hp"], frac_nalp=fractions["na_lp"],
+        frac_palp=fractions["pa_lp"], frac_nahp=fractions["na_hp"],
+        filtered_groups=filtered_groups,
+        prob_clipped_mean=(float((prob_sums[CODE_LEFT] + prob_sums[CODE_RIGHT]) / n_clipped)
+                           if n_clipped else float("nan")),
+        prob_unclipped_mean=(float(prob_sums[CODE_INTERIOR] / counts[CODE_INTERIOR])
+                             if counts[CODE_INTERIOR] else float("nan")),
+        offpolicy_fraction=(offpolicy_tokens / late_pass_tokens if late_pass_tokens else 0.0))
     if not record.finite():
         raise StabilityAlarm(f"stability alarm at step {step}: non-finite value in step metrics")
     return record, all_groups

@@ -23,7 +23,7 @@ from policylab import (
     suite_configs,
     train,
 )
-from policylab import cli, entropy_dynamics, trainer
+from policylab import cli, entropy_dynamics, env, trainer
 from policylab.cli import main
 from policylab.env import RolloutGroup
 from policylab.gradcheck import build_gradcheck_batch, check_objective_gradient
@@ -53,12 +53,15 @@ def test_train_and_eval_roundtrip(tmp_path, capsys):
     assert doc["avg_at"] == 16
 
 
-def test_train_bad_config_exit_2(tmp_path):
+def test_train_bad_config_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema_version": 1, "learning_rte": 1.0}))
     assert main(["train", "--config", str(path)]) == 2
     path.write_text("{")
     assert main(["train", "--config", str(path)]) == 2
+    path.write_text("[1]")
+    assert main(["train", "--config", str(path)]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -93,13 +96,26 @@ def test_train_bad_config_exit_2(tmp_path):
                             f"table whose flat cell index does not fit int64"),
     ({"modulus": 10 ** 30}, f"vocab_size, seq_len and modulus make a {6 * 10 ** 30 + 1} x 8 "
                             f"table whose flat cell index does not fit int64"),
+    # tables whose flat index fits int64 but whose logits fit no machine's memory
+    ({"modulus": 10 ** 12}, f"vocab_size, seq_len and modulus make a {6 * 10 ** 12 + 1} x 8 "
+                            f"table whose float64 logits exceed the"),
+    ({"vocab_size": 10 ** 6, "seq_len": 10 ** 6, "modulus": 10 ** 6},
+     f"vocab_size, seq_len and modulus make a {10 ** 12 + 1} x {10 ** 6} table whose float64 "
+     f"logits exceed the"),
+    ({"train_targets": 5}, "train_targets must be a list of integers, got 5"),
+    ({"eval_targets": 5}, "eval_targets must be a list of integers, got 5"),
+    ({"objective": 3}, "objective must be an object"),
+    ({"init_logit_scale": -0.5}, "init_logit_scale must be finite and >= 0, got -0.5"),
+    ({"init_logit_scale": float("nan")}, "init_logit_scale must be finite and >= 0, got nan"),
 ], ids=["string_beta1", "string_eps_low", "beta1_on_grpo", "schedule_on_grpo",
         "short_schedule_entry", "string_target", "negative_seed", "fractional_vocab",
         "string_flag", "numeric_path", "bool_seed", "bool_total_steps", "bool_beta1",
         "fractional_schedule_step", "bool_learning_rate", "infinite_learning_rate",
         "infinite_eps_high", "empty_eval_targets", "duplicate_eval_targets",
         "retries_without_dynamic_sampling", "scale_with_checkpoint", "oversized_vocab_size",
-        "oversized_seq_len", "oversized_modulus"])
+        "oversized_seq_len", "oversized_modulus", "unallocatable_modulus",
+        "unallocatable_table", "int_train_targets", "int_eval_targets", "numeric_objective",
+        "negative_init_logit_scale", "nan_init_logit_scale"])
 def test_train_malformed_config_value_exit_2(overrides, message, tmp_path, capsys):
     # a malformed value is a usage error with one line, not a traceback mid-run
     config = _write_config(tmp_path, **overrides)
@@ -413,6 +429,7 @@ def test_analyze_prob_threshold_zero_means_zero(tmp_path, capsys):
     ["gradcheck", "--h", "0"],
     ["gradcheck", "--trajectories", "1"],
     ["gradcheck", "--seed", "-1"],
+    ["gradcheck", "--seed", "abc"],
     ["gradcheck", "--min-branch-count", "-3"],
     ["gradcheck", "--eps-high", "inf"],
 ], ids=lambda argv: " ".join(a for a in argv if not a.startswith("{")))
@@ -480,6 +497,12 @@ def test_out_of_range_cli_input_exit_2(argv, tmp_path, capsys):
     (["entropy-predict", "--num-actions", str(10 ** 30)],
      f"--num-states and --num-actions make a 31 x {10 ** 30} table whose flat cell index does "
      f"not fit int64"),
+    (["eval", "{checkpoint}", "--modulus", str(10 ** 12)],
+     f"--modulus: vocab_size, seq_len and modulus make a {10 ** 12 + 1} x 8 table whose "
+     f"float64 logits exceed the"),
+    (["entropy-predict", "--num-states", str(10 ** 6), "--num-actions", str(10 ** 6)],
+     f"--num-states and --num-actions make a {10 ** 6} x {10 ** 6} table whose float64 "
+     f"logits exceed the"),
 ], ids=["eval_missing", "eval_no_num_actions", "eval_float_dims", "eval_int_logits",
         "eval_null_logits", "eval_repeated_target", "eval_one_action", "eval_one_state",
         "entropy_predict_missing", "entropy_predict_shape_with_checkpoint",
@@ -489,7 +512,8 @@ def test_out_of_range_cli_input_exit_2(argv, tmp_path, capsys):
         "entropy_predict_json_unwritable", "analyze_json_unwritable", "eval_json_unwritable",
         "train_out_is_a_file", "train_out_under_a_file", "suite_out_is_a_file",
         "train_output_file_is_a_directory", "eval_oversized_modulus",
-        "entropy_predict_oversized_states", "entropy_predict_oversized_actions"])
+        "entropy_predict_oversized_states", "entropy_predict_oversized_actions",
+        "eval_unallocatable_modulus", "entropy_predict_unallocatable_table"])
 def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
     checkpoint = tmp_path / "policy.json"
     TabularPolicy.uniform(3 * 5 + 1, 8).save(checkpoint)
@@ -531,6 +555,18 @@ def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
     assert err.startswith("config error:") and err.count("\n") == 1
     assert message in err
     assert "Traceback" not in err
+
+
+def test_eval_checks_the_table_before_building_any_residue_set(tmp_path, monkeypatch, capsys):
+    # eval reads no train targets, so a modulus the table does not fit costs no residue set
+    def refuse(*args):
+        raise AssertionError("a residue set was built")
+
+    monkeypatch.setattr(cli, "residue_set", refuse)
+    monkeypatch.setattr(env, "residue_set", refuse)
+    TabularPolicy.uniform(3 * 5 + 1, 8).save(tmp_path / "policy.json")
+    assert main(["eval", str(tmp_path / "policy.json"), "--modulus", "7"]) == 2
+    assert "does not match state space" in capsys.readouterr().err
 
 
 def test_train_output_that_cannot_be_a_directory_fails_before_step_0(tmp_path, monkeypatch):

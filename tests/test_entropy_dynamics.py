@@ -381,6 +381,12 @@ def test_quadrant_stats_all_unit_ratios():
     assert stats.right_clip_fraction == 0.0
 
 
+def test_quadrant_stats_refuse_an_empty_batch():
+    with pytest.raises(ValueError, match="empty token batch"):
+        quadrant_stats_arrays(np.zeros(0), np.zeros(0), np.zeros(0),
+                              np.zeros(0, dtype=np.int64), 0.125)
+
+
 def test_quadrant_stats_constructed_right_clip_fraction():
     # 10% of tokens at delta 1.5 with positive advantage
     deltas = np.ones(100)

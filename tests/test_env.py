@@ -18,7 +18,7 @@ from policylab import (
     verify_reward,
     write_rollout_log,
 )
-from policylab.env import _episode_states
+from policylab.env import RolloutGroup, _episode_states
 from policylab.seeding import stream_key
 
 
@@ -64,7 +64,14 @@ def test_env_config_validation():
     for targets in ((1.5, 2.9), (True,), ("1",)):
         with pytest.raises(ValueError, match="train_targets must be integers"):
             EnvConfig(train_targets=targets)
+    with pytest.raises(ValueError, match="train_targets must be a list of integers, got 5"):
+        EnvConfig(train_targets=5)
     assert EnvConfig(train_targets=[np.int64(3), 1]).train_targets == (3, 1)
+    # a table no machine can hold is refused before the targets are built: sizes that
+    # allocate nothing, 10**18 cells (8 EB) and a modulus of 10**12 (a 384 TB table)
+    for dims in ((10 ** 6, 10 ** 6, 10 ** 6), (8, 6, 10 ** 12)):
+        with pytest.raises(ValueError, match="table whose float64 logits exceed the"):
+            EnvConfig(*dims)
     assert EnvConfig().train_targets == (0, 1, 2, 3, 4)  # None resolves to every residue
     assert EnvConfig().num_states == 31
 
@@ -208,6 +215,12 @@ def test_rollout_group_errors():
     small = TabularPolicy.uniform(7, 8)
     with pytest.raises(ValueError, match="state space"):
         rollout_group(small, task, 4, named_stream(0, "x"))
+    group = rollout_group(policy, task, 4, named_stream(0, "x"))
+    for name in ("states", "actions", "old_logprobs"):  # each (G, T) array, cut short
+        arrays = {n: getattr(group, n) for n in ("states", "actions", "old_logprobs")}
+        arrays[name] = arrays[name][:, :-1]
+        with pytest.raises(ValueError, match=r"episode arrays must all have shape \(4, 6\)"):
+            RolloutGroup(task, rewards=group.rewards, **arrays)
 
 
 def test_uniform_policy_mean_reward_matches_enumeration_oracle():

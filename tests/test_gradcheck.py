@@ -368,6 +368,27 @@ def test_branch_coverage_rejection():
     assert report.branch_counts  # diagnostic includes the observed counts
 
 
+def test_flagged_coordinates_leave_the_error(monkeypatch):
+    # a coordinate numeric_gradient flags is listed and excluded, however wrong its entry
+    spec = _spec("ce_gppo")
+    batch, policy = build_gradcheck_batch(spec, seed=3, n_trajectories=16, min_branch_count=1)
+    numeric_gradient = gradcheck.numeric_gradient
+    cell = (int(batch.states[0]), int(batch.actions[0]))
+
+    def flag_one(evaluator, policy, h):
+        grad, flagged = numeric_gradient(evaluator, policy, h)
+        grad[cell] = 1e6
+        return grad, flagged + [cell]
+
+    clean = check_objective_gradient(spec, batch, policy)
+    monkeypatch.setattr(gradcheck, "numeric_gradient", flag_one)
+    report = check_objective_gradient(spec, batch, policy)
+    assert clean.passed and clean.flagged_coordinates == []
+    assert report.passed and report.flagged_coordinates == [cell]
+    assert report.max_abs_error <= clean.max_abs_error
+    assert report.n_coordinates == clean.n_coordinates - 1
+
+
 def test_builder_failure_when_no_attempt_keeps_two_trajectories():
     # one trajectory per attempt can never make a 2-trajectory batch
     with pytest.raises(RuntimeError, match="no attempt kept 2 boundary-safe trajectories"):

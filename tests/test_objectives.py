@@ -583,6 +583,9 @@ def test_token_batch_rejects_partial_trajectories():
     with pytest.raises(ValueError, match="whole number"):
         TokenBatch(np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64),
                    np.zeros(4), np.zeros(4), seq_len=0)
+    with pytest.raises(ValueError, match="token arrays must share a length"):
+        TokenBatch(np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64),
+                   np.zeros(4), np.zeros(3), seq_len=2)
 
 
 def test_from_trajectories_rejects_mixed_lengths():
@@ -590,6 +593,8 @@ def test_from_trajectories_rejects_mixed_lengths():
     long = Trajectory(ModSumTask(8, 3, 5, 0), [1, 2, 2], [-1.0] * 3, [0, 1, 8], 1)
     with pytest.raises(ValueError, match="mixed lengths"):
         TokenBatch.from_trajectories([short, long], [1.0, -1.0])
+    with pytest.raises(ValueError, match="one advantage per trajectory required"):
+        TokenBatch.from_trajectories([long, long], [1.0])
     batch = TokenBatch.from_trajectories([long, long], [1.0, -1.0])
     assert batch.seq_len == 3 and batch.n_trajectories == 2
 

@@ -257,6 +257,16 @@ def test_checkpoint_dimension_must_be_positive_integer(key, value, tmp_path):
         TabularPolicy.load(path)
 
 
+def test_checkpoint_logit_count_must_match_dimensions(tmp_path):
+    path = tmp_path / "policy.json"
+    TabularPolicy.uniform(2, 3).save(path)
+    doc = json.loads(path.read_text())
+    doc["logits"] = doc["logits"][:-1]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="checkpoint logit count does not match dimensions"):
+        TabularPolicy.load(path)
+
+
 @pytest.mark.parametrize("logits", [3, "0.5", None, [None] * 6, ["a"] * 6, [True] * 6,
                                     [[0.0] * 3] * 2, [10 ** 400] * 6,
                                     # a bad last entry, after load has converted good ones
