@@ -22,7 +22,7 @@ from .entropy_dynamics import (
     quadrant_stats_arrays,
     verify_predictor_convergence,
 )
-from .env import ModSumTask, _Dimensions, read_rollout_log, residue_set
+from .env import EnvConfig, _Dimensions, read_rollout_log, residue_set
 from .gradcheck import DEFAULT_STEP, build_gradcheck_batch, check_objective_gradient
 from .objectives import ALGORITHMS, NUMBER_FIELDS, ObjectiveSpec, TokenBatch, batch_token_terms
 from .policy import TabularPolicy, check_table_size, state_visits, visit_weighted_mean
@@ -99,8 +99,8 @@ def _cmd_train(args) -> int:
     last = result.metrics[-1]
     print(f"completed {len(result.metrics)} steps: entropy={last.entropy_exact:.4f} "
           f"reward={last.mean_reward:.3f} accuracy={last.accuracy:.3f}")
-    if result.out_dir is not None:
-        print(f"outputs in {result.out_dir}")
+    if args.out is not None:
+        print(f"outputs in {Path(args.out)}")
     return EXIT_OK
 
 
@@ -108,6 +108,7 @@ def _cmd_gradcheck(args) -> int:
     overrides = {n: getattr(args, n) for n in NUMBER_FIELDS if getattr(args, n) is not None}
     with _usage_errors():
         spec = ObjectiveSpec.for_algorithm(args.objective, **overrides)
+        EnvConfig().check_samples(args.trajectories, "--trajectories")
     try:
         batch, policy = build_gradcheck_batch(
             spec, seed=args.seed, n_trajectories=args.trajectories,
@@ -226,8 +227,9 @@ def _cmd_eval(args) -> int:
         env.check_table(policy)
     with _usage_errors():  # no --targets value means every residue
         targets = residue_set("targets", args.targets or range(args.modulus), args.modulus)
-    tasks = [ModSumTask(env.vocab_size, env.seq_len, env.modulus, t) for t in targets]
-    accuracy = evaluate(policy, tasks, args.samples, named_stream(args.seed, "eval-cli"))
+        env.check_samples(args.samples, "--samples")
+    accuracy = evaluate(policy, [env.task(t) for t in targets], args.samples,
+                        named_stream(args.seed, "eval-cli"))
     _emit({"accuracy": accuracy, "targets": targets, "samples_per_prompt": args.samples,
            "avg_at": args.samples, "seed": args.seed}, args.json)
     return EXIT_OK

@@ -89,6 +89,14 @@ class _Dimensions:
                 f"policy table ({table.num_states} states, {table.num_actions} actions) does "
                 f"not match state space ({self.num_states} states, {self.vocab_size} actions)")
 
+    def check_samples(self, episodes: int, names: str) -> None:
+        """The one sample-size rule: n episodes are (n, T) arrays, bounded as a table is."""
+        check_table_size(episodes, self.seq_len, names, "sample array", "log-probs")
+
+    def task(self, target: int) -> ModSumTask:
+        """The one task rule: the task of this shape whose target residue is target."""
+        return ModSumTask(self.vocab_size, self.seq_len, self.modulus, target)
+
 
 @dataclass(frozen=True)
 class EnvConfig(_Dimensions):
@@ -181,8 +189,7 @@ class RolloutGroup:
 def sample_task(config: EnvConfig, rng: np.random.Generator) -> ModSumTask:
     """Draw a task with target uniform over the config's train targets."""
     targets = config.train_targets
-    target = int(targets[rng.integers(len(targets))])
-    return ModSumTask(config.vocab_size, config.seq_len, config.modulus, target)
+    return config.task(int(targets[rng.integers(len(targets))]))
 
 
 def verify_reward(trajectory: Trajectory) -> int:
@@ -296,7 +303,10 @@ def read_rollout_log(path: str | Path) -> list[RolloutGroup]:
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
             if line.strip():
-                doc = json.loads(line)
+                try:
+                    doc = json.loads(line)
+                except json.JSONDecodeError as exc:  # its "line 1" is the parser's, not the file's
+                    raise ValueError(f"line {number}: {exc}") from exc
                 if not isinstance(doc, dict):
                     raise ValueError(f"line {number} is not a JSON object")
                 missing = [key for key in _LOG_FIELDS if key not in doc]

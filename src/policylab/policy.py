@@ -24,15 +24,17 @@ CHECKPOINT_SCHEMA = "tabular-policy/v1"
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")  # bytes, read once
 
 
-def check_table_size(num_states: int, num_actions: int, names: str) -> None:
-    """The one table-size rule: every flat cell index of the table fits int64, and
-    its float64 logits fit the machine's physical memory."""
-    if num_states * num_actions >= 2 ** 63:
-        raise ValueError(f"{names} make a {num_states} x {num_actions} table whose flat cell "
+def check_table_size(rows: int, columns: int, names: str, table: str = "table",
+                     entries: str = "logits") -> None:
+    """The one array-size rule: every flat cell index of a rows x columns array fits
+    int64, and its float64 entries fit the machine's physical memory. The array is a
+    policy table and its entries logits unless the caller names others."""
+    if rows * columns >= 2 ** 63:
+        raise ValueError(f"{names} make a {rows} x {columns} {table} whose flat cell "
                          f"index does not fit int64")
-    if 8 * num_states * num_actions > PHYSICAL_MEMORY:
-        raise ValueError(f"{names} make a {num_states} x {num_actions} table whose float64 "
-                         f"logits exceed the {PHYSICAL_MEMORY} bytes of physical memory")
+    if 8 * rows * columns > PHYSICAL_MEMORY:
+        raise ValueError(f"{names} make a {rows} x {columns} {table} whose float64 "
+                         f"{entries} exceed the {PHYSICAL_MEMORY} bytes of physical memory")
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

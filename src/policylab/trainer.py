@@ -4,7 +4,10 @@ One step is _step: it rolls out groups from the policy as it stands at
 the start of the step (the snapshot), and then runs several minibatched
 gradient passes in which importance ratios are recomputed against the
 live policy, so clipping genuinely activates from the second pass on.
-Only the logits cross a step boundary; train is its checks, a loop over
+Only the logits cross a step boundary, so a step is _step(config, policy,
+step): RunConfig.env and eval_tasks (env.task of each target) are built
+once per config. train is its checks, the initial policy (a checkpoint,
+or TabularPolicy.random, whose scale 0 is the uniform table), a loop over
 _step and the writes. Logits are read-only and an update rebinds them,
 so the snapshot needs no copy: the rollouts, the snapshot's probability
 rows and the last good logits are taken before the first update and no
@@ -52,7 +55,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -192,48 +197,46 @@ class RunConfig:
         if self.beta_schedule and self.objective.algorithm != "ce_gppo":
             raise ConfigError(
                 f"beta_schedule acts only on ce_gppo, not on {self.objective.algorithm}")
+        schedule = []
         try:
-            schedule = tuple((s, b1, b2) for s, b1, b2 in self.beta_schedule)
-            for _, b1, b2 in schedule:  # a switch's betas obey the objective's own beta rule
-                self.objective.with_betas(b1, b2)
+            for s, b1, b2 in self.beta_schedule:
+                self.objective.with_betas(b1, b2)  # a switch's betas obey the objective's own rule
+                if not (_is_int(s) and s >= 0):
+                    raise ValueError(f"need an integer step >= 0, got {[s, b1, b2]}")
+                schedule.append((int(s), float(b1), float(b2)))
         except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"beta_schedule entries must be [step, beta1, beta2]: {exc}") from exc
-        for entry in schedule:
-            if not _is_int(entry[0]):
-                raise ConfigError(f"beta_schedule entries must be [step, beta1, beta2] with "
-                                  f"an integer step and numeric betas, got {list(entry)}")
-        schedule = tuple((int(s), float(b1), float(b2)) for s, b1, b2 in schedule)
+            raise ConfigError(f"beta_schedule entries must be [step, beta1, beta2]: {exc}") from exc
         steps = [s for s, _, _ in schedule]
         if steps != sorted(set(steps)):
             raise ConfigError(f"beta_schedule steps must be strictly increasing, got {steps}")
-        object.__setattr__(self, "beta_schedule", schedule)
+        object.__setattr__(self, "beta_schedule", tuple(schedule))
         if isinstance(self.train_targets, str) and self.train_targets != "all":
             raise ConfigError(f"train_targets must be a list, \"all\" or null, "
                               f"got {self.train_targets!r}")
-        try:
-            env = self.env_config()
+        try:  # the first read of self.env builds and checks the environment
+            self.env.check_samples(self.prompts_per_batch * self.group_size,
+                                   "prompts_per_batch, group_size and seq_len")
+            self.env.check_samples(self.eval_samples, "eval_samples and seq_len")
             if self.eval_targets is not None:
                 object.__setattr__(self, "eval_targets",
                                    residue_set("eval_targets", self.eval_targets, self.modulus))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.train_targets is not None and not isinstance(self.train_targets, str):
-            object.__setattr__(self, "train_targets", env.train_targets)
+            object.__setattr__(self, "train_targets", self.env.train_targets)
 
-    def env_config(self) -> EnvConfig:
+    @cached_property
+    def env(self) -> EnvConfig:
         targets = self.train_targets
         if targets is None and self.modulus > 2:  # hold out the top residue
             targets = range(self.modulus - 1)
         return EnvConfig(self.vocab_size, self.seq_len, self.modulus,
                          None if targets == "all" else targets)
 
-    def resolved_eval_targets(self) -> tuple[int, ...]:
-        if self.eval_targets is not None:
-            return self.eval_targets
-        trained = set(self.env_config().train_targets)
-        held_out = tuple(t for t in range(self.modulus) if t not in trained)
-        return held_out if held_out else tuple(range(self.modulus))
+    @cached_property
+    def eval_tasks(self) -> tuple[ModSumTask, ...]:
+        held_out = [t for t in range(self.modulus) if t not in self.env.train_targets]
+        return tuple(map(self.env.task, self.eval_targets or held_out or range(self.modulus)))
 
     def objective_at(self, step: int) -> ObjectiveSpec:
         spec = self.objective
@@ -321,14 +324,12 @@ def write_metrics_csv(path: str | Path, metrics: list[StepMetrics]) -> None:
 
 @dataclass
 class RunResult:
-    config: RunConfig
     metrics: list[StepMetrics]
     policy: TabularPolicy
     manifest: dict
-    out_dir: Path | None = None
 
 
-def evaluate(policy: TabularPolicy, tasks: list[ModSumTask], samples_per_prompt: int,
+def evaluate(policy: TabularPolicy, tasks: Sequence[ModSumTask], samples_per_prompt: int,
              rng: np.random.Generator) -> float:
     """Mean success rate over tasks x samples (the avg@k estimator)."""
     if not tasks:
@@ -340,8 +341,8 @@ def evaluate(policy: TabularPolicy, tasks: list[ModSumTask], samples_per_prompt:
     return total / (len(tasks) * samples_per_prompt)
 
 
-def _step(config: RunConfig, env_cfg: EnvConfig, eval_tasks: list[ModSumTask],
-          policy: TabularPolicy, step: int) -> tuple[StepMetrics, list[RolloutGroup]]:
+def _step(config: RunConfig, policy: TabularPolicy,
+          step: int) -> tuple[StepMetrics, list[RolloutGroup]]:
     """One training step from the policy as it stands; updates policy in place.
 
     Returns the step's record and every group it sampled, the ones dynamic
@@ -352,16 +353,14 @@ def _step(config: RunConfig, env_cfg: EnvConfig, eval_tasks: list[ModSumTask],
     spec = config.objective_at(step)
 
     # rollout, with bounded resampling when dynamic sampling drains the batch
-    filtered_groups = 0
     all_groups: list[RolloutGroup] = []
     for attempt in range(config.max_filter_retries):
         task_rng = named_stream(config.seed, "tasks", step, attempt)
-        groups = [rollout_group(policy, sample_task(env_cfg, task_rng), config.group_size,
+        groups = [rollout_group(policy, sample_task(config.env, task_rng), config.group_size,
                                 named_stream(config.seed, "rollout", step, attempt, g))
                   for g in range(config.prompts_per_batch)]
         all_groups.extend(groups)
         retained = dynamic_sampling_filter(groups) if config.dynamic_sampling else groups
-        filtered_groups += len(groups) - len(retained)
         if retained:
             break
     else:
@@ -404,7 +403,7 @@ def _step(config: RunConfig, env_cfg: EnvConfig, eval_tasks: list[ModSumTask],
     except ValueError as exc:
         raise StabilityAlarm(f"stability alarm at step {step}: {exc}") from exc
 
-    accuracy = evaluate(policy, eval_tasks, config.eval_samples,
+    accuracy = evaluate(policy, config.eval_tasks, config.eval_samples,
                         named_stream(config.seed, "eval", step))
     fractions = quadrant_taxonomy(batch.advantages, np.exp(batch.old_logprobs),
                                   1.0 / config.vocab_size)[1]
@@ -416,7 +415,7 @@ def _step(config: RunConfig, env_cfg: EnvConfig, eval_tasks: list[ModSumTask],
         clip_right=float(counts[CODE_RIGHT] / counts.sum()),
         frac_pahp=fractions["pa_hp"], frac_nalp=fractions["na_lp"],
         frac_palp=fractions["pa_lp"], frac_nahp=fractions["na_hp"],
-        filtered_groups=filtered_groups,
+        filtered_groups=len(all_groups) - len(retained),  # earlier attempts kept none
         prob_clipped_mean=(float((prob_sums[CODE_LEFT] + prob_sums[CODE_RIGHT]) / n_clipped)
                            if n_clipped else float("nan")),
         prob_unclipped_mean=(float(prob_sums[CODE_INTERIOR] / counts[CODE_INTERIOR])
@@ -450,7 +449,8 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
 
     Writes metrics.csv, run_manifest.json and policy.json when out_dir is
     given, and rollouts.jsonl with log_rollouts. ConfigError comes before
-    step 0 for log_rollouts without out_dir and for outputs _make_output_dir
+    step 0 for log_rollouts without out_dir, an init checkpoint that does
+    not load or fit, initial draws that overflow and outputs _make_output_dir
     refuses. On a stability alarm or an empty batch the outputs are still
     written, the checkpoint holding the last good state (the failing step's
     snapshot), and the exception is raised after.
@@ -458,22 +458,20 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
     out = Path(out_dir) if out_dir is not None else None
     if config.log_rollouts and out is None:
         raise ConfigError("log_rollouts needs an output directory to write rollouts.jsonl to")
-    env_cfg = config.env_config()
+    env = config.env
     if config.init_checkpoint:
         try:
             policy, _ = TabularPolicy.load(config.init_checkpoint)
-            env_cfg.check_table(policy)
+            env.check_table(policy)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"init checkpoint {config.init_checkpoint}: {exc}") from exc
-    elif config.init_logit_scale > 0.0:
-        policy = TabularPolicy.random(env_cfg.num_states, env_cfg.vocab_size,
-                                      config.init_logit_scale,
-                                      named_stream(config.seed, "init"))
     else:
-        policy = TabularPolicy.uniform(env_cfg.num_states, env_cfg.vocab_size)
-    eval_targets = config.resolved_eval_targets()
-    eval_tasks = [ModSumTask(env_cfg.vocab_size, env_cfg.seq_len, env_cfg.modulus, t)
-                  for t in eval_targets]
+        try:  # scale 0 draws +0.0 logits, the uniform table bit for bit
+            policy = TabularPolicy.random(env.num_states, env.vocab_size, config.init_logit_scale,
+                                          named_stream(config.seed, "init"))
+        except ValueError as exc:  # a draw overflowed float64
+            raise ConfigError(f"init_logit_scale {config.init_logit_scale} draws initial logits "
+                              f"that are not finite") from exc
     if out is not None:  # before step 0: an output path that cannot be written costs no step
         _make_output_dir(out, _run_files(config))
 
@@ -483,7 +481,7 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
     for step in range(config.total_steps):
         last_good = policy.logits
         try:
-            record, groups = _step(config, env_cfg, eval_tasks, policy, step)
+            record, groups = _step(config, policy, step)
         except (StabilityAlarm, EmptyBatchError) as exc:
             status, failure, policy = exc.status, exc, TabularPolicy(last_good)
             break
@@ -494,6 +492,7 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
             print(f"step {step:>5}  H={record.entropy_exact:.4f}  reward={record.mean_reward:.3f}"
                   f"  acc={record.accuracy:.3f}  kl={record.kl:.5f}")
 
+    eval_targets = [task.target for task in config.eval_tasks]
     manifest = {
         "schema_version": CONFIG_SCHEMA_VERSION,
         "config": config.to_dict(),
@@ -502,9 +501,9 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
         "code_version": __version__,
         "status": status,
         "steps_completed": len(metrics),
-        "train_targets": list(env_cfg.train_targets),
-        "eval_targets": list(eval_targets),
-        "eval_reuses_training_targets": not set(eval_targets).isdisjoint(env_cfg.train_targets),
+        "train_targets": list(env.train_targets),
+        "eval_targets": eval_targets,
+        "eval_reuses_training_targets": not set(eval_targets).isdisjoint(env.train_targets),
     }
     if failure is not None:
         manifest["failure"] = str(failure)
@@ -520,7 +519,7 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
 
     if failure is not None:
         raise failure
-    return RunResult(config, metrics, policy, manifest, out)
+    return RunResult(metrics, policy, manifest)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,20 @@ def test_train_bad_config_exit_2(tmp_path, capsys):
     ({"objective": 3}, "objective must be an object"),
     ({"init_logit_scale": -0.5}, "init_logit_scale must be finite and >= 0, got -0.5"),
     ({"init_logit_scale": float("nan")}, "init_logit_scale must be finite and >= 0, got nan"),
+    ({"init_logit_scale": 1e308},
+     "init_logit_scale 1e+308 draws initial logits that are not finite"),
+    ({"beta_schedule": [[-5, 0.5, 1.0]]}, "need an integer step >= 0, got [-5, 0.5, 1.0]"),
+    # sample arrays whose flat index does not fit int64 or whose entries fit no memory
+    ({"group_size": 10 ** 30}, f"prompts_per_batch, group_size and seq_len make a "
+                               f"{8 * 10 ** 30} x 6 sample array whose flat cell index"),
+    ({"prompts_per_batch": 10 ** 30}, f"prompts_per_batch, group_size and seq_len make a "
+                                      f"{8 * 10 ** 30} x 6 sample array whose flat cell index"),
+    ({"eval_samples": 10 ** 30}, f"eval_samples and seq_len make a {10 ** 30} x 6 sample array "
+                                 f"whose flat cell index does not fit int64"),
+    ({"group_size": 10 ** 12}, f"prompts_per_batch, group_size and seq_len make a "
+                               f"{8 * 10 ** 12} x 6 sample array whose float64 log-probs exceed"),
+    ({"eval_samples": 10 ** 12}, f"eval_samples and seq_len make a {10 ** 12} x 6 sample array "
+                                 f"whose float64 log-probs exceed the"),
 ], ids=["string_beta1", "string_eps_low", "beta1_on_grpo", "schedule_on_grpo",
         "short_schedule_entry", "string_target", "negative_seed", "fractional_vocab",
         "string_flag", "numeric_path", "bool_seed", "bool_total_steps", "bool_beta1",
@@ -115,7 +129,9 @@ def test_train_bad_config_exit_2(tmp_path, capsys):
         "retries_without_dynamic_sampling", "scale_with_checkpoint", "oversized_vocab_size",
         "oversized_seq_len", "oversized_modulus", "unallocatable_modulus",
         "unallocatable_table", "int_train_targets", "int_eval_targets", "numeric_objective",
-        "negative_init_logit_scale", "nan_init_logit_scale"])
+        "negative_init_logit_scale", "nan_init_logit_scale", "overflowing_init_logit_scale",
+        "negative_schedule_step", "oversized_group_size", "oversized_prompts_per_batch",
+        "oversized_eval_samples", "unallocatable_group_size", "unallocatable_eval_samples"])
 def test_train_malformed_config_value_exit_2(overrides, message, tmp_path, capsys):
     # a malformed value is a usage error with one line, not a traceback mid-run
     config = _write_config(tmp_path, **overrides)
@@ -377,11 +393,13 @@ def _rewarded_line(group):
      "line 2: actions and old_logprobs must fit int64 and float64"),
     ([_log_line(0), _log_line(0, reward=10 ** 400)],
      "log group 0: rewards that contradict their actions"),
+    ([_log_line(0), _rewarded_line(0), _log_line(1), "{bad"],
+     "line 4: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
 ], ids=["single_row_group", "mixed_tasks", "ragged_rows", "empty_log", "missing_field",
         "mixed_group_sizes", "not_an_object", "list_group", "string_vocab_size",
         "string_actions", "string_old_logprobs", "string_reward", "bool_action", "bool_reward",
         "positive_old_logprob", "nan_old_logprob", "flipped_reward", "oversized_action",
-        "oversized_old_logprob", "oversized_reward"])
+        "oversized_old_logprob", "oversized_reward", "not_json"])
 def test_analyze_malformed_log_exit_2(lines, message, tmp_path, capsys):
     log = tmp_path / "rollouts.jsonl"
     log.write_text("".join(line + "\n" for line in lines))
@@ -503,6 +521,16 @@ def test_out_of_range_cli_input_exit_2(argv, tmp_path, capsys):
     (["entropy-predict", "--num-states", str(10 ** 6), "--num-actions", str(10 ** 6)],
      f"--num-states and --num-actions make a {10 ** 6} x {10 ** 6} table whose float64 "
      f"logits exceed the"),
+    # sample counts that cannot be allocated are refused before any sampling
+    (["eval", "{checkpoint}", "--samples", str(10 ** 30)],
+     f"--samples make a {10 ** 30} x 3 sample array whose flat cell index does not fit int64"),
+    (["eval", "{checkpoint}", "--samples", str(10 ** 12)],
+     f"--samples make a {10 ** 12} x 3 sample array whose float64 log-probs exceed the"),
+    (["gradcheck", "--trajectories", str(10 ** 30)],
+     f"--trajectories make a {10 ** 30} x 6 sample array whose flat cell index does not fit "
+     f"int64"),
+    (["gradcheck", "--trajectories", str(10 ** 12)],
+     f"--trajectories make a {10 ** 12} x 6 sample array whose float64 log-probs exceed the"),
 ], ids=["eval_missing", "eval_no_num_actions", "eval_float_dims", "eval_int_logits",
         "eval_null_logits", "eval_repeated_target", "eval_one_action", "eval_one_state",
         "entropy_predict_missing", "entropy_predict_shape_with_checkpoint",
@@ -513,7 +541,9 @@ def test_out_of_range_cli_input_exit_2(argv, tmp_path, capsys):
         "train_out_is_a_file", "train_out_under_a_file", "suite_out_is_a_file",
         "train_output_file_is_a_directory", "eval_oversized_modulus",
         "entropy_predict_oversized_states", "entropy_predict_oversized_actions",
-        "eval_unallocatable_modulus", "entropy_predict_unallocatable_table"])
+        "eval_unallocatable_modulus", "entropy_predict_unallocatable_table",
+        "eval_oversized_samples", "eval_unallocatable_samples", "gradcheck_oversized_trajectories",
+        "gradcheck_unallocatable_trajectories"])
 def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
     checkpoint = tmp_path / "policy.json"
     TabularPolicy.uniform(3 * 5 + 1, 8).save(checkpoint)

@@ -23,6 +23,13 @@ def test_uniform_row_probabilities():
     assert abs(policy.action_probabilities(1).sum() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(31, 8), (193, 32)])
+def test_random_at_scale_zero_is_the_uniform_table(shape):
+    # normal(0, 0) draws +0.0, so a run at init_logit_scale 0 starts from the uniform table
+    drawn = TabularPolicy.random(*shape, 0.0, named_stream(0, "init"))
+    assert drawn.logits.tobytes() == TabularPolicy.uniform(*shape).logits.tobytes()
+
+
 def test_softmax_shift_invariance_example():
     base = TabularPolicy(np.array([[math.log(4.0), 0.0]]))
     shifted = TabularPolicy(np.array([[math.log(4.0) + 10.0, 10.0]]))

@@ -70,7 +70,7 @@ def test_eval_targets_must_be_distinct_residues(targets):
     # an empty set would reach evaluate() only after step 0's update and fail there
     with pytest.raises(ConfigError, match="eval_targets must be one or more distinct residues"):
         RunConfig(eval_targets=targets)
-    assert RunConfig(eval_targets=(4, 0)).resolved_eval_targets() == (4, 0)
+    assert [task.target for task in RunConfig(eval_targets=(4, 0)).eval_tasks] == [4, 0]
 
 
 def test_config_json_roundtrip_and_unknown_keys(tmp_path):
@@ -150,20 +150,52 @@ def test_holdout_target_defaults():
         manifest = train(dataclasses.replace(config, total_steps=1)).manifest
         return manifest["eval_reuses_training_targets"]
 
+    def eval_targets(config):
+        return [task.target for task in config.eval_tasks]
+
     config = RunConfig()
-    assert config.env_config().train_targets == (0, 1, 2, 3)
-    assert config.resolved_eval_targets() == (4,)
+    assert config.env.train_targets == (0, 1, 2, 3)
+    assert eval_targets(config) == [4]
     assert not reuses(config)
 
     everything = RunConfig(train_targets="all")
-    assert everything.env_config().train_targets == (0, 1, 2, 3, 4)
-    assert everything.resolved_eval_targets() == (0, 1, 2, 3, 4)
+    assert everything.env.train_targets == (0, 1, 2, 3, 4)
+    assert eval_targets(everything) == [0, 1, 2, 3, 4]
     assert reuses(everything)
 
     explicit = RunConfig(train_targets=(0, 2), eval_targets=(1,))
-    assert explicit.env_config().train_targets == (0, 2)
-    assert explicit.resolved_eval_targets() == (1,)
+    assert explicit.env.train_targets == (0, 2)
+    assert eval_targets(explicit) == [1]
     assert not reuses(explicit)
+
+
+def test_env_and_eval_tasks_are_built_once_per_config(monkeypatch):
+    built = []
+    post_init = trainer.EnvConfig.__post_init__
+
+    def counting_post_init(env):
+        built.append(env)
+        post_init(env)
+
+    monkeypatch.setattr(trainer.EnvConfig, "__post_init__", counting_post_init)
+    config = _tiny(total_steps=2)
+    assert config.env is config.env
+    assert config.eval_tasks is config.eval_tasks
+    assert config.eval_tasks == (ModSumTask(8, 6, 5, 4),)
+    train(config)
+    assert len(built) == 1 and built[0] is config.env
+
+
+def test_replaced_config_gets_its_own_env():
+    # the replace perfbench's wide workload makes: the copy must not reuse the cached env
+    config = RunConfig()
+    assert config.env.modulus == 5
+    wide = dataclasses.replace(config, vocab_size=32, seq_len=12, modulus=16)
+    assert (wide.env.vocab_size, wide.env.seq_len, wide.env.modulus) == (32, 12, 16)
+    assert wide.env.num_states == 193
+    assert wide.env.train_targets == tuple(range(15))
+    assert wide.eval_tasks == (ModSumTask(32, 12, 16, 15),)
+    assert config.env.modulus == 5 and config.eval_tasks == (ModSumTask(8, 6, 5, 4),)
 
 
 def test_beta_schedule_switching():
@@ -316,7 +348,7 @@ def test_metrics_csv_format(tmp_path):
     assert all(np.isfinite(float(cell)) for cell in first)
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert manifest["status"] == "completed"
-    assert manifest["config_hash"] == result.config.config_hash()
+    assert manifest["config_hash"] == _tiny(total_steps=3).config_hash()
     assert manifest["seed"] == 0
     assert manifest["code_version"]
     assert manifest["eval_targets"] == [4]
@@ -427,10 +459,7 @@ def test_steps_from_a_checkpoint_continue_the_run(name, tmp_path):
     full = train(config)
     train(dataclasses.replace(config, total_steps=10), out_dir=tmp_path)
     policy, _ = TabularPolicy.load(tmp_path / "policy.json")
-    eval_tasks = [ModSumTask(config.vocab_size, config.seq_len, config.modulus, t)
-                  for t in config.resolved_eval_targets()]
-    rows = [trainer._step(config, config.env_config(), eval_tasks, policy, step)[0].csv_row()
-            for step in range(10, 20)]
+    rows = [trainer._step(config, policy, step)[0].csv_row() for step in range(10, 20)]
     assert rows == [m.csv_row() for m in full.metrics[10:]]
     assert np.array_equal(policy.logits, full.policy.logits)
 
