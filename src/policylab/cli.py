@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +32,7 @@ from .trainer import (
     EmptyBatchError,
     RunConfig,
     StabilityAlarm,
+    config_errors,
     evaluate,
     format_suite_table,
     objective_from_dict,
@@ -70,25 +70,16 @@ _positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number
 _probability = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 
 
-@contextmanager
-def _usage_errors(context: str = ""):
-    """An OSError or ValueError raised inside is a usage error (exit 2), prefixed by context."""
-    try:
-        yield
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"{context}{exc}") from exc
-
-
 def _load_checkpoint(path: str) -> TabularPolicy:
     """The policy of a checkpoint; a missing or malformed one is a usage error."""
-    with _usage_errors(f"checkpoint {path}: "):
+    with config_errors(f"checkpoint {path}: "):
         return TabularPolicy.load(path)[0]
 
 
 def _emit(doc: dict, json_path: str | None) -> None:
     text = json.dumps(doc, indent=2)
     if json_path:
-        with _usage_errors(f"cannot write {json_path}: "):
+        with config_errors(f"cannot write {json_path}: "):
             Path(json_path).write_text(text)
     print(text)
 
@@ -106,7 +97,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     overrides = {n: getattr(args, n) for n in NUMBER_FIELDS if getattr(args, n) is not None}
-    with _usage_errors():
+    with config_errors():
         spec = ObjectiveSpec.for_algorithm(args.objective, **overrides)
         EnvConfig().check_samples(args.trajectories, "--trajectories")
     try:
@@ -130,7 +121,7 @@ def _cmd_entropy_predict(args) -> int:
         policy = _load_checkpoint(args.checkpoint)
     else:
         shape = (args.num_states or 31, args.num_actions or 8)
-        with _usage_errors():
+        with config_errors():
             check_table_size(*shape, "--num-states and --num-actions")
         policy = TabularPolicy.random(*shape, 1.0, rng)
     n_states = min(args.instances, policy.num_states)
@@ -149,7 +140,7 @@ def _analyze_log(args):
     """analyze's log pass: (policy, threshold, quadrant stats, visited states,
     their visits, their mean advantages). The groups, token batch and terms
     it reads are gone by the time the predictor runs."""
-    with _usage_errors(f"rollout log {args.log}: "):
+    with config_errors(f"rollout log {args.log}: "):
         groups = read_rollout_log(args.log)
         # the batch, advantages included, built from the logged groups as the
         # trainer builds it; an empty log is an empty batch
@@ -157,18 +148,18 @@ def _analyze_log(args):
     tasks = dict.fromkeys(group.task for group in groups)  # first-seen order
     del groups  # the batch holds copies of their arrays
     policy = _load_checkpoint(args.checkpoint)
-    with _usage_errors(f"checkpoint {args.checkpoint}: "):
+    with config_errors(f"checkpoint {args.checkpoint}: "):
         for task in tasks:
             task.check_table(policy)
     # the run's own objective clips; a beta_schedule's betas move no branch code.
     # Only the objective is read, so a manifest holding a retired key still analyzes
-    with _usage_errors(f"run manifest beside {args.log}: "):
+    with config_errors(f"run manifest beside {args.log}: "):
         doc = json.loads((Path(args.log).parent / "run_manifest.json").read_text())
         config = doc.get("config") if isinstance(doc, dict) else doc
         if not isinstance(config, dict):
             raise ConfigError("config must be a JSON object")
         spec = objective_from_dict(config.get("objective", {}))
-    with _usage_errors(f"log {args.log} under checkpoint {args.checkpoint}: "):
+    with config_errors(f"log {args.log} under checkpoint {args.checkpoint}: "):
         terms = batch_token_terms(spec, tokens, policy)
     threshold = (1.0 / policy.num_actions if args.prob_threshold is None
                  else args.prob_threshold)
@@ -220,12 +211,12 @@ def _cmd_eval(args) -> int:
     # V and T read off the table, raised to the smallest valid ones: the table
     # fits this shape or no environment of this modulus. No train targets are
     # built, so a modulus the table cannot fit is refused before any residue set
-    with _usage_errors("--modulus: "):
+    with config_errors("--modulus: "):
         env = _Dimensions(max(policy.num_actions, 2),
                           max((policy.num_states - 1) // args.modulus, 1), args.modulus)
-    with _usage_errors(f"checkpoint {args.checkpoint}: "):
+    with config_errors(f"checkpoint {args.checkpoint}: "):
         env.check_table(policy)
-    with _usage_errors():  # no --targets value means every residue
+    with config_errors():  # no --targets value means every residue
         targets = residue_set("targets", args.targets or range(args.modulus), args.modulus)
         env.check_samples(args.samples, "--samples")
     accuracy = evaluate(policy, [env.task(t) for t in targets], args.samples,

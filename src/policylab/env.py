@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .policy import _SoftmaxTable, check_table_size
+from .policy import PHYSICAL_MEMORY, _SoftmaxTable, check_table_size
 
 
 def _is_int(value) -> bool:
@@ -90,8 +90,14 @@ class _Dimensions:
                 f"not match state space ({self.num_states} states, {self.vocab_size} actions)")
 
     def check_samples(self, episodes: int, names: str) -> None:
-        """The one sample-size rule: n episodes are (n, T) arrays, bounded as a table is."""
+        """The one sample-size rule: n episodes are (n, T) arrays, bounded as a table is,
+        and sampling them holds sample_bytes_per_episode(V, T) bytes each at its peak."""
         check_table_size(episodes, self.seq_len, names, "sample array", "log-probs")
+        peak = episodes * sample_bytes_per_episode(self.vocab_size, self.seq_len)
+        if peak > PHYSICAL_MEMORY:
+            raise ValueError(f"{names} make {episodes} episodes whose sampling holds {peak} "
+                             f"bytes at its peak, more than the {PHYSICAL_MEMORY} bytes of "
+                             f"physical memory")
 
     def task(self, target: int) -> ModSumTask:
         """The one task rule: the task of this shape whose target residue is target."""
@@ -210,6 +216,17 @@ def _rewards(actions: np.ndarray, task: ModSumTask) -> np.ndarray:
     return (actions.sum(axis=-1) % task.modulus == task.target).astype(np.float64)
 
 
+def sample_bytes_per_episode(vocab_size: int, seq_len: int) -> int:
+    """A bound on the bytes per episode that sample_episodes holds live at once.
+
+    The token loop holds the (n, T) draws and actions, one position's (n, V-1)
+    float64 cdf gather with its bool comparison, and (n,) int64 residues and
+    picks; the log-prob lookup holds six (n, T) 8-byte arrays (draws, actions,
+    states, flat cells, gathered probabilities, their logs). Their sum bounds both.
+    """
+    return 48 * seq_len + 9 * (vocab_size - 1) + 32
+
+
 def sample_episodes(policy: _SoftmaxTable, task: ModSumTask, n: int,
                     rng: np.random.Generator
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -289,7 +306,8 @@ def read_rollout_log(path: str | Path) -> list[RolloutGroup]:
     flat typed buffers (int64 actions, float64 log-probs), a reward list
     and sets of task tuples and row lengths, and its arrays are built
     once, so no per-row object outlives its line. Raises ValueError,
-    naming the line, for a line that is not a JSON object, lacks one of
+    naming the line, for a line that is not JSON (nesting past the
+    recursion limit included) or not a JSON object, lacks one of
     the fields the writer writes, has a task field, group id or reward
     that is not an integer, actions and old_logprobs that are not lists
     of integers and of numbers (no bools; JSON's -Infinity is a float) or
@@ -305,7 +323,7 @@ def read_rollout_log(path: str | Path) -> list[RolloutGroup]:
             if line.strip():
                 try:
                     doc = json.loads(line)
-                except json.JSONDecodeError as exc:  # its "line 1" is the parser's, not the file's
+                except (json.JSONDecodeError, RecursionError) as exc:  # its "line 1" is the parser's
                     raise ValueError(f"line {number}: {exc}") from exc
                 if not isinstance(doc, dict):
                     raise ValueError(f"line {number} is not a JSON object")

@@ -56,6 +56,7 @@ import dataclasses
 import hashlib
 import json
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -96,6 +97,16 @@ class ConfigError(ValueError):
     """Invalid run configuration (CLI exit code 2)."""
 
 
+@contextmanager
+def config_errors(context: str = ""):
+    """The one input-error rule: an OSError, TypeError, ValueError or RecursionError (JSON
+    nested past the recursion limit) raised inside is a ConfigError, prefixed by context."""
+    try:
+        yield
+    except (OSError, TypeError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"{context}{exc}") from exc
+
+
 # a field's annotation -> (the test its value must pass, what the message asks for)
 _KINDS = {
     "int": (_is_int, "an integer"),
@@ -131,10 +142,8 @@ def objective_from_dict(doc: dict) -> ObjectiveSpec:
     unknown = set(doc) - {f.name for f in dataclasses.fields(ObjectiveSpec)}
     if unknown:
         raise ConfigError(f"unknown objective keys: {sorted(unknown)}")
-    try:
+    with config_errors("invalid objective: "):
         return ObjectiveSpec.for_algorithm(**{"algorithm": "ce_gppo", **doc})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid objective: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -192,20 +201,20 @@ class RunConfig:
         if self.init_logit_scale < 0.0 or not np.isfinite(self.init_logit_scale):
             raise ConfigError(f"init_logit_scale must be finite and >= 0, "
                               f"got {self.init_logit_scale}")
+        if self.init_checkpoint == "":  # a second spelling of null would change config_hash
+            raise ConfigError("init_checkpoint must not be empty: null means no checkpoint")
         if self.init_logit_scale > 0.0 and self.init_checkpoint:
             raise ConfigError("init_logit_scale does not act when init_checkpoint is set")
         if self.beta_schedule and self.objective.algorithm != "ce_gppo":
             raise ConfigError(
                 f"beta_schedule acts only on ce_gppo, not on {self.objective.algorithm}")
         schedule = []
-        try:
+        with config_errors("beta_schedule entries must be [step, beta1, beta2]: "):
             for s, b1, b2 in self.beta_schedule:
                 self.objective.with_betas(b1, b2)  # a switch's betas obey the objective's own rule
                 if not (_is_int(s) and s >= 0):
                     raise ValueError(f"need an integer step >= 0, got {[s, b1, b2]}")
                 schedule.append((int(s), float(b1), float(b2)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"beta_schedule entries must be [step, beta1, beta2]: {exc}") from exc
         steps = [s for s, _, _ in schedule]
         if steps != sorted(set(steps)):
             raise ConfigError(f"beta_schedule steps must be strictly increasing, got {steps}")
@@ -213,15 +222,13 @@ class RunConfig:
         if isinstance(self.train_targets, str) and self.train_targets != "all":
             raise ConfigError(f"train_targets must be a list, \"all\" or null, "
                               f"got {self.train_targets!r}")
-        try:  # the first read of self.env builds and checks the environment
+        with config_errors():  # the first read of self.env builds and checks the environment
             self.env.check_samples(self.prompts_per_batch * self.group_size,
                                    "prompts_per_batch, group_size and seq_len")
             self.env.check_samples(self.eval_samples, "eval_samples and seq_len")
             if self.eval_targets is not None:
                 object.__setattr__(self, "eval_targets",
                                    residue_set("eval_targets", self.eval_targets, self.modulus))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         if self.train_targets is not None and not isinstance(self.train_targets, str):
             object.__setattr__(self, "train_targets", self.env.train_targets)
 
@@ -263,17 +270,13 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "objective" in doc:
             doc["objective"] = objective_from_dict(doc["objective"])
-        try:
+        with config_errors():
             return cls(**doc)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
-        try:
+        with config_errors(f"cannot read config {path}: "):
             doc = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(doc)
 
     def config_hash(self) -> str:
@@ -434,10 +437,8 @@ def _run_files(config: RunConfig) -> tuple[str, ...]:
 
 def _make_output_dir(out: Path, names: tuple[str, ...]) -> None:
     """Make out; ConfigError if it cannot be made or a named path in it is not a regular file."""
-    try:
+    with config_errors(f"output directory {out}: "):
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"output directory {out}: {exc}") from exc
     for path in (out / name for name in names):
         if path.exists() and not path.is_file():
             raise ConfigError(f"output file {path}: exists and is not a regular file")
@@ -460,11 +461,9 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
         raise ConfigError("log_rollouts needs an output directory to write rollouts.jsonl to")
     env = config.env
     if config.init_checkpoint:
-        try:
+        with config_errors(f"init checkpoint {config.init_checkpoint}: "):
             policy, _ = TabularPolicy.load(config.init_checkpoint)
             env.check_table(policy)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"init checkpoint {config.init_checkpoint}: {exc}") from exc
     else:
         try:  # scale 0 draws +0.0 logits, the uniform table bit for bit
             policy = TabularPolicy.random(env.num_states, env.vocab_size, config.init_logit_scale,

@@ -76,6 +76,7 @@ def test_train_bad_config_exit_2(tmp_path, capsys):
     ({"vocab_size": 8.5}, "vocab_size must be an integer"),
     ({"dynamic_sampling": "false"}, "dynamic_sampling must be true or false"),
     ({"init_checkpoint": 5}, "init_checkpoint must be a path string or null"),
+    ({"init_checkpoint": ""}, "init_checkpoint must not be empty: null means no checkpoint"),
     ({"seed": True}, "seed must be an integer"),
     ({"total_steps": True}, "total_steps must be an integer"),
     ({"objective": {"algorithm": "ce_gppo", "beta1": True}}, "beta1 must be a number"),
@@ -123,7 +124,7 @@ def test_train_bad_config_exit_2(tmp_path, capsys):
                                  f"whose float64 log-probs exceed the"),
 ], ids=["string_beta1", "string_eps_low", "beta1_on_grpo", "schedule_on_grpo",
         "short_schedule_entry", "string_target", "negative_seed", "fractional_vocab",
-        "string_flag", "numeric_path", "bool_seed", "bool_total_steps", "bool_beta1",
+        "string_flag", "numeric_path", "empty_path", "bool_seed", "bool_total_steps", "bool_beta1",
         "fractional_schedule_step", "bool_learning_rate", "infinite_learning_rate",
         "infinite_eps_high", "empty_eval_targets", "duplicate_eval_targets",
         "retries_without_dynamic_sampling", "scale_with_checkpoint", "oversized_vocab_size",
@@ -395,11 +396,12 @@ def _rewarded_line(group):
      "log group 0: rewards that contradict their actions"),
     ([_log_line(0), _rewarded_line(0), _log_line(1), "{bad"],
      "line 4: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ([_log_line(0), "[" * 100_000 + "]" * 100_000], "line 2: maximum recursion depth exceeded"),
 ], ids=["single_row_group", "mixed_tasks", "ragged_rows", "empty_log", "missing_field",
         "mixed_group_sizes", "not_an_object", "list_group", "string_vocab_size",
         "string_actions", "string_old_logprobs", "string_reward", "bool_action", "bool_reward",
         "positive_old_logprob", "nan_old_logprob", "flipped_reward", "oversized_action",
-        "oversized_old_logprob", "oversized_reward", "not_json"])
+        "oversized_old_logprob", "oversized_reward", "not_json", "deep_nesting"])
 def test_analyze_malformed_log_exit_2(lines, message, tmp_path, capsys):
     log = tmp_path / "rollouts.jsonl"
     log.write_text("".join(line + "\n" for line in lines))
@@ -585,6 +587,42 @@ def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
     assert err.startswith("config error:") and err.count("\n") == 1
     assert message in err
     assert "Traceback" not in err
+
+
+_NOT_UTF8 = b"\xff\xfe{}\n"
+_DEEP = ("[" * 100_000 + "]" * 100_000 + "\n").encode()
+
+
+@pytest.mark.parametrize("content", [_NOT_UTF8, _DEEP], ids=["not_utf8", "deep_nesting"])
+@pytest.mark.parametrize("reader", ["train_config", "train_init_checkpoint", "eval_checkpoint",
+                                    "entropy_predict_checkpoint", "analyze_checkpoint",
+                                    "analyze_manifest", "analyze_log"])
+def test_unreadable_input_file_exit_2_naming_it(reader, content, tmp_path, capsys):
+    # every reader of an outside file takes its bytes through config_errors: a file
+    # that is not UTF-8 or nests past the recursion limit is one line and exit 2
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    log = _log_dir_with_manifest(tmp_path, json.dumps({"config": RunConfig().to_dict()}))
+    checkpoint = tmp_path / "policy.json"
+    TabularPolicy.uniform(3 * 5 + 1, 8).save(checkpoint)
+    analyze = ["analyze", "--log", str(log), "--checkpoint", str(checkpoint)]
+    if reader == "analyze_manifest":
+        (tmp_path / "run_manifest.json").write_bytes(content)
+    argv, prefix = {
+        "train_config": (["train", "--config", str(bad)], f"cannot read config {bad}: "),
+        "train_init_checkpoint": (["train", "--config", str(_write_config(
+            tmp_path, init_checkpoint=str(bad)))], f"init checkpoint {bad}: "),
+        "eval_checkpoint": (["eval", str(bad)], f"checkpoint {bad}: "),
+        "entropy_predict_checkpoint": (["entropy-predict", "--checkpoint", str(bad)],
+                                       f"checkpoint {bad}: "),
+        "analyze_checkpoint": (analyze[:-1] + [str(bad)], f"checkpoint {bad}: "),
+        "analyze_manifest": (analyze, f"run manifest beside {log}: "),
+        "analyze_log": (analyze[:2] + [str(bad)] + analyze[3:], f"rollout log {bad}: "),
+    }[reader]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: " + prefix) and err.count("\n") == 1, err
 
 
 def test_eval_checks_the_table_before_building_any_residue_set(tmp_path, monkeypatch, capsys):

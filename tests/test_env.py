@@ -18,7 +18,7 @@ from policylab import (
     verify_reward,
     write_rollout_log,
 )
-from policylab.env import RolloutGroup, _episode_states
+from policylab.env import RolloutGroup, _episode_states, sample_bytes_per_episode
 from policylab.seeding import stream_key
 
 
@@ -231,6 +231,24 @@ def test_uniform_policy_mean_reward_matches_enumeration_oracle():
     policy = TabularPolicy.uniform(config.num_states, 8)
     rewards = sample_episodes(policy, task, 10_000, named_stream(21, "mc"))[3]
     assert abs(np.mean(rewards) - expected) < 0.02
+
+
+@pytest.mark.parametrize("vocab_size, seq_len, modulus", [(8, 6, 5), (64, 3, 5)])
+def test_sample_bytes_per_episode_bound_the_sampler_peak(vocab_size, seq_len, modulus):
+    # the (n, T) phase dominates at 8/6/5, the per-position (n, V-1) gather at 64/3/5
+    task = ModSumTask(vocab_size, seq_len, modulus, 0)
+    policy = TabularPolicy.random(task.num_states, vocab_size, 1.0, named_stream(0, "peak"))
+    policy.sampling_cdf()  # the per-version tables are the policy's, not the sampler's
+    n = 20_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        episodes = sample_episodes(policy, task, n, named_stream(1, "peak"))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(a.nbytes for a in episodes) < peak  # the measurement sees numpy's buffers
+    assert peak <= n * sample_bytes_per_episode(vocab_size, seq_len), (peak / n)
 
 
 def test_rollout_log_roundtrip(tmp_path):

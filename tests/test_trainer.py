@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import re
@@ -24,7 +25,8 @@ from policylab.cli import main
 from policylab.env import Trajectory
 from policylab.entropy_dynamics import quadrant_stats_arrays
 from policylab.objectives import ALGORITHMS, CODE_INTERIOR, CODE_LEFT, CODE_RIGHT
-from policylab.trainer import CSV_COLUMNS, run_experiment_suite, write_metrics_csv
+from policylab.policy import PHYSICAL_MEMORY
+from policylab.trainer import CSV_COLUMNS, config_errors, run_experiment_suite, write_metrics_csv
 
 
 def _tiny(**overrides):
@@ -134,6 +136,76 @@ def test_wrong_kind_value_refused(spec):
     with pytest.raises(ConfigError,
                        match=re.escape(f"{spec.name} must be {expected}, got {value!r}")):
         RunConfig(**{spec.name: value})
+
+
+@pytest.mark.parametrize("cause", [OSError("disk gone"), TypeError("disk gone"),
+                                   ValueError("disk gone"), RecursionError("disk gone")],
+                         ids=lambda exc: type(exc).__name__)
+def test_config_errors_keeps_the_context_prefix_and_the_cause(cause):
+    with pytest.raises(ConfigError) as info:
+        with config_errors("reading x.json: "):
+            raise cause
+    assert str(info.value) == "reading x.json: disk gone"
+    assert info.value.__cause__ is cause
+
+
+def test_config_errors_passes_other_failures_through():
+    # a RecursionError is a RuntimeError, but a run's own RuntimeErrors are not input errors
+    for exc in (StabilityAlarm("stability alarm at step 0: x"), KeyError("k")):
+        with pytest.raises(type(exc)) as info:
+            with config_errors("reading x.json: "):
+                raise exc
+        assert info.value is exc
+
+
+# (file, function) of the only except handlers in src/ that raise ConfigError: the
+# rule itself, train's init_logit_scale draw (its message does not carry the
+# overflow's text) and gradcheck's unbuildable batch (build_gradcheck_batch raises
+# RuntimeError, which the rule must not catch)
+CONFIG_ERROR_HANDLERS = [("cli.py", "_cmd_gradcheck"), ("trainer.py", "config_errors"),
+                         ("trainer.py", "train")]
+
+
+def _raises_config_error(node: ast.AST) -> bool:
+    """Whether node is `raise ConfigError` or `raise ConfigError(...)` (module-qualified or not)."""
+    if not (isinstance(node, ast.Raise) and node.exc is not None):
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", getattr(exc, "attr", None)) == "ConfigError"
+
+
+def _config_error_handlers(path: Path) -> list[tuple[str, str]]:
+    """(file, innermost enclosing function) of each except handler that raises ConfigError."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.ExceptHandler) and any(map(_raises_config_error, ast.walk(node))):
+            found.append((path.name, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_every_input_error_conversion_goes_through_config_errors():
+    src = Path(trainer.__file__).parent
+    found = sorted(h for path in sorted(src.glob("*.py")) for h in _config_error_handlers(path))
+    assert found == CONFIG_ERROR_HANDLERS
+
+
+def test_sample_counts_the_sampler_cannot_hold_are_refused():
+    # n episodes' (n, T) float64 log-probs fit physical memory, but sampling them
+    # holds sample_bytes_per_episode each; building a config allocates nothing
+    n = PHYSICAL_MEMORY // (8 * RunConfig.seq_len)
+    with pytest.raises(ConfigError, match=f"^eval_samples and seq_len make {n} episodes "
+                                          f"whose sampling holds"):
+        RunConfig(eval_samples=n)
+    with pytest.raises(ConfigError, match="^prompts_per_batch, group_size and seq_len make "
+                                          f"{n // 8 * 8} episodes whose sampling holds"):
+        RunConfig(prompts_per_batch=8, group_size=n // 8)
 
 
 def test_readme_config_example_is_a_full_config():
