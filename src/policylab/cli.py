@@ -136,6 +136,16 @@ def _cmd_entropy_predict(args) -> int:
     return EXIT_OK if all(c.passed for c in reports) else EXIT_CHECK_FAILED
 
 
+def _run_config(manifest: Path) -> dict:
+    """The config a run manifest records. One that cannot be read, or holds no
+    config object, raises OSError or ValueError for the caller's config_errors."""
+    doc = json.loads(manifest.read_text())
+    config = doc.get("config") if isinstance(doc, dict) else doc
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object")
+    return config
+
+
 def _analyze_log(args):
     """analyze's log pass: (policy, threshold, quadrant stats, visited states,
     their visits, their mean advantages). The groups, token batch and terms
@@ -154,10 +164,7 @@ def _analyze_log(args):
     # the run's own objective clips; a beta_schedule's betas move no branch code.
     # Only the objective is read, so a manifest holding a retired key still analyzes
     with config_errors(f"run manifest beside {args.log}: "):
-        doc = json.loads((Path(args.log).parent / "run_manifest.json").read_text())
-        config = doc.get("config") if isinstance(doc, dict) else doc
-        if not isinstance(config, dict):
-            raise ConfigError("config must be a JSON object")
+        config = _run_config(Path(args.log).parent / "run_manifest.json")
         spec = objective_from_dict(config.get("objective", {}))
     with config_errors(f"log {args.log} under checkpoint {args.checkpoint}: "):
         terms = batch_token_terms(spec, tokens, policy)
@@ -216,6 +223,13 @@ def _cmd_eval(args) -> int:
                           max((policy.num_states - 1) // args.modulus, 1), args.modulus)
     with config_errors(f"checkpoint {args.checkpoint}: "):
         env.check_table(policy)
+    manifest = Path(args.checkpoint).parent / "run_manifest.json"
+    if manifest.exists():  # the table fits, but T*M + 1 states fit more than one M
+        with config_errors(f"run manifest beside {args.checkpoint}: "):
+            modulus = _run_config(manifest).get("modulus")
+        if modulus != args.modulus:
+            raise ConfigError(f"--modulus {args.modulus} contradicts the modulus {modulus} of "
+                              f"the run manifest beside {args.checkpoint}")
     with config_errors():  # no --targets value means every residue
         targets = residue_set("targets", args.targets or range(args.modulus), args.modulus)
         env.check_samples(args.samples, "--samples")

@@ -126,23 +126,23 @@ NUMBER_FIELDS = tuple(f.name for f in dataclasses.fields(ObjectiveSpec) if f.typ
 
 
 def clip_ratios(spec: ObjectiveSpec, deltas: np.ndarray, seq_len: int) -> np.ndarray:
-    """The ratios spec's algorithm clips: the token ratios, or gspo's sequence
-    ratios exp(mean(log delta_t)), each a row mean of the C-contiguous (n,
-    seq_len) view, so each adds in the order of a per-sequence mean."""
+    """The ratio each token is clipped on: its own, or gspo's sequence ratio
+    exp(mean(log delta_t)), a row mean of the (n, seq_len) view repeated over
+    its seq_len tokens, so each adds in the order of a per-sequence mean."""
     if spec.algorithm != "gspo":
         return deltas
-    return np.exp(np.log(deltas).reshape(-1, seq_len).mean(axis=1))
+    return np.repeat(np.exp(np.log(deltas).reshape(-1, seq_len).mean(axis=1)), seq_len)
 
 
 def clip_terms(spec: ObjectiveSpec, deltas: np.ndarray, advantages: np.ndarray,
                seq_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-token (values, grad_weights, branch_codes) of the configured objective.
 
-    The one statement of every algorithm's clip rule. With (lo, hi) =
-    spec.clip_bounds(), a token whose ratio lies in [lo, hi] is interior:
-    value delta * A and weight delta. Below lo it may be left-clipped,
-    above hi right-clipped, and a clipped side contributes (scale * A,
-    weight) instead:
+    The one statement of every algorithm's clip rule, token by token on the
+    token's clip_ratios delta and its A. With (lo, hi) = spec.clip_bounds(),
+    a token whose delta lies in [lo, hi] is interior: value delta * A and
+    weight delta. Below lo it may be left-clipped, above hi right-clipped,
+    and a clipped side contributes (scale * A, weight) instead:
 
       ppo, grpo, dapo  (lo, 0) and (hi, 0), only where A < 0 / A > 0: the
                        min(delta*A, clip(delta)*A) surrogate, whose
@@ -153,11 +153,10 @@ def clip_terms(spec: ObjectiveSpec, deltas: np.ndarray, advantages: np.ndarray,
                        with beta1 = beta2 = 0 the gradient is ppo's
       cispo          (lo, lo) and (hi, hi) on either advantage sign: the
                        clipped importance weight, frozen in the backward pass
-      gspo             the ppo rule on each sequence's geometric-mean ratio
-                       s over its seq_len tokens; every token carries a
-                       1/seq_len share of the sequence's value and weight
-                       (the share differentiating the mean forces) and the
-                       sequence's branch code
+      gspo             the ppo rule on each token's sequence ratio s, the
+                       geometric mean over its seq_len tokens; each token
+                       carries a 1/seq_len share of the value and weight
+                       (the share differentiating the mean forces)
 
     Ratios are taken as given (batch_token_terms checks them where it
     makes them); advantages are per token, constant within a gspo sequence.
@@ -170,8 +169,6 @@ def clip_terms(spec: ObjectiveSpec, deltas: np.ndarray, advantages: np.ndarray,
     else:  # ppo, grpo, dapo and gspo
         gated, left_side, right_side = True, (lo, 0.0), (hi, 0.0)
     deltas = clip_ratios(spec, deltas, seq_len)
-    if spec.algorithm == "gspo":
-        advantages = advantages[::seq_len]
     left, right = deltas < lo, deltas > hi
     if gated:
         left &= advantages < 0.0
@@ -180,9 +177,8 @@ def clip_terms(spec: ObjectiveSpec, deltas: np.ndarray, advantages: np.ndarray,
                       np.where(right, right_side[0] * advantages, deltas * advantages))
     weights = np.where(left, left_side[1], np.where(right, right_side[1], deltas))
     codes = np.where(left, CODE_LEFT, np.where(right, CODE_RIGHT, CODE_INTERIOR))
-    if spec.algorithm == "gspo":
-        return (np.repeat(values / seq_len, seq_len), np.repeat(weights / seq_len, seq_len),
-                np.repeat(codes, seq_len))
+    if spec.algorithm == "gspo":  # each token's 1/seq_len share of its sequence's terms
+        values, weights = values / seq_len, weights / seq_len
     return values, weights, codes
 
 

@@ -29,7 +29,14 @@ from policylab import (
     verify_reward,
 )
 from policylab import objectives
-from policylab.env import RolloutGroup, Trajectory, rollout_group, sample_episodes, sample_task
+from policylab.env import (
+    RolloutGroup,
+    Trajectory,
+    _rewards,
+    rollout_group,
+    sample_episodes,
+    sample_task,
+)
 from policylab.objectives import BatchTerms, new_logprob_lookup, token_weights
 from policylab.policy import (
     entropy_and_gradient_rows,
@@ -143,6 +150,31 @@ def test_lockstep_sampler_boundary_draws():
                                                  _ScriptedDraws(draws)))
     _assert_same_trajectories(got, expected)
     assert [int(t.actions[0]) for t in got] == [0, 1, 0, 2, 2, 2, 2]
+
+
+def test_a_steps_groups_are_rows_of_one_lockstep_pass():
+    # the trainer draws a step's groups one rollout_group call at a time, each from
+    # its own stream; one sample_episodes pass over all of their rows, fed each
+    # stream's (G, T) uniforms in group order, must give the same rows bit for bit
+    config, n_groups, group_size = EnvConfig(), 8, 8
+    for seed in range(20):
+        policy = _table(config.num_states, config.vocab_size, seed)
+        step, attempt = seed % 7, seed % 2
+        task_rng = named_stream(seed, "tasks", step, attempt)
+        tasks = [sample_task(config, task_rng) for _ in range(n_groups)]
+        groups = [rollout_group(policy, task, group_size,
+                                named_stream(seed, "rollout", step, attempt, g))
+                  for g, task in enumerate(tasks)]
+        draws = np.concatenate([named_stream(seed, "rollout", step, attempt, g).random(
+            (group_size, config.seq_len)) for g in range(n_groups)])
+        states, actions, logprobs, _ = sample_episodes(
+            policy, tasks[0], n_groups * group_size, _ScriptedDraws(draws.ravel()))
+        for g, group in enumerate(groups):
+            rows = slice(g * group_size, (g + 1) * group_size)
+            assert np.array_equal(group.states, states[rows])
+            assert np.array_equal(group.actions, actions[rows])
+            assert np.array_equal(group.old_logprobs, logprobs[rows])
+            assert np.array_equal(group.rewards, _rewards(actions[rows], group.task))
 
 
 @pytest.mark.parametrize("vocab", [2, 8, 9, 32])

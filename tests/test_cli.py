@@ -637,6 +637,32 @@ def test_eval_checks_the_table_before_building_any_residue_set(tmp_path, monkeyp
     assert "does not match state space" in capsys.readouterr().err
 
 
+def test_eval_refuses_a_modulus_the_runs_manifest_contradicts(tmp_path, capsys):
+    # a T=6, M=5 table also fits T=10, M=3; only the run manifest beside it tells them apart
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(_write_config(tmp_path, total_steps=1)),
+                 "--out", str(run)]) == 0
+    (tmp_path / "bare").mkdir()
+    bare = tmp_path / "bare" / "policy.json"
+    bare.write_bytes((run / "policy.json").read_bytes())
+    capsys.readouterr()
+    assert main(["eval", str(run / "policy.json"), "--modulus", "3"]) == 2
+    assert capsys.readouterr().err == (f"config error: --modulus 3 contradicts the modulus 5 "
+                                       f"of the run manifest beside {run / 'policy.json'}\n")
+    # the run's own modulus prints what the checkpoint without its manifest prints
+    outputs = []
+    for checkpoint in (run / "policy.json", bare):
+        assert main(["eval", str(checkpoint), "--modulus", "5"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and json.loads(outputs[0])["targets"] == [0, 1, 2, 3, 4]
+    # a checkpoint with no manifest beside it takes the flag as given
+    assert main(["eval", str(bare), "--modulus", "3"]) == 0
+    (run / "run_manifest.json").write_text("[]")
+    assert main(["eval", str(run / "policy.json")]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"run manifest beside {run / 'policy.json'}: config must be a JSON object\n")
+
+
 def test_train_output_that_cannot_be_a_directory_fails_before_step_0(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a training step ran")

@@ -22,21 +22,22 @@ from policylab.env import RolloutGroup, _episode_states, sample_bytes_per_episod
 from policylab.seeding import stream_key
 
 
-def modsum_success_probability(vocab_size, seq_len, modulus, target):
-    """Oracle: exact distribution of (sum of seq_len uniform tokens) mod M
-    via dynamic programming over residues."""
-    step = np.zeros(modulus)
-    for a in range(vocab_size):
-        step[a % modulus] += 1.0 / vocab_size
-    dist = np.zeros(modulus)
-    dist[0] = 1.0
-    for _ in range(seq_len):
+def modsum_success_probability(vocab_size, seq_len, modulus, target, probs=None):
+    """Oracle: the exact probability that an episode's tokens sum to target mod M,
+    by a forward dynamic program over (position, residue). probs is the policy's
+    (T*M + 1, V) probability table, whose row t*M + r is the state of residue r
+    before token t; None is the uniform policy."""
+    if probs is None:
+        probs = np.full((seq_len * modulus + 1, vocab_size), 1.0 / vocab_size)
+    occupancy = np.zeros(modulus)  # P(residue r before token t)
+    occupancy[0] = 1.0
+    for t in range(seq_len):
         nxt = np.zeros(modulus)
         for r in range(modulus):
-            for d in range(modulus):
-                nxt[(r + d) % modulus] += dist[r] * step[d]
-        dist = nxt
-    return dist[target]
+            for a in range(vocab_size):
+                nxt[(r + a) % modulus] += occupancy[r] * probs[t * modulus + r, a]
+        occupancy = nxt
+    return occupancy[target]
 
 
 def test_dp_oracle_matches_brute_force_enumeration():
@@ -47,6 +48,38 @@ def test_dp_oracle_matches_brute_force_enumeration():
     assert counts == [51, 52, 51, 51, 51]
     for target in range(5):
         assert abs(modsum_success_probability(4, 4, 5, target) - counts[target] / 256) < 1e-12
+
+
+def test_dp_oracle_matches_enumeration_under_a_random_policy():
+    # all 3^3 sequences, V=3 T=3 M=4, each weighed by its probability under the policy
+    vocab, seq_len, modulus = 3, 3, 4
+    probs = TabularPolicy.random(seq_len * modulus + 1, vocab, 1.0,
+                                 named_stream(2031, "oracle-enum")).probability_matrix()
+    mass = [0.0] * modulus
+    for seq in product(range(vocab), repeat=seq_len):
+        p, residue = 1.0, 0
+        for t, a in enumerate(seq):
+            p *= probs[t * modulus + residue, a]
+            residue = (residue + a) % modulus
+        mass[residue] += p
+    for target in range(modulus):
+        got = modsum_success_probability(vocab, seq_len, modulus, target, probs)
+        assert abs(got - mass[target]) < 1e-12
+
+
+def test_sampled_mean_reward_matches_the_oracle_under_a_random_policy():
+    # a binomial test of sample_episodes' rewards on a random 31 x 8 policy, per
+    # target, with the bound |z| <= 4 fixed before the first run
+    config, n = EnvConfig(), 20_000
+    policy = TabularPolicy.random(config.num_states, config.vocab_size, 1.0,
+                                  named_stream(2030, "oracle-policy"))
+    for target in range(config.modulus):
+        p = modsum_success_probability(config.vocab_size, config.seq_len, config.modulus,
+                                       target, policy.probability_matrix())
+        rewards = sample_episodes(policy, config.task(target), n,
+                                  named_stream(2030, "oracle-mc", target))[3]
+        z = (rewards.mean() - p) / np.sqrt(p * (1.0 - p) / n)
+        assert abs(z) <= 4.0, (target, p, rewards.mean(), z)
 
 
 def test_env_config_validation():
