@@ -11,7 +11,6 @@ from .advantage import (
 from .entropy_dynamics import (
     ConvergenceReport,
     EntropyPrediction,
-    Quadrant,
     QuadrantStats,
     center_advantages,
     entropy_covariance,
@@ -38,7 +37,7 @@ from .gradcheck import (
     numeric_gradient,
 )
 from .objectives import (
-    Branch,
+    BRANCHES,
     ObjectiveSpec,
     TokenBatch,
     aggregate_objective,

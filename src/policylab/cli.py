@@ -21,8 +21,8 @@ from .entropy_dynamics import (
     quadrant_stats_arrays,
     verify_predictor_convergence,
 )
-from .env import EnvConfig, _Dimensions, read_rollout_log, residue_set
-from .gradcheck import DEFAULT_STEP, build_gradcheck_batch, check_objective_gradient
+from .env import EnvConfig, read_rollout_log, residue_set
+from .gradcheck import DEFAULT_STEP, ENV, build_gradcheck_batch, check_objective_gradient
 from .objectives import ALGORITHMS, NUMBER_FIELDS, ObjectiveSpec, TokenBatch, batch_token_terms
 from .policy import TabularPolicy, check_table_size, state_visits, visit_weighted_mean
 from .seeding import named_stream
@@ -99,7 +99,7 @@ def _cmd_gradcheck(args) -> int:
     overrides = {n: getattr(args, n) for n in NUMBER_FIELDS if getattr(args, n) is not None}
     with config_errors():
         spec = ObjectiveSpec.for_algorithm(args.objective, **overrides)
-        EnvConfig().check_samples(args.trajectories, "--trajectories")
+        ENV.check_samples(args.trajectories, "--trajectories")
     try:
         batch, policy = build_gradcheck_batch(
             spec, seed=args.seed, n_trajectories=args.trajectories,
@@ -150,6 +150,15 @@ def _analyze_log(args):
     """analyze's log pass: (policy, threshold, quadrant stats, visited states,
     their visits, their mean advantages). The groups, token batch and terms
     it reads are gone by the time the predictor runs."""
+    # the run's own objective clips; a beta_schedule's betas move no branch code. Only
+    # the objective and log_rollouts are read, so a retired key still analyzes
+    manifest = Path(args.log).parent / "run_manifest.json"
+    with config_errors(f"run manifest beside {args.log}: "):
+        config = _run_config(manifest)
+        spec = objective_from_dict(config.get("objective", {}))
+    if config.get("log_rollouts") is False:  # train leaves an earlier run's log in place
+        raise ConfigError(f"run manifest {manifest} records a run that logged no rollouts, "
+                          f"so {args.log} is an earlier run's log")
     with config_errors(f"rollout log {args.log}: "):
         groups = read_rollout_log(args.log)
         # the batch, advantages included, built from the logged groups as the
@@ -161,11 +170,6 @@ def _analyze_log(args):
     with config_errors(f"checkpoint {args.checkpoint}: "):
         for task in tasks:
             task.check_table(policy)
-    # the run's own objective clips; a beta_schedule's betas move no branch code.
-    # Only the objective is read, so a manifest holding a retired key still analyzes
-    with config_errors(f"run manifest beside {args.log}: "):
-        config = _run_config(Path(args.log).parent / "run_manifest.json")
-        spec = objective_from_dict(config.get("objective", {}))
     with config_errors(f"log {args.log} under checkpoint {args.checkpoint}: "):
         terms = batch_token_terms(spec, tokens, policy)
     threshold = (1.0 / policy.num_actions if args.prob_threshold is None
@@ -216,11 +220,10 @@ def _cmd_suite(args) -> int:
 def _cmd_eval(args) -> int:
     policy = _load_checkpoint(args.checkpoint)
     # V and T read off the table, raised to the smallest valid ones: the table
-    # fits this shape or no environment of this modulus. No train targets are
-    # built, so a modulus the table cannot fit is refused before any residue set
+    # fits this shape or no environment of this modulus
     with config_errors("--modulus: "):
-        env = _Dimensions(max(policy.num_actions, 2),
-                          max((policy.num_states - 1) // args.modulus, 1), args.modulus)
+        env = EnvConfig(max(policy.num_actions, 2),
+                        max((policy.num_states - 1) // args.modulus, 1), args.modulus)
     with config_errors(f"checkpoint {args.checkpoint}: "):
         env.check_table(policy)
     manifest = Path(args.checkpoint).parent / "run_manifest.json"

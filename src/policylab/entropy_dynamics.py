@@ -22,13 +22,12 @@ codes of objectives.clip_terms.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .objectives import CODE_LEFT, CODE_RIGHT
+from .objectives import BRANCHES, CODE_LEFT, CODE_RIGHT
 from .policy import _expected_log_rows, _log_or_zero, _SoftmaxTable, entropy_rows, softmax_rows
 
 CENTERING_TOLERANCE = 1e-9
@@ -38,13 +37,6 @@ RATIO_BAND = (3.0, 5.0)
 
 # the 41 edges e_0..e_40 of 40 log-spaced ratio bins over [e^-3, e^3]
 HISTOGRAM_EDGES = np.exp(np.linspace(-3.0, 3.0, 41))
-
-
-class Quadrant(str, enum.Enum):
-    PA_HP = "pa_hp"
-    NA_LP = "na_lp"
-    PA_LP = "pa_lp"
-    NA_HP = "na_hp"
 
 
 def _rows(policy: _SoftmaxTable, states: Sequence[int] | np.ndarray, advantages: np.ndarray
@@ -220,10 +212,10 @@ def quadrant_taxonomy(advantages: np.ndarray, probs: np.ndarray,
     neg = advantages < 0.0
     high = probs >= prob_threshold
     counts = {
-        Quadrant.PA_HP.value: int((pos & high).sum()),
-        Quadrant.PA_LP.value: int((pos & ~high).sum()),
-        Quadrant.NA_HP.value: int((neg & high).sum()),
-        Quadrant.NA_LP.value: int((neg & ~high).sum()),
+        "pa_hp": int((pos & high).sum()),
+        "pa_lp": int((pos & ~high).sum()),
+        "na_hp": int((neg & high).sum()),
+        "na_lp": int((neg & ~high).sum()),
     }
     n_signed = sum(counts.values())
     return counts, {k: (c / n_signed if n_signed else 0.0) for k, c in counts.items()}
@@ -245,7 +237,7 @@ def quadrant_stats_arrays(deltas: np.ndarray, advantages: np.ndarray,
         raise ValueError(f"{len(branch_codes)} branch codes for {n} tokens")
     counts, fractions = quadrant_taxonomy(np.asarray(advantages, dtype=np.float64),
                                           np.asarray(probs, dtype=np.float64), prob_threshold)
-    code_counts = np.bincount(branch_codes, minlength=3)
+    code_counts = np.bincount(branch_codes, minlength=len(BRANCHES))
     hist = np.bincount(np.searchsorted(HISTOGRAM_EDGES, deltas, side="right"),
                        minlength=len(HISTOGRAM_EDGES) + 1).tolist()
     return QuadrantStats(

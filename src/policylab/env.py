@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import numbers
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -63,7 +64,7 @@ def residue_set(name: str, values, modulus: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class _Dimensions:
+class EnvConfig:
     """V actions, T tokens and modulus M: the shape an environment and its tasks share."""
 
     vocab_size: int
@@ -105,24 +106,7 @@ class _Dimensions:
 
 
 @dataclass(frozen=True)
-class EnvConfig(_Dimensions):
-    """Environment dimensions plus the residues tasks may target."""
-
-    vocab_size: int = 8
-    seq_len: int = 6
-    modulus: int = 5
-    # None resolves to every residue [0, M), so the field is always a tuple
-    train_targets: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        super().__post_init__()
-        targets = range(self.modulus) if self.train_targets is None else self.train_targets
-        object.__setattr__(self, "train_targets",
-                           residue_set("train_targets", targets, self.modulus))
-
-
-@dataclass(frozen=True)
-class ModSumTask(_Dimensions):
+class ModSumTask(EnvConfig):
     target: int
 
     def __post_init__(self):
@@ -192,10 +176,9 @@ class RolloutGroup:
                 in zip(self.states, self.actions, self.old_logprobs, self.rewards)]
 
 
-def sample_task(config: EnvConfig, rng: np.random.Generator) -> ModSumTask:
-    """Draw a task with target uniform over the config's train targets."""
-    targets = config.train_targets
-    return config.task(int(targets[rng.integers(len(targets))]))
+def sample_task(tasks: Sequence[ModSumTask], rng: np.random.Generator) -> ModSumTask:
+    """Draw one of tasks uniformly: one integer draw from rng."""
+    return tasks[rng.integers(len(tasks))]
 
 
 def verify_reward(trajectory: Trajectory) -> int:

@@ -65,6 +65,8 @@ BOUNDARY_EXCLUSION_STEPS = 10.0
 GROUP_SIZE = 8
 POLICY_SCALE = 0.6
 PERTURBATION = 0.35
+# the environment build_gradcheck_batch samples from, every residue a target
+ENV = EnvConfig(8, 6, 5)
 
 
 @dataclass
@@ -264,7 +266,7 @@ def _boundary_safe_trajectories(spec: ObjectiveSpec, batch: TokenBatch,
 
 
 def build_gradcheck_batch(spec: ObjectiveSpec, seed: int, n_trajectories: int = 64,
-                          env_config: EnvConfig | None = None,
+                          env_config: EnvConfig = ENV,
                           min_branch_count: int = 16, h: float = DEFAULT_STEP,
                           max_attempts: int = 20) -> tuple[TokenBatch, TabularPolicy]:
     """Roll out a batch and drift the live policy until every branch is hit.
@@ -275,13 +277,13 @@ def build_gradcheck_batch(spec: ObjectiveSpec, seed: int, n_trajectories: int = 
     are dropped; batches are resampled (with escalating drift) until all
     of the algorithm's branches reach min_branch_count.
     """
-    config = env_config or EnvConfig()
+    tasks = tuple(map(env_config.task, range(env_config.modulus)))
     n_groups = max(1, -(-n_trajectories // GROUP_SIZE))
     counts = None  # stays None while no attempt keeps 2 boundary-safe trajectories
     for attempt in range(max_attempts):
         rng = named_stream(seed, "gradcheck", attempt)
-        base = TabularPolicy.random(config.num_states, config.vocab_size, POLICY_SCALE, rng)
-        groups = [rollout_group(base, sample_task(config, rng), GROUP_SIZE, rng)
+        base = TabularPolicy.random(env_config.num_states, env_config.vocab_size, POLICY_SCALE, rng)
+        groups = [rollout_group(base, sample_task(tasks, rng), GROUP_SIZE, rng)
                   for _ in range(n_groups)]
         drift = PERTURBATION * (1.0 + 0.25 * attempt)
         live = TabularPolicy(base.logits + rng.normal(0.0, drift, base.logits.shape))

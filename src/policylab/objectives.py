@@ -40,7 +40,6 @@ scatter and analyze's per-cell sums all read that one index.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -54,15 +53,9 @@ from .policy import _SoftmaxTable, entropy_and_gradient_rows, state_visits
 ALGORITHMS = ("ppo", "grpo", "dapo", "cispo", "gspo", "ce_gppo")
 
 
-class Branch(str, enum.Enum):
-    LEFT_CLIPPED = "left_clipped"
-    RIGHT_CLIPPED = "right_clipped"
-    INTERIOR = "interior_or_pessimistic"
-
-
-# the branch codes clip_terms returns; a code indexes _CODE_TO_BRANCH
+# the clip branches' names, indexed by the branch codes clip_terms returns
+BRANCHES = ("interior_or_pessimistic", "left_clipped", "right_clipped")
 CODE_INTERIOR, CODE_LEFT, CODE_RIGHT = 0, 1, 2
-_CODE_TO_BRANCH = (Branch.INTERIOR, Branch.LEFT_CLIPPED, Branch.RIGHT_CLIPPED)
 
 
 @dataclass(frozen=True)
@@ -332,8 +325,7 @@ class BatchTerms:
     deltas: np.ndarray
 
     def branch_counts(self) -> dict[str, int]:
-        return {b.value: int((self.branch_codes == c).sum())
-                for c, b in enumerate(_CODE_TO_BRANCH)}
+        return {name: int((self.branch_codes == c).sum()) for c, name in enumerate(BRANCHES)}
 
 
 def flat_cell_index(policy: _SoftmaxTable, states: np.ndarray,

@@ -5,9 +5,10 @@ the start of the step (the snapshot), and then runs several minibatched
 gradient passes in which importance ratios are recomputed against the
 live policy, so clipping genuinely activates from the second pass on.
 Only the logits cross a step boundary, so a step is _step(config, policy,
-step): RunConfig.env and eval_tasks (env.task of each target) are built
-once per config. train is its checks, the initial policy (a checkpoint,
-or TabularPolicy.random, whose scale 0 is the uniform table), a loop over
+step): RunConfig.env, train_tasks and eval_tasks (env.task of each
+target) are built once per config, and each group's task is one of
+train_tasks. train is its checks, the initial policy (a checkpoint, or
+TabularPolicy.random, whose scale 0 is the uniform table), a loop over
 _step and the writes. Logits are read-only and an update rebinds them,
 so the snapshot needs no copy: the rollouts, the snapshot's probability
 rows and the last good logits are taken before the first update and no
@@ -79,6 +80,7 @@ from .env import (
     write_rollout_log,
 )
 from .objectives import (
+    BRANCHES,
     CODE_INTERIOR,
     CODE_LEFT,
     CODE_RIGHT,
@@ -151,9 +153,8 @@ class RunConfig:
     """Everything that identifies a training run; where its outputs go is
     train's out_dir, not part of it.
 
-    train_targets: None holds out the top residue (train on 0..M-2) when
-    M > 2; "all" trains on every residue; an explicit list is used as
-    given. eval_targets defaults to the residues not trained on; when
+    train_targets and eval_targets are resolved by train_tasks and
+    eval_tasks. eval_targets defaults to the residues not trained on; when
     every residue trains, evaluation reuses them (with fresh sampling
     streams) and the manifest says so.
     """
@@ -229,20 +230,29 @@ class RunConfig:
             if self.eval_targets is not None:
                 object.__setattr__(self, "eval_targets",
                                    residue_set("eval_targets", self.eval_targets, self.modulus))
-        if self.train_targets is not None and not isinstance(self.train_targets, str):
-            object.__setattr__(self, "train_targets", self.env.train_targets)
+            if self.train_targets is not None and not isinstance(self.train_targets, str):
+                object.__setattr__(self, "train_targets",
+                                   residue_set("train_targets", self.train_targets, self.modulus))
 
     @cached_property
     def env(self) -> EnvConfig:
+        return EnvConfig(self.vocab_size, self.seq_len, self.modulus)
+
+    @cached_property
+    def train_tasks(self) -> tuple[ModSumTask, ...]:
+        """The one target rule: null holds out the top residue when M > 2, "all"
+        and a null with M = 2 train on every residue, and a list trains on its own."""
         targets = self.train_targets
-        if targets is None and self.modulus > 2:  # hold out the top residue
+        if targets is None and self.modulus > 2:
             targets = range(self.modulus - 1)
-        return EnvConfig(self.vocab_size, self.seq_len, self.modulus,
-                         None if targets == "all" else targets)
+        elif targets is None or targets == "all":
+            targets = range(self.modulus)
+        return tuple(map(self.env.task, targets))
 
     @cached_property
     def eval_tasks(self) -> tuple[ModSumTask, ...]:
-        held_out = [t for t in range(self.modulus) if t not in self.env.train_targets]
+        trained = {task.target for task in self.train_tasks}
+        held_out = [t for t in range(self.modulus) if t not in trained]
         return tuple(map(self.env.task, self.eval_targets or held_out or range(self.modulus)))
 
     def objective_at(self, step: int) -> ObjectiveSpec:
@@ -359,7 +369,8 @@ def _step(config: RunConfig, policy: TabularPolicy,
     all_groups: list[RolloutGroup] = []
     for attempt in range(config.max_filter_retries):
         task_rng = named_stream(config.seed, "tasks", step, attempt)
-        groups = [rollout_group(policy, sample_task(config.env, task_rng), config.group_size,
+        groups = [rollout_group(policy, sample_task(config.train_tasks, task_rng),
+                                config.group_size,
                                 named_stream(config.seed, "rollout", step, attempt, g))
                   for g in range(config.prompts_per_batch)]
         all_groups.extend(groups)
@@ -383,8 +394,8 @@ def _step(config: RunConfig, policy: TabularPolicy,
     chunk = max(1, round(config.minibatch_fraction * n_traj))
     # per-pass sums: branch-code counts and rollout-time probabilities per code,
     # update norms, and off-policy tokens of the passes from the second mini-epoch on
-    counts, prob_sums, grad_norms = np.zeros(3, dtype=np.int64), np.zeros(3), []
-    offpolicy_tokens = late_pass_tokens = 0
+    counts, prob_sums = np.zeros(len(BRANCHES), dtype=np.int64), np.zeros(len(BRANCHES))
+    grad_norms, offpolicy_tokens, late_pass_tokens = [], 0, 0
     try:
         batch.cell_index(policy)  # checked once; gathers and slices inherit it
         for epoch in range(config.mini_epochs):
@@ -393,9 +404,9 @@ def _step(config: RunConfig, policy: TabularPolicy,
                 sub = shuffled.rows(start, start + chunk)
                 terms = batch_token_terms(spec, sub, policy)
                 _, grad = analytic_objective_gradient(spec, sub, policy, terms)
-                counts += np.bincount(terms.branch_codes, minlength=3)
+                counts += np.bincount(terms.branch_codes, minlength=len(BRANCHES))
                 prob_sums += np.bincount(terms.branch_codes, weights=np.exp(sub.old_logprobs),
-                                         minlength=3)
+                                         minlength=len(BRANCHES))
                 grad_norms.append(float(np.linalg.norm(grad)))
                 if epoch >= 1:
                     offpolicy_tokens += int((terms.deltas != 1.0).sum())
@@ -491,7 +502,6 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
             print(f"step {step:>5}  H={record.entropy_exact:.4f}  reward={record.mean_reward:.3f}"
                   f"  acc={record.accuracy:.3f}  kl={record.kl:.5f}")
 
-    eval_targets = [task.target for task in config.eval_tasks]
     manifest = {
         "schema_version": CONFIG_SCHEMA_VERSION,
         "config": config.to_dict(),
@@ -500,9 +510,9 @@ def train(config: RunConfig, out_dir: str | Path | None = None,
         "code_version": __version__,
         "status": status,
         "steps_completed": len(metrics),
-        "train_targets": list(env.train_targets),
-        "eval_targets": eval_targets,
-        "eval_reuses_training_targets": not set(eval_targets).isdisjoint(env.train_targets),
+        "train_targets": [task.target for task in config.train_tasks],
+        "eval_targets": [task.target for task in config.eval_tasks],
+        "eval_reuses_training_targets": not set(config.eval_tasks).isdisjoint(config.train_tasks),
     }
     if failure is not None:
         manifest["failure"] = str(failure)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from policylab import (
-    EnvConfig,
     TabularPolicy,
     TokenBatch,
     dynamic_sampling_filter,
@@ -15,14 +14,15 @@ from policylab import (
     standardize_groups,
 )
 from policylab.advantage import DEGENERATE_STD
+from policylab.gradcheck import ENV
 from policylab.env import ModSumTask, RolloutGroup
 
 
 def _groups(n, seed=0):
-    config = EnvConfig()
-    policy = TabularPolicy.uniform(config.num_states, 8)
+    tasks = [ENV.task(t) for t in range(ENV.modulus)]
+    policy = TabularPolicy.uniform(ENV.num_states, 8)
     rng = named_stream(seed, "adv-groups")
-    return [rollout_group(policy, sample_task(config, rng), 8, rng) for _ in range(n)]
+    return [rollout_group(policy, sample_task(tasks, rng), 8, rng) for _ in range(n)]
 
 
 def _row(rewards):

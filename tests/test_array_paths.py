@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from policylab import (
-    EnvConfig,
     ModSumTask,
     ObjectiveSpec,
     TabularPolicy,
@@ -37,6 +36,7 @@ from policylab.env import (
     sample_episodes,
     sample_task,
 )
+from policylab.gradcheck import ENV
 from policylab.objectives import BatchTerms, new_logprob_lookup, token_weights
 from policylab.policy import (
     entropy_and_gradient_rows,
@@ -156,12 +156,13 @@ def test_a_steps_groups_are_rows_of_one_lockstep_pass():
     # the trainer draws a step's groups one rollout_group call at a time, each from
     # its own stream; one sample_episodes pass over all of their rows, fed each
     # stream's (G, T) uniforms in group order, must give the same rows bit for bit
-    config, n_groups, group_size = EnvConfig(), 8, 8
+    config, n_groups, group_size = ENV, 8, 8
+    every_task = [config.task(t) for t in range(config.modulus)]
     for seed in range(20):
         policy = _table(config.num_states, config.vocab_size, seed)
         step, attempt = seed % 7, seed % 2
         task_rng = named_stream(seed, "tasks", step, attempt)
-        tasks = [sample_task(config, task_rng) for _ in range(n_groups)]
+        tasks = [sample_task(every_task, task_rng) for _ in range(n_groups)]
         groups = [rollout_group(policy, task, group_size,
                                 named_stream(seed, "rollout", step, attempt, g))
                   for g, task in enumerate(tasks)]
@@ -471,12 +472,13 @@ def test_aggregate_rejects_out_of_range_actions():
 
 
 def test_from_groups_matches_from_trajectories():
-    config = EnvConfig()
+    config = ENV
+    tasks = [config.task(t) for t in range(config.modulus)]
     dropped = 0
     for seed in range(6):
         rng = named_stream(seed, "from-groups")
         policy = TabularPolicy.random(config.num_states, config.vocab_size, 1.0, rng)
-        groups = [rollout_group(policy, sample_task(config, rng), 8, rng) for _ in range(12)]
+        groups = [rollout_group(policy, sample_task(tasks, rng), 8, rng) for _ in range(12)]
         # dapo-style: the dynamic-sampling filter drops groups, then advantages
         retained = dynamic_sampling_filter(groups)
         dropped += len(groups) - len(retained)

@@ -10,7 +10,6 @@ import pytest
 
 from policylab import (
     ConfigError,
-    EnvConfig,
     ModSumTask,
     ObjectiveSpec,
     RunConfig,
@@ -122,6 +121,8 @@ def test_train_bad_config_exit_2(tmp_path, capsys):
                                f"{8 * 10 ** 12} x 6 sample array whose float64 log-probs exceed"),
     ({"eval_samples": 10 ** 12}, f"eval_samples and seq_len make a {10 ** 12} x 6 sample array "
                                  f"whose float64 log-probs exceed the"),
+    # "all" is a train_targets spelling only
+    ({"eval_targets": "all"}, "eval_targets must be integers, got ['a', 'l', 'l']"),
 ], ids=["string_beta1", "string_eps_low", "beta1_on_grpo", "schedule_on_grpo",
         "short_schedule_entry", "string_target", "negative_seed", "fractional_vocab",
         "string_flag", "numeric_path", "empty_path", "bool_seed", "bool_total_steps", "bool_beta1",
@@ -132,7 +133,8 @@ def test_train_bad_config_exit_2(tmp_path, capsys):
         "unallocatable_table", "int_train_targets", "int_eval_targets", "numeric_objective",
         "negative_init_logit_scale", "nan_init_logit_scale", "overflowing_init_logit_scale",
         "negative_schedule_step", "oversized_group_size", "oversized_prompts_per_batch",
-        "oversized_eval_samples", "unallocatable_group_size", "unallocatable_eval_samples"])
+        "oversized_eval_samples", "unallocatable_group_size", "unallocatable_eval_samples",
+        "string_eval_targets"])
 def test_train_malformed_config_value_exit_2(overrides, message, tmp_path, capsys):
     # a malformed value is a usage error with one line, not a traceback mid-run
     config = _write_config(tmp_path, **overrides)
@@ -269,6 +271,7 @@ def test_analyze_mixed_lengths_exit_2(tmp_path, capsys):
                 "old_logprobs": [-2.0794415416798357] * seq_len, "reward": reward}))
     log = tmp_path / "mixed.jsonl"
     log.write_text("\n".join(lines) + "\n")
+    (tmp_path / "run_manifest.json").write_text(LOGGING_MANIFEST)
     TabularPolicy.uniform(3 * 5 + 1, 8).save(tmp_path / "policy.json")
     rc = main(["analyze", "--log", str(log), "--checkpoint", str(tmp_path / "policy.json")])
     err = capsys.readouterr().err
@@ -294,6 +297,10 @@ def test_analyze_clip_fractions_follow_the_run_objective(name, tmp_path, capsys)
     assert stats["right_clip_fraction"] == np.mean(codes == CODE_RIGHT)
     if name == "gspo":  # whole sequences clipped at 3e-4 / 4e-4, not PPO's 0.2 / 0.2
         assert stats["left_clip_fraction"] > 0.4 and stats["right_clip_fraction"] > 0.1
+
+
+# the manifest of a run that logged its rollouts, at _log_line's V=8, T=3, M=5
+LOGGING_MANIFEST = json.dumps({"config": RunConfig(seq_len=3, log_rollouts=True).to_dict()})
 
 
 def _log_dir_with_manifest(tmp_path, manifest):
@@ -336,11 +343,27 @@ def test_analyze_reads_only_the_manifest_objective(tmp_path):
     assert (tmp_path / "old.json").read_bytes() == (tmp_path / "now.json").read_bytes()
 
 
+def test_analyze_refuses_a_log_its_run_did_not_write(tmp_path, capsys):
+    # a run without log_rollouts, trained into a directory an earlier logging run
+    # wrote, replaces the manifest and checkpoint but leaves the earlier rollouts.jsonl
+    run = tmp_path / "run"
+    logging = _write_config(tmp_path, log_rollouts=True)
+    assert main(["train", "--config", str(logging), "--out", str(run)]) == 0
+    (tmp_path / "second").mkdir()
+    second = _write_config(tmp_path / "second", seed=1, objective={"algorithm": "grpo"})
+    assert main(["train", "--config", str(second), "--out", str(run)]) == 0
+    capsys.readouterr()
+    assert (run / "rollouts.jsonl").exists()  # train deletes nothing it did not write
+    message = _config_error(["analyze", "--log", str(run / "rollouts.jsonl"),
+                             "--checkpoint", str(run / "policy.json")], capsys)
+    assert message.startswith(f"run manifest {run / 'run_manifest.json'} records a run that "
+                              f"logged no rollouts")
+
+
 def test_analyze_underflowed_ratio_exit_2(tmp_path, capsys):
     # the logged tokens take actions 1, 2 and 3; a checkpoint 800 nats down on
     # action 1 gives it probability 0, so the token's ratio cannot be formed
-    manifest = json.dumps({"config": RunConfig(seq_len=3).to_dict()})
-    log = _log_dir_with_manifest(tmp_path, manifest)
+    log = _log_dir_with_manifest(tmp_path, LOGGING_MANIFEST)
     logits = np.zeros((3 * 5 + 1, 8))
     logits[:, 1] = -800.0
     TabularPolicy(logits).save(tmp_path / "policy.json")
@@ -405,6 +428,7 @@ def _rewarded_line(group):
 def test_analyze_malformed_log_exit_2(lines, message, tmp_path, capsys):
     log = tmp_path / "rollouts.jsonl"
     log.write_text("".join(line + "\n" for line in lines))
+    (tmp_path / "run_manifest.json").write_text(LOGGING_MANIFEST)
     TabularPolicy.uniform(3 * 5 + 1, 8).save(tmp_path / "policy.json")
     rc = main(["analyze", "--log", str(log), "--checkpoint", str(tmp_path / "policy.json")])
     err = capsys.readouterr().err
@@ -559,7 +583,7 @@ def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
     TabularPolicy.uniform(6 * 5 + 1, 1).save(tmp_path / "one_action.json")
     TabularPolicy.uniform(1, 8).save(tmp_path / "one_state.json")
     (tmp_path / "log.jsonl").write_text(_log_line(0) + "\n" + _rewarded_line(0) + "\n")
-    (tmp_path / "run_manifest.json").write_text(json.dumps({"config": RunConfig().to_dict()}))
+    (tmp_path / "run_manifest.json").write_text(LOGGING_MANIFEST)
     for name in ("log_without_out", "plain"):  # _write_config writes one config.json per directory
         (tmp_path / name).mkdir()
     (tmp_path / "run" / "metrics.csv").mkdir(parents=True)
@@ -602,7 +626,7 @@ def test_unreadable_input_file_exit_2_naming_it(reader, content, tmp_path, capsy
     # that is not UTF-8 or nests past the recursion limit is one line and exit 2
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
-    log = _log_dir_with_manifest(tmp_path, json.dumps({"config": RunConfig().to_dict()}))
+    log = _log_dir_with_manifest(tmp_path, LOGGING_MANIFEST)
     checkpoint = tmp_path / "policy.json"
     TabularPolicy.uniform(3 * 5 + 1, 8).save(checkpoint)
     analyze = ["analyze", "--log", str(log), "--checkpoint", str(checkpoint)]
@@ -783,8 +807,7 @@ def _raised(call) -> str:
 
 def _residue_set_messages(bad, tmp_path, capsys) -> list[tuple[str, str]]:
     """(field, message) from every residue-set entry point for one bad set at M = 5."""
-    found = [("train_targets", _raised(lambda: EnvConfig(train_targets=bad))),
-             ("train_targets", _raised(lambda: RunConfig(train_targets=bad))),
+    found = [("train_targets", _raised(lambda: RunConfig(train_targets=bad))),
              ("eval_targets", _raised(lambda: RunConfig(eval_targets=bad)))]
     if bad and all(type(t) is int for t in bad):  # eval --targets parses integers; none means all
         TabularPolicy.uniform(6 * 5 + 1, 8).save(tmp_path / "policy.json")
@@ -799,6 +822,7 @@ def _table_fit_messages(shape, tmp_path, capsys) -> list[tuple[str, str]]:
     checkpoint = tmp_path / "policy.json"
     TabularPolicy.uniform(*shape).save(checkpoint)
     (tmp_path / "log.jsonl").write_text(_log_line(0) + "\n" + _rewarded_line(0) + "\n")
+    (tmp_path / "run_manifest.json").write_text(LOGGING_MANIFEST)
     with pytest.raises(ConfigError) as info:
         train(RunConfig(seq_len=3, total_steps=1, init_checkpoint=str(checkpoint)))
     return [

@@ -19,6 +19,9 @@ from policylab import (
     write_rollout_log,
 )
 from policylab.env import RolloutGroup, _episode_states, sample_bytes_per_episode
+from policylab.gradcheck import ENV
+
+EVERY_TASK = tuple(ENV.task(t) for t in range(ENV.modulus))  # the 8/6/5 shape's tasks
 from policylab.seeding import stream_key
 
 
@@ -70,7 +73,7 @@ def test_dp_oracle_matches_enumeration_under_a_random_policy():
 def test_sampled_mean_reward_matches_the_oracle_under_a_random_policy():
     # a binomial test of sample_episodes' rewards on a random 31 x 8 policy, per
     # target, with the bound |z| <= 4 fixed before the first run
-    config, n = EnvConfig(), 20_000
+    config, n = ENV, 20_000
     policy = TabularPolicy.random(config.num_states, config.vocab_size, 1.0,
                                   named_stream(2030, "oracle-policy"))
     for target in range(config.modulus):
@@ -84,29 +87,17 @@ def test_sampled_mean_reward_matches_the_oracle_under_a_random_policy():
 
 def test_env_config_validation():
     with pytest.raises(ValueError):
-        EnvConfig(modulus=1)  # reward would be constant
+        EnvConfig(8, 6, 1)  # reward would be constant
     with pytest.raises(ValueError):
-        EnvConfig(vocab_size=1)
+        EnvConfig(1, 6, 5)
     with pytest.raises(ValueError):
-        EnvConfig(seq_len=0)
-    with pytest.raises(ValueError):
-        EnvConfig(train_targets=(5,))
-    with pytest.raises(ValueError):
-        EnvConfig(train_targets=())
-    # a non-integer target is refused, not truncated
-    for targets in ((1.5, 2.9), (True,), ("1",)):
-        with pytest.raises(ValueError, match="train_targets must be integers"):
-            EnvConfig(train_targets=targets)
-    with pytest.raises(ValueError, match="train_targets must be a list of integers, got 5"):
-        EnvConfig(train_targets=5)
-    assert EnvConfig(train_targets=[np.int64(3), 1]).train_targets == (3, 1)
-    # a table no machine can hold is refused before the targets are built: sizes that
-    # allocate nothing, 10**18 cells (8 EB) and a modulus of 10**12 (a 384 TB table)
+        EnvConfig(8, 0, 5)
+    # a table no machine can hold is refused: sizes that allocate nothing,
+    # 10**18 cells (8 EB) and a modulus of 10**12 (a 384 TB table)
     for dims in ((10 ** 6, 10 ** 6, 10 ** 6), (8, 6, 10 ** 12)):
         with pytest.raises(ValueError, match="table whose float64 logits exceed the"):
             EnvConfig(*dims)
-    assert EnvConfig().train_targets == (0, 1, 2, 3, 4)  # None resolves to every residue
-    assert EnvConfig().num_states == 31
+    assert EnvConfig(8, 6, 5).num_states == 31
 
 
 def test_task_validation():
@@ -122,9 +113,8 @@ def test_task_validation():
 
 
 def test_sample_task_reproducible_and_in_range():
-    config = EnvConfig()
-    targets1 = [sample_task(config, named_stream(4, "t", i)).target for i in range(20)]
-    targets2 = [sample_task(config, named_stream(4, "t", i)).target for i in range(20)]
+    targets1 = [sample_task(EVERY_TASK, named_stream(4, "t", i)).target for i in range(20)]
+    targets2 = [sample_task(EVERY_TASK, named_stream(4, "t", i)).target for i in range(20)]
     assert targets1 == targets2
     assert all(0 <= t < 5 for t in targets1)
 
@@ -149,17 +139,16 @@ def test_named_stream_refuses_negative_integers(path):
 
 
 def test_sample_task_target_frequencies():
-    config = EnvConfig()
     rng = named_stream(13, "freq")
-    targets = np.array([sample_task(config, rng).target for _ in range(10_000)])
+    targets = np.array([sample_task(EVERY_TASK, rng).target for _ in range(10_000)])
     freqs = np.bincount(targets, minlength=5) / len(targets)
     assert np.all(freqs >= 0.17) and np.all(freqs <= 0.23)
 
 
 def test_sample_task_restricted_targets():
-    config = EnvConfig(train_targets=(1, 3))
+    tasks = (ENV.task(1), ENV.task(3))
     rng = named_stream(2, "restricted")
-    targets = {sample_task(config, rng).target for _ in range(200)}
+    targets = {sample_task(tasks, rng).target for _ in range(200)}
     assert targets == {1, 3}
 
 
@@ -181,11 +170,10 @@ def test_verify_reward_incomplete():
 
 
 def test_rollout_reward_matches_independent_recomputation():
-    config = EnvConfig()
-    policy = TabularPolicy.random(config.num_states, 8, 1.0, named_stream(1, "p"))
+    policy = TabularPolicy.random(ENV.num_states, 8, 1.0, named_stream(1, "p"))
     rng = named_stream(1, "roll")
     for i in range(50):
-        task = sample_task(config, rng)
+        task = sample_task(EVERY_TASK, rng)
         for traj in rollout_group(policy, task, 4, rng).trajectories:
             assert traj.reward == int(int(traj.actions.sum()) % task.modulus == task.target)
 
@@ -214,8 +202,7 @@ def test_state_transition_brute_force():
 
 
 def test_rollout_group_snapshot_and_determinism():
-    config = EnvConfig()
-    policy = TabularPolicy.uniform(config.num_states, 8)
+    policy = TabularPolicy.uniform(ENV.num_states, 8)
     task = ModSumTask(8, 6, 5, 2)
     g1 = rollout_group(policy, task, 8, named_stream(3, "g"))
     g2 = rollout_group(policy, task, 8, named_stream(3, "g"))
@@ -226,7 +213,7 @@ def test_rollout_group_snapshot_and_determinism():
 
 
 def test_rollout_group_deterministic_policy_identical_members():
-    config = EnvConfig(vocab_size=4, seq_len=3, modulus=3)
+    config = EnvConfig(4, 3, 3)
     logits = np.zeros((config.num_states, 4))
     logits[:, 2] = 60.0  # always action 2
     policy = TabularPolicy(logits)
@@ -240,8 +227,7 @@ def test_rollout_group_deterministic_policy_identical_members():
 
 
 def test_rollout_group_errors():
-    config = EnvConfig()
-    policy = TabularPolicy.uniform(config.num_states, 8)
+    policy = TabularPolicy.uniform(ENV.num_states, 8)
     task = ModSumTask(8, 6, 5, 0)
     with pytest.raises(ValueError, match=">= 2"):
         rollout_group(policy, task, 1, named_stream(0, "x"))
@@ -257,11 +243,10 @@ def test_rollout_group_errors():
 
 
 def test_uniform_policy_mean_reward_matches_enumeration_oracle():
-    config = EnvConfig()
     task = ModSumTask(8, 6, 5, 0)
     expected = modsum_success_probability(8, 6, 5, 0)
     assert abs(expected - 0.2) < 1e-3
-    policy = TabularPolicy.uniform(config.num_states, 8)
+    policy = TabularPolicy.uniform(ENV.num_states, 8)
     rewards = sample_episodes(policy, task, 10_000, named_stream(21, "mc"))[3]
     assert abs(np.mean(rewards) - expected) < 0.02
 
@@ -285,10 +270,9 @@ def test_sample_bytes_per_episode_bound_the_sampler_peak(vocab_size, seq_len, mo
 
 
 def test_rollout_log_roundtrip(tmp_path):
-    config = EnvConfig()
-    policy = TabularPolicy.random(config.num_states, 8, 0.7, named_stream(5, "p"))
+    policy = TabularPolicy.random(ENV.num_states, 8, 0.7, named_stream(5, "p"))
     rng = named_stream(5, "roll")
-    groups = [rollout_group(policy, sample_task(config, rng), 4, rng) for _ in range(3)]
+    groups = [rollout_group(policy, sample_task(EVERY_TASK, rng), 4, rng) for _ in range(3)]
     path = tmp_path / "rollouts.jsonl"
     write_rollout_log(path, groups)
     read = read_rollout_log(path)

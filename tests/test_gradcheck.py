@@ -7,6 +7,7 @@ import pytest
 from policylab import (
     EnvConfig,
     ObjectiveSpec,
+    RunConfig,
     TabularPolicy,
     TokenBatch,
     build_gradcheck_batch,
@@ -29,8 +30,15 @@ from policylab.objectives import (
     token_weights,
 )
 
+from test_golden import for_this_host
+
 ALL_ALGORITHMS = ("ppo", "grpo", "dapo", "cispo", "gspo", "ce_gppo")
 SMALL_ENV = EnvConfig(vocab_size=8, seq_len=3, modulus=3)
+
+
+def test_gradcheck_env_is_the_default_run_shape():
+    # the two places that state the default 8/6/5 shape
+    assert gradcheck.ENV == RunConfig().env
 
 
 def _spec(algorithm):
@@ -103,12 +111,13 @@ def test_row_evaluator_bit_identical_to_full_table(algorithm):
         assert_matches_reference(spec, batch, policy)
 
 
-@pytest.mark.parametrize("env_config", [SMALL_ENV, None])
+@pytest.mark.parametrize("env_config", [SMALL_ENV, None])  # None: the default, gradcheck.ENV
 def test_row_evaluator_bit_identical_with_entropy_bonus(env_config):
     spec = ObjectiveSpec.for_algorithm("grpo", alpha=0.003)
+    env = {} if env_config is None else {"env_config": env_config}
     for seed in range(5):
         batch, policy = build_gradcheck_batch(spec, seed=seed, n_trajectories=16,
-                                              env_config=env_config, min_branch_count=2)
+                                              min_branch_count=2, **env)
         assert_matches_reference(spec, batch, policy)
 
 
@@ -148,12 +157,13 @@ def reference_boundary_safe(spec, batch, policy, h):
 
 
 def unfiltered_batch(seed, n_groups=8, group_size=8, drift=0.35):
-    config = EnvConfig()
+    config = gradcheck.ENV
+    tasks = [config.task(t) for t in range(config.modulus)]
     rng = named_stream(seed, "boundary-test")
     base = TabularPolicy.random(config.num_states, config.vocab_size, 0.6, rng)
     trajectories, advantages = [], []
     for _ in range(n_groups):
-        group = rollout_group(base, sample_task(config, rng), group_size, rng)
+        group = rollout_group(base, sample_task(tasks, rng), group_size, rng)
         trajectories.extend(group.trajectories)
         advantages.extend(group_advantages(group).tolist())
     live = TabularPolicy(base.logits + rng.normal(0.0, drift, base.logits.shape))
@@ -438,26 +448,45 @@ def test_builder_avoids_clip_boundaries():
 # gradcheck settings, per (algorithm, seed)
 REPORT_SETTINGS = {"n_trajectories": 64, "min_branch_count": 16, "h": 1e-5}
 REPORT_GOLDEN = {
-    ("ppo", 0): "4cd093d8304ebda74b66e3a6d5d5e10a0af8244517e51df1597337ab1c2a07ae",
-    ("grpo", 0): "343f1d68815eb924f64b561be26046b259595b324d8b0ba6e912a40a5a9852be",
-    ("dapo", 0): "9ff7ee0641f6b6f40af378003093d413957db119bd029864c7a39601bfc03a62",
-    ("cispo", 0): "3a25be72e7639d5f2826074d0cfc8d398b27c5dd2ae0ecdd97ec9298ca06fad7",
-    ("gspo", 0): "2352ca88a85a5c67922541463a2d11cc09c41750d25a662d9f63d9d3dde92ec9",
-    ("ce_gppo", 0): "f5c714482eb073a407394ec4bd9c6d731ac28481ffd55029e47eea3847ef59e1",
-    ("ppo", 1): "b2b541dd7d609506950654351b81e9960b49590bce7c31aefa5871fdf535ddc6",
-    ("grpo", 1): "0a0f27ba196b26acfcdb87e6b16086a4d858f36debb85448ed98cc8fb72f8ae8",
-    ("dapo", 1): "2f51d782b4e4d1ce46836da21f7c34e3f29df835602d2f1d3d50e2611a614cf9",
-    ("cispo", 1): "dc294b83fe1d4ea1682b41ffcbb309a12433efe3f6769c611b78ec4bd0b2e15f",
-    ("gspo", 1): "98efd9fc91f3414a98055f90da7c172b514e0a0f5eadc9513ff72d6f32b5b466",
-    ("ce_gppo", 1): "683a98c128c1163b09182a4c3c2ba41b55699d7aa7a59b6d391829cdc746448f",
+    "X86_V4": {
+        ("ppo", 0): "4cd093d8304ebda74b66e3a6d5d5e10a0af8244517e51df1597337ab1c2a07ae",
+        ("grpo", 0): "343f1d68815eb924f64b561be26046b259595b324d8b0ba6e912a40a5a9852be",
+        ("dapo", 0): "9ff7ee0641f6b6f40af378003093d413957db119bd029864c7a39601bfc03a62",
+        ("cispo", 0): "3a25be72e7639d5f2826074d0cfc8d398b27c5dd2ae0ecdd97ec9298ca06fad7",
+        ("gspo", 0): "2352ca88a85a5c67922541463a2d11cc09c41750d25a662d9f63d9d3dde92ec9",
+        ("ce_gppo", 0): "f5c714482eb073a407394ec4bd9c6d731ac28481ffd55029e47eea3847ef59e1",
+        ("ppo", 1): "b2b541dd7d609506950654351b81e9960b49590bce7c31aefa5871fdf535ddc6",
+        ("grpo", 1): "0a0f27ba196b26acfcdb87e6b16086a4d858f36debb85448ed98cc8fb72f8ae8",
+        ("dapo", 1): "2f51d782b4e4d1ce46836da21f7c34e3f29df835602d2f1d3d50e2611a614cf9",
+        ("cispo", 1): "dc294b83fe1d4ea1682b41ffcbb309a12433efe3f6769c611b78ec4bd0b2e15f",
+        ("gspo", 1): "98efd9fc91f3414a98055f90da7c172b514e0a0f5eadc9513ff72d6f32b5b466",
+        ("ce_gppo", 1): "683a98c128c1163b09182a4c3c2ba41b55699d7aa7a59b6d391829cdc746448f",
+    },
+    "X86_V3": {
+        ("ppo", 0): "b1b8861739fbfbea908929354ebd189ccc7d4bcb169f657ac65da80dfa7b8efe",
+        ("grpo", 0): "63a470f850a1e909c07349fd1eb9ebe95bd1a58cd47ed0e12eecc879c0df1657",
+        ("dapo", 0): "5caaeb8580d2c99341defe3bcc9aa63a603a7ae465f8bdaee894b477672f1fda",
+        ("cispo", 0): "f5799121dc23c5234dd4c968d0b21caf5d1a9d2773bd8fe851ca999ae9f62a79",
+        ("gspo", 0): "3c9739e70fb2adf27633620e05442795d2f5e5479155cc7ca15b79632c5935cc",
+        ("ce_gppo", 0): "42d7c2fb1a631787dc8779a7642807dbdf3cc6c96201e00dcb395300c241a1b1",
+        ("ppo", 1): "defc05e429be954bb94780b3b33ffb22db19d555a0da27d36e89c5ef948d19a0",
+        ("grpo", 1): "2e5216eab2dee4e3b3a4d39bbce55618195e190190a35586484e1f8a03d2a682",
+        ("dapo", 1): "ee3d61913a2a7a3a97aaa16bfc5765a0a066fc86d61e0385b16fefebda40c38a",
+        ("cispo", 1): "010d0ca04ce7caa9fc1c75bbc024fab7bce9d6b22ee6051ca1b8754645709a89",
+        ("gspo", 1): "98efd9fc91f3414a98055f90da7c172b514e0a0f5eadc9513ff72d6f32b5b466",
+        ("ce_gppo", 1): "408e0c19ce05846d1473f746af415a445d1394eac97d60ff228113c53aa22d36",
+    },
 }
 
 
-@pytest.mark.parametrize("algorithm,seed", sorted(REPORT_GOLDEN))
-def test_report_golden(algorithm, seed):
+def report_digest(algorithm: str, seed: int) -> str:
     spec = ObjectiveSpec.for_algorithm(algorithm)
     batch, policy = build_gradcheck_batch(spec, seed=seed, **REPORT_SETTINGS)
     report = check_objective_gradient(spec, batch, policy, h=REPORT_SETTINGS["h"],
                                       min_branch_count=REPORT_SETTINGS["min_branch_count"])
-    text = json.dumps(report.to_dict(), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_GOLDEN[(algorithm, seed)]
+    return hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("algorithm,seed", sorted(REPORT_GOLDEN["X86_V4"]))
+def test_report_golden(algorithm, seed):
+    assert report_digest(algorithm, seed) == for_this_host(REPORT_GOLDEN)[(algorithm, seed)]

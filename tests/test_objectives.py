@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from policylab import (
-    Branch,
-    EnvConfig,
     ModSumTask,
     ObjectiveSpec,
     TabularPolicy,
@@ -21,6 +19,7 @@ from policylab import (
 )
 from policylab.objectives import (
     ALGORITHMS,
+    BRANCHES,
     CODE_INTERIOR,
     CODE_LEFT,
     CODE_RIGHT,
@@ -28,12 +27,12 @@ from policylab.objectives import (
     new_logprob_lookup,
     token_weights,
 )
-from policylab.gradcheck import analytic_objective_gradient
+from policylab.gradcheck import ENV, analytic_objective_gradient
 from policylab.policy import entropy_and_gradient_rows
 
 Term = namedtuple("Term", "value grad_weight branch")
-BRANCH_OF_CODE = {CODE_INTERIOR: Branch.INTERIOR, CODE_LEFT: Branch.LEFT_CLIPPED,
-                  CODE_RIGHT: Branch.RIGHT_CLIPPED}
+INTERIOR, LEFT_CLIPPED, RIGHT_CLIPPED = "interior_or_pessimistic", "left_clipped", "right_clipped"
+BRANCH_OF_CODE = {CODE_INTERIOR: INTERIOR, CODE_LEFT: LEFT_CLIPPED, CODE_RIGHT: RIGHT_CLIPPED}
 
 PPO = ObjectiveSpec(algorithm="ppo", eps_low=0.2, eps_high=0.2)
 DAPO = ObjectiveSpec(algorithm="dapo", eps_low=0.2, eps_high=0.28)
@@ -54,30 +53,34 @@ def gspo_spec(eps_low=3e-4, eps_high=4e-4):
 # kept as the oracle it must match bit for bit
 # ---------------------------------------------------------------------------
 
+def test_branches_are_named_by_their_codes():
+    assert dict(enumerate(BRANCHES)) == BRANCH_OF_CODE
+
+
 def reference_token_term(spec, delta, adv):
     """(value, grad_weight, branch) of one token of a token-level algorithm."""
     lo, hi = spec.clip_bounds()
     if spec.algorithm == "cispo":
         # frozen clipped weight on either advantage sign; value = weight * A
         if delta < lo:
-            return Term(lo * adv, lo, Branch.LEFT_CLIPPED)
+            return Term(lo * adv, lo, LEFT_CLIPPED)
         if delta > hi:
-            return Term(hi * adv, hi, Branch.RIGHT_CLIPPED)
-        return Term(delta * adv, delta, Branch.INTERIOR)
+            return Term(hi * adv, hi, RIGHT_CLIPPED)
+        return Term(delta * adv, delta, INTERIOR)
     if spec.algorithm == "ce_gppo":
         # clipped tokens keep a gradient of weight beta * bound
         if delta < lo and adv < 0.0:
-            return Term(spec.beta1 * lo * adv, spec.beta1 * lo, Branch.LEFT_CLIPPED)
+            return Term(spec.beta1 * lo * adv, spec.beta1 * lo, LEFT_CLIPPED)
         if delta > hi and adv > 0.0:
-            return Term(spec.beta2 * hi * adv, spec.beta2 * hi, Branch.RIGHT_CLIPPED)
-        return Term(delta * adv, delta, Branch.INTERIOR)
+            return Term(spec.beta2 * hi * adv, spec.beta2 * hi, RIGHT_CLIPPED)
+        return Term(delta * adv, delta, INTERIOR)
     assert spec.algorithm in ("ppo", "grpo", "dapo")
     # min(delta * A, clip(delta) * A): the pessimistic quadrants keep delta
     if delta < lo and adv < 0.0:
-        return Term(lo * adv, 0.0, Branch.LEFT_CLIPPED)
+        return Term(lo * adv, 0.0, LEFT_CLIPPED)
     if delta > hi and adv > 0.0:
-        return Term(hi * adv, 0.0, Branch.RIGHT_CLIPPED)
-    return Term(delta * adv, delta, Branch.INTERIOR)
+        return Term(hi * adv, 0.0, RIGHT_CLIPPED)
+    return Term(delta * adv, delta, INTERIOR)
 
 
 def reference_gspo_sequence_terms(token_ratios, adv, eps_low, eps_high):
@@ -88,10 +91,10 @@ def reference_gspo_sequence_terms(token_ratios, adv, eps_low, eps_high):
     seq_ratio = float(np.exp(np.log(ratios).mean()))
     lo, hi = 1.0 - eps_low, 1.0 + eps_high
     if seq_ratio < lo and adv < 0.0:
-        return [Term(lo * adv / n, 0.0, Branch.LEFT_CLIPPED)] * n
+        return [Term(lo * adv / n, 0.0, LEFT_CLIPPED)] * n
     if seq_ratio > hi and adv > 0.0:
-        return [Term(hi * adv / n, 0.0, Branch.RIGHT_CLIPPED)] * n
-    return [Term(seq_ratio * adv / n, seq_ratio / n, Branch.INTERIOR)] * n
+        return [Term(hi * adv / n, 0.0, RIGHT_CLIPPED)] * n
+    return [Term(seq_ratio * adv / n, seq_ratio / n, INTERIOR)] * n
 
 
 def as_terms(values, weights, codes):
@@ -200,14 +203,14 @@ def test_clip_terms_match_reference_on_random_grids(algorithm):
                 expected += reference_gspo_sequence_terms(
                     deltas[i * seq_len:(i + 1) * seq_len], adv, spec.eps_low, spec.eps_high)
             assert got == expected
-            assert {t.branch for t in got} == set(Branch)
+            assert {t.branch for t in got} == set(BRANCHES)
         return
     deltas = np.exp(rng.uniform(-3.0, 3.0, 4000))
     advs = np.where(rng.random(4000) < 0.1, 0.0, rng.normal(size=4000))
     got = as_terms(*clip_terms(spec, deltas, advs, 1))
     assert got == [reference_token_term(spec, d, a)
                    for d, a in zip(deltas.tolist(), advs.tolist())]
-    assert {t.branch for t in got} == set(Branch)
+    assert {t.branch for t in got} == set(BRANCHES)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -225,7 +228,7 @@ def test_clip_terms_bounds_are_interior(algorithm):
         assert spec.clip_bounds() == (s_lo, s_hi)
         deltas = np.concatenate([below, below, above, above])
         got = as_terms(*clip_terms(spec, deltas, np.repeat(advs, 3), 3))
-        assert {t.branch for t in got} == {Branch.INTERIOR}
+        assert {t.branch for t in got} == {INTERIOR}
         expected = []
         for i, adv in enumerate(advs.tolist()):
             expected += reference_gspo_sequence_terms(deltas[3 * i:3 * i + 3], adv,
@@ -235,7 +238,7 @@ def test_clip_terms_bounds_are_interior(algorithm):
     lo, hi = spec.clip_bounds()
     deltas = np.array([lo, lo, hi, hi])
     got = as_terms(*clip_terms(spec, deltas, advs, 1))
-    assert {t.branch for t in got} == {Branch.INTERIOR}
+    assert {t.branch for t in got} == {INTERIOR}
     assert got == [reference_token_term(spec, d, a)
                    for d, a in zip(deltas.tolist(), advs.tolist())]
 
@@ -248,7 +251,7 @@ def test_ppo_identity_ratio():
     term = one_token(PPO, 1.0, 0.7)
     assert term.value == pytest.approx(0.7)
     assert term.grad_weight == 1.0
-    assert term.branch is Branch.INTERIOR
+    assert term.branch == INTERIOR
 
 
 def test_ppo_right_clipped():
@@ -256,7 +259,7 @@ def test_ppo_right_clipped():
     # oracle: min(1.5*1, clip(1.5, .8, 1.2)*1) = 1.2
     assert term.value == pytest.approx(min(1.5, 1.2))
     assert term.grad_weight == 0.0
-    assert term.branch is Branch.RIGHT_CLIPPED
+    assert term.branch == RIGHT_CLIPPED
 
 
 def test_ppo_pessimistic_keeps_ratio():
@@ -264,7 +267,7 @@ def test_ppo_pessimistic_keeps_ratio():
     # oracle: min(0.5, 0.8) = 0.5; the unclipped branch stays active
     assert term.value == pytest.approx(0.5)
     assert term.grad_weight == pytest.approx(0.5)
-    assert term.branch is Branch.INTERIOR
+    assert term.branch == INTERIOR
 
 
 def test_ppo_matches_min_clip_oracle_everywhere():
@@ -280,14 +283,14 @@ def test_ce_gppo_left_clipped_closed_form():
     term = one_token(ce_gppo(0.5, 1.0), 0.5, -2.0)
     assert term.value == pytest.approx(-0.8)          # 0.5 * (1-0.2) * (-2)
     assert term.grad_weight == pytest.approx(0.4)     # 0.5 * (1-0.2)
-    assert term.branch is Branch.LEFT_CLIPPED
+    assert term.branch == LEFT_CLIPPED
 
 
 def test_ce_gppo_right_clipped_closed_form():
     term = one_token(ce_gppo(0.5, 1.0), 1.5, 1.0)
     assert term.value == pytest.approx(1.2)           # 1.0 * (1+0.2) * 1
     assert term.grad_weight == pytest.approx(1.2)
-    assert term.branch is Branch.RIGHT_CLIPPED
+    assert term.branch == RIGHT_CLIPPED
 
 
 def test_ce_gppo_zero_betas_zero_clipped_gradient():
@@ -304,8 +307,8 @@ def test_branch_partition_and_strict_boundaries():
     for adv in (-1.0, 1.0):
         lo = one_token(spec, 1.0 - eps, adv)
         hi = one_token(spec, 1.0 + eps, adv)
-        assert lo.branch is Branch.INTERIOR
-        assert hi.branch is Branch.INTERIOR
+        assert lo.branch == INTERIOR
+        assert hi.branch == INTERIOR
         assert lo.value == pytest.approx((1 - eps) * adv)
         assert hi.value == pytest.approx((1 + eps) * adv)
     rng = named_stream(1, "partition")
@@ -350,7 +353,7 @@ def test_dapo_examples():
     term = one_token(DAPO, 1.25, 1.0)
     assert term.value == pytest.approx(1.25)
     assert term.grad_weight == pytest.approx(1.25)
-    assert term.branch is Branch.INTERIOR
+    assert term.branch == INTERIOR
     term = one_token(DAPO, 1.35, 1.0)
     assert term.value == pytest.approx(1.28)
     assert term.grad_weight == 0.0
@@ -383,7 +386,7 @@ def test_cispo_interior_matches_ppo():
     term = one_token(CISPO, 1.1, -0.5)
     assert term.grad_weight == pytest.approx(1.1)
     assert term.value == pytest.approx(1.1 * -0.5)
-    assert term.branch is Branch.INTERIOR
+    assert term.branch == INTERIOR
 
 
 def test_cispo_weight_frozen_in_all_quadrants():
@@ -419,7 +422,7 @@ def test_positive_ratio_required_everywhere():
 
 def test_gspo_unit_ratios_interior():
     terms = gspo_sequence([1.0, 1.0, 1.0], 0.5)
-    assert all(t.branch is Branch.INTERIOR for t in terms)
+    assert all(t.branch == INTERIOR for t in terms)
     assert terms[0].grad_weight == pytest.approx(1.0 / 3)
     assert terms[0].value == pytest.approx(0.5 / 3)
 
@@ -429,7 +432,7 @@ def test_gspo_geometric_mean_clipping():
     terms = gspo_sequence([1.2, 1.2, 1.2], 1.0)
     s = math.exp(np.mean(np.log([1.2, 1.2, 1.2])))
     assert s == pytest.approx(1.2)
-    assert all(t.branch is Branch.RIGHT_CLIPPED for t in terms)
+    assert all(t.branch == RIGHT_CLIPPED for t in terms)
     assert all(t.grad_weight == 0.0 for t in terms)
     assert terms[0].value == pytest.approx((1 + 4e-4) * 1.0 / 3)
 
@@ -438,7 +441,7 @@ def test_gspo_pessimistic_sequence_stays_live():
     # s below the lower bound with positive advantage: min keeps the live branch
     terms = gspo_sequence([0.9, 0.9], 1.0)
     s = math.exp(np.mean(np.log([0.9, 0.9])))
-    assert all(t.branch is Branch.INTERIOR for t in terms)
+    assert all(t.branch == INTERIOR for t in terms)
     assert terms[0].grad_weight == pytest.approx(s / 2)
 
 
@@ -509,12 +512,12 @@ def test_numeric_derivative_of_sg_value_equals_grad_weight(algorithm):
 
 def _random_batch(seed=0, n_groups=8, drift=0.4):
     from policylab import group_advantages, rollout_group, sample_task
-    config = EnvConfig()
+    tasks = [ENV.task(t) for t in range(ENV.modulus)]
     rng = named_stream(seed, "batch")
-    base = TabularPolicy.random(config.num_states, 8, 0.5, rng)
+    base = TabularPolicy.random(ENV.num_states, 8, 0.5, rng)
     trajs, advs = [], []
     for _ in range(n_groups):
-        group = rollout_group(base, sample_task(config, rng), 8, rng)
+        group = rollout_group(base, sample_task(tasks, rng), 8, rng)
         trajs.extend(group.trajectories)
         advs.extend(group_advantages(group).tolist())
     live = TabularPolicy(base.logits + rng.normal(0, drift, base.logits.shape))
@@ -546,9 +549,8 @@ def test_batch_terms_gspo_match_sequence_path():
 
 def test_on_policy_ratios_are_exactly_one():
     batch, _ = _random_batch(seed=8, drift=0.0)
-    config = EnvConfig()
     rng = named_stream(8, "batch")
-    base = TabularPolicy.random(config.num_states, 8, 0.5, rng)
+    base = TabularPolicy.random(ENV.num_states, 8, 0.5, rng)
     terms = batch_token_terms(ObjectiveSpec.for_algorithm("ppo"), batch, base)
     assert np.all(terms.deltas == 1.0)
 

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import json
+import operator
 import re
 from pathlib import Path
 
@@ -225,20 +226,99 @@ def test_holdout_target_defaults():
     def eval_targets(config):
         return [task.target for task in config.eval_tasks]
 
+    def train_targets(config):
+        return [task.target for task in config.train_tasks]
+
     config = RunConfig()
-    assert config.env.train_targets == (0, 1, 2, 3)
+    assert train_targets(config) == [0, 1, 2, 3]
     assert eval_targets(config) == [4]
     assert not reuses(config)
 
     everything = RunConfig(train_targets="all")
-    assert everything.env.train_targets == (0, 1, 2, 3, 4)
+    assert train_targets(everything) == [0, 1, 2, 3, 4]
     assert eval_targets(everything) == [0, 1, 2, 3, 4]
     assert reuses(everything)
 
     explicit = RunConfig(train_targets=(0, 2), eval_targets=(1,))
-    assert explicit.env.train_targets == (0, 2)
+    assert train_targets(explicit) == [0, 2]
     assert eval_targets(explicit) == [1]
     assert not reuses(explicit)
+    # a list is a residue set: numpy integers are ints, and its order is kept
+    assert RunConfig(train_targets=[np.int64(3), 1]).train_targets == (3, 1)
+
+
+# M, train_targets, eval_targets -> the targets tasks are drawn from, eval_tasks'
+# targets, the manifest's eval_reuses_training_targets and config_hash(); a str
+# in place of the four is the ConfigError message
+TARGET_RULE = [
+    (2, None, None, [0, 1], [0, 1], True,
+     "37de4f3a89d2539ec0ad4d9faeffb83aadd0a678972f5e75aacec6c719592019"),
+    (2, None, [0], [0, 1], [0], True,
+     "b256bcc6832fd3d1c22f30e05a66a73bf35c6cfcba05f5fd2e5cdeaced524712"),
+    (2, "all", None, [0, 1], [0, 1], True,
+     "6389ddd3b650a6ea4edb04b99b2dd66b121e6cee3ff79510b60babb26d2ce2ae"),
+    (2, "all", [0], [0, 1], [0], True,
+     "a1b7329ce585a51db0862fe8831adc9a73d2ee58239af24bcc72b1e33cdca03d"),
+    (2, [0], None, [0], [1], False,
+     "ab34ccc412fc51f3b9e44ed28219aefb59d773b2fbe95d013f2e910ad6da58ac"),
+    (2, [0], [0], [0], [0], True,
+     "b5643e9ebf0c8d33d6f64867ca43f7fe18f173373b69c4f79a05660b451eb959"),
+    (2, [1, 1], None, "train_targets must be one or more distinct residues in [0, 2), got [1, 1]"),
+    (2, [1, 1], [0], "train_targets must be one or more distinct residues in [0, 2), got [1, 1]"),
+    (3, None, None, [0, 1], [2], False,
+     "908cf489699af315ede677b05b4f553462819f13dd8ed4a6e33fa5fe1d264e5c"),
+    (3, None, [0], [0, 1], [0], True,
+     "3a827d3a51f9d5d1c922a26e6e955ea8375ae9e024a732284ae4a9b0de3ff859"),
+    (3, "all", None, [0, 1, 2], [0, 1, 2], True,
+     "0ea6d995edde6179c63e02230049e7a5ee28231c5d9dd00f16232c74f49308fe"),
+    (3, "all", [0], [0, 1, 2], [0], True,
+     "2b11fc75fe330cea02c58fc0f16c7ac3651f6f2b540e3d71e2562ffbd2840ff4"),
+    (3, [0], None, [0], [1, 2], False,
+     "434d8e13e9f2e13289828ef9f9fcd8813396e881c826d4cb939d1cb5e3794691"),
+    (3, [0], [0], [0], [0], True,
+     "b408b11fe17eb5a5d48d6743eeadef7b962dffac93220907278a05053fc7872b"),
+    (3, [1, 2], None, [1, 2], [0], False,
+     "b55318816090d661096d08a3ce2828c270d9fcb503b1f404da777f38d25866ff"),
+    (3, [1, 2], [0], [1, 2], [0], False,
+     "a452ac1e2b18f021883376d8ca1af1c1664dfa7dea2be1c054c42bcde740e67c"),
+    (5, None, None, [0, 1, 2, 3], [4], False,
+     "ad39b6a0c20f26dbc9ab05804fc1956b8cb541dd64330e4a919b208696b5ced8"),
+    (5, None, [0], [0, 1, 2, 3], [0], True,
+     "f49748838725d66c74a50dea3f601b953c85b79b22c8f9b10bb33e0213371be4"),
+    (5, "all", None, [0, 1, 2, 3, 4], [0, 1, 2, 3, 4], True,
+     "22e367b0ac9341f09317e36d5283937bf4c3216f7ec7411316eab6e28764162a"),
+    (5, "all", [0], [0, 1, 2, 3, 4], [0], True,
+     "3056b5fbc29eb06b09307a575e074153052adeeb9ceddb464b184a828137c75a"),
+    (5, [0], None, [0], [1, 2, 3, 4], False,
+     "1391a745bffe546a28aaac1132bb34745d6f76b12ab8c504cc7edae320cec024"),
+    (5, [0], [0], [0], [0], True,
+     "7877fee2000134e563eca461b13ef4762729c1b684994e9ddb5a5e9859bcb9fb"),
+    (5, [1, 4], None, [1, 4], [0, 2, 3], False,
+     "1f76fc1f86fda4c46351c35016e0628c469d87da8c204d3d76522cd14419ba85"),
+    (5, [1, 4], [0], [1, 4], [0], False,
+     "84c3e185fc243e3645da4ff001a25ba145364510f8cbe7a85f1a9d012ed70cd7"),
+]
+
+
+@pytest.mark.parametrize("row", TARGET_RULE, ids=lambda row: f"M{row[0]}-{row[1]}-{row[2]}")
+def test_target_rule_table(row):
+    modulus, train_targets, eval_targets, *expected = row
+    make = lambda: _tiny(total_steps=1, modulus=modulus, train_targets=train_targets,
+                         eval_targets=eval_targets)
+    if len(expected) == 1:
+        with pytest.raises(ConfigError) as info:
+            make()
+        assert str(info.value) == expected[0]
+        return
+    trained, evaluated, reuses, config_hash = expected
+    config = make()
+    assert [task.target for task in config.train_tasks] == trained
+    assert [task.target for task in config.eval_tasks] == evaluated
+    assert config.config_hash() == config_hash
+    manifest = train(config).manifest
+    assert (manifest["train_targets"], manifest["eval_targets"],
+            manifest["eval_reuses_training_targets"], manifest["config_hash"]) == (
+        trained, evaluated, reuses, config_hash)
 
 
 def test_env_and_eval_tasks_are_built_once_per_config(monkeypatch):
@@ -249,13 +329,16 @@ def test_env_and_eval_tasks_are_built_once_per_config(monkeypatch):
         built.append(env)
         post_init(env)
 
-    monkeypatch.setattr(trainer.EnvConfig, "__post_init__", counting_post_init)
+    monkeypatch.setattr(trainer.EnvConfig, "__post_init__", counting_post_init)  # tasks' too
     config = _tiny(total_steps=2)
     assert config.env is config.env
+    assert config.train_tasks is config.train_tasks
     assert config.eval_tasks is config.eval_tasks
-    assert config.eval_tasks == (ModSumTask(8, 6, 5, 4),)
+    assert [task.target for task in config.eval_tasks] == [4]
     train(config)
-    assert len(built) == 1 and built[0] is config.env
+    # the environment and one task per target, and no step builds another
+    once = [config.env, *config.train_tasks, *config.eval_tasks]
+    assert len(built) == len(once) == 6 and all(map(operator.is_, built, once))
 
 
 def test_replaced_config_gets_its_own_env():
@@ -265,7 +348,7 @@ def test_replaced_config_gets_its_own_env():
     wide = dataclasses.replace(config, vocab_size=32, seq_len=12, modulus=16)
     assert (wide.env.vocab_size, wide.env.seq_len, wide.env.modulus) == (32, 12, 16)
     assert wide.env.num_states == 193
-    assert wide.env.train_targets == tuple(range(15))
+    assert [task.target for task in wide.train_tasks] == list(range(15))
     assert wide.eval_tasks == (ModSumTask(32, 12, 16, 15),)
     assert config.env.modulus == 5 and config.eval_tasks == (ModSumTask(8, 6, 5, 4),)
 
