@@ -22,7 +22,14 @@ from .entropy_dynamics import (
     verify_predictor_convergence,
 )
 from .env import EnvConfig, read_rollout_log, residue_set
-from .gradcheck import DEFAULT_STEP, ENV, build_gradcheck_batch, check_objective_gradient
+from .gradcheck import (
+    DEFAULT_STEP,
+    ENV,
+    GROUP_SIZE,
+    build_gradcheck_batch,
+    check_objective_gradient,
+    gradcheck_rows,
+)
 from .objectives import ALGORITHMS, NUMBER_FIELDS, ObjectiveSpec, TokenBatch, batch_token_terms
 from .policy import TabularPolicy, check_table_size, state_visits, visit_weighted_mean
 from .seeding import named_stream
@@ -100,6 +107,8 @@ def _cmd_gradcheck(args) -> int:
     with config_errors():
         spec = ObjectiveSpec.for_algorithm(args.objective, **overrides)
         ENV.check_samples(args.trajectories, "--trajectories")
+        ENV.check_samples(gradcheck_rows(args.trajectories),
+                          f"--trajectories in whole groups of {GROUP_SIZE}")
     try:
         batch, policy = build_gradcheck_batch(
             spec, seed=args.seed, n_trajectories=args.trajectories,

@@ -7,12 +7,17 @@ state_id = position * M + residue, plus one terminal state, so every
 policy-side quantity over the T*M + 1 states stays exact. The state
 holds no target: a tabular policy cannot tell the tasks apart.
 
-Every episode has exactly T tokens, so n episodes are a rectangle: the
-sampler returns C-contiguous (n, T) arrays of states, actions and
-log-probs plus an (n,) reward array, and a RolloutGroup holds its G
-episodes in that form; training, the gradcheck and the rollout log all
-read those arrays. Trajectory objects are the per-episode view of the
-rows, built only where a caller wants one episode at a time.
+Every episode has exactly T tokens, so n episodes are a rectangle.
+Sampling and scoring are apart: sample_episodes walks any number of rows
+in lockstep, given their (n, T) uniforms, and returns C-contiguous (n, T)
+arrays of states, actions and log-probs; the state holds no target, so
+the rows of many tasks share one walk. rollout_group turns one task's
+block of those rows into its RolloutGroup under the one reward rule,
+sampling nothing. A training step or a gradcheck attempt walks all of
+its groups' rows at once and assembles each group from its row block;
+training, the gradcheck and the rollout log all read those arrays.
+Trajectory objects are the per-episode view of the rows, built only
+where a caller wants one episode at a time.
 """
 
 from __future__ import annotations
@@ -193,14 +198,14 @@ def verify_reward(trajectory: Trajectory) -> int:
 def _rewards(actions: np.ndarray, task: ModSumTask) -> np.ndarray:
     """1.0 where an episode's actions (the last axis) sum to the target mod M, else 0.0.
 
-    The one statement of the reward rule: the sampler, verify_reward and the
-    log reader all apply it.
+    The one statement of the reward rule: rollout_group, evaluate, verify_reward
+    and the log reader all apply it.
     """
     return (actions.sum(axis=-1) % task.modulus == task.target).astype(np.float64)
 
 
 def sample_bytes_per_episode(vocab_size: int, seq_len: int) -> int:
-    """A bound on the bytes per episode that sample_episodes holds live at once.
+    """A bound on the bytes per episode that a walk holds live at once.
 
     The token loop holds the (n, T) draws and actions, one position's (n, V-1)
     float64 cdf gather with its bool comparison, and (n,) int64 residues and
@@ -210,24 +215,25 @@ def sample_bytes_per_episode(vocab_size: int, seq_len: int) -> int:
     return 48 * seq_len + 9 * (vocab_size - 1) + 32
 
 
-def sample_episodes(policy: _SoftmaxTable, task: ModSumTask, n: int,
-                    rng: np.random.Generator
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sample n episodes of one task in lockstep from the given (usually snapshot) policy.
+def sample_episodes(policy: _SoftmaxTable, env: EnvConfig, draws: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk len(draws) episodes of env's shape in lockstep from the given (usually
+    snapshot) policy, row i driven by the T uniforms of draws[i].
 
-    Returns C-contiguous (n, T) states, actions and log-probs and the (n,)
-    float64 rewards. The stream advances by exactly n * seq_len uniform
-    draws, taken episode by episode, and each token is the inverse-CDF
-    pick (searchsorted side="right" on its row's cumulative sum, clamped
-    to the last action) of its draw, so the episodes equal n sequential
-    token-at-a-time rollouts bit for bit, log-probs included.
+    Returns C-contiguous (n, T) states, actions and log-probs, new arrays
+    that no later update can reach. Each token is the inverse-CDF pick
+    (searchsorted side="right" on its row's cumulative sum, clamped to the
+    last action) of its draw, and a row depends on its own draws alone, so
+    any block of rows equals a walk of that block by itself bit for bit,
+    log-probs included.
     """
-    task.check_table(policy)
+    env.check_table(policy)
+    seq_len, modulus = env.seq_len, env.modulus
+    if draws.ndim != 2 or draws.shape[1] != seq_len:
+        raise ValueError(f"draws must be an (n, {seq_len}) array, got shape {draws.shape}")
     cdf = policy.sampling_cdf()
-    seq_len, modulus = task.seq_len, task.modulus
-    draws = rng.random((n, seq_len))
-    actions = np.empty((n, seq_len), dtype=np.int64)
-    residue = np.zeros(n, dtype=np.int64)  # each episode's residue before token t
+    actions = np.empty(draws.shape, dtype=np.int64)
+    residue = np.zeros(len(draws), dtype=np.int64)  # each episode's residue before token t
     for t in range(seq_len):
         # count of cdf entries <= u, i.e. searchsorted(cdf, u, side="right")
         # over the first V-1 columns, which is at most V-1
@@ -235,8 +241,7 @@ def sample_episodes(policy: _SoftmaxTable, task: ModSumTask, n: int,
         actions[:, t] = picks
         residue = (residue + picks) % modulus
     states = _episode_states(actions, modulus)
-    logprobs = policy.log_probs(states * policy.num_actions + actions)
-    return states, actions, logprobs, _rewards(actions, task)
+    return states, actions, policy.log_probs(states * policy.num_actions + actions)
 
 
 def _episode_states(actions: np.ndarray, modulus: int) -> np.ndarray:
@@ -245,16 +250,12 @@ def _episode_states(actions: np.ndarray, modulus: int) -> np.ndarray:
     return residues + np.arange(actions.shape[1]) * modulus
 
 
-def rollout_group(policy: _SoftmaxTable, task: ModSumTask, group_size: int,
-                  rng: np.random.Generator) -> RolloutGroup:
-    """Sample a group of episodes from the policy as it is now.
-
-    Logits are read-only, so the group is what a snapshot taken now would
-    sample; later updates to a live policy cannot reach it.
-    """
-    if group_size < 2:
-        raise ValueError(f"group_size must be >= 2, got {group_size}")
-    return RolloutGroup(task, *sample_episodes(policy, task, group_size, rng))
+def rollout_group(task: ModSumTask, states: np.ndarray, actions: np.ndarray,
+                  old_logprobs: np.ndarray) -> RolloutGroup:
+    """One task's block of sampled (G, T) rows as its group, rewarded by the one reward
+    rule. It samples nothing: the rows come from a sample_episodes walk, and the
+    group holds them as given (row-block views of the walk's arrays included)."""
+    return RolloutGroup(task, states, actions, old_logprobs, _rewards(actions, task))
 
 
 _TASK_FIELDS = tuple(f.name for f in fields(ModSumTask))

@@ -32,7 +32,10 @@ TILE_CELL_BUDGET cells, or one state's 2V rows if that is more.
 Because the objectives are piecewise, a check is only meaningful when the
 batch actually exercises every branch and no sample point sits within
 10*h of a clip boundary (central differences straddling a kink measure
-nothing). Batch construction enforces both.
+nothing). Batch construction enforces both. Each attempt draws from one
+stream: the sampling policy, then each group's task and (G, T) uniforms
+in turn, written into one array of gradcheck_rows(n) rows that a single
+sample_episodes walk turns into every group's episodes.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .env import EnvConfig, rollout_group, sample_task
+from .env import EnvConfig, rollout_group, sample_episodes, sample_task
 from .objectives import (
     BatchTerms,
     ObjectiveSpec,
@@ -265,6 +268,11 @@ def _boundary_safe_trajectories(spec: ObjectiveSpec, batch: TokenBatch,
     return np.flatnonzero(~near.any(axis=1)).tolist()
 
 
+def gradcheck_rows(n_trajectories: int) -> int:
+    """The rows build_gradcheck_batch walks at once: n_trajectories in whole groups."""
+    return max(1, -(-n_trajectories // GROUP_SIZE)) * GROUP_SIZE
+
+
 def build_gradcheck_batch(spec: ObjectiveSpec, seed: int, n_trajectories: int = 64,
                           env_config: EnvConfig = ENV,
                           min_branch_count: int = 16, h: float = DEFAULT_STEP,
@@ -278,13 +286,19 @@ def build_gradcheck_batch(spec: ObjectiveSpec, seed: int, n_trajectories: int = 
     of the algorithm's branches reach min_branch_count.
     """
     tasks = tuple(map(env_config.task, range(env_config.modulus)))
-    n_groups = max(1, -(-n_trajectories // GROUP_SIZE))
+    draws = np.empty((gradcheck_rows(n_trajectories), env_config.seq_len))
+    blocks = draws.reshape(-1, GROUP_SIZE, env_config.seq_len)
     counts = None  # stays None while no attempt keeps 2 boundary-safe trajectories
     for attempt in range(max_attempts):
         rng = named_stream(seed, "gradcheck", attempt)
         base = TabularPolicy.random(env_config.num_states, env_config.vocab_size, POLICY_SCALE, rng)
-        groups = [rollout_group(base, sample_task(tasks, rng), GROUP_SIZE, rng)
-                  for _ in range(n_groups)]
+        group_tasks = []
+        for block in blocks:  # each group's task, then its uniforms
+            group_tasks.append(sample_task(tasks, rng))
+            rng.random(out=block)
+        states, actions, logprobs = (
+            a.reshape(blocks.shape) for a in sample_episodes(base, env_config, draws))
+        groups = list(map(rollout_group, group_tasks, states, actions, logprobs))
         drift = PERTURBATION * (1.0 + 0.25 * attempt)
         live = TabularPolicy(base.logits + rng.normal(0.0, drift, base.logits.shape))
         batch = TokenBatch.from_groups(groups).rows(0, n_trajectories)

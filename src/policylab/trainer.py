@@ -16,11 +16,15 @@ update can reach them.
 
 Every random draw comes from a stream named by (seed, purpose, step,
 ...); identical configs produce byte-identical metrics CSVs. Each policy
-version's softmax is computed once: rollouts and evaluation sample whole
-groups in lockstep from it, and ratios, entropies and KLs are gathered
-from it as arrays. A rollout group is a set of (G, T) arrays, and the
-step's reward, sampled entropy and visited states are reduced from those
-blocks.
+version's softmax is computed once: ratios, entropies and KLs are
+gathered from it as arrays, and sampling walks many episodes in lockstep
+on it. A resampling attempt fills one (P*G, T) array of uniforms, group
+g's row block from its own stream ("rollout", step, attempt, g), walks
+all P*G rows once and assembles each group from its block, so every
+group is the one a walk of its own would sample; evaluation walks each
+eval task's samples once. A rollout group is a set of (G, T) arrays, and
+the step's reward, sampled entropy and visited states are reduced from
+those blocks.
 
 A step gathers its training data once and then only slices it. The
 token batch is concatenated straight from the retained groups' arrays
@@ -73,6 +77,7 @@ from .env import (
     RolloutGroup,
     _is_int,
     _is_number,
+    _rewards,
     residue_set,
     rollout_group,
     sample_episodes,
@@ -349,8 +354,8 @@ def evaluate(policy: TabularPolicy, tasks: Sequence[ModSumTask], samples_per_pro
         raise ValueError("empty evaluation task set")
     total = 0
     for task in tasks:
-        rewards = sample_episodes(policy, task, samples_per_prompt, rng)[3]
-        total += int(np.count_nonzero(rewards))
+        actions = sample_episodes(policy, task, rng.random((samples_per_prompt, task.seq_len)))[1]
+        total += int(np.count_nonzero(_rewards(actions, task)))
     return total / (len(tasks) * samples_per_prompt)
 
 
@@ -365,14 +370,19 @@ def _step(config: RunConfig, policy: TabularPolicy,
     """
     spec = config.objective_at(step)
 
-    # rollout, with bounded resampling when dynamic sampling drains the batch
+    # rollout, with bounded resampling when dynamic sampling drains the batch:
+    # one walk per attempt over every group's rows, group g's from its own stream
     all_groups: list[RolloutGroup] = []
+    draws = np.empty((config.prompts_per_batch * config.group_size, config.seq_len))
+    blocks = draws.reshape(config.prompts_per_batch, config.group_size, config.seq_len)
     for attempt in range(config.max_filter_retries):
         task_rng = named_stream(config.seed, "tasks", step, attempt)
-        groups = [rollout_group(policy, sample_task(config.train_tasks, task_rng),
-                                config.group_size,
-                                named_stream(config.seed, "rollout", step, attempt, g))
-                  for g in range(config.prompts_per_batch)]
+        tasks = [sample_task(config.train_tasks, task_rng) for _ in range(len(blocks))]
+        for g, block in enumerate(blocks):
+            named_stream(config.seed, "rollout", step, attempt, g).random(out=block)
+        states, actions, logprobs = (
+            a.reshape(blocks.shape) for a in sample_episodes(policy, config.env, draws))
+        groups = list(map(rollout_group, tasks, states, actions, logprobs))
         all_groups.extend(groups)
         retained = dynamic_sampling_filter(groups) if config.dynamic_sampling else groups
         if retained:

@@ -16,13 +16,18 @@ from policylab import (
 from policylab.advantage import DEGENERATE_STD
 from policylab.gradcheck import ENV
 from policylab.env import ModSumTask, RolloutGroup
+from walks import sample_rows
 
 
 def _groups(n, seed=0):
     tasks = [ENV.task(t) for t in range(ENV.modulus)]
     policy = TabularPolicy.uniform(ENV.num_states, 8)
     rng = named_stream(seed, "adv-groups")
-    return [rollout_group(policy, sample_task(tasks, rng), 8, rng) for _ in range(n)]
+    groups = []
+    for _ in range(n):
+        task = sample_task(tasks, rng)
+        groups.append(rollout_group(task, *sample_rows(policy, task, 8, rng)))
+    return groups
 
 
 def _row(rewards):

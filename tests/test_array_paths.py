@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from policylab import (
+    EmptyBatchError,
     ModSumTask,
     ObjectiveSpec,
+    RunConfig,
     TabularPolicy,
     TokenBatch,
     aggregate_objective,
@@ -27,7 +29,7 @@ from policylab import (
     standardize_groups,
     verify_reward,
 )
-from policylab import objectives
+from policylab import objectives, trainer
 from policylab.env import (
     RolloutGroup,
     Trajectory,
@@ -46,6 +48,8 @@ from policylab.policy import (
     softmax_rows,
     state_visits,
 )
+from policylab.trainer import _step
+from walks import sample_rows, walk_sizes
 
 MODULUS = 5
 
@@ -63,23 +67,28 @@ def _table(num_states: int, num_actions: int, seed: int) -> TabularPolicy:
     return TabularPolicy(logits)
 
 
-def _sample_action(policy, state, rng) -> tuple[int, float]:
-    """The reference draw: inverse CDF on one uniform, clamped to the last action."""
+def _sample_action(policy, state, u: float) -> tuple[int, float]:
+    """The reference draw: inverse CDF on the uniform u, clamped to the last action."""
     probs = policy.action_probabilities(state)
     cdf = np.cumsum(probs)
-    action = int(np.searchsorted(cdf, rng.random(), side="right"))
+    action = int(np.searchsorted(cdf, u, side="right"))
     action = min(action, policy.num_actions - 1)
     return action, float(np.log(probs[action]))
 
 
-def _token_at_a_time(policy, task, n, rng) -> list[Trajectory]:
-    """The reference sampler: one _sample_action call per token."""
+def _one_at_a_time(rng, n, seq_len) -> np.ndarray:
+    """n x seq_len uniforms, each from its own scalar rng.random() call."""
+    return np.array([[rng.random() for _ in range(seq_len)] for _ in range(n)])
+
+
+def _token_at_a_time(policy, task, draws) -> list[Trajectory]:
+    """The reference sampler: one _sample_action call per token, on its draws[i, t]."""
     out = []
-    for _ in range(n):
+    for row in draws:
         states, actions, logprobs, residue = [], [], [], 0
         for t in range(task.seq_len):
             state = t * task.modulus + residue
-            action, lp = _sample_action(policy, state, rng)
+            action, lp = _sample_action(policy, state, float(row[t]))
             states.append(state)
             actions.append(action)
             logprobs.append(lp)
@@ -91,9 +100,9 @@ def _token_at_a_time(policy, task, n, rng) -> list[Trajectory]:
 
 
 def _as_trajectories(task, episodes) -> list[Trajectory]:
-    """sample_episodes' (states, actions, logprobs, rewards) rows as Trajectory objects."""
+    """A walk's (states, actions, logprobs) rows as Trajectory objects of task."""
     return [Trajectory(task, actions, logprobs, states, int(reward))
-            for states, actions, logprobs, reward in zip(*episodes)]
+            for states, actions, logprobs, reward in zip(*episodes, _rewards(episodes[1], task))]
 
 
 def _assert_same_trajectories(got, expected):
@@ -114,25 +123,11 @@ def test_lockstep_sampler_matches_token_at_a_time(vocab, seq_len):
         for n in (1, 4):
             ref_rng = named_stream(seed, "sample", n)
             rng = named_stream(seed, "sample", n)
-            expected = _token_at_a_time(policy, task, n, ref_rng)
-            episodes = sample_episodes(policy, task, n, rng)
+            expected = _token_at_a_time(policy, task, _one_at_a_time(ref_rng, n, seq_len))
+            episodes = sample_rows(policy, task, n, rng)
             _assert_same_trajectories(_as_trajectories(task, episodes), expected)
             # both consumed exactly n * seq_len draws
             assert rng.random() == ref_rng.random()
-
-
-class _ScriptedDraws:
-    """Stands in for a Generator: returns the given uniforms in order."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self, size=None):
-        if size is None:
-            return self.values.pop(0)
-        count = int(np.prod(size))
-        taken, self.values = self.values[:count], self.values[count:]
-        return np.array(taken).reshape(size)
 
 
 def test_lockstep_sampler_boundary_draws():
@@ -143,39 +138,73 @@ def test_lockstep_sampler_boundary_draws():
     probs = np.array([0.1, 0.2, 0.7])
     policy = TabularPolicy(np.log(np.tile(probs, (task.num_states, 1))))
     cdf = np.cumsum(policy.probability_matrix()[0])
-    draws = [0.0, cdf[0], np.nextafter(cdf[0], 0.0), cdf[1], cdf[2],
-             np.nextafter(1.0, 0.0), 0.5]
-    expected = _token_at_a_time(policy, task, len(draws), _ScriptedDraws(draws))
-    got = _as_trajectories(task, sample_episodes(policy, task, len(draws),
-                                                 _ScriptedDraws(draws)))
+    draws = np.array([0.0, cdf[0], np.nextafter(cdf[0], 0.0), cdf[1], cdf[2],
+                      np.nextafter(1.0, 0.0), 0.5])[:, None]  # one episode of one token each
+    expected = _token_at_a_time(policy, task, draws)
+    got = _as_trajectories(task, sample_episodes(policy, task, draws))
     _assert_same_trajectories(got, expected)
     assert [int(t.actions[0]) for t in got] == [0, 1, 0, 2, 2, 2, 2]
 
 
+def _assert_groups_are_walks_of_their_own(config, snapshot, step, groups):
+    """Each of _step's groups, attempt by attempt, equals a walk of that group alone on
+    its own stream's (G, T) uniforms from the snapshot the step started from, bit for bit."""
+    n_groups, size = config.prompts_per_batch, config.group_size
+    assert groups and len(groups) % n_groups == 0
+    for attempt in range(len(groups) // n_groups):
+        task_rng = named_stream(config.seed, "tasks", step, attempt)
+        for g in range(n_groups):
+            task = sample_task(config.train_tasks, task_rng)
+            alone = rollout_group(task, *sample_rows(
+                snapshot, task, size, named_stream(config.seed, "rollout", step, attempt, g)))
+            group = groups[attempt * n_groups + g]
+            assert group.task == task
+            for name in ("states", "actions", "old_logprobs", "rewards"):
+                assert np.array_equal(getattr(group, name), getattr(alone, name)), name
+
+
+def _lockstep_config(seed, dapo):
+    return RunConfig(seed=seed, mini_epochs=1, eval_samples=8, dynamic_sampling=dapo,
+                     objective=ObjectiveSpec.for_algorithm("dapo" if dapo else "grpo"))
+
+
+def _near_deterministic(config, logit=8.0) -> TabularPolicy:
+    """Action 0 in every state with all but about 7e-4 of the mass: most dapo groups
+    share one reward, so a step resamples (seed 0, step 0: 4 attempts)."""
+    logits = np.zeros((config.env.num_states, config.vocab_size))
+    logits[:, 0] = logit
+    return TabularPolicy(logits)
+
+
 def test_a_steps_groups_are_rows_of_one_lockstep_pass():
-    # the trainer draws a step's groups one rollout_group call at a time, each from
-    # its own stream; one sample_episodes pass over all of their rows, fed each
-    # stream's (G, T) uniforms in group order, must give the same rows bit for bit
-    config, n_groups, group_size = ENV, 8, 8
-    every_task = [config.task(t) for t in range(config.modulus)]
+    # _step walks every group of a resampling attempt in one sample_episodes pass;
+    # its groups must be the ones 8 independent per-group walks give
     for seed in range(20):
-        policy = _table(config.num_states, config.vocab_size, seed)
-        step, attempt = seed % 7, seed % 2
-        task_rng = named_stream(seed, "tasks", step, attempt)
-        tasks = [sample_task(every_task, task_rng) for _ in range(n_groups)]
-        groups = [rollout_group(policy, task, group_size,
-                                named_stream(seed, "rollout", step, attempt, g))
-                  for g, task in enumerate(tasks)]
-        draws = np.concatenate([named_stream(seed, "rollout", step, attempt, g).random(
-            (group_size, config.seq_len)) for g in range(n_groups)])
-        states, actions, logprobs, _ = sample_episodes(
-            policy, tasks[0], n_groups * group_size, _ScriptedDraws(draws.ravel()))
-        for g, group in enumerate(groups):
-            rows = slice(g * group_size, (g + 1) * group_size)
-            assert np.array_equal(group.states, states[rows])
-            assert np.array_equal(group.actions, actions[rows])
-            assert np.array_equal(group.old_logprobs, logprobs[rows])
-            assert np.array_equal(group.rewards, _rewards(actions[rows], group.task))
+        config = _lockstep_config(seed, dapo=seed % 2 == 1)
+        snapshot = _table(config.env.num_states, config.vocab_size, seed)
+        step = seed % 7
+        _, groups = _step(config, TabularPolicy(snapshot.logits), step)
+        _assert_groups_are_walks_of_their_own(config, snapshot, step, groups)
+    config = _lockstep_config(0, dapo=True)  # and across the attempts of a step that retries
+    _, groups = _step(config, _near_deterministic(config), 0)
+    assert len(groups) == 4 * config.prompts_per_batch
+    _assert_groups_are_walks_of_their_own(config, _near_deterministic(config), 0, groups)
+
+
+@pytest.mark.parametrize("seed, attempts", [(1, 1), (0, 4), (3, None)])  # None: every one drains
+def test_a_step_walks_once_per_resampling_attempt(monkeypatch, seed, attempts):
+    config = _lockstep_config(seed, dapo=True)
+    rows = config.prompts_per_batch * config.group_size
+    sizes = walk_sizes(monkeypatch, trainer)
+    if attempts is None:
+        with pytest.raises(EmptyBatchError):
+            _step(config, _near_deterministic(config), 0)
+        assert sizes == [rows] * config.max_filter_retries
+        return
+    _, groups = _step(config, _near_deterministic(config), 0)
+    assert len(groups) == attempts * config.prompts_per_batch
+    # then evaluation walks each eval task's samples once
+    assert sizes == [rows] * attempts + [config.eval_samples] * len(config.eval_tasks)
 
 
 @pytest.mark.parametrize("vocab", [2, 8, 9, 32])
@@ -374,9 +403,9 @@ def test_rollout_group_rows_match_token_at_a_time():
         task = ModSumTask(vocab, seq_len, MODULUS, 2)
         for seed in range(10):
             policy = _table(task.num_states, vocab, seed)
-            group = rollout_group(policy, task, 8, named_stream(seed, "group"))
-            expected = _token_at_a_time(policy, task, 8,
-                                        named_stream(seed, "group"))
+            group = rollout_group(task, *sample_rows(policy, task, 8, named_stream(seed, "group")))
+            expected = _token_at_a_time(
+                policy, task, _one_at_a_time(named_stream(seed, "group"), 8, seq_len))
             _assert_same_trajectories(group.trajectories, expected)
             assert all(t.task == task for t in group.trajectories)
             assert group.rewards.dtype == np.float64
@@ -394,7 +423,7 @@ def test_entropy_sampled_from_blocks_matches_stacked_rows():
     for seed in range(10):
         policy = TabularPolicy.random(task.num_states, 32, 0.8, named_stream(seed, "ent"))
         rng = named_stream(seed, "ent-rollout")
-        groups = [rollout_group(policy, task, 8, rng) for _ in range(4)]
+        groups = [rollout_group(task, *sample_rows(policy, task, 8, rng)) for _ in range(4)]
         blocks = np.concatenate([g.old_logprobs for g in groups])
         stacked = np.stack([t.old_logprobs for g in groups for t in g.trajectories])
         got = float(np.mean(-blocks.mean(axis=1)))
@@ -478,7 +507,10 @@ def test_from_groups_matches_from_trajectories():
     for seed in range(6):
         rng = named_stream(seed, "from-groups")
         policy = TabularPolicy.random(config.num_states, config.vocab_size, 1.0, rng)
-        groups = [rollout_group(policy, sample_task(tasks, rng), 8, rng) for _ in range(12)]
+        groups = []
+        for _ in range(12):
+            task = sample_task(tasks, rng)
+            groups.append(rollout_group(task, *sample_rows(policy, task, 8, rng)))
         # dapo-style: the dynamic-sampling filter drops groups, then advantages
         retained = dynamic_sampling_filter(groups)
         dropped += len(groups) - len(retained)

@@ -18,15 +18,15 @@ from policylab import (
     batch_token_terms,
     named_stream,
     read_rollout_log,
-    rollout_group,
     suite_configs,
     train,
 )
-from policylab import cli, entropy_dynamics, env, trainer
+from policylab import cli, entropy_dynamics, env, gradcheck, trainer
 from policylab.cli import main
 from policylab.env import RolloutGroup
 from policylab.gradcheck import build_gradcheck_batch, check_objective_gradient
 from policylab.objectives import ALGORITHMS, CODE_LEFT, CODE_RIGHT, NUMBER_FIELDS, BatchTerms
+from walks import sample_rows
 
 
 def _write_config(tmp_path, **overrides):
@@ -613,6 +613,19 @@ def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_gradcheck_refuses_trajectories_whose_whole_groups_the_sampler_cannot_hold(
+        monkeypatch, capsys):
+    # the build walks --trajectories rounded up to whole groups of 8 at once: with
+    # memory for 1001 episodes' sampling, 1001 passes alone but its 1008-row walk does not
+    per_episode = env.sample_bytes_per_episode(8, 6)
+    monkeypatch.setattr(env, "PHYSICAL_MEMORY", 1001 * per_episode)
+    gradcheck.ENV.check_samples(1001, "--trajectories")
+    assert _config_error(["gradcheck", "--trajectories", "1001"], capsys) == (
+        f"--trajectories in whole groups of 8 make 1008 episodes whose sampling holds "
+        f"{1008 * per_episode} bytes at its peak, more than the {1001 * per_episode} bytes "
+        f"of physical memory")
+
+
 _NOT_UTF8 = b"\xff\xfe{}\n"
 _DEEP = ("[" * 100_000 + "]" * 100_000 + "\n").encode()
 
@@ -826,8 +839,8 @@ def _table_fit_messages(shape, tmp_path, capsys) -> list[tuple[str, str]]:
     with pytest.raises(ConfigError) as info:
         train(RunConfig(seq_len=3, total_steps=1, init_checkpoint=str(checkpoint)))
     return [
-        ("", _raised(lambda: rollout_group(TabularPolicy.uniform(*shape), ModSumTask(8, 3, 5, 0),
-                                           2, named_stream(0, "fit")))),
+        ("", _raised(lambda: sample_rows(TabularPolicy.uniform(*shape), ModSumTask(8, 3, 5, 0),
+                                         2, named_stream(0, "fit")))),
         (f"init checkpoint {checkpoint}: ", str(info.value)),
         (f"checkpoint {checkpoint}: ", _config_error(
             ["analyze", "--log", str(tmp_path / "log.jsonl"), "--checkpoint", str(checkpoint)],

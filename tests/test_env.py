@@ -20,6 +20,7 @@ from policylab import (
 )
 from policylab.env import RolloutGroup, _episode_states, sample_bytes_per_episode
 from policylab.gradcheck import ENV
+from walks import sample_rows
 
 EVERY_TASK = tuple(ENV.task(t) for t in range(ENV.modulus))  # the 8/6/5 shape's tasks
 from policylab.seeding import stream_key
@@ -79,8 +80,9 @@ def test_sampled_mean_reward_matches_the_oracle_under_a_random_policy():
     for target in range(config.modulus):
         p = modsum_success_probability(config.vocab_size, config.seq_len, config.modulus,
                                        target, policy.probability_matrix())
-        rewards = sample_episodes(policy, config.task(target), n,
-                                  named_stream(2030, "oracle-mc", target))[3]
+        task = config.task(target)
+        rewards = rollout_group(task, *sample_rows(policy, task, n,
+                                                   named_stream(2030, "oracle-mc", target))).rewards
         z = (rewards.mean() - p) / np.sqrt(p * (1.0 - p) / n)
         assert abs(z) <= 4.0, (target, p, rewards.mean(), z)
 
@@ -174,7 +176,7 @@ def test_rollout_reward_matches_independent_recomputation():
     rng = named_stream(1, "roll")
     for i in range(50):
         task = sample_task(EVERY_TASK, rng)
-        for traj in rollout_group(policy, task, 4, rng).trajectories:
+        for traj in rollout_group(task, *sample_rows(policy, task, 4, rng)).trajectories:
             assert traj.reward == int(int(traj.actions.sum()) % task.modulus == task.target)
 
 
@@ -193,7 +195,7 @@ def test_state_transition_brute_force():
                 assert there == (t + 1) * task.modulus + (r + a) % task.modulus
     # and sampled trajectories actually follow it
     policy = TabularPolicy.uniform(task.num_states, 4)
-    states, actions, _, _ = sample_episodes(policy, task, 300, named_stream(8, "trans"))
+    states, actions, _ = sample_rows(policy, task, 300, named_stream(8, "trans"))
     for row_states, row_actions in zip(states, actions):
         running = 0
         for t in range(3):
@@ -204,8 +206,8 @@ def test_state_transition_brute_force():
 def test_rollout_group_snapshot_and_determinism():
     policy = TabularPolicy.uniform(ENV.num_states, 8)
     task = ModSumTask(8, 6, 5, 2)
-    g1 = rollout_group(policy, task, 8, named_stream(3, "g"))
-    g2 = rollout_group(policy, task, 8, named_stream(3, "g"))
+    g1 = rollout_group(task, *sample_rows(policy, task, 8, named_stream(3, "g")))
+    g2 = rollout_group(task, *sample_rows(policy, task, 8, named_stream(3, "g")))
     for a, b in zip(g1.trajectories, g2.trajectories):
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.old_logprobs, b.old_logprobs)
@@ -217,7 +219,8 @@ def test_rollout_group_deterministic_policy_identical_members():
     logits = np.zeros((config.num_states, 4))
     logits[:, 2] = 60.0  # always action 2
     policy = TabularPolicy(logits)
-    group = rollout_group(policy, ModSumTask(4, 3, 3, 0), 4, named_stream(0, "det"))
+    task = ModSumTask(4, 3, 3, 0)
+    group = rollout_group(task, *sample_rows(policy, task, 4, named_stream(0, "det")))
     first = group.trajectories[0]
     for traj in group.trajectories:
         assert np.array_equal(traj.actions, first.actions)
@@ -230,11 +233,14 @@ def test_rollout_group_errors():
     policy = TabularPolicy.uniform(ENV.num_states, 8)
     task = ModSumTask(8, 6, 5, 0)
     with pytest.raises(ValueError, match=">= 2"):
-        rollout_group(policy, task, 1, named_stream(0, "x"))
+        rollout_group(task, *sample_rows(policy, task, 1, named_stream(0, "x")))
     small = TabularPolicy.uniform(7, 8)
     with pytest.raises(ValueError, match="state space"):
-        rollout_group(small, task, 4, named_stream(0, "x"))
-    group = rollout_group(policy, task, 4, named_stream(0, "x"))
+        rollout_group(task, *sample_rows(small, task, 4, named_stream(0, "x")))
+    for shape in ((4, 5), (4, 7), (24,)):  # the walk takes one row of T uniforms per episode
+        with pytest.raises(ValueError, match=r"draws must be an \(n, 6\) array"):
+            sample_episodes(policy, task, np.zeros(shape))
+    group = rollout_group(task, *sample_rows(policy, task, 4, named_stream(0, "x")))
     for name in ("states", "actions", "old_logprobs"):  # each (G, T) array, cut short
         arrays = {n: getattr(group, n) for n in ("states", "actions", "old_logprobs")}
         arrays[name] = arrays[name][:, :-1]
@@ -247,7 +253,8 @@ def test_uniform_policy_mean_reward_matches_enumeration_oracle():
     expected = modsum_success_probability(8, 6, 5, 0)
     assert abs(expected - 0.2) < 1e-3
     policy = TabularPolicy.uniform(ENV.num_states, 8)
-    rewards = sample_episodes(policy, task, 10_000, named_stream(21, "mc"))[3]
+    rows = sample_rows(policy, task, 10_000, named_stream(21, "mc"))
+    rewards = rollout_group(task, *rows).rewards
     assert abs(np.mean(rewards) - expected) < 0.02
 
 
@@ -261,7 +268,7 @@ def test_sample_bytes_per_episode_bound_the_sampler_peak(vocab_size, seq_len, mo
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        episodes = sample_episodes(policy, task, n, named_stream(1, "peak"))
+        episodes = sample_rows(policy, task, n, named_stream(1, "peak"))  # draws included
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -272,7 +279,10 @@ def test_sample_bytes_per_episode_bound_the_sampler_peak(vocab_size, seq_len, mo
 def test_rollout_log_roundtrip(tmp_path):
     policy = TabularPolicy.random(ENV.num_states, 8, 0.7, named_stream(5, "p"))
     rng = named_stream(5, "roll")
-    groups = [rollout_group(policy, sample_task(EVERY_TASK, rng), 4, rng) for _ in range(3)]
+    groups = []
+    for _ in range(3):
+        task = sample_task(EVERY_TASK, rng)
+        groups.append(rollout_group(task, *sample_rows(policy, task, 4, rng)))
     path = tmp_path / "rollouts.jsonl"
     write_rollout_log(path, groups)
     read = read_rollout_log(path)

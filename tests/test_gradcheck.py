@@ -31,6 +31,7 @@ from policylab.objectives import (
 )
 
 from test_golden import for_this_host
+from walks import sample_rows, walk_sizes
 
 ALL_ALGORITHMS = ("ppo", "grpo", "dapo", "cispo", "gspo", "ce_gppo")
 SMALL_ENV = EnvConfig(vocab_size=8, seq_len=3, modulus=3)
@@ -163,7 +164,8 @@ def unfiltered_batch(seed, n_groups=8, group_size=8, drift=0.35):
     base = TabularPolicy.random(config.num_states, config.vocab_size, 0.6, rng)
     trajectories, advantages = [], []
     for _ in range(n_groups):
-        group = rollout_group(base, sample_task(tasks, rng), group_size, rng)
+        task = sample_task(tasks, rng)
+        group = rollout_group(task, *sample_rows(base, task, group_size, rng))
         trajectories.extend(group.trajectories)
         advantages.extend(group_advantages(group).tolist())
     live = TabularPolicy(base.logits + rng.normal(0.0, drift, base.logits.shape))
@@ -420,6 +422,66 @@ def test_builder_builds_no_trajectory(monkeypatch):
                                      min_branch_count=1)
     assert batch.n_trajectories <= 20
     assert built == []
+
+
+def _interleaved_build(spec, seed, n_trajectories, min_branch_count, max_attempts=20,
+                       h=gradcheck.DEFAULT_STEP):
+    """build_gradcheck_batch as it sampled before its one walk per attempt, the reference:
+    each group's task, then a walk of that group alone, in turn on the attempt's stream.
+    None where it finds no batch."""
+    env = gradcheck.ENV
+    tasks = tuple(map(env.task, range(env.modulus)))
+    for attempt in range(max_attempts):
+        rng = named_stream(seed, "gradcheck", attempt)
+        base = TabularPolicy.random(env.num_states, env.vocab_size, gradcheck.POLICY_SCALE, rng)
+        groups = []
+        for _ in range(max(1, -(-n_trajectories // gradcheck.GROUP_SIZE))):
+            task = sample_task(tasks, rng)
+            groups.append(rollout_group(task, *sample_rows(base, task, gradcheck.GROUP_SIZE, rng)))
+        drift = gradcheck.PERTURBATION * (1.0 + 0.25 * attempt)
+        live = TabularPolicy(base.logits + rng.normal(0.0, drift, base.logits.shape))
+        batch = TokenBatch.from_groups(groups).rows(0, n_trajectories)
+        keep = _boundary_safe_trajectories(spec, batch, live, h)
+        if len(keep) < 2:
+            continue
+        batch = batch.subset(keep)
+        counts = batch_token_terms(spec, batch, live).branch_counts()
+        if all(n >= min_branch_count for n in counts.values()):
+            return batch, live
+    return None
+
+
+@pytest.mark.parametrize("n_trajectories", [64, 13])  # 13: a partial last group
+@pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
+def test_builder_matches_the_interleaved_per_group_walks(algorithm, n_trajectories):
+    spec = _spec(algorithm)
+    for seed in range(4):
+        for min_branch_count in (16, 2):
+            expected = _interleaved_build(spec, seed, n_trajectories, min_branch_count)
+            if expected is None:
+                with pytest.raises(RuntimeError):
+                    build_gradcheck_batch(spec, seed, n_trajectories,
+                                          min_branch_count=min_branch_count)
+                continue
+            batch, live = build_gradcheck_batch(spec, seed, n_trajectories,
+                                                min_branch_count=min_branch_count)
+            assert np.array_equal(live.logits, expected[1].logits)
+            assert batch.seq_len == expected[0].seq_len
+            for name in ("states", "actions", "old_logprobs", "advantages"):
+                assert np.array_equal(getattr(batch, name), getattr(expected[0], name)), name
+
+
+def test_builder_walks_once_per_attempt(monkeypatch):
+    sizes, attempts, stream = walk_sizes(monkeypatch, gradcheck), [], gradcheck.named_stream
+    monkeypatch.setattr(gradcheck, "named_stream",
+                        lambda *key: attempts.append(key) or stream(*key))
+    build_gradcheck_batch(_spec("ce_gppo"), 4, 64)  # seed 4 succeeds at its second attempt
+    assert len(attempts) == 2 and sizes == [64, 64]
+    sizes.clear()
+    attempts.clear()
+    with pytest.raises(RuntimeError):  # every attempt walks 13 trajectories' two groups
+        build_gradcheck_batch(_spec("ce_gppo"), 0, 13, min_branch_count=10_000, max_attempts=3)
+    assert len(attempts) == 3 and sizes == [16, 16, 16] == [gradcheck.gradcheck_rows(13)] * 3
 
 
 def test_report_json_roundtrip():

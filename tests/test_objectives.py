@@ -29,6 +29,7 @@ from policylab.objectives import (
 )
 from policylab.gradcheck import ENV, analytic_objective_gradient
 from policylab.policy import entropy_and_gradient_rows
+from walks import sample_rows
 
 Term = namedtuple("Term", "value grad_weight branch")
 INTERIOR, LEFT_CLIPPED, RIGHT_CLIPPED = "interior_or_pessimistic", "left_clipped", "right_clipped"
@@ -517,7 +518,8 @@ def _random_batch(seed=0, n_groups=8, drift=0.4):
     base = TabularPolicy.random(ENV.num_states, 8, 0.5, rng)
     trajs, advs = [], []
     for _ in range(n_groups):
-        group = rollout_group(base, sample_task(tasks, rng), 8, rng)
+        task = sample_task(tasks, rng)
+        group = rollout_group(task, *sample_rows(base, task, 8, rng))
         trajs.extend(group.trajectories)
         advs.extend(group_advantages(group).tolist())
     live = TabularPolicy(base.logits + rng.normal(0, drift, base.logits.shape))

@@ -12,9 +12,9 @@ from policylab import (
     exact_kl,
     named_stream,
     rollout_group,
-    sample_episodes,
 )
 from policylab.policy import entropy_and_gradient_rows
+from walks import sample_rows
 
 
 def test_uniform_row_probabilities():
@@ -109,12 +109,12 @@ def test_kl_nonnegative_over_random_pairs():
 
 
 def _state_zero_draws(row, n, rng):
-    """n draws from one logit row: sample_episodes on a one-token task, whose
+    """n draws from one logit row: a walk of a one-token task, whose
     episodes all start in state 0, with the row in every state."""
     row = np.asarray(row, dtype=np.float64)
     task = ModSumTask(len(row), 1, 2, 0)
     policy = TabularPolicy(np.tile(row, (task.num_states, 1)))
-    _, actions, logprobs, _ = sample_episodes(policy, task, n, rng)
+    _, actions, logprobs = sample_rows(policy, task, n, rng)
     return actions[:, 0], logprobs[:, 0]
 
 
@@ -128,7 +128,7 @@ def test_sample_logprob_matches_probabilities_exactly():
     rng = named_stream(3, "consistency")
     policy = TabularPolicy.random(5, 7, 1.5, rng)
     task = ModSumTask(7, 2, 2, 0)  # 5 states; episodes visit 0, then 2 or 3
-    states, actions, logprobs, _ = sample_episodes(policy, task, 100, rng)
+    states, actions, logprobs = sample_rows(policy, task, 100, rng)
     assert np.unique(states).tolist() == [0, 2, 3]
     for s, a, lp in zip(states.ravel(), actions.ravel(), logprobs.ravel()):
         assert lp == float(np.log(policy.action_probabilities(s)[a]))
@@ -200,7 +200,7 @@ def test_snapshot_immutable_and_isolated():
     task = ModSumTask(4, 3, 5, 0)
     policy = TabularPolicy.random(task.num_states, 4, 1.0, named_stream(3, "snap"))
     logits, probs = policy.logits, policy.probability_matrix()
-    group = rollout_group(policy, task, 6, named_stream(3, "snap-group"))
+    group = rollout_group(task, *sample_rows(policy, task, 6, named_stream(3, "snap-group")))
     before = [a.copy() for a in (logits, probs, group.actions, group.old_logprobs)]
     policy.apply_gradient(np.ones((task.num_states, 4)) * np.arange(4.0), 1.0)
     assert not np.array_equal(policy.probability_matrix(), probs)
